@@ -163,7 +163,8 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a._track else None,
+                _unbroadcast(g, b.data.shape) if b._track else None)
 
     return Tensor(out, _parents=(a, b), _vjp=vjp)
 
@@ -173,7 +174,8 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a._track else None,
+                _unbroadcast(-g, b.data.shape) if b._track else None)
 
     return Tensor(out, _parents=(a, b), _vjp=vjp)
 
@@ -188,21 +190,40 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape) if a._track else None,
+                _unbroadcast(g * a.data, b.data.shape) if b._track else None)
 
     return Tensor(out, _parents=(a, b), _vjp=vjp)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product with broadcast leading batch axes."""
-    a, b = _wrap(a), _wrap(b)
-    out = np.matmul(a.data, b.data)
+    """Matrix product with broadcast leading batch axes.
 
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+    A 2-D right operand is shared by every row of the left one, so the
+    leading axes of `a` fold into its row axis: the forward and both
+    gradients are then single 2-D GEMMs, and the weight gradient needs no
+    batched product and no reduction over the batch.
+    """
+    a, b = _wrap(a), _wrap(b)
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = (g2 @ b.data.T).reshape(a.data.shape) if a._track else None
+            gb = a2.T @ g2 if b._track else None
+            return ga, gb
+    else:
+        out = np.matmul(a.data, b.data)
+
+        def vjp(g):
+            ga = gb = None
+            if a._track:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            if b._track:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            return ga, gb
 
     return Tensor(out, _parents=(a, b), _vjp=vjp)
 
@@ -318,36 +339,33 @@ def conv1d(x, w, b) -> Tensor:
 
     x: (..., T, C), w: (..., O, C, W) with odd W, b: w.shape[:-2].
     Leading axes broadcast, so one call convolves every head at once.
+    The forward is numerics.conv1d_im2col; the VJP reuses its windows, so
+    both gradients are matmuls and the input gradient is the W-shift
+    scatter of the window gradient back onto the padded time axis.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     width = w.data.shape[-1]
     if width % 2 != 1:
         raise ValueError("kernel width must be odd to preserve length")
     pad = width // 2
-    steps = x.data.shape[-2]
-
-    pad_spec = [(0, 0)] * (x.data.ndim - 2) + [(pad, pad), (0, 0)]
-    xpad = np.pad(x.data, pad_spec)
-
-    out = None
-    for u in range(width):
-        term = np.einsum("...tc,...oc->...to", xpad[..., u:u + steps, :], w.data[..., :, :, u])
-        out = term if out is None else out + term
-    out = out + b.data[..., None, :]
+    steps, chans = x.data.shape[-2:]
+    out, cols = numerics.conv1d_im2col(x.data, w.data, b.data)
+    kmat = w.data.reshape(w.data.shape[:-2] + (-1,))
 
     def vjp(g):
-        gxpad = np.zeros(np.broadcast_shapes(xpad.shape[:-2], w.data.shape[:-3]) + xpad.shape[-2:],
-                         dtype=np.float64)
-        gw = np.zeros(np.broadcast_shapes(xpad.shape[:-2], w.data.shape[:-3]) + w.data.shape[-3:],
-                      dtype=np.float64)
-        for u in range(width):
-            gxpad[..., u:u + steps, :] += np.einsum("...to,...oc->...tc", g, w.data[..., :, :, u])
-            gw[..., :, :, u] = np.einsum("...to,...tc->...oc", g, xpad[..., u:u + steps, :])
-        gx = gxpad[..., pad:pad + steps, :]
-        gb = g.sum(axis=-2)
-        return (_unbroadcast(gx, x.data.shape),
-                _unbroadcast(gw, w.data.shape),
-                _unbroadcast(gb, b.data.shape))
+        gx = gw = gb = None
+        if x._track:
+            gcols = np.matmul(g, kmat).reshape(g.shape[:-1] + (chans, width))
+            gxpad = np.zeros(g.shape[:-2] + (steps + 2 * pad, chans))
+            for u in range(width):
+                gxpad[..., u:u + steps, :] += gcols[..., u]
+            gx = _unbroadcast(gxpad[..., pad:pad + steps, :], x.data.shape)
+        if w._track:
+            gk = np.matmul(np.swapaxes(g, -1, -2), cols)
+            gw = _unbroadcast(gk.reshape(gk.shape[:-1] + (chans, width)), w.data.shape)
+        if b._track:
+            gb = _unbroadcast(g.sum(axis=-2), b.data.shape)
+        return gx, gw, gb
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
@@ -403,22 +421,32 @@ def rope_apply(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 def quat_rotate(x, angles, axis: str) -> Tensor:
     """Right-multiply quaternion slots by the unit exponential of an axis angle.
 
-    x: (..., S, 4); angles: shape x.shape[:-2], one angle shared by all S
-    slots of a row. The map is orthogonal in x, so its transpose is the
-    rotation by -angle; the angle gradient is the inner product with the
-    quarter-turn-advanced rotation of x.
+    x: (..., S, 4); angles broadcast against the rows x.shape[:-2], one
+    angle shared by all S slots of a row. A size-1 row axis of x against a
+    full angle axis rotates the same slots once per angle, which is how
+    the decoder rotates by every period in one call. The map is
+    orthogonal in x, so its transpose is the rotation by -angle.
     """
     x, angles = _wrap(x), _wrap(angles)
-    if angles.data.shape != x.data.shape[:-2]:
-        raise ValueError(f"angles shape {angles.data.shape} does not match rows {x.data.shape[:-2]}")
+    try:
+        np.broadcast_shapes(angles.data.shape, x.data.shape[:-2])
+    except ValueError:
+        raise ValueError(f"angles shape {angles.data.shape} does not broadcast "
+                         f"against rows {x.data.shape[:-2]}") from None
     co = np.cos(angles.data)[..., None]
     si = np.sin(angles.data)[..., None]
     out = quaternion.slot_rotate(x.data, co, si, axis)
 
     def vjp(g):
-        gx = quaternion.slot_rotate(g, co, -si, axis)
-        advanced = quaternion.slot_rotate(x.data, -si, co, axis)
-        gangle = (g * advanced).sum(axis=(-1, -2))
-        return gx, gangle
+        # one rotation back by -angle gives the input gradient, and its
+        # inner product with x * axis (the derivative direction rotated
+        # back) gives the angle gradient
+        back = quaternion.slot_rotate(g, co, -si, axis)
+        gangle = None
+        if angles._track:
+            turned = quaternion.quarter_turn(x.data, axis)
+            gangle = _unbroadcast(np.einsum("...sc,...sc->...", back, turned),
+                                  angles.data.shape)
+        return _unbroadcast(back, x.data.shape), gangle
 
     return Tensor(out, _parents=(x, angles), _vjp=vjp)

@@ -254,6 +254,9 @@ def load_stream(path: str):
         except ValueError as exc:
             raise MalformedFile(f"non-numeric cell in row {i} of {path}: {exc}") from exc
     matrix = np.array(data, dtype=np.float64) if data else np.zeros((0, meta.dims))
+    bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad_rows.size:
+        raise MalformedFile(f"non-finite cell (nan or inf) in row {bad_rows[0]} of {path}")
     if matrix.shape[0] != meta.frames or (matrix.size and matrix.shape[1] != meta.dims):
         raise MetaMismatch(
             f"{path} holds shape {matrix.shape} but sidecar says ({meta.frames}, {meta.dims})")

@@ -26,7 +26,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
-                     HeadDimNotQuaternion, MalformedFile)
+                     HeadDimNotQuaternion, MalformedFile, QuatMotionError)
 from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write_text
 from .spe import RotarySchedule, angle_tables
 
@@ -88,60 +88,72 @@ class ModelConfig:
 _STREAM_DIMS = {"audio": AUDIO_DIMS, "motion": MOTION_DIMS}
 
 
-def init_weights(config: ModelConfig, rng: np.random.Generator) -> dict:
-    """Seeded weight collection; draw order is fixed by construction."""
-    w = {}
+def _weight_layout(config: ModelConfig):
+    """Every weight as (name, shape, init), in the fixed draw order.
+
+    init is either a constant fill value, which draws nothing, or a map
+    from a standard normal draw of the shape to the initial value.
+    """
     d = config.d_model
     ff = config.ff_mult * d
 
-    def param(name, value):
-        w[name] = Tensor(value, requires_grad=True)
-
-    def linear(name, fan_in, fan_out, bias=True):
-        param(name + ".w", rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in))
-        if bias:
-            param(name + ".b", np.zeros(fan_out))
+    def linear(name, fan_in, fan_out):
+        yield name + ".w", (fan_in, fan_out), lambda z: z / np.sqrt(fan_in)
+        yield name + ".b", (fan_out,), 0.0
 
     def norm(name):
-        param(name + ".gamma", np.ones(d))
-        param(name + ".beta", np.zeros(d))
+        yield name + ".gamma", (d,), 1.0
+        yield name + ".beta", (d,), 0.0
 
-    linear("embed.audio", AUDIO_DIMS, d)
-    linear("embed.motion", MOTION_DIMS, d)
+    def attention(prefix):
+        for proj in ("wq", "wk", "wv", "wo"):
+            yield f"{prefix}.{proj}", (d, d), lambda z: z / np.sqrt(d)
+
+    yield from linear("embed.audio", AUDIO_DIMS, d)
+    yield from linear("embed.motion", MOTION_DIMS, d)
     if config.use_learned_abs_pos:
-        param("pos.motion", 0.02 * rng.standard_normal((config.seed_motion_frames, d)))
-        param("pos.audio", 0.02 * rng.standard_normal((config.audio_frames, d)))
+        yield "pos.motion", (config.seed_motion_frames, d), lambda z: 0.02 * z
+        yield "pos.audio", (config.audio_frames, d), lambda z: 0.02 * z
 
     for stream in ("motion", "audio"):
         for layer in range(config.encoder_layers):
             prefix = f"enc.{stream}.{layer}"
-            norm(prefix + ".ln1")
-            for proj in ("wq", "wk", "wv", "wo"):
-                param(f"{prefix}.attn.{proj}", rng.standard_normal((d, d)) / np.sqrt(d))
-            norm(prefix + ".ln2")
-            linear(prefix + ".ff.fc1", d, ff)
-            linear(prefix + ".ff.fc2", ff, d)
+            yield from norm(prefix + ".ln1")
+            yield from attention(prefix + ".attn")
+            yield from norm(prefix + ".ln2")
+            yield from linear(prefix + ".ff.fc1", d, ff)
+            yield from linear(prefix + ".ff.fc2", ff, d)
         if config.encoder_layers > 0:
-            norm(f"enc.{stream}.norm")
+            yield from norm(f"enc.{stream}.norm")
 
-    dh = config.d_head
+    kernel = (config.heads, config.periods, config.d_head, 3)
     for layer in range(config.decoder_layers):
         prefix = f"dec.{layer}"
-        norm(prefix + ".ln1")
-        for proj in ("wq", "wk", "wv", "wo"):
-            param(f"{prefix}.attn.{proj}", rng.standard_normal((d, d)) / np.sqrt(d))
+        yield from norm(prefix + ".ln1")
+        yield from attention(prefix + ".attn")
         if config.use_qra:
             for kern in ("omega_q", "theta_q", "omega_k", "theta_k"):
-                param(f"{prefix}.attn.{kern}.w",
-                      0.05 * rng.standard_normal((config.heads, config.periods, dh, 3)))
-                param(f"{prefix}.attn.{kern}.b",
-                      np.zeros((config.heads, config.periods)))
-        norm(prefix + ".ln2")
-        linear(prefix + ".ff.fc1", d, ff)
-        linear(prefix + ".ff.fc2", ff, d)
+                yield f"{prefix}.attn.{kern}.w", kernel, lambda z: 0.05 * z
+                yield f"{prefix}.attn.{kern}.b", kernel[:2], 0.0
+        yield from norm(prefix + ".ln2")
+        yield from linear(prefix + ".ff.fc1", d, ff)
+        yield from linear(prefix + ".ff.fc2", ff, d)
 
-    linear("out", d, config.future_frames * MOTION_DIMS)
-    return w
+    yield from linear("out", d, config.future_frames * MOTION_DIMS)
+
+
+def weight_shapes(config: ModelConfig) -> dict:
+    """Name -> shape of every tensor init_weights builds, without drawing."""
+    return {name: shape for name, shape, _ in _weight_layout(config)}
+
+
+def init_weights(config: ModelConfig, rng: np.random.Generator) -> dict:
+    """Seeded weight collection; draw order is fixed by construction."""
+    weights = {}
+    for name, shape, init in _weight_layout(config):
+        value = np.full(shape, init) if isinstance(init, float) else init(rng.standard_normal(shape))
+        weights[name] = Tensor(value, requires_grad=True)
+    return weights
 
 
 def _heads_split(t: Tensor, heads: int) -> Tensor:
@@ -207,6 +219,20 @@ def _encode(h: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor
     return h
 
 
+def _freq_phase(z: Tensor, prefix: str, side: str, weights: dict, periods: int):
+    """Latent frequencies relu(conv) and phases pi*tanh(conv) of one side.
+
+    The omega and theta kernels are concatenated on the tape, so a single
+    convolution yields both as its first and last `periods` outputs.
+    """
+    kern = ag.concat([weights[f"{prefix}.omega_{side}.w"],
+                      weights[f"{prefix}.theta_{side}.w"]], axis=1)
+    bias = ag.concat([weights[f"{prefix}.omega_{side}.b"],
+                      weights[f"{prefix}.theta_{side}.b"]], axis=1)
+    both = ag.conv1d(z, kern, bias)
+    return ag.relu(both[..., :periods]), ag.pi_tanh(both[..., periods:])
+
+
 def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
                      weights: dict, config: ModelConfig) -> Tensor:
     heads, dh, periods = config.heads, config.d_head, config.periods
@@ -217,27 +243,21 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
     m = k.shape[2]
 
     if config.use_qra:
-        omega_q = ag.relu(ag.conv1d(q, weights[prefix + ".omega_q.w"],
-                                    weights[prefix + ".omega_q.b"]))
-        theta_q = ag.pi_tanh(ag.conv1d(q, weights[prefix + ".theta_q.w"],
-                                       weights[prefix + ".theta_q.b"]))
-        omega_k = ag.relu(ag.conv1d(k, weights[prefix + ".omega_k.w"],
-                                    weights[prefix + ".omega_k.b"]))
-        theta_k = ag.pi_tanh(ag.conv1d(k, weights[prefix + ".theta_k.w"],
-                                       weights[prefix + ".theta_k.b"]))
-        pos_q = TWO_PI * np.arange(n, dtype=np.float64) / n
-        pos_k = TWO_PI * np.arange(m, dtype=np.float64) / m
+        omega_q, theta_q = _freq_phase(q, prefix, "q", weights, periods)
+        omega_k, theta_k = _freq_phase(k, prefix, "k", weights, periods)
+        pos_q = TWO_PI * np.arange(n, dtype=np.float64)[:, None] / n
+        pos_k = TWO_PI * np.arange(m, dtype=np.float64)[:, None] / m
+        ang_q = omega_q * Tensor(pos_q) + theta_q    # (b, heads, n, periods)
+        ang_k = omega_k * Tensor(pos_k) + theta_k
         key_axis = "i" if config.qra_keys_use_axis_i else "j"
-        q_slots = ag.reshape(q, (b, heads, n, dh // 4, 4))
-        k_slots = ag.reshape(k, (b, heads, m, dh // 4, 4))
-        total = None
-        for p in range(periods):
-            ang_q = omega_q[:, :, :, p] * Tensor(pos_q) + theta_q[:, :, :, p]
-            ang_k = omega_k[:, :, :, p] * Tensor(pos_k) + theta_k[:, :, :, p]
-            phi = ag.reshape(ag.quat_rotate(q_slots, ang_q, "i"), (b, heads, n, dh))
-            psi = ag.reshape(ag.quat_rotate(k_slots, ang_k, key_axis), (b, heads, m, dh))
-            sim = ag.matmul(phi, ag.transpose(psi, (0, 1, 3, 2)))
-            total = sim if total is None else total + sim
+        # a size-1 period axis on the slots: one rotation per period angle
+        q_slots = ag.reshape(q, (b, heads, n, 1, dh // 4, 4))
+        k_slots = ag.reshape(k, (b, heads, m, 1, dh // 4, 4))
+        phi = ag.reshape(ag.quat_rotate(q_slots, ang_q, "i"), (b, heads, n, periods * dh))
+        psi = ag.reshape(ag.quat_rotate(k_slots, ang_k, key_axis), (b, heads, m, periods * dh))
+        # periods sit side by side in the features, so one product sums
+        # every period's similarity
+        total = ag.matmul(phi, ag.transpose(psi, (0, 1, 3, 2)))
         logits = ag.mul(total, 1.0 / (periods * math.sqrt(dh)))
     else:
         logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
@@ -358,7 +378,12 @@ def save_checkpoint(path: str, weights: dict, config: ModelConfig):
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint back into (weights, config)."""
+    """Read a checkpoint back into (weights, config).
+
+    The tensor names and shapes must be exactly those init_weights builds
+    for the stored config (weight_shapes); anything else is a MalformedFile naming the
+    file and the tensor.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -366,15 +391,39 @@ def load_checkpoint(path: str):
         raise MalformedFile(f"cannot parse checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise MalformedFile(f"{path} is not a {CHECKPOINT_FORMAT} checkpoint")
-    config = config_from_dict(doc.get("config", {}))
+    config_doc = doc.get("config", {})
+    if not isinstance(config_doc, dict):
+        raise MalformedFile(f"{path}: 'config' is not an object")
+    try:
+        config = config_from_dict(config_doc)
+    except (TypeError, ValueError, QuatMotionError) as exc:
+        raise MalformedFile(f"{path}: bad config: {exc}") from exc
+    tensors = doc.get("tensors", {})
+    if not isinstance(tensors, dict):
+        raise MalformedFile(f"{path}: 'tensors' is not an object")
+    expected = weight_shapes(config)
+    missing = sorted(set(expected) - set(tensors))
+    if missing:
+        raise MalformedFile(f"{path}: tensor {missing[0]} is missing "
+                            f"({len(missing)} missing in all)")
+    extra = sorted(set(tensors) - set(expected))
+    if extra:
+        raise MalformedFile(f"{path}: unexpected tensor {extra[0]} "
+                            f"({len(extra)} unexpected in all)")
     weights = {}
-    for name, entry in doc.get("tensors", {}).items():
-        values = np.array(entry["values"], dtype=np.float64)
-        shape = tuple(entry["shape"])
-        if values.size != int(np.prod(shape, dtype=np.int64)):
-            raise MalformedFile(f"tensor {name} length does not match its shape")
+    for name, entry in tensors.items():
+        try:
+            values = np.array(entry["values"], dtype=np.float64)
+            shape = tuple(int(n) for n in entry["shape"])
+        except (TypeError, KeyError, ValueError) as exc:
+            raise MalformedFile(f"{path}: tensor {name} is malformed: {exc!r}") from exc
+        if shape != expected[name]:
+            raise MalformedFile(f"{path}: tensor {name} has shape {shape}, "
+                                f"expected {expected[name]}")
+        if values.shape != (int(np.prod(shape, dtype=np.int64)),):
+            raise MalformedFile(f"{path}: tensor {name} length does not match its shape")
         arr = values.reshape(shape)
         if not np.all(np.isfinite(arr)):
-            raise MalformedFile(f"tensor {name} contains non-finite values")
+            raise MalformedFile(f"{path}: tensor {name} contains non-finite values")
         weights[name] = Tensor(arr, requires_grad=True)
     return weights, config

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFiniteLoss, NotSymmetric
 
@@ -112,20 +113,29 @@ def conv1d(x: Array, kernel: ConvKernel) -> Array:
         raise DimensionMismatch(
             f"conv1d: input has {x.shape[1]} channels, kernel expects {kernel.in_channels}"
         )
-    return _conv1d_raw(x, kernel.weights, kernel.bias)
+    return conv1d_im2col(x, kernel.weights, kernel.bias)[0]
 
 
-def _conv1d_raw(x: Array, weights: Array, bias: Array) -> Array:
-    """conv1d core on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible."""
+def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
+    """conv1d core on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible.
+
+    im2col: row t of the window matrix holds the zero-padded input frames
+    t-pad .. t+pad, flattened channel-major to C*W entries, which is the
+    memory order of the kernel's trailing (C, W) axes. The convolution is
+    then one matmul against the kernel viewed as (..., O, C*W). Returns
+    the output (..., T, O) and the windows (..., T, C*W), which the
+    autodiff VJP reuses.
+    """
     width = weights.shape[-1]
     pad = (width - 1) // 2
-    t = x.shape[-2]
-    pad_spec = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (0, 0)]
-    xp = np.pad(x, pad_spec)
-    out = np.einsum("...tc,...oc->...to", xp[..., 0:t, :], weights[..., 0])
-    for w in range(1, width):
-        out += np.einsum("...tc,...oc->...to", xp[..., w : w + t, :], weights[..., w])
-    return out + bias[..., None, :]
+    t, c = x.shape[-2:]
+    xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c))
+    xp[..., pad:pad + t, :] = x
+    cols = sliding_window_view(xp, width, axis=-2).reshape(x.shape[:-1] + (c * width,))
+    kmat = weights.reshape(weights.shape[:-2] + (-1,))
+    out = np.matmul(cols, np.swapaxes(kmat, -1, -2))
+    out += bias[..., None, :]
+    return out, cols
 
 
 def sym_sqrt(s: Array, eps: float = 0.0) -> Array:

@@ -126,24 +126,43 @@ class QuaternionSeries:
         return Quaternion.from_array(self.values[step, slot])
 
 
+# Right-multiplying a slot (e,f,g,h) by a unit axis quaternion permutes
+# its components and flips two signs: component c of the product is
+# sign * x[source], e.g. (e,f,g,h) * i = (-f, e, h, -g).
+_QUARTER_TURNS = {
+    "i": ((1, -1.0), (0, 1.0), (3, 1.0), (2, -1.0)),
+    "j": ((2, -1.0), (3, -1.0), (0, 1.0), (1, 1.0)),
+    "k": ((3, -1.0), (2, 1.0), (1, -1.0), (0, 1.0)),
+}
+
+
+def quarter_turn(x: np.ndarray, axis: str) -> np.ndarray:
+    """Right Hamilton product of slots x (..., 4) with the unit axis itself."""
+    if axis not in _QUARTER_TURNS:
+        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+    out = np.empty(x.shape)
+    # four strided slice copies; a fancy index over a length-4 axis is
+    # several times slower and leaves the result in a scattered layout
+    for c, (source, sign) in enumerate(_QUARTER_TURNS[axis]):
+        np.multiply(x[..., source], sign, out=out[..., c])
+    return out
+
+
 def slot_rotate(x: np.ndarray, co, si, axis: str) -> np.ndarray:
     """Right Hamilton product of slots x (..., 4) with co + si*axis.
 
-    co and si broadcast against x[..., 0]. The componentwise forms below
-    are the expansion of hamilton(q, unit_exp(axis, angle)); keeping them
-    in one place lets the autodiff layer and the plain-array layer share
-    a single derivation.
+    co and si broadcast against x[..., 0], and so may add leading axes.
+    Expanding hamilton(q, unit_exp(axis, angle)) gives co * x + si *
+    (x * axis), written here into one preallocated output. Keeping it in
+    one place lets the autodiff layer and the plain-array layer share a
+    single derivation.
     """
-    a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    if axis == "i":
-        comps = (a * co - b * si, a * si + b * co, c * co + d * si, -c * si + d * co)
-    elif axis == "j":
-        comps = (a * co - c * si, b * co - d * si, a * si + c * co, b * si + d * co)
-    elif axis == "k":
-        comps = (a * co - d * si, b * co + c * si, -b * si + c * co, a * si + d * co)
-    else:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    return np.stack(comps, axis=-1)
+    co = np.asarray(co)[..., None]
+    si = np.asarray(si)[..., None]
+    out = np.empty(np.broadcast_shapes(x.shape, co.shape, si.shape))
+    np.multiply(x, co, out=out)
+    out += quarter_turn(x, axis) * si
+    return out
 
 
 def right_multiply_unit(x: np.ndarray, angles, axis: str) -> np.ndarray:

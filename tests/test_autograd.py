@@ -46,6 +46,10 @@ W253 = _R.standard_normal((2, 5, 3))
 WLN = _R.standard_normal((3, 4))
 WRP = _R.standard_normal((2, 4, 6))
 WQR = _R.standard_normal((3, 2, 4))
+# the decoder's shapes: B=2 batches of H=2 heads, O=2P=4 outputs, P=2 periods
+WCH = _R.standard_normal((2, 2, 5, 4))
+WMM = _R.standard_normal((2, 2, 3, 3))
+WQP = _R.standard_normal((2, 3, 2, 2, 4))
 COS_T, SIN_T = spe.angle_tables(4, spe.RotarySchedule(dim=6))
 
 GRAD_CASES = [
@@ -90,6 +94,13 @@ GRAD_CASES = [
      lambda x, a: (ag.quat_rotate(x, a, "j") * WQR).sum()),
     ("quat_rotate_k", [_R.standard_normal((3, 2, 4)), _R.standard_normal(3)],
      lambda x, a: (ag.quat_rotate(x, a, "k") * WQR).sum()),
+    ("conv1d_heads_2p", [_R.standard_normal((2, 2, 5, 3)), _R.standard_normal((2, 4, 3, 3)),
+                         _R.standard_normal((2, 4))],
+     lambda x, w, b: (ag.conv1d(x, w, b) * WCH).sum()),
+    ("matmul_4d_2d", [_R.standard_normal((2, 2, 3, 4)), _R.standard_normal((4, 3))],
+     lambda a, b: ((a @ b) * WMM).sum()),
+    ("quat_rotate_periods", [_R.standard_normal((2, 3, 1, 2, 4)), _R.standard_normal((2, 3, 2))],
+     lambda x, a: (ag.quat_rotate(x, a, "j") * WQP).sum()),
 ]
 
 
@@ -244,6 +255,16 @@ class TestTapeMechanics:
         x = ag.Tensor(np.array([1.0, 4.0]), requires_grad=True)
         (1.0 - x).sum().backward()
         np.testing.assert_array_equal(x.grad, [-1.0, -1.0])
+
+    def test_untracked_operands_get_no_gradient(self):
+        x = ag.Tensor(np.ones((2, 3, 4)))
+        w = ag.Tensor(np.ones((4, 2)), requires_grad=True)
+        g = np.ones((2, 3, 2))
+        assert ag.matmul(x, w)._vjp(g)[0] is None
+        assert ag.matmul(w.transpose(1, 0), ag.Tensor(np.ones((4, 5))))._vjp(np.ones((2, 5)))[1] is None
+        c = ag.Tensor(np.ones(4))
+        assert ag.mul(x, w[:, 0])._vjp(np.ones((2, 3, 4)))[0] is None
+        assert ag.add(w[:, 0], c)._vjp(np.ones(4))[1] is None
 
     def test_quat_rotate_rejects_bad_angle_shape(self):
         x = ag.Tensor(np.zeros((2, 3, 4)))

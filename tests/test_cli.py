@@ -233,6 +233,20 @@ class TestGenerate:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_checkpoint_missing_tensor_exits_two(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        del doc["tensors"]["out.b"]
+        ckpt = tmp_path / "cut.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = cli.entry([
+            "generate", "--ckpt", str(ckpt),
+            "--music", str(workspace / "data" / "p0" / "audio.csv"),
+            "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+            "--frames", "2", "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "cut.json" in err and "out.b" in err
+
     def test_wrong_stream_kind_exits_two(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),

@@ -198,6 +198,20 @@ class TestStreamIO:
         with pytest.raises(MalformedFile):
             features.load_stream(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        _, motion = features.synth_pair(6, seconds=0.2, beat_period_frames=4)
+        meta = features.StreamMeta(kind="motion", fps=60, frames=12, dims=219)
+        path = tmp_path / "motion.csv"
+        features.save_stream(str(path), motion, meta)
+        rows = path.read_text().splitlines()
+        cells = rows[7].split(",")
+        cells[3] = cell
+        rows[7] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(MalformedFile, match=r"row 7 of .*motion\.csv"):
+            features.load_stream(str(path))
+
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "orphan.csv"
         path.write_text("1.0\n")

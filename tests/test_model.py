@@ -408,6 +408,14 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile):
             model.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("config", [{"d_model": "x"}, {"d_model": 6, "heads": 4}, []])
+    def test_rejects_bad_config(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": model.CHECKPOINT_FORMAT,
+                                    "config": config, "tensors": {}}))
+        with pytest.raises(MalformedFile, match=r"cfg\.json"):
+            model.load_checkpoint(str(path))
+
     def test_rejects_shape_mismatch(self, tmp_path):
         doc = {"format": model.CHECKPOINT_FORMAT, "config": {},
                "tensors": {"x": {"shape": [2, 2], "values": [1.0, 2.0, 3.0]}}}
@@ -422,6 +430,39 @@ class TestCheckpoint:
                         '"tensors":{"x":{"shape":[1],"values":[Infinity]}}}')
         with pytest.raises(MalformedFile):
             model.load_checkpoint(str(path))
+
+    def _edited(self, tiny_setup, tmp_path, edit):
+        weights, config, _, _ = tiny_setup
+        path = tmp_path / "model.json"
+        model.save_checkpoint(str(path), weights, config)
+        doc = json.loads(path.read_text())
+        edit(doc["tensors"])
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_rejects_missing_tensor(self, tiny_setup, tmp_path):
+        path = self._edited(tiny_setup, tmp_path, lambda t: t.pop("out.b"))
+        with pytest.raises(MalformedFile, match=r"model\.json: tensor out\.b is missing"):
+            model.load_checkpoint(path)
+
+    def test_rejects_extra_tensor(self, tiny_setup, tmp_path):
+        def add(tensors):
+            tensors["dec.0.attn.spare"] = {"shape": [1], "values": [0.0]}
+        path = self._edited(tiny_setup, tmp_path, add)
+        with pytest.raises(MalformedFile, match=r"model\.json: unexpected tensor dec\.0\.attn\.spare"):
+            model.load_checkpoint(path)
+
+    def test_rejects_wrong_tensor_shape(self, tiny_setup, tmp_path):
+        def reshape(tensors):
+            entry = tensors["embed.audio.w"]
+            entry["shape"] = entry["shape"][::-1]
+        path = self._edited(tiny_setup, tmp_path, reshape)
+        with pytest.raises(MalformedFile, match=r"model\.json: tensor embed\.audio\.w has shape"):
+            model.load_checkpoint(path)
+
+    def test_weight_shapes_match_init(self, tiny_setup):
+        weights, config, _, _ = tiny_setup
+        assert model.weight_shapes(config) == {n: t.shape for n, t in weights.items()}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedFile):

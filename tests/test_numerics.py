@@ -115,6 +115,23 @@ class TestConv1d:
         rhs = a * num.conv1d(x1, kern) + b * num.conv1d(x2, kern)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
+    def test_matches_tap_loop(self, rng):
+        # scalar definition out[t, o] = b[o] + sum_{c,u} x[t - pad + u, c] w[o, c, u],
+        # also with leading head axes broadcasting as the decoder uses them
+        x = rng.standard_normal((2, 3, 7, 4))
+        w = rng.standard_normal((3, 6, 4, 5))
+        b = rng.standard_normal((3, 6))
+        out, _ = num.conv1d_im2col(x, w, b)
+        want = np.zeros((2, 3, 7, 6))
+        for n, h, t, o in np.ndindex(*want.shape):
+            acc = b[h, o]
+            for c in range(4):
+                for u in range(5):
+                    if 0 <= t - 2 + u < 7:
+                        acc += x[n, h, t - 2 + u, c] * w[h, o, c, u]
+            want[n, h, t, o] = acc
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+
     def test_even_width_rejected(self):
         with pytest.raises(DimensionMismatch):
             num.ConvKernel(weights=np.zeros((1, 1, 4)), bias=np.zeros(1))
