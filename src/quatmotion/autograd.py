@@ -3,7 +3,9 @@
 A Tensor records the op that produced it and a closure computing
 vector-Jacobian products for its parents. Calling backward() on a scalar
 loss walks the tape in reverse topological order and accumulates gradients
-into every leaf created with requires_grad=True.
+into every leaf created with requires_grad=True. A result none of whose
+inputs leads to such a leaf records nothing, so untracked computation
+builds no tape.
 
 The op set is exactly what the attention stack needs: broadcast
 arithmetic, (batched) matmul, reshape / transpose / slice / concat, relu,
@@ -29,15 +31,21 @@ __all__ = [
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the original operand shape."""
+    """Reduce a broadcast gradient back to the original operand shape.
+
+    Extra leading axes are summed away; axes the operand holds at size 1
+    are reduced by one einsum, which over a short middle axis (the
+    decoder's period axis) runs several times faster than
+    sum(keepdims=True).
+    """
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    squeezed = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if squeezed:
-        g = g.sum(axis=squeezed, keepdims=True)
+    keep = [i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s != 1 or gs == 1]
+    if len(keep) < g.ndim:
+        g = np.einsum(g, list(range(g.ndim)), keep)
     return g.reshape(shape)
 
 
@@ -50,9 +58,12 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = _parents
-        self._vjp = _vjp
         self._track = requires_grad or any(p._track for p in _parents)
+        # an untracked node can never pass a gradient on, so it keeps no
+        # parents and no VJP closure: off the tape, each intermediate is
+        # freed as soon as the next op has consumed it
+        self._parents = _parents if self._track else ()
+        self._vjp = _vjp if self._track else None
 
     @property
     def shape(self):
@@ -302,13 +313,13 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(x, 0); a NaN input stays NaN in the output and gets no gradient."""
     a = _wrap(a)
-    mask = a.data > 0
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
-    return Tensor(np.where(mask, a.data, 0.0), _parents=(a,), _vjp=vjp)
+    return Tensor(numerics.relu(a.data), _parents=(a,), _vjp=vjp)
 
 
 def pi_tanh(a) -> Tensor:
@@ -373,20 +384,33 @@ def conv1d(x, w, b) -> Tensor:
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean and unit variance, then affine."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    # in-place steps on two buffers, in the same order of operations as
+    # the textbook expressions, so the results are bit-identical to them
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.multiply(xhat, xhat)
+    inv = out.mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def vjp(g):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        dgamma = _unbroadcast(g * xhat, gamma.data.shape)
-        dbeta = _unbroadcast(g, beta.data.shape)
+        # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        dx = g * gamma.data
+        tmp = dx * xhat
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=tmp)
+        dx -= tmp
+        dx *= inv
+        dgamma = dbeta = None
+        if gamma._track:
+            np.multiply(g, xhat, out=tmp)
+            dgamma = _unbroadcast(tmp, gamma.data.shape)
+        if beta._track:
+            dbeta = _unbroadcast(g, beta.data.shape)
         return dx, dgamma, dbeta
 
     return Tensor(out, _parents=(x, gamma, beta), _vjp=vjp)

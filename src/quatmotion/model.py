@@ -12,11 +12,13 @@ the first, slide both windows by one frame.
 
 Everything runs on the autodiff tape so a scalar loss differentiates
 through the full stack; plain-array wrappers around single sequences
-provide the inference surface.
+provide the inference surface. They run on untracked views of the
+weights, so inference builds no tape.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -33,6 +35,9 @@ from .spe import RotarySchedule, angle_tables
 CHECKPOINT_FORMAT = "qean-ckpt-v1"
 
 TWO_PI = 2.0 * math.pi
+
+# width of QRA's frequency/phase convolutions over time
+QRA_KERNEL_WIDTH = 3
 
 
 @dataclass
@@ -126,7 +131,7 @@ def _weight_layout(config: ModelConfig):
         if config.encoder_layers > 0:
             yield from norm(f"enc.{stream}.norm")
 
-    kernel = (config.heads, config.periods, config.d_head, 3)
+    kernel = (config.heads, config.periods, config.d_head, QRA_KERNEL_WIDTH)
     for layer in range(config.decoder_layers):
         prefix = f"dec.{layer}"
         yield from norm(prefix + ".ln1")
@@ -190,14 +195,22 @@ def _embed(x: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
     return h
 
 
+@functools.lru_cache(maxsize=64)
+def _rotary_tables(steps: int, dim: int, base: float):
+    """Read-only (cos, sin) rotary tables, built once per window geometry."""
+    tables = angle_tables(steps, RotarySchedule(dim, base))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _self_attention(h: Tensor, prefix: str, weights: dict, config: ModelConfig) -> Tensor:
     dh = config.d_head
     q = _heads_split(ag.matmul(h, weights[prefix + ".wq"]), config.heads)
     k = _heads_split(ag.matmul(h, weights[prefix + ".wk"]), config.heads)
     v = _heads_split(ag.matmul(h, weights[prefix + ".wv"]), config.heads)
     if config.use_spe:
-        sched = RotarySchedule(dh, config.rotary_base)
-        co, si = angle_tables(h.shape[-2], sched)
+        co, si = _rotary_tables(h.shape[-2], dh, config.rotary_base)
         q = ag.rope_apply(q, co, si)
         k = ag.rope_apply(k, co, si)
     logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
@@ -219,41 +232,59 @@ def _encode(h: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor
     return h
 
 
-def _freq_phase(z: Tensor, prefix: str, side: str, weights: dict, periods: int):
+def _freq_phase(z: Tensor, prefix: str, side: str, weights: dict, periods: int,
+                drop: int = 0):
     """Latent frequencies relu(conv) and phases pi*tanh(conv) of one side.
 
     The omega and theta kernels are concatenated on the tape, so a single
-    convolution yields both as its first and last `periods` outputs.
+    convolution yields both as its first and last `periods` outputs. The
+    first `drop` rows of the convolution are cut before the activations.
     """
     kern = ag.concat([weights[f"{prefix}.omega_{side}.w"],
                       weights[f"{prefix}.theta_{side}.w"]], axis=1)
     bias = ag.concat([weights[f"{prefix}.omega_{side}.b"],
                       weights[f"{prefix}.theta_{side}.b"]], axis=1)
     both = ag.conv1d(z, kern, bias)
+    if drop:
+        both = both[..., drop:, :]
     return ag.relu(both[..., :periods]), ag.pi_tanh(both[..., periods:])
 
 
 def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
-                     weights: dict, config: ModelConfig) -> Tensor:
+                     weights: dict, config: ModelConfig,
+                     keep: int | None = None, window: int | None = None) -> Tensor:
+    """Decoder attention of query rows m_norm over the memory rows.
+
+    m_norm holds the last rows of a `window`-row query window (by default
+    all of it), and only its last `keep` rows (by default all) come out.
+    The rows before them are a halo that QRA's query convolution reads;
+    query positions stay absolute within the window.
+    """
     heads, dh, periods = config.heads, config.d_head, config.periods
-    q = _heads_split(ag.matmul(m_norm, weights[prefix + ".wq"]), heads)
+    rows = m_norm.shape[1]
+    keep = rows if keep is None else keep
+    window = rows if window is None else window
+    drop = rows - keep
+    q_all = _heads_split(ag.matmul(m_norm, weights[prefix + ".wq"]), heads)
+    # the halo rows only feed the query convolution
+    q = q_all[:, :, drop:, :] if drop else q_all
     k = _heads_split(ag.matmul(memory, weights[prefix + ".wk"]), heads)
     v = _heads_split(ag.matmul(memory, weights[prefix + ".wv"]), heads)
-    b, _, n, _ = q.shape
+    b = q.shape[0]
     m = k.shape[2]
 
     if config.use_qra:
-        omega_q, theta_q = _freq_phase(q, prefix, "q", weights, periods)
+        omega_q, theta_q = _freq_phase(q_all, prefix, "q", weights, periods, drop)
         omega_k, theta_k = _freq_phase(k, prefix, "k", weights, periods)
-        pos_q = TWO_PI * np.arange(n, dtype=np.float64)[:, None] / n
+        pos_q = TWO_PI * np.arange(window - keep, window, dtype=np.float64)[:, None] / window
         pos_k = TWO_PI * np.arange(m, dtype=np.float64)[:, None] / m
-        ang_q = omega_q * Tensor(pos_q) + theta_q    # (b, heads, n, periods)
+        ang_q = omega_q * Tensor(pos_q) + theta_q    # (b, heads, keep, periods)
         ang_k = omega_k * Tensor(pos_k) + theta_k
         key_axis = "i" if config.qra_keys_use_axis_i else "j"
         # a size-1 period axis on the slots: one rotation per period angle
-        q_slots = ag.reshape(q, (b, heads, n, 1, dh // 4, 4))
+        q_slots = ag.reshape(q, (b, heads, keep, 1, dh // 4, 4))
         k_slots = ag.reshape(k, (b, heads, m, 1, dh // 4, 4))
-        phi = ag.reshape(ag.quat_rotate(q_slots, ang_q, "i"), (b, heads, n, periods * dh))
+        phi = ag.reshape(ag.quat_rotate(q_slots, ang_q, "i"), (b, heads, keep, periods * dh))
         psi = ag.reshape(ag.quat_rotate(k_slots, ang_k, key_axis), (b, heads, m, periods * dh))
         # periods sit side by side in the features, so one product sums
         # every period's similarity
@@ -266,13 +297,32 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
     return ag.matmul(mixed, weights[prefix + ".wo"])
 
 
+def _last_rows(t: Tensor, rows: int) -> Tensor:
+    return t if t.shape[1] == rows else t[:, t.shape[1] - rows:, :]
+
+
 def _decode(h_motion: Tensor, h_audio: Tensor, weights: dict, config: ModelConfig) -> Tensor:
+    """Readout of the decoder state at the last motion frame.
+
+    Only that row reaches the readout. Query rows are independent except
+    through QRA's same-padded query convolution, whose output row t reads
+    rows t-halo .. t+halo, so layer l of L computes just the last
+    1 + halo*(L-1-l) rows from a halo of extra rows on the left, and the
+    state starts from the last 1 + halo*L motion rows. Where that cone
+    reaches row 0 it is clamped to the window, whose zero padding is then
+    the real one. Keys and values still cover every motion and audio row.
+    """
     memory = ag.concat([h_motion, h_audio], axis=1)
-    state = h_motion
-    for layer in range(config.decoder_layers):
+    n = h_motion.shape[1]
+    halo = QRA_KERNEL_WIDTH // 2 if config.use_qra else 0
+    layers = config.decoder_layers
+    state = _last_rows(h_motion, min(n, 1 + halo * layers))
+    for layer in range(layers):
         prefix = f"dec.{layer}"
-        state = state + _cross_attention(_layer_norm(state, prefix + ".ln1", weights),
-                                         memory, prefix + ".attn", weights, config)
+        keep = min(n, 1 + halo * (layers - 1 - layer))
+        attn = _cross_attention(_layer_norm(state, prefix + ".ln1", weights), memory,
+                                prefix + ".attn", weights, config, keep=keep, window=n)
+        state = _last_rows(state, keep) + attn
         state = state + _feed_forward(_layer_norm(state, prefix + ".ln2", weights),
                                       prefix + ".ff", weights)
     last = state[:, -1, :]
@@ -291,32 +341,38 @@ def forward(weights: dict, config: ModelConfig, motion, audio) -> Tensor:
 
 # single-sequence array wrappers
 
+def _untracked(weights: dict) -> dict:
+    """Zero-copy views of the weights that record no tape."""
+    return {name: Tensor(w.data) for name, w in weights.items()}
+
+
 def embed_stream(frames, which: str, weights: dict, config: ModelConfig) -> np.ndarray:
     """Per-frame linear embedding (+ learned position table) of one sequence."""
     if which not in _STREAM_DIMS:
         raise ValueError(f"which must be 'audio' or 'motion', got {which!r}")
     frames = np.asarray(frames, dtype=np.float64)
-    return _embed(Tensor(frames[None]), which, weights, config).data[0]
+    return _embed(Tensor(frames[None]), which, _untracked(weights), config).data[0]
 
 
 def encode(hidden, which: str, weights: dict, config: ModelConfig) -> np.ndarray:
     """Self-attention encoder stack over one embedded sequence."""
     hidden = np.asarray(hidden, dtype=np.float64)
-    return _encode(Tensor(hidden[None]), which, weights, config).data[0]
+    return _encode(Tensor(hidden[None]), which, _untracked(weights), config).data[0]
 
 
 def cross_modal_decode(h_motion, h_audio, weights: dict, config: ModelConfig) -> np.ndarray:
     """Decode N future frames from encoded motion and audio sequences."""
     h_motion = np.asarray(h_motion, dtype=np.float64)
     h_audio = np.asarray(h_audio, dtype=np.float64)
-    return _decode(Tensor(h_motion[None]), Tensor(h_audio[None]), weights, config).data[0]
+    return _decode(Tensor(h_motion[None]), Tensor(h_audio[None]),
+                   _untracked(weights), config).data[0]
 
 
 def predict_future(weights: dict, config: ModelConfig, seed_motion, audio_window) -> np.ndarray:
     """Full pipeline on one (seed window, audio window) pair -> (N, 219)."""
     seed_motion = np.asarray(seed_motion, dtype=np.float64)
     audio_window = np.asarray(audio_window, dtype=np.float64)
-    return forward(weights, config, seed_motion[None], audio_window[None]).data[0]
+    return forward(_untracked(weights), config, seed_motion[None], audio_window[None]).data[0]
 
 
 def autoregressive_generate(seed_motion, audio_features, steps: int,
@@ -340,12 +396,12 @@ def autoregressive_generate(seed_motion, audio_features, steps: int,
             f"{steps} steps with a {config.audio_frames}-frame window need "
             f"{needed} audio frames, got {audio_features.shape[0]}")
 
+    frozen = _untracked(weights)
     window = seed_motion.copy()
     produced = []
     for s in range(steps):
-        pred = predict_future(weights, config,
-                              window, audio_features[s:s + config.audio_frames])
-        first = pred[0]
+        audio_window = audio_features[s:s + config.audio_frames]
+        first = forward(frozen, config, window[None], audio_window[None]).data[0, 0]
         produced.append(first)
         window = np.vstack([window[1:], first[None]])
     return np.array(produced)

@@ -47,9 +47,10 @@ def matmul(a: Array, b: Array) -> Array:
 def softmax_rows(m: Array) -> Array:
     """Row-wise softmax with per-row max subtraction for stability."""
     m = np.asarray(m, dtype=np.float64)
-    shifted = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def relu(x: Array) -> Array:

@@ -98,7 +98,13 @@ def init_adam(weights: dict) -> AdamState:
 
 
 def adam_step(weights: dict, grads: dict, state: AdamState, lr: float, config: TrainConfig):
-    """Standard bias-corrected Adam update, in place and in sorted name order."""
+    """Standard bias-corrected Adam update, in place and in sorted name order.
+
+    The moments, the step and the weights are updated in place with the
+    operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    w -= lr*(m/c1) / (sqrt(v/c2) + eps) in their written order, so the
+    result is bit-identical to evaluating those expressions.
+    """
     for name in sorted(grads):
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteGradient(f"gradient of {name} is not finite")
@@ -109,9 +115,20 @@ def adam_step(weights: dict, grads: dict, state: AdamState, lr: float, config: T
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(weights[name].data)
-        m = state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * (g * g)
-        weights[name].data -= lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
+        m, v = state.m[name], state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        sq = g * g
+        sq *= 1.0 - config.beta2
+        v += sq
+        step = m / c1
+        step *= lr
+        np.divide(v, c2, out=sq)
+        np.sqrt(sq, out=sq)
+        sq += config.eps
+        step /= sq
+        weights[name].data -= step
     return state
 
 

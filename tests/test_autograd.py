@@ -173,6 +173,36 @@ class TestForwardAgainstReference:
         jac = np.diag(y) - np.outer(y, y)
         np.testing.assert_allclose(x.grad[0], jac @ seed[0], atol=1e-12)
 
+    def test_layer_norm_matches_written_out_formula_bit_for_bit(self, rng):
+        x = rng.standard_normal((2, 5, 6))
+        gamma = rng.standard_normal(6)
+        beta = rng.standard_normal(6)
+        g = rng.standard_normal((2, 5, 6))
+        xt = ag.Tensor(x, requires_grad=True)
+        gt = ag.Tensor(gamma, requires_grad=True)
+        bt = ag.Tensor(beta, requires_grad=True)
+        out = ag.layer_norm(xt, gt, bt)
+        out.backward(seed=g)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        np.testing.assert_array_equal(out.data, xhat * gamma + beta)
+        dxhat = g * gamma
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(xt.grad, inv * (dxhat - m1 - xhat * m2))
+        np.testing.assert_array_equal(gt.grad, (g * xhat).sum(axis=(0, 1)))
+        np.testing.assert_array_equal(bt.grad, g.sum(axis=(0, 1)))
+
+    def test_relu_matches_maximum_and_keeps_nan(self):
+        x = np.array([-2.0, -0.0, 0.0, 1.5, np.nan, -np.inf, np.inf])
+        t = ag.Tensor(x, requires_grad=True)
+        out = ag.relu(t)
+        np.testing.assert_array_equal(out.data, [0.0, 0.0, 0.0, 1.5, np.nan, 0.0, np.inf])
+        out.backward(seed=np.ones_like(x))
+        # the kink, NaN and -inf get no gradient
+        np.testing.assert_array_equal(t.grad, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+
     def test_layer_norm_forward(self, rng):
         x = rng.standard_normal((4, 6))
         gamma = rng.standard_normal(6)
@@ -235,6 +265,31 @@ class TestTapeMechanics:
         (a + b).sum().backward()
         np.testing.assert_array_equal(a.grad, np.full((1, 4), 3.0))
         np.testing.assert_array_equal(b.grad, np.ones((3, 4)))
+
+    @pytest.mark.parametrize("gshape, shape", [
+        ((8, 4, 9, 2, 4, 4), (8, 4, 9, 1, 4, 4)),   # the decoder's period axis
+        ((3, 5, 4, 6), (1, 4, 1)),                  # extra leading and squeezed axes
+        ((2, 3, 1, 5), (3, 1, 1)),                  # an axis already of size 1
+        ((2, 7, 3, 4), (7, 3, 4)),                  # extra leading axes only
+        ((3, 2, 5), (1, 1, 1)),
+    ])
+    def test_unbroadcast_matches_plain_sum(self, rng, gshape, shape):
+        g = rng.standard_normal(gshape)
+        extra = len(gshape) - len(shape)
+        axes = tuple(range(extra)) + tuple(
+            extra + i for i, s in enumerate(shape) if s == 1 and gshape[extra + i] != 1)
+        want = g.sum(axis=axes, keepdims=True).reshape(shape)
+        got = ag._unbroadcast(g, shape)
+        assert got.shape == shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    def test_untracked_result_holds_no_parents(self):
+        x = ag.Tensor(np.ones((2, 3)))
+        w = ag.Tensor(np.ones((3, 2)))
+        out = ag.relu(ag.matmul(x, w) + 1.0)
+        assert out._parents == () and out._vjp is None
+        tracked = ag.matmul(x, ag.Tensor(w.data, requires_grad=True))
+        assert len(tracked._parents) == 2 and tracked._vjp is not None
 
     def test_concat_routes_slices(self):
         a = ag.Tensor(np.zeros((2, 2)), requires_grad=True)

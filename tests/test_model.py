@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from quatmotion import model, qra
+from quatmotion import autograd as ag
+from quatmotion import model, qra, spe
 from quatmotion.autograd import Tensor
 from quatmotion.errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                                HeadDimNotQuaternion, MalformedFile)
@@ -230,6 +231,14 @@ class TestForward:
         with pytest.raises(ChannelMismatch):
             model.forward(weights, config, motion[None, :, :218], audio[None])
 
+    def test_rotary_tables_are_cached_read_only(self):
+        co, si = model._rotary_tables(5, 8, 10000.0)
+        assert model._rotary_tables(5, 8, 10000.0)[0] is co
+        want_co, want_si = spe.angle_tables(5, spe.RotarySchedule(8, 10000.0))
+        np.testing.assert_array_equal(co, want_co)
+        np.testing.assert_array_equal(si, want_si)
+        assert not (co.flags.writeable or si.flags.writeable)
+
     def test_position_table_overflow(self, tiny_setup, rng):
         weights, config, _, audio = tiny_setup
         too_long = rng.standard_normal((config.seed_motion_frames + 1, 219))
@@ -309,6 +318,74 @@ class TestCrossAttentionVsArrayPath:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _full_row_decode(h_motion, h_audio, weights, config):
+    """The decoder run on every query row, read out at the last one."""
+    memory = ag.concat([h_motion, h_audio], axis=1)
+    state = h_motion
+    for layer in range(config.decoder_layers):
+        p = f"dec.{layer}"
+        state = state + model._cross_attention(
+            model._layer_norm(state, p + ".ln1", weights), memory, p + ".attn",
+            weights, config)
+        state = state + model._feed_forward(
+            model._layer_norm(state, p + ".ln2", weights), p + ".ff", weights)
+    flat = ag.matmul(state[:, -1, :], weights["out.w"]) + weights["out.b"]
+    return ag.reshape(flat, (state.shape[0], config.future_frames, 219))
+
+
+class TestPrunedDecoder:
+    """_decode computes only the rows the readout depends on; it must match
+    the decoder run on every row, in value and in gradient."""
+
+    @pytest.mark.parametrize("changes", [
+        {},
+        {"decoder_layers": 1},
+        {"decoder_layers": 3},
+        {"use_qra": False},
+        {"qra_keys_use_axis_i": True},
+        # a cone of 1 + 3 rows is clamped to the 2-row window
+        {"seed_motion_frames": 2, "decoder_layers": 3},
+    ], ids=["desk", "layers1", "layers3", "no_qra", "keys_axis_i", "clamped"])
+    def test_matches_full_row_decoder(self, rng, changes):
+        config = dataclasses.replace(ModelConfig(), **changes)
+        weights = model.init_weights(config, np.random.default_rng(3))
+        d = config.d_model
+        h_m = rng.standard_normal((2, config.seed_motion_frames, d))
+        h_a = rng.standard_normal((2, config.audio_frames, d))
+        probe = rng.standard_normal((2, config.future_frames, 219))
+        results = []
+        for decode in (model._decode, _full_row_decode):
+            for w in weights.values():
+                w.zero_grad()
+            hm = Tensor(h_m, requires_grad=True)
+            ha = Tensor(h_a, requires_grad=True)
+            out = decode(hm, ha, weights, config)
+            (out * probe).sum().backward()
+            grads = {n: w.grad for n, w in weights.items() if n.startswith(("dec.", "out."))}
+            results.append((out.data, hm.grad, ha.grad, grads))
+        (got, gm, ga, gw), (want, wm, wa, ww) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gm, wm, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ga, wa, rtol=0, atol=1e-12)
+        assert gw.keys() == ww.keys()
+        for name in gw:
+            np.testing.assert_allclose(gw[name], ww[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_window_rows_keep_absolute_positions(self, rng):
+        # the last rows of a full-row call, computed from a halo-padded tail
+        config = ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
+                             periods=2, seed_motion_frames=7, audio_frames=9,
+                             future_frames=1)
+        weights = model.init_weights(config, np.random.default_rng(4))
+        m_norm = rng.standard_normal((1, 7, 8))
+        memory = rng.standard_normal((1, 16, 8))
+        full = model._cross_attention(Tensor(m_norm), Tensor(memory), "dec.0.attn",
+                                      weights, config).data
+        tail = model._cross_attention(Tensor(m_norm[:, 3:]), Tensor(memory), "dec.0.attn",
+                                      weights, config, keep=3, window=7).data
+        np.testing.assert_allclose(tail, full[:, 4:], rtol=0, atol=1e-14)
+
+
 class TestWrappers:
     def test_embed_stream(self, tiny_setup):
         weights, config, motion, _ = tiny_setup
@@ -360,6 +437,15 @@ class TestAutoregressive:
         want = model.predict_future(weights, config, window2,
                                     audio[1:1 + config.audio_frames])[0]
         np.testing.assert_array_equal(two[1], want)
+
+    def test_rollout_leaves_weights_untouched(self, tiny_setup, rng):
+        weights, config, motion, _ = tiny_setup
+        audio = rng.standard_normal((config.audio_frames + 2, 35)) * 0.1
+        before = {n: w.data.copy() for n, w in weights.items()}
+        model.autoregressive_generate(motion, audio, 3, weights, config)
+        for name, w in weights.items():
+            assert w.requires_grad and w.grad is None, name
+            np.testing.assert_array_equal(w.data, before[name])
 
     def test_audio_too_short(self, tiny_setup):
         weights, config, motion, audio = tiny_setup

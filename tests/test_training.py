@@ -137,6 +137,31 @@ class TestAdam:
                            training.init_adam(weights), 0.1, TrainConfig())
         assert weights["p"] is t
 
+    def test_matches_written_out_formula_bit_for_bit(self, rng):
+        # the in-place update must round exactly like the plain expressions
+        config = TrainConfig()
+        shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 3)}
+        weights = {n: Tensor(rng.standard_normal(s), requires_grad=True)
+                   for n, s in shapes.items()}
+        want_w = {n: t.data.copy() for n, t in weights.items()}
+        want_m = {n: np.zeros(s) for n, s in shapes.items()}
+        want_v = {n: np.zeros(s) for n, s in shapes.items()}
+        state = training.init_adam(weights)
+        for step in range(1, 5):
+            grads = {n: rng.standard_normal(s) * 10.0 ** step for n, s in shapes.items()}
+            lr = 1e-3 / step
+            training.adam_step(weights, grads, state, lr, config)
+            c1 = 1.0 - config.beta1 ** step
+            c2 = 1.0 - config.beta2 ** step
+            for n, g in grads.items():
+                want_m[n] = config.beta1 * want_m[n] + (1.0 - config.beta1) * g
+                want_v[n] = config.beta2 * want_v[n] + (1.0 - config.beta2) * (g * g)
+                want_w[n] = want_w[n] - lr * (want_m[n] / c1) / (
+                    np.sqrt(want_v[n] / c2) + config.eps)
+                np.testing.assert_array_equal(state.m[n], want_m[n])
+                np.testing.assert_array_equal(state.v[n], want_v[n])
+                np.testing.assert_array_equal(weights[n].data, want_w[n])
+
     def test_state_starts_zeroed(self):
         weights = {"p": Tensor(np.zeros((2, 2)), requires_grad=True)}
         state = training.init_adam(weights)
