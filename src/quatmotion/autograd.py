@@ -12,6 +12,9 @@ arithmetic, (batched) matmul, reshape / transpose / slice / concat, relu,
 the bounded-phase tanh, row softmax, 1-d convolution over time, layer
 normalisation, rotary pair rotation with constant angle tables, and right
 Hamilton multiplication by a unit axis exponential with learnable angles.
+
+objective() gives a tape-built loss the two forms numerics.grad_check
+evaluates: one tracked value and gradient, and untracked loss probes.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "matmul", "reshape", "transpose",
     "concat", "getitem", "sum_", "mean_", "relu", "pi_tanh",
     "softmax_rows", "conv1d", "layer_norm", "rope_apply", "quat_rotate",
+    "objective",
 ]
 
 
@@ -474,3 +478,26 @@ def quat_rotate(x, angles, axis: str) -> Tensor:
         return _unbroadcast(back, x.data.shape), gangle
 
     return Tensor(out, _parents=(x, angles), _vjp=vjp)
+
+
+def objective(build) -> numerics.Objective:
+    """The two forms numerics.grad_check evaluates of a loss built on the tape.
+
+    build(*tensors) returns a scalar Tensor, one tensor per parameter
+    array. value_and_grad wraps the arrays in tracked leaves and runs one
+    backward(); a leaf the loss does not reach gets a zero gradient. loss
+    wraps them untracked, so it builds no tape and runs no backward; the
+    ops compute the same forward either way, so both forms return the
+    same loss bit for bit.
+    """
+    def value_and_grad(arrays):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        out.backward()
+        return float(out.data), [leaf.grad if leaf.grad is not None
+                                 else np.zeros_like(leaf.data) for leaf in leaves]
+
+    def loss(arrays):
+        return float(build(*(Tensor(a) for a in arrays)).data)
+
+    return numerics.Objective(value_and_grad, loss)

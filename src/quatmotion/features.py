@@ -194,7 +194,8 @@ def save_stream(path: str, matrix, meta: StreamMeta):
     if matrix.shape != (meta.frames, meta.dims):
         raise MetaMismatch(
             f"matrix shape {matrix.shape} disagrees with meta ({meta.frames}, {meta.dims})")
-    rows = [",".join(f"{v:.17g}" for v in row) for row in matrix]
+    row_format = ",".join(["%.17g"] * meta.dims)
+    rows = [row_format % tuple(row) for row in matrix.tolist()]
     atomic_write_text(path, "\n".join(rows) + ("\n" if rows else ""))
     sidecar = (
         f"format: {STREAM_FORMAT}\n"

@@ -426,7 +426,7 @@ def save_checkpoint(path: str, weights: dict, config: ModelConfig):
     for name in sorted(weights):
         data = weights[name].data
         tensors[name] = {"shape": list(data.shape),
-                         "values": [float(v) for v in data.reshape(-1)]}
+                         "values": data.reshape(-1).tolist()}
     doc = {"format": CHECKPOINT_FORMAT,
            "config": config_to_dict(config),
            "tensors": tensors}

@@ -12,9 +12,9 @@ so repeated runs on one machine are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFiniteLoss, NotSymmetric
 
@@ -130,9 +130,14 @@ def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
     width = weights.shape[-1]
     pad = (width - 1) // 2
     t, c = x.shape[-2:]
-    xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c))
-    xp[..., pad:pad + t, :] = x
-    cols = sliding_window_view(xp, width, axis=-2).reshape(x.shape[:-1] + (c * width,))
+    # tap u of row s reads frame s - pad + u; rows whose frame falls
+    # outside 0 .. t-1 keep the buffer's zeros
+    cols = np.zeros(x.shape[:-1] + (c, width))
+    for u in range(width):
+        lo, hi = max(0, pad - u), min(t, t + pad - u)
+        if lo < hi:
+            cols[..., lo:hi, :, u] = x[..., lo - pad + u:hi - pad + u, :]
+    cols = cols.reshape(x.shape[:-1] + (c * width,))
     kmat = weights.reshape(weights.shape[:-2] + (-1,))
     out = np.matmul(cols, np.swapaxes(kmat, -1, -2))
     out += bias[..., None, :]
@@ -179,8 +184,20 @@ class GradReport:
         return [e <= self.tol for e in self.errors]
 
 
+class Objective(NamedTuple):
+    """A scalar loss in the two forms grad_check evaluates.
+
+    value_and_grad(params) returns (loss, grads), grads matching params in
+    shape; loss(params) returns the same loss alone, without the work of
+    a gradient. autograd.objective builds both from one tape expression.
+    """
+
+    value_and_grad: Callable
+    loss: Callable
+
+
 def grad_check(
-    fn,
+    objective: Objective,
     params: list[Array],
     h: float = 1e-5,
     tol: float = 1e-4,
@@ -188,12 +205,16 @@ def grad_check(
     max_probes_per_param: int | None = None,
     probe_seed: int = 0,
 ) -> GradReport:
-    """Compare fn's analytic gradients against central differences.
+    """Compare an objective's analytic gradients against central differences.
 
-    fn(params) must return (loss, grads) where grads matches params in
-    shapes. Each parameter coordinate is perturbed by +-h and the numeric
-    derivative (f(x+h) - f(x-h)) / 2h is compared to the analytic one with
-    relative error |a - n| / max(|a|, |n|, 1e-8).
+    Probe contract: objective.value_and_grad is called exactly once, at
+    the unperturbed params, and supplies the analytic gradient and the
+    reference loss. Every probe then calls objective.loss only, so a
+    probe pays for a loss evaluation and nothing more; loss must compute
+    the same function as value_and_grad's loss, bit for bit. Each probed
+    coordinate is perturbed by +-h in place (and restored), and the
+    numeric derivative (f(x+h) - f(x-h)) / 2h is compared to the analytic
+    one with relative error |a - n| / max(|a|, |n|, 1e-8).
 
     For very large parameters, max_probes_per_param limits the sweep to a
     deterministic seeded coordinate subsample.
@@ -202,7 +223,7 @@ def grad_check(
     if names is None:
         names = [f"param{i}" for i in range(len(params))]
 
-    loss0, grads = fn(params)
+    loss0, grads = objective.value_and_grad(params)
     if not np.isfinite(loss0):
         raise NonFiniteLoss(f"objective returned {loss0!r}")
     grads = [np.asarray(g, dtype=np.float64) for g in grads]
@@ -226,9 +247,9 @@ def grad_check(
         for c in coords:
             orig = flat[c]
             flat[c] = orig + h
-            lp, _ = fn(params)
+            lp = objective.loss(params)
             flat[c] = orig - h
-            lm, _ = fn(params)
+            lm = objective.loss(params)
             flat[c] = orig
             if not (np.isfinite(lp) and np.isfinite(lm)):
                 raise NonFiniteLoss("objective returned a non-finite value under perturbation")

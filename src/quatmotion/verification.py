@@ -368,16 +368,6 @@ def qra_checks() -> list:
 
 # ------------------------------------------------------------------- grad
 
-def _autograd_fn(build):
-    def fn(arrays):
-        tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        loss = build(tensors)
-        loss.backward()
-        return float(loss.data), [t.grad if t.grad is not None else np.zeros_like(t.data)
-                                  for t in tensors]
-    return fn
-
-
 def _sq_sum(t: Tensor) -> Tensor:
     return ag.sum_(ag.mul(t, t))
 
@@ -389,8 +379,7 @@ def _qra_grad_report() -> num.GradReport:
     pos_q = 2.0 * np.pi * np.arange(4) / 4.0
     pos_k = 2.0 * np.pi * np.arange(5) / 5.0
 
-    def build(ts):
-        wq, wk, wv, ow, ob, tw, tb, kow, kob, ktw, ktb = ts
+    def build(wq, wk, wv, ow, ob, tw, tb, kow, kob, ktw, ktb):
         q = ag.matmul(Tensor(x), wq)
         k = ag.matmul(Tensor(y), wk)
         v = ag.matmul(Tensor(y), wv)
@@ -414,17 +403,17 @@ def _qra_grad_report() -> num.GradReport:
     for _ in range(2):  # q-side then k-side kernels
         params += [0.4 * rng.standard_normal((2, 8, 3)), 0.4 * rng.standard_normal(2),
                    0.4 * rng.standard_normal((2, 8, 3)), 0.4 * rng.standard_normal(2)]
-    return num.grad_check(_autograd_fn(build), params, tol=1e-4)
+    return num.grad_check(ag.objective(build), params, tol=1e-4)
 
 
 def grad_checks() -> list:
     rng = np.random.default_rng(15)
     checks = []
 
-    r = num.grad_check(_autograd_fn(lambda ts: _sq_sum(ts[0])), [np.array([3.0])])
+    r = num.grad_check(ag.objective(_sq_sum), [np.array([3.0])])
     checks.append(_check("grad/quadratic_closed_form", r.max_error, 1e-9))
 
-    r = num.grad_check(_autograd_fn(lambda ts: ag.sum_(ag.mul(ts[0], 0.0))),
+    r = num.grad_check(ag.objective(lambda t: ag.sum_(ag.mul(t, 0.0))),
                        [rng.standard_normal(4)])
     checks.append(_check("grad/constant_zero", r.max_error, 1e-12))
 
@@ -432,48 +421,48 @@ def grad_checks() -> list:
 
     a0 = rng.standard_normal((3, 4))
     b0 = rng.standard_normal((4, 2))
-    cases.append(("matmul", lambda ts: _sq_sum(ag.matmul(ts[0], ts[1])), [a0, b0]))
+    cases.append(("matmul", lambda a, b: _sq_sum(ag.matmul(a, b)), [a0, b0]))
 
     a1 = rng.standard_normal((2, 3, 4))
     b1 = rng.standard_normal((4, 5))
-    cases.append(("matmul_batched", lambda ts: _sq_sum(ag.matmul(ts[0], ts[1])), [a1, b1]))
+    cases.append(("matmul_batched", lambda a, b: _sq_sum(ag.matmul(a, b)), [a1, b1]))
 
     a2 = rng.standard_normal((3, 1))
     b2 = rng.standard_normal((1, 4))
     cases.append(("add_broadcast",
-                  lambda ts: _sq_sum(ag.add(ts[0], ts[1])), [a2, b2]))
+                  lambda a, b: _sq_sum(ag.add(a, b)), [a2, b2]))
     cases.append(("mul_broadcast",
-                  lambda ts: _sq_sum(ag.mul(ts[0], ts[1])), [a2, b2]))
+                  lambda a, b: _sq_sum(ag.mul(a, b)), [a2, b2]))
     cases.append(("sub_neg",
-                  lambda ts: _sq_sum(ag.sub(ag.neg(ts[0]), ts[1])), [a2, b2]))
+                  lambda a, b: _sq_sum(ag.sub(ag.neg(a), b)), [a2, b2]))
 
     # keep relu inputs away from the kink; central differences straddle it
     off = rng.standard_normal((3, 5))
     off = np.sign(off) * (np.abs(off) + 0.1)
-    cases.append(("relu", lambda ts: _sq_sum(ag.relu(ts[0])), [off]))
-    cases.append(("pi_tanh", lambda ts: _sq_sum(ag.pi_tanh(ts[0])), [rng.standard_normal((3, 5))]))
+    cases.append(("relu", lambda x: _sq_sum(ag.relu(x)), [off]))
+    cases.append(("pi_tanh", lambda x: _sq_sum(ag.pi_tanh(x)), [rng.standard_normal((3, 5))]))
     sm_weights = rng.standard_normal((2, 5))  # fixed, so the loss is a function of x alone
     cases.append(("softmax_rows",
-                  lambda ts: _sq_sum(ag.mul(ag.softmax_rows(ts[0]), Tensor(sm_weights))),
+                  lambda x: _sq_sum(ag.mul(ag.softmax_rows(x), Tensor(sm_weights))),
                   [rng.standard_normal((2, 5))]))
 
     xc = rng.standard_normal((2, 7, 3))
     wc = 0.5 * rng.standard_normal((2, 3, 3))
     bc = 0.5 * rng.standard_normal(2)
-    cases.append(("conv1d", lambda ts: _sq_sum(ag.conv1d(ts[0], ts[1], ts[2])), [xc, wc, bc]))
+    cases.append(("conv1d", lambda x, w, b: _sq_sum(ag.conv1d(x, w, b)), [xc, wc, bc]))
 
     xh = rng.standard_normal((2, 4, 6, 3))
     wh = 0.5 * rng.standard_normal((4, 2, 3, 5))
     bh = 0.5 * rng.standard_normal((4, 2))
-    cases.append(("conv1d_headed", lambda ts: _sq_sum(ag.conv1d(ts[0], ts[1], ts[2])), [xh, wh, bh]))
+    cases.append(("conv1d_headed", lambda x, w, b: _sq_sum(ag.conv1d(x, w, b)), [xh, wh, bh]))
 
     xl = rng.standard_normal((2, 3, 6))
     cases.append(("layer_norm",
-                  lambda ts: _sq_sum(ag.layer_norm(ts[0], ts[1], ts[2])),
+                  lambda x, g, b: _sq_sum(ag.layer_norm(x, g, b)),
                   [xl, 1.0 + 0.1 * rng.standard_normal(6), 0.1 * rng.standard_normal(6)]))
 
     co, si = spe.angle_tables(5, spe.RotarySchedule(8))
-    cases.append(("rope_apply", lambda ts: _sq_sum(ag.rope_apply(ts[0], co, si)),
+    cases.append(("rope_apply", lambda x: _sq_sum(ag.rope_apply(x, co, si)),
                   [rng.standard_normal((2, 5, 8))]))
 
     xq = rng.standard_normal((2, 3, 2, 4))
@@ -483,21 +472,21 @@ def grad_checks() -> list:
     qw = rng.standard_normal((2, 3, 2, 4))
     for axis in ("i", "j", "k"):
         cases.append((f"quat_rotate_{axis}",
-                      lambda ts, axis=axis: _sq_sum(ag.mul(ag.quat_rotate(ts[0], ts[1], axis),
+                      lambda x, a, axis=axis: _sq_sum(ag.mul(ag.quat_rotate(x, a, axis),
                                                            Tensor(qw))),
                       [xq, aq]))
 
     xg = rng.standard_normal((4, 5))
-    cases.append(("getitem_slice", lambda ts: _sq_sum(ts[0][1:3, ::2]), [xg]))
+    cases.append(("getitem_slice", lambda x: _sq_sum(x[1:3, ::2]), [xg]))
     cases.append(("concat_reshape",
-                  lambda ts: _sq_sum(ag.reshape(ag.concat([ts[0], ts[1]], axis=1), (12,))),
+                  lambda a, b: _sq_sum(ag.reshape(ag.concat([a, b], axis=1), (12,))),
                   [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]))
     cases.append(("mean_axis",
-                  lambda ts: _sq_sum(ag.mean_(ts[0], axis=1, keepdims=True)),
+                  lambda x: _sq_sum(ag.mean_(x, axis=1, keepdims=True)),
                   [rng.standard_normal((3, 4))]))
 
     for name, build, params in cases:
-        r = num.grad_check(_autograd_fn(build), params, tol=1e-4)
+        r = num.grad_check(ag.objective(build), params, tol=1e-4)
         checks.append(_check(f"grad/{name}", r.max_error, 1e-4))
 
     return checks
@@ -772,7 +761,8 @@ def _model_grad_report(probes: int = 2) -> num.GradReport:
     """Central-difference check through the full desk model.
 
     Every named tensor is probed at a seeded subset of coordinates; the
-    analytic gradient comes from one tape backward pass.
+    analytic gradient comes from one tape backward pass, and each probe
+    runs the forward off the tape.
     """
     rng = np.random.default_rng(19)
     config = mod.ModelConfig()
@@ -782,14 +772,11 @@ def _model_grad_report(probes: int = 2) -> num.GradReport:
     audio = rng.standard_normal((1, config.audio_frames, feat.AUDIO_DIMS))
     target = rng.standard_normal((1, config.future_frames, feat.MOTION_DIMS))
 
-    def fn(arrays):
-        local = {name: Tensor(a, requires_grad=True) for name, a in zip(names, arrays)}
-        loss = trn.l2_loss(mod.forward(local, config, motion, audio), target)
-        loss.backward()
-        return float(loss.data), [local[n].grad if local[n].grad is not None
-                                  else np.zeros_like(local[n].data) for n in names]
+    def build(*tensors):
+        return trn.l2_loss(mod.forward(dict(zip(names, tensors)), config, motion, audio),
+                           target)
 
-    return num.grad_check(fn, [weights[n].data for n in names], tol=1e-4,
+    return num.grad_check(ag.objective(build), [weights[n].data for n in names], tol=1e-4,
                           names=names, max_probes_per_param=probes)
 
 

@@ -15,6 +15,7 @@ import oracle_qra
 import test_autograd
 import test_model
 
+from quatmotion import autograd as ag
 from quatmotion import cli
 from quatmotion import features as feat
 from quatmotion import metrics as met
@@ -24,7 +25,6 @@ from quatmotion import qra
 from quatmotion import quaternion as quat
 from quatmotion import spe
 from quatmotion import training as trn
-from quatmotion.autograd import Tensor
 
 # sign/permutation structure of the full basis multiplication table
 _BASIS_PRODUCTS = [
@@ -194,8 +194,7 @@ def test_criterion_05_gradient_checks():
     t0 = time.perf_counter()
     op_errors = {}
     for name, params, build in test_autograd.GRAD_CASES:
-        report = num.grad_check(test_autograd._graph_fn(build),
-                                [p.copy() for p in params])
+        report = num.grad_check(ag.objective(build), [p.copy() for p in params])
         op_errors[name] = report.max_error
     worst_op = max(op_errors, key=op_errors.get)
 
@@ -207,16 +206,11 @@ def test_criterion_05_gradient_checks():
     audio = rng.standard_normal((1, config.audio_frames, feat.AUDIO_DIMS))
     target = rng.standard_normal((1, config.future_frames, feat.MOTION_DIMS))
 
-    def fn(arrays):
-        local = {name: Tensor(a, requires_grad=True)
-                 for name, a in zip(names, arrays)}
-        loss = trn.l2_loss(mod.forward(local, config, motion, audio), target)
-        loss.backward()
-        return float(loss.data), [local[n].grad if local[n].grad is not None
-                                  else np.zeros_like(local[n].data)
-                                  for n in names]
+    def build(*tensors):
+        return trn.l2_loss(mod.forward(dict(zip(names, tensors)), config, motion, audio),
+                           target)
 
-    model_report = num.grad_check(fn, [weights[n].data for n in names],
+    model_report = num.grad_check(ag.objective(build), [weights[n].data for n in names],
                                   names=names, max_probes_per_param=2)
 
     dt = time.perf_counter() - t0

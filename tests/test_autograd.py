@@ -13,21 +13,9 @@ import pytest
 
 from quatmotion import autograd as ag
 from quatmotion import numerics as num
-from quatmotion import quaternion, spe
+from quatmotion import features, model, quaternion, spe, training
 
 _R = np.random.default_rng(7)
-
-
-def _graph_fn(build):
-    def fn(params):
-        leaves = [ag.Tensor(p, requires_grad=True) for p in params]
-        loss = build(*leaves)
-        loss.backward()
-        grads = [l.grad if l.grad is not None else np.zeros_like(l.data)
-                 for l in leaves]
-        return float(loss.data), grads
-
-    return fn
 
 
 def _shifted(x, margin=0.2):
@@ -108,7 +96,7 @@ class TestGradients:
     @pytest.mark.parametrize("name,params,build",
                              GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
     def test_matches_central_differences(self, name, params, build):
-        report = num.grad_check(_graph_fn(build), [p.copy() for p in params])
+        report = num.grad_check(ag.objective(build), [p.copy() for p in params])
         assert report.passed, f"{name}: max rel err {report.max_error:.3e}"
 
     def test_composite_graph(self):
@@ -121,8 +109,56 @@ class TestGradients:
 
         params = [_R.standard_normal((4, 4)), _R.standard_normal((4, 4)),
                   np.ones(4), np.zeros(4)]
-        report = num.grad_check(_graph_fn(build), params)
+        report = num.grad_check(ag.objective(build), params)
         assert report.passed, f"max rel err {report.max_error:.3e}"
+
+
+class TestObjective:
+    """grad_check's probes evaluate the loss off the tape."""
+
+    @pytest.mark.parametrize("name,params,build",
+                             GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
+    def test_probe_loss_equals_tracked_loss(self, name, params, build):
+        objective = ag.objective(build)
+        tracked, _ = objective.value_and_grad([p.copy() for p in params])
+        assert objective.loss([p.copy() for p in params]) == tracked
+
+    def test_desk_model_probe_loss_equals_tracked_loss(self, rng):
+        config = model.ModelConfig()
+        weights = model.init_weights(config, rng)
+        names = sorted(weights)
+        motion = rng.standard_normal((1, config.seed_motion_frames, features.MOTION_DIMS))
+        audio = rng.standard_normal((1, config.audio_frames, features.AUDIO_DIMS))
+        target = rng.standard_normal((1, config.future_frames, features.MOTION_DIMS))
+        objective = ag.objective(lambda *ts: training.l2_loss(
+            model.forward(dict(zip(names, ts)), config, motion, audio), target))
+        arrays = [weights[n].data for n in names]
+        tracked, _ = objective.value_and_grad(arrays)
+        assert objective.loss(arrays) == tracked
+
+    def test_grad_check_runs_one_backward_and_builds_no_probe_tape(self, monkeypatch):
+        backward_calls = []
+        original = ag.Tensor.backward
+
+        def spy(self, seed=None):
+            backward_calls.append(self)
+            return original(self, seed)
+
+        monkeypatch.setattr(ag.Tensor, "backward", spy)
+        name, params, build = next(c for c in GRAD_CASES if c[0] == "conv1d_heads_2p")
+        losses = []
+
+        def recording(*tensors):
+            out = build(*tensors)
+            losses.append(out)
+            return out
+
+        report = num.grad_check(ag.objective(recording), [p.copy() for p in params])
+        assert report.passed
+        assert len(backward_calls) == 1
+        assert backward_calls[0] is losses[0]
+        assert len(losses) == 1 + 2 * sum(p.size for p in params)
+        assert all(not out._track and out._parents == () for out in losses[1:])
 
 
 class TestForwardAgainstReference:

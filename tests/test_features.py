@@ -171,6 +171,20 @@ class TestStreamIO:
         back, _ = features.load_stream(path)
         np.testing.assert_array_equal(back, motion)
 
+    def test_bytes_match_per_value_format(self, rng, tmp_path):
+        motion = rng.standard_normal((5, 219))
+        motion[0, :8] = [-0.0, 5e-324, 1e16, -1e16, 0.1, float("inf"), float("nan"), 1.0 / 3.0]
+        path = tmp_path / "motion.csv"
+        features.save_stream(str(path), motion, features.StreamMeta("motion", 60, 5, 219))
+        want = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in motion)
+        assert path.read_bytes() == want.encode()
+
+    def test_empty_stream_writes_empty_file(self, tmp_path):
+        path = tmp_path / "motion.csv"
+        features.save_stream(str(path), np.zeros((0, 219)),
+                             features.StreamMeta("motion", 60, 0, 219))
+        assert path.read_bytes() == b""
+
     def test_meta_kind_gates(self):
         with pytest.raises(MetaMismatch):
             features.StreamMeta(kind="video", fps=60, frames=1, dims=35)

@@ -474,6 +474,24 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name].data, weights[name].data)
         assert all(t.requires_grad for t in loaded.values())
 
+    def test_bytes_match_per_value_float_conversion(self, tiny_setup, tmp_path):
+        weights, config, _, _ = tiny_setup
+        edge = np.array([-0.0, 5e-324, 1e16, -1e16, 0.1, -2.5e-300, 1.0 / 3.0])
+        weights = {name: Tensor(t.data.copy()) for name, t in weights.items()}
+        for t in weights.values():
+            flat = t.data.reshape(-1)
+            flat[:edge.size] = edge[:flat.size]
+        path = tmp_path / "model.json"
+        model.save_checkpoint(str(path), weights, config)
+        # the written-out construction: one float() per value
+        doc = {"format": model.CHECKPOINT_FORMAT,
+               "config": model.config_to_dict(config),
+               "tensors": {name: {"shape": list(weights[name].data.shape),
+                                  "values": [float(v) for v in weights[name].data.reshape(-1)]}
+                           for name in sorted(weights)}}
+        want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode()
+
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all {")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from quatmotion import numerics as num
 from quatmotion.errors import DimensionMismatch, NonFiniteLoss, NotSymmetric
@@ -132,6 +133,30 @@ class TestConv1d:
             want[n, h, t, o] = acc
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((1, 3), (2, 3, 3)),                 # T = 1
+        ((1, 3), (2, 3, 5)),                 # T < W: every off-centre tap is padding
+        ((2, 2, 3), (2, 4, 3, 5)),           # T < W with a leading axis
+        ((6, 2), (4, 2, 1)),                 # W = 1: no padding
+        ((2, 1, 7, 4), (3, 6, 4, 5)),        # leading axes broadcast
+        ((9, 3), (2, 3, 7)),
+    ])
+    def test_im2col_matches_sliding_window_view(self, rng, x_shape, w_shape):
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        b = rng.standard_normal(w_shape[:-2])
+        width = w_shape[-1]
+        pad = width // 2
+        t, c = x_shape[-2:]
+        xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c))
+        xp[..., pad:pad + t, :] = x
+        want_cols = sliding_window_view(xp, width, axis=-2).reshape(x.shape[:-1] + (c * width,))
+        want = np.matmul(want_cols, np.swapaxes(w.reshape(w.shape[:-2] + (-1,)), -1, -2))
+        want += b[..., None, :]
+        out, cols = num.conv1d_im2col(x, w, b)
+        np.testing.assert_array_equal(cols, want_cols)
+        np.testing.assert_array_equal(out, want)
+
     def test_even_width_rejected(self):
         with pytest.raises(DimensionMismatch):
             num.ConvKernel(weights=np.zeros((1, 1, 4)), bias=np.zeros(1))
@@ -175,10 +200,10 @@ class TestSymSqrt:
 
 
 class TestGradCheck:
-    @staticmethod
-    def _quadratic(params):
-        (x,) = params
-        return float((x ** 2).sum()), [2.0 * x]
+    # plain-numpy objectives: the gradient form and the loss-only form
+    _quadratic = num.Objective(
+        value_and_grad=lambda params: (float((params[0] ** 2).sum()), [2.0 * params[0]]),
+        loss=lambda params: float((params[0] ** 2).sum()))
 
     def test_correct_gradient_passes(self):
         report = num.grad_check(self._quadratic, [np.array([1.0, -2.0, 3.0])])
@@ -186,19 +211,24 @@ class TestGradCheck:
         assert report.max_error < 1e-9
 
     def test_wrong_gradient_fails(self):
-        def rigged(params):
-            (x,) = params
-            return float((x ** 2).sum()), [2.5 * x]  # 25% off
+        rigged = num.Objective(
+            value_and_grad=lambda params: (self._quadratic.loss(params),
+                                           [2.5 * params[0]]),  # 25% off
+            loss=self._quadratic.loss)
 
         report = num.grad_check(rigged, [np.array([1.0, 2.0])])
         assert not report.passed
         assert report.max_error > 0.1
 
     def test_per_param_reporting(self):
-        def f(params):
+        def loss(params):
             x, y = params
-            return float((x ** 2).sum() + (y ** 3).sum()), [2.0 * x, 3.0 * y ** 2]
+            return float((x ** 2).sum() + (y ** 3).sum())
 
+        f = num.Objective(
+            value_and_grad=lambda params: (loss(params),
+                                           [2.0 * params[0], 3.0 * params[1] ** 2]),
+            loss=loss)
         report = num.grad_check(f, [np.ones(3), np.ones(2)], names=["x", "y"])
         assert report.names == ["x", "y"]
         assert len(report.errors) == 2
@@ -207,31 +237,45 @@ class TestGradCheck:
     def test_probe_subsample_deterministic(self):
         calls = []
 
-        def f(params):
-            (x,) = params
-            calls.append(1)
-            return float((x ** 2).sum()), [2.0 * x]
+        def value_and_grad(params):
+            calls.append("value_and_grad")
+            return self._quadratic.value_and_grad(params)
 
+        def loss(params):
+            calls.append("loss")
+            return self._quadratic.loss(params)
+
+        f = num.Objective(value_and_grad, loss)
         big = np.linspace(-1, 1, 200)
         r1 = num.grad_check(f, [big.copy()], max_probes_per_param=5)
         n1 = len(calls)
+        first = list(calls)
         calls.clear()
         r2 = num.grad_check(f, [big.copy()], max_probes_per_param=5)
         assert r1.errors == r2.errors
         assert n1 == len(calls) == 1 + 2 * 5  # base eval + 2 per probed coord
+        # only the base evaluation computes a gradient; every probe is loss-only
+        assert first == calls == ["value_and_grad"] + ["loss"] * (2 * 5)
         assert r1.probes == [5]
 
     def test_non_finite_loss_raises(self):
-        def f(params):
-            return float("nan"), [np.zeros(2)]
+        f = num.Objective(value_and_grad=lambda params: (float("nan"), [np.zeros(2)]),
+                          loss=lambda params: float("nan"))
+
+        with pytest.raises(NonFiniteLoss):
+            num.grad_check(f, [np.zeros(2)])
+
+    def test_non_finite_probe_loss_raises(self):
+        f = num.Objective(value_and_grad=self._quadratic.value_and_grad,
+                          loss=lambda params: float("inf"))
 
         with pytest.raises(NonFiniteLoss):
             num.grad_check(f, [np.zeros(2)])
 
     def test_gradient_shape_mismatch(self):
-        def f(params):
-            (x,) = params
-            return float(x.sum()), [np.zeros(5)]
+        f = num.Objective(value_and_grad=lambda params: (float(params[0].sum()),
+                                                         [np.zeros(5)]),
+                          loss=lambda params: float(params[0].sum()))
 
         with pytest.raises(DimensionMismatch):
             num.grad_check(f, [np.zeros(3)])
