@@ -10,8 +10,9 @@ builds no tape.
 The op set is exactly what the attention stack needs: broadcast
 arithmetic, (batched) matmul, reshape / transpose / slice / concat, relu,
 the bounded-phase tanh, row softmax, 1-d convolution over time, layer
-normalisation, rotary pair rotation with constant angle tables, and right
-Hamilton multiplication by a unit axis exponential with learnable angles.
+normalisation, rotary pair rotation with constant angle tables, right
+Hamilton multiplication by a unit axis exponential with learnable angles,
+and the similarity of query slots with keys spun that way.
 
 objective() gives a tape-built loss the two forms numerics.grad_check
 evaluates: one tracked value and gradient, and untracked loss probes.
@@ -30,7 +31,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "matmul", "reshape", "transpose",
     "concat", "getitem", "sum_", "mean_", "relu", "pi_tanh",
     "softmax_rows", "conv1d", "layer_norm", "rope_apply", "quat_rotate",
-    "objective",
+    "rotated_scores", "objective",
 ]
 
 
@@ -59,10 +60,21 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_track")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray returns a float64 ndarray unchanged; every op hands
+        # over one, and skipping the call saves its overhead per node
+        if type(data) is np.ndarray and data.dtype == np.float64:
+            self.data = data
+        else:
+            self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._track = requires_grad or any(p._track for p in _parents)
+        track = requires_grad
+        if not track:
+            for p in _parents:
+                if p._track:
+                    track = True
+                    break
+        self._track = track
         # an untracked node can never pass a gradient on, so it keeps no
         # parents and no VJP closure: off the tape, each intermediate is
         # freed as soon as the next op has consumed it
@@ -170,7 +182,7 @@ class Tensor:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if type(x) is Tensor else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def add(a, b) -> Tensor:
@@ -253,9 +265,8 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, perm) -> Tensor:
     a = _wrap(a)
     perm = tuple(perm)
-    inv = tuple(np.argsort(perm))
     return Tensor(a.data.transpose(perm), _parents=(a,),
-                  _vjp=lambda g: (g.transpose(inv),))
+                  _vjp=lambda g: (g.transpose(tuple(np.argsort(perm))),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -389,10 +400,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalise the last axis to zero mean and unit variance, then affine."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     # in-place steps on two buffers, in the same order of operations as
-    # the textbook expressions, so the results are bit-identical to them
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    # the textbook expressions, so the results are bit-identical to them;
+    # each mean is np.mean's own sum-then-divide without its wrapper
+    n = x.data.shape[-1]
+    xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
     out = np.multiply(xhat, xhat)
-    inv = out.mean(axis=-1, keepdims=True)
+    inv = np.add.reduce(out, axis=-1, keepdims=True) / n
     inv += eps
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
@@ -404,8 +417,8 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         dx = g * gamma.data
         tmp = dx * xhat
-        m2 = tmp.mean(axis=-1, keepdims=True)
-        dx -= dx.mean(axis=-1, keepdims=True)
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / n
+        dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
         np.multiply(xhat, m2, out=tmp)
         dx -= tmp
         dx *= inv
@@ -478,6 +491,63 @@ def quat_rotate(x, angles, axis: str) -> Tensor:
         return _unbroadcast(back, x.data.shape), gangle
 
     return Tensor(out, _parents=(x, angles), _vjp=vjp)
+
+
+def rotated_scores(phi, k, angles, axis: str) -> Tensor:
+    """Similarity of query slots with keys spun about an axis, summed over periods.
+
+    phi: (..., Q, P, S, 4), one set of S query slots per period; k: (...,
+    M, S, 4), the unspun key slots; angles: (..., M, P), each key's spin
+    per period. Leading axes broadcast. Returns (..., Q, M) holding
+    sum_p <phi_p, k * e^{axis * angle_p}>.
+
+    The keys are never spun. A unit quaternion moves across the inner
+    product, <x, k * (c + s*u)> = c * <x, k> + s * <-x * u, k>, so one
+    matmul of the 2P*Q stacked rows [phi_p, -phi_p * u] against the
+    unspun keys gives both coefficients, mixed afterwards with each key's
+    cos and sin. The VJP is one matmul per input plus the mix.
+    """
+    phi, k, angles = _wrap(phi), _wrap(k), _wrap(angles)
+    q, periods, slots = phi.data.shape[-4:-1]
+    m = k.data.shape[-3]
+    if k.data.shape[-2:] != (slots, 4) or angles.data.shape[-2:] != (m, periods):
+        raise ValueError(f"phi {phi.data.shape}, keys {k.data.shape} and angles "
+                         f"{angles.data.shape} do not describe the same slots and periods")
+    # rows (Q, 2, P): phi's own layout, with the turned copy beside it
+    feats = np.empty(phi.data.shape[:-3] + (2, periods, slots, 4))
+    feats[..., 0, :, :, :] = phi.data
+    np.negative(quaternion.quarter_turn(phi.data, axis), out=feats[..., 1, :, :, :])
+    feats = feats.reshape(phi.data.shape[:-4] + (q * 2 * periods, slots * 4))
+    keys = k.data.reshape(k.data.shape[:-2] + (slots * 4,))
+    coef = np.matmul(feats, np.swapaxes(keys, -1, -2))
+    coef = coef.reshape(coef.shape[:-2] + (q, 2 * periods, m))
+    turned = np.swapaxes(angles.data, -1, -2)     # (..., P, M)
+    mix = np.concatenate([np.cos(turned), np.sin(turned)], axis=-2)    # (..., 2P, M)
+    out = np.einsum("...qjm,...jm->...qm", coef, mix)
+
+    def vjp(g):
+        gphi = gk = gangle = None
+        gcoef = g[..., None, :] * mix[..., None, :, :]
+        gcoef = gcoef.reshape(gcoef.shape[:-3] + (q * 2 * periods, m))
+        if phi._track:
+            gfeats = np.matmul(gcoef, keys)
+            gfeats = gfeats.reshape(gfeats.shape[:-2] + (q, 2, periods, slots, 4))
+            gphi = gfeats[..., 0, :, :, :] + quaternion.quarter_turn(
+                gfeats[..., 1, :, :, :], axis)
+            gphi = _unbroadcast(gphi, phi.data.shape)
+        if k._track:
+            gkeys = np.matmul(np.swapaxes(gcoef, -1, -2), feats)
+            gk = _unbroadcast(gkeys.reshape(gkeys.shape[:-1] + (slots, 4)), k.data.shape)
+        if angles._track:
+            # d/dangle (c*C + s*S) = -s*C + c*S, with C and S the coefficients
+            # summed against the output gradient over the queries
+            gmix = np.einsum("...qm,...qjm->...jm", g, coef)
+            cos, sin = mix[..., :periods, :], mix[..., periods:, :]
+            gturned = cos * gmix[..., periods:, :] - sin * gmix[..., :periods, :]
+            gangle = _unbroadcast(np.swapaxes(gturned, -1, -2), angles.data.shape)
+        return gphi, gk, gangle
+
+    return Tensor(out, _parents=(phi, k, angles), _vjp=vjp)
 
 
 def objective(build) -> numerics.Objective:

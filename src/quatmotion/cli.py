@@ -28,6 +28,7 @@ from . import model as mod
 from . import training as trn
 from . import verification
 from .errors import (
+    AudioTooShort,
     EmptyMotionBeats,
     EmptyMusicBeats,
     MalformedFile,
@@ -227,7 +228,8 @@ def cmd_generate(args) -> int:
     feat.atomic_write_text(
         os.path.join(args.out, "params.cfg"),
         f"ckpt = {args.ckpt}\nmusic = {args.music}\n"
-        f"seed_motion = {args.seed_motion}\nframes = {args.frames}\n")
+        f"seed_motion = {args.seed_motion}\nframes = {args.frames}\n"
+        f"start_frame = {config.seed_motion_frames}\n")
     print(f"wrote {generated.shape[0]} generated frames to {args.out}")
     return 0
 
@@ -236,6 +238,33 @@ def _feature_sets(motions):
     dyn = met.FeatureSet(np.stack([met.dynamic_features(m) for m in motions]))
     geo = met.FeatureSet(np.stack([met.geometric_features(m) for m in motions]))
     return dyn, geo
+
+
+def _music_span(gen_path: str, audio, motion, audio_path: str):
+    """The reference audio under a generated clip.
+
+    A rollout's frame g sits at music frame start_frame + g, where
+    `generate` records start_frame in the clip's params.cfg; a clip
+    without that key is scored against the audio from frame 0.
+    """
+    params = os.path.join(gen_path, "params.cfg")
+    if not os.path.isfile(params):
+        return audio
+    raw = _read_config_file(params).get("start_frame")
+    if raw is None:
+        return audio
+    try:
+        start = int(raw)
+    except ValueError:
+        raise MalformedFile(f"{params}: start_frame must be an integer, got {raw!r}")
+    if start < 0:
+        raise MalformedFile(f"{params}: start_frame must be nonnegative, got {start}")
+    stop = start + len(motion)
+    if stop > len(audio):
+        raise AudioTooShort(
+            f"{audio_path} has {len(audio)} frames, but the {len(motion)} generated "
+            f"frames from start_frame {start} in {params} need {stop}")
+    return audio[start:stop]
 
 
 def cmd_eval(args) -> int:
@@ -250,9 +279,9 @@ def cmd_eval(args) -> int:
     for name, path in ref_pairs:
         audio, motion = _load_pair(path)
         ref_motions.append(motion)
-        ref_audio[name] = audio
+        ref_audio[name] = (audio, os.path.join(path, "audio.csv"))
 
-    gen_motions, gen_names = [], []
+    gen_motions, gen_names, gen_paths = [], [], []
     gen_root = args.gen
     if os.path.isfile(os.path.join(gen_root, "motion.csv")):
         found = [("", gen_root)]
@@ -266,6 +295,7 @@ def cmd_eval(args) -> int:
         motion, _ = feat.load_stream(os.path.join(path, "motion.csv"))
         gen_motions.append(motion)
         gen_names.append(name)
+        gen_paths.append(path)
 
     report = {"ref_items": len(ref_motions), "gen_items": len(gen_motions)}
     if "fid" in wanted:
@@ -279,11 +309,12 @@ def cmd_eval(args) -> int:
         report["dist_g"] = report["diversity_geometric"] = met.diversity(gen_geo)
     if "beat" in wanted:
         scores = []
-        for name, motion in zip(gen_names, gen_motions):
+        for name, path, motion in zip(gen_names, gen_paths, gen_motions):
             if name not in ref_audio:
                 raise MalformedFile(f"generated pair {name!r} has no reference audio")
-            scores.append(met.beat_align(met.motion_beats(motion),
-                                         met.music_beats(ref_audio[name])))
+            audio, audio_path = ref_audio[name]
+            music = _music_span(path, audio, motion, audio_path)
+            scores.append(met.beat_align(met.motion_beats(motion), met.music_beats(music)))
         report["beat_align"] = float(np.mean(scores))
 
     text = json.dumps(report, sort_keys=True, indent=2)

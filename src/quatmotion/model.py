@@ -283,12 +283,10 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
         key_axis = "i" if config.qra_keys_use_axis_i else "j"
         # a size-1 period axis on the slots: one rotation per period angle
         q_slots = ag.reshape(q, (b, heads, keep, 1, dh // 4, 4))
-        k_slots = ag.reshape(k, (b, heads, m, 1, dh // 4, 4))
-        phi = ag.reshape(ag.quat_rotate(q_slots, ang_q, "i"), (b, heads, keep, periods * dh))
-        psi = ag.reshape(ag.quat_rotate(k_slots, ang_k, key_axis), (b, heads, m, periods * dh))
-        # periods sit side by side in the features, so one product sums
-        # every period's similarity
-        total = ag.matmul(phi, ag.transpose(psi, (0, 1, 3, 2)))
+        phi = ag.quat_rotate(q_slots, ang_q, "i")    # (b, heads, keep, periods, dh/4, 4)
+        # the keys' spins fold into the scores, so the keys stay unspun
+        k_slots = ag.reshape(k, (b, heads, m, dh // 4, 4))
+        total = ag.rotated_scores(phi, k_slots, ang_k, key_axis)
         logits = ag.mul(total, 1.0 / (periods * math.sqrt(dh)))
     else:
         logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))

@@ -173,16 +173,15 @@ def sample_windows(dataset, config: ModelConfig, batch_size: int, rng: np.random
     return motion, audio, target
 
 
-def train(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig,
-          loss_csv_path: str = None, checkpoint_path: str = None):
-    """Run the full loop; returns the loss trace as (step, lr, loss) rows."""
+def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig):
+    """The training loop one step at a time: yields (step, lr, loss) after each
+    Adam update, so a caller can stop as soon as it has seen what it needs."""
     check_dataset(dataset, model_config)
     dataset = [(np.asarray(a, dtype=np.float64), np.asarray(m, dtype=np.float64))
                for a, m in dataset]
     rng = np.random.default_rng(train_config.rng_seed)
     state = init_adam(weights)
     names = sorted(weights)
-    trace = []
     for step in range(train_config.total_steps):
         motion, audio, target = sample_windows(dataset, model_config,
                                                train_config.batch_size, rng)
@@ -204,8 +203,13 @@ def train(weights: dict, dataset, train_config: TrainConfig, model_config: Model
                 grads = {name: g * scale for name, g in grads.items()}
         lr = lr_at(step, train_config)
         adam_step(weights, grads, state, lr, train_config)
-        trace.append((step, lr, loss))
+        yield step, lr, loss
 
+
+def train(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig,
+          loss_csv_path: str = None, checkpoint_path: str = None):
+    """Run the full loop; returns the loss trace as (step, lr, loss) rows."""
+    trace = list(train_steps(weights, dataset, train_config, model_config))
     if loss_csv_path is not None:
         write_loss_csv(loss_csv_path, trace)
     if checkpoint_path is not None:

@@ -851,7 +851,8 @@ def training_checks() -> list:
 
 
 def _overfit_reaches(threshold: float, steps: int = 2000) -> bool:
-    """One synthetic window, desk model: loss must sink below threshold."""
+    """One synthetic window, desk model: loss must sink below threshold
+    within `steps`; training stops at the first step that does."""
     config = mod.ModelConfig()
     audio, motion = feat.synth_pair(9, (trn.window_span(config) + 1) / config.fps,
                                     beat_period_frames=12)
@@ -860,8 +861,7 @@ def _overfit_reaches(threshold: float, steps: int = 2000) -> bool:
     data = [(audio[:span], motion[:span])]
     tc = trn.TrainConfig(batch_size=1, total_steps=steps,
                          decay_steps=((10 ** 6, 1e-5), (2 * 10 ** 6, 1e-6)))
-    trace = trn.train(weights, data, tc, config)
-    return min(loss for _, _, loss in trace) < threshold
+    return any(loss < threshold for _, _, loss in trn.train_steps(weights, data, tc, config))
 
 
 # --------------------------------------------------------------- features

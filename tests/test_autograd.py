@@ -91,6 +91,26 @@ GRAD_CASES = [
      lambda x, a: (ag.quat_rotate(x, a, "j") * WQP).sum()),
 ]
 
+# rotated_scores: phi (..., Q, P, S, 4), keys (..., M, S, 4), angles (..., M, P).
+# Drawn after every case above, so those keep their inputs.
+WRS1 = _R.standard_normal((2, 3))
+WRS2 = _R.standard_normal((2, 3, 2, 3))
+WRS3 = _R.standard_normal((2, 3, 4))
+GRAD_CASES += [
+    ("rotated_scores_i", [_R.standard_normal((2, 1, 2, 4)), _R.standard_normal((3, 2, 4)),
+                          _R.standard_normal((3, 1))],
+     lambda p, k, a: (ag.rotated_scores(p, k, a, "i") * WRS1).sum()),
+    # leading axes (2, 1), (1, 3) and (2, 1) broadcast to (2, 3)
+    ("rotated_scores_j_broadcast", [_R.standard_normal((2, 1, 2, 2, 2, 4)),
+                                    _R.standard_normal((1, 3, 3, 2, 4)),
+                                    _R.standard_normal((2, 1, 3, 2))],
+     lambda p, k, a: (ag.rotated_scores(p, k, a, "j") * WRS2).sum()),
+    ("rotated_scores_k_broadcast", [_R.standard_normal((3, 2, 1, 4)),
+                                    _R.standard_normal((2, 4, 1, 4)),
+                                    _R.standard_normal((4, 2))],
+     lambda p, k, a: (ag.rotated_scores(p, k, a, "k") * WRS3).sum()),
+]
+
 
 class TestGradients:
     @pytest.mark.parametrize("name,params,build",
@@ -194,6 +214,36 @@ class TestForwardAgainstReference:
             product = quaternion.hamilton(
                 quaternion.Quaternion.from_array(x[0, s]), r)
             np.testing.assert_allclose(out[0, s], product.as_array(), atol=1e-15)
+
+    @pytest.mark.parametrize("axis", ["i", "j", "k"])
+    def test_rotated_scores_match_spun_keys(self, rng, axis):
+        # the explicit path: spin every key by every period angle, then one
+        # product over the period-concatenated features
+        b, m, slots = 2, 5, 3
+        for q in (1, 2, 3):
+            for periods in (1, 2, 3):
+                arrays = [rng.standard_normal((b, q, periods, slots, 4)),
+                          rng.standard_normal((b, m, slots, 4)),
+                          rng.standard_normal((b, m, periods))]
+                seed = rng.standard_normal((b, q, m))
+                fast = [ag.Tensor(x, requires_grad=True) for x in arrays]
+                out = ag.rotated_scores(*fast, axis)
+                out.backward(seed=seed)
+                phi, k, angles = [ag.Tensor(x, requires_grad=True) for x in arrays]
+                spun = ag.quat_rotate(k.reshape(b, m, 1, slots, 4), angles, axis)
+                want = ag.matmul(phi.reshape(b, q, periods * slots * 4),
+                                 spun.reshape(b, m, periods * slots * 4).transpose(0, 2, 1))
+                want.backward(seed=seed)
+                for got, ref in [(out.data, want.data)] + [
+                        (t.grad, r.grad) for t, r in zip(fast, (phi, k, angles))]:
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_rotated_scores_reject_mismatched_slots(self):
+        phi = ag.Tensor(np.zeros((2, 2, 3, 4)))
+        with pytest.raises(ValueError):
+            ag.rotated_scores(phi, ag.Tensor(np.zeros((5, 2, 4))), ag.Tensor(np.zeros((5, 2))), "j")
+        with pytest.raises(ValueError):
+            ag.rotated_scores(phi, ag.Tensor(np.zeros((5, 3, 4))), ag.Tensor(np.zeros((5, 1))), "j")
 
     def test_pi_tanh_matches_numerics(self, rng):
         x = rng.standard_normal((3, 3)) * 15

@@ -13,6 +13,7 @@ import pytest
 
 from quatmotion import cli
 from quatmotion import features as feat
+from quatmotion import metrics as met
 from quatmotion import model as mod
 from quatmotion import quaternion
 from quatmotion import training as trn
@@ -224,6 +225,11 @@ class TestGenerate:
             str(workspace / "gen" / "p1" / "motion.csv"))
         assert via_cli.tobytes() == direct.tobytes()
 
+    def test_params_record_start_frame(self, workspace):
+        # the rollout's first frame follows the 6-frame seed window
+        params = (workspace / "gen" / "p0" / "params.cfg").read_text()
+        assert "start_frame = 6" in params.splitlines()
+
     def test_audio_too_short_exits_three(self, workspace, tmp_path, capsys):
         rc = cli.entry([
             "generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
@@ -256,7 +262,55 @@ class TestGenerate:
         assert rc == 2
 
 
+def _continuation(root, start_frame=None):
+    """A reference pair (beat period 24) and, as its "generated" clip, the
+    true frames [30, 90): the rollout a perfect model makes from a
+    30-frame seed. start_frame, when given, goes to the clip's params.cfg."""
+    ref, gen = root / "ref" / "c", root / "gen" / "c"
+    assert cli.entry(["synth", "--out", str(ref), "--seconds", str(91 / 60),
+                      "--seed", "30", "--beat-period", "24"]) == 0
+    audio, motion = cli._load_pair(str(ref))
+    gen.mkdir(parents=True)
+    feat.save_stream(str(gen / "motion.csv"), motion[30:90],
+                     feat.StreamMeta("motion", feat.FPS, 60, feat.MOTION_DIMS))
+    lines = "frames = 60\n"
+    if start_frame is not None:
+        lines += f"start_frame = {start_frame}\n"
+    (gen / "params.cfg").write_text(lines)
+    return audio, motion
+
+
+def _beat_eval(root):
+    return cli.entry(["eval", "--ref", str(root / "ref"), "--gen", str(root / "gen"),
+                      "--metrics", "beat"])
+
+
 class TestEval:
+
+    def test_beat_scores_the_music_under_the_rollout(self, tmp_path, capsys):
+        _continuation(tmp_path, start_frame=30)
+        capsys.readouterr()
+        assert _beat_eval(tmp_path) == 0
+        assert json.loads(capsys.readouterr().out)["beat_align"] == 1.0
+
+    def test_beat_without_start_frame_scores_from_frame_zero(self, tmp_path, capsys):
+        audio, motion = _continuation(tmp_path)
+        capsys.readouterr()
+        assert _beat_eval(tmp_path) == 0
+        want = met.beat_align(met.motion_beats(motion[30:90]), met.music_beats(audio))
+        assert json.loads(capsys.readouterr().out)["beat_align"] == want < 0.5
+
+    @pytest.mark.parametrize("start", ["thirty", "-1"])
+    def test_beat_bad_start_frame_exits_two(self, tmp_path, capsys, start):
+        _continuation(tmp_path, start_frame=start)
+        assert _beat_eval(tmp_path) == 2
+        assert str(tmp_path / "gen" / "c" / "params.cfg") in capsys.readouterr().err
+
+    def test_beat_audio_too_short_exits_three(self, tmp_path, capsys):
+        _continuation(tmp_path, start_frame=40)
+        assert _beat_eval(tmp_path) == 3
+        err = capsys.readouterr().err
+        assert str(tmp_path / "ref" / "c" / "audio.csv") in err and "start_frame 40" in err
 
     def test_full_report_on_generated(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.json"

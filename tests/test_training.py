@@ -227,6 +227,30 @@ class TestTrainLoop:
             training.lr_at(s, quick_train_config) for s in range(6)]
         assert all(np.isfinite(row[2]) and row[2] > 0 for row in trace)
 
+    def test_step_generator_yields_the_trace_rows(self, tiny_model_config,
+                                                  quick_train_config):
+        trained = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        stepped = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        trace = training.train(trained, _tiny_dataset(), quick_train_config,
+                               tiny_model_config)
+        assert list(training.train_steps(stepped, _tiny_dataset(), quick_train_config,
+                                         tiny_model_config)) == trace
+        for name in trained:
+            assert trained[name].data.tobytes() == stepped[name].data.tobytes()
+
+    def test_step_generator_stops_where_the_caller_stops(self, tiny_model_config,
+                                                         quick_train_config):
+        # after one row, the weights hold exactly one Adam update
+        stepped = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        first = next(training.train_steps(stepped, _tiny_dataset(), quick_train_config,
+                                          tiny_model_config))
+        trained = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        one_step = TrainConfig(batch_size=2, total_steps=1, rng_seed=3,
+                               decay_steps=((3, 1e-5), (5, 1e-6)))
+        assert training.train(trained, _tiny_dataset(), one_step, tiny_model_config) == [first]
+        for name in trained:
+            assert trained[name].data.tobytes() == stepped[name].data.tobytes()
+
     def test_zero_steps(self, tiny_model_config):
         weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
         config = TrainConfig(batch_size=2, total_steps=0)
