@@ -223,26 +223,43 @@ def mul(a, b) -> Tensor:
     return Tensor(out, _parents=(a, b), _vjp=vjp)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with broadcast leading batch axes.
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product with broadcast leading batch axes, plus an optional bias.
 
     A 2-D right operand is shared by every row of the left one, so the
     leading axes of `a` fold into its row axis: the forward and both
     gradients are then single 2-D GEMMs, and the weight gradient needs no
-    batched product and no reduction over the batch.
+    batched product and no reduction over the batch. Only that branch
+    takes a bias, of shape (b.shape[-1],): it is added in place into the
+    fresh product, so a linear layer is one tape node instead of two.
     """
     a, b = _wrap(a), _wrap(b)
-    if b.data.ndim == 2 and a.data.ndim > 2:
+    if b.data.ndim == 2 and a.data.ndim >= 2:
         a2 = a.data.reshape(-1, a.data.shape[-1])
-        out = (a2 @ b.data).reshape(a.data.shape[:-1] + b.data.shape[-1:])
+        out = a2 @ b.data
+        if bias is None:
+            parents = (a, b)
+        else:
+            bias = _wrap(bias)
+            if bias.data.shape != b.data.shape[-1:]:
+                raise ValueError(f"bias shape {bias.data.shape} does not match "
+                                 f"the {b.data.shape[-1]} output columns")
+            out += bias.data
+            parents = (a, b, bias)
+        out = out.reshape(a.data.shape[:-1] + b.data.shape[-1:])
 
         def vjp(g):
             g2 = g.reshape(-1, g.shape[-1])
             ga = (g2 @ b.data.T).reshape(a.data.shape) if a._track else None
             gb = a2.T @ g2 if b._track else None
-            return ga, gb
+            if bias is None:
+                return ga, gb
+            return ga, gb, g2.sum(axis=0) if bias._track else None
+    elif bias is not None:
+        raise ValueError("matmul takes a bias only with a 2-D right operand")
     else:
         out = np.matmul(a.data, b.data)
+        parents = (a, b)
 
         def vjp(g):
             ga = gb = None
@@ -252,7 +269,7 @@ def matmul(a, b) -> Tensor:
                 gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
             return ga, gb
 
-    return Tensor(out, _parents=(a, b), _vjp=vjp)
+    return Tensor(out, _parents=parents, _vjp=vjp)
 
 
 def reshape(a, shape) -> Tensor:

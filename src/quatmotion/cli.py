@@ -93,6 +93,8 @@ def _read_config_file(path: str) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise MalformedFile(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"config {path} is not valid UTF-8: {exc}")
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:

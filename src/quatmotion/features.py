@@ -207,13 +207,21 @@ def save_stream(path: str, matrix, meta: StreamMeta):
     atomic_write_text(path + ".meta", sidecar)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file; an unreadable or undecodable file is a
+    MalformedFile naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MalformedFile(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"{what} {path} is not valid UTF-8: {exc}") from exc
+
+
 def _parse_meta(path: str) -> dict:
     entries = {}
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read sidecar {path}: {exc}") from exc
+    text = _read_text(path, "sidecar")
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -239,11 +247,7 @@ def load_stream(path: str):
     except ValueError as exc:
         raise MalformedFile(f"non-numeric sidecar field in {path}.meta: {exc}") from exc
 
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read stream {path}: {exc}") from exc
+    text = _read_text(path, "stream")
     lines = [line for line in text.splitlines() if line.strip()]
     data = []
     for i, line in enumerate(lines):

@@ -18,6 +18,7 @@ weights, so inference builds no tape.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import math
@@ -32,7 +33,9 @@ from .errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
 from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write_text
 from .spe import RotarySchedule, angle_tables
 
-CHECKPOINT_FORMAT = "qean-ckpt-v1"
+CHECKPOINT_FORMAT = "qean-ckpt-v2"
+# tensor payloads: row-major float64 bytes, little-endian on every host
+_TENSOR_DTYPE = np.dtype("<f8")
 
 TWO_PI = 2.0 * math.pi
 
@@ -176,15 +179,15 @@ def _layer_norm(x: Tensor, name: str, weights: dict) -> Tensor:
 
 
 def _feed_forward(x: Tensor, prefix: str, weights: dict) -> Tensor:
-    h = ag.relu(ag.matmul(x, weights[prefix + ".fc1.w"]) + weights[prefix + ".fc1.b"])
-    return ag.matmul(h, weights[prefix + ".fc2.w"]) + weights[prefix + ".fc2.b"]
+    h = ag.relu(ag.matmul(x, weights[prefix + ".fc1.w"], weights[prefix + ".fc1.b"]))
+    return ag.matmul(h, weights[prefix + ".fc2.w"], weights[prefix + ".fc2.b"])
 
 
 def _embed(x: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
     if x.shape[-1] != _STREAM_DIMS[which]:
         raise ChannelMismatch(
             f"{which} stream must have {_STREAM_DIMS[which]} channels, got {x.shape[-1]}")
-    h = ag.matmul(x, weights[f"embed.{which}.w"]) + weights[f"embed.{which}.b"]
+    h = ag.matmul(x, weights[f"embed.{which}.w"], weights[f"embed.{which}.b"])
     if config.use_learned_abs_pos:
         table = weights[f"pos.{which}"]
         steps = h.shape[-2]
@@ -324,7 +327,7 @@ def _decode(h_motion: Tensor, h_audio: Tensor, weights: dict, config: ModelConfi
         state = state + _feed_forward(_layer_norm(state, prefix + ".ln2", weights),
                                       prefix + ".ff", weights)
     last = state[:, -1, :]
-    flat = ag.matmul(last, weights["out.w"]) + weights["out.b"]
+    flat = ag.matmul(last, weights["out.w"], weights["out.b"])
     return ag.reshape(flat, (last.shape[0], config.future_frames, MOTION_DIMS))
 
 
@@ -420,31 +423,72 @@ def config_from_dict(doc: dict) -> ModelConfig:
 
 
 def save_checkpoint(path: str, weights: dict, config: ModelConfig):
+    """Write the weights and config as one sorted-key JSON object.
+
+    Each tensor is {"shape": [...], "data": base64 of its row-major,
+    little-endian float64 bytes}, so every bit survives a round trip.
+    """
     tensors = {}
     for name in sorted(weights):
         data = weights[name].data
+        payload = data.astype(_TENSOR_DTYPE, copy=False).tobytes()
         tensors[name] = {"shape": list(data.shape),
-                         "values": data.reshape(-1).tolist()}
+                         "data": base64.b64encode(payload).decode("ascii")}
     doc = {"format": CHECKPOINT_FORMAT,
            "config": config_to_dict(config),
            "tensors": tensors}
     atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _load_tensor(path: str, name: str, entry, shape: tuple) -> np.ndarray:
+    """Decode one tensor entry into an owned, writable float64 array."""
+    where = f"{path}: tensor {name}"
+    if not isinstance(entry, dict):
+        raise MalformedFile(f"{where} is not an object")
+    stored = entry.get("shape")
+    if not isinstance(stored, list) or any(type(n) is not int for n in stored):
+        raise MalformedFile(f"{where} has shape {stored!r}, which is not a list of integers")
+    if tuple(stored) != shape:
+        raise MalformedFile(f"{where} has shape {tuple(stored)}, expected {shape}")
+    text = entry.get("data")
+    if not isinstance(text, str):
+        raise MalformedFile(f"{where} has no base64 'data' string")
+    try:
+        payload = base64.b64decode(text, validate=True)
+    except ValueError as exc:    # binascii.Error, or a non-ASCII character
+        raise MalformedFile(f"{where} has invalid base64 data: {exc}") from exc
+    want = _TENSOR_DTYPE.itemsize * math.prod(shape)
+    if len(payload) != want:
+        raise MalformedFile(f"{where} holds {len(payload)} bytes of data, "
+                            f"expected {want} for shape {shape}")
+    # astype copies the read-only view of the payload into an owned array
+    arr = np.frombuffer(payload, dtype=_TENSOR_DTYPE).reshape(shape).astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise MalformedFile(f"{where} contains non-finite values")
+    return arr
+
+
 def load_checkpoint(path: str):
     """Read a checkpoint back into (weights, config).
 
     The tensor names and shapes must be exactly those init_weights builds
-    for the stored config (weight_shapes); anything else is a MalformedFile naming the
-    file and the tensor.
+    for the stored config (weight_shapes), and each payload must hold
+    exactly that many finite float64 values; anything else, including a
+    file that is not UTF-8 JSON or carries another format tag, is a
+    MalformedFile naming the file (and the tensor, where there is one).
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedFile(f"checkpoint {path} is not valid UTF-8: {exc}") from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedFile(f"cannot parse checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict):
         raise MalformedFile(f"{path} is not a {CHECKPOINT_FORMAT} checkpoint")
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise MalformedFile(f"{path} has checkpoint format {doc.get('format')!r}; "
+                            f"only {CHECKPOINT_FORMAT} can be read")
     config_doc = doc.get("config", {})
     if not isinstance(config_doc, dict):
         raise MalformedFile(f"{path}: 'config' is not an object")
@@ -464,20 +508,6 @@ def load_checkpoint(path: str):
     if extra:
         raise MalformedFile(f"{path}: unexpected tensor {extra[0]} "
                             f"({len(extra)} unexpected in all)")
-    weights = {}
-    for name, entry in tensors.items():
-        try:
-            values = np.array(entry["values"], dtype=np.float64)
-            shape = tuple(int(n) for n in entry["shape"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise MalformedFile(f"{path}: tensor {name} is malformed: {exc!r}") from exc
-        if shape != expected[name]:
-            raise MalformedFile(f"{path}: tensor {name} has shape {shape}, "
-                                f"expected {expected[name]}")
-        if values.shape != (int(np.prod(shape, dtype=np.int64)),):
-            raise MalformedFile(f"{path}: tensor {name} length does not match its shape")
-        arr = values.reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise MalformedFile(f"{path}: tensor {name} contains non-finite values")
-        weights[name] = Tensor(arr, requires_grad=True)
+    weights = {name: Tensor(_load_tensor(path, name, entry, expected[name]), requires_grad=True)
+               for name, entry in tensors.items()}
     return weights, config

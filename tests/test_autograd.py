@@ -111,6 +111,15 @@ GRAD_CASES += [
      lambda p, k, a: (ag.rotated_scores(p, k, a, "k") * WRS3).sum()),
 ]
 
+# matmul with its bias folded in, as a linear layer calls it. Drawn after
+# every case above, so those keep their inputs.
+WMB = _R.standard_normal((2, 3, 5))
+GRAD_CASES += [
+    ("matmul_bias", [_R.standard_normal((2, 3, 4)), _R.standard_normal((4, 5)),
+                     _R.standard_normal(5)],
+     lambda a, b, c: (ag.matmul(a, b, c) * WMB).sum()),
+]
+
 
 class TestGradients:
     @pytest.mark.parametrize("name,params,build",
@@ -244,6 +253,28 @@ class TestForwardAgainstReference:
             ag.rotated_scores(phi, ag.Tensor(np.zeros((5, 2, 4))), ag.Tensor(np.zeros((5, 2))), "j")
         with pytest.raises(ValueError):
             ag.rotated_scores(phi, ag.Tensor(np.zeros((5, 3, 4))), ag.Tensor(np.zeros((5, 1))), "j")
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3), (2, 2, 3)])
+    def test_matmul_bias_matches_matmul_then_add_bit_for_bit(self, rng, lead):
+        a, b, c = rng.standard_normal(lead + (4,)), rng.standard_normal((4, 6)), rng.standard_normal(6)
+        seed = rng.standard_normal(lead + (6,))
+        leaves = [[ag.Tensor(x.copy(), requires_grad=True) for x in (a, b, c)] for _ in range(2)]
+        fused = ag.matmul(*leaves[0][:2], bias=leaves[0][2])
+        split = ag.matmul(*leaves[1][:2]) + leaves[1][2]
+        assert fused.data.tobytes() == split.data.tobytes()
+        fused.backward(seed)
+        split.backward(seed)
+        for x, y in zip(*leaves):
+            assert x.grad.tobytes() == y.grad.tobytes()
+        # one tape node instead of two
+        assert fused._parents == tuple(leaves[0])
+
+    def test_matmul_bias_gates(self):
+        x = ag.Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            ag.matmul(x, ag.Tensor(np.zeros((4, 5))), ag.Tensor(np.zeros(4)))
+        with pytest.raises(ValueError):
+            ag.matmul(x, ag.Tensor(np.zeros((2, 4, 5))), ag.Tensor(np.zeros(5)))
 
     def test_pi_tanh_matches_numerics(self, rng):
         x = rng.standard_normal((3, 3)) * 15
@@ -406,6 +437,7 @@ class TestTapeMechanics:
         c = ag.Tensor(np.ones(4))
         assert ag.mul(x, w[:, 0])._vjp(np.ones((2, 3, 4)))[0] is None
         assert ag.add(w[:, 0], c)._vjp(np.ones(4))[1] is None
+        assert ag.matmul(x, w, ag.Tensor(np.ones(2)))._vjp(g)[2] is None
 
     def test_quat_rotate_rejects_bad_angle_shape(self):
         x = ag.Tensor(np.zeros((2, 3, 4)))

@@ -190,6 +190,14 @@ class TestTrain:
         _, config = mod.load_checkpoint(str(tmp_path / "out" / "checkpoint.json"))
         assert config.use_qra is False
 
+    def test_undecodable_config_file_exits_two(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"d_model = \xff8\n")
+        rc = cli.entry(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                        "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert str(cfg) in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad", ["nope=3", "d_model"])
     def test_bad_set_exits_two(self, workspace, tmp_path, bad, capsys):
         rc = cli.entry(["train", "--data", str(workspace / "data"),
@@ -239,19 +247,38 @@ class TestGenerate:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def _generate_from(self, workspace, ckpt, out):
+        return cli.entry([
+            "generate", "--ckpt", str(ckpt),
+            "--music", str(workspace / "data" / "p0" / "audio.csv"),
+            "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+            "--frames", "2", "--out", str(out)])
+
     def test_checkpoint_missing_tensor_exits_two(self, workspace, tmp_path, capsys):
         doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
         del doc["tensors"]["out.b"]
         ckpt = tmp_path / "cut.json"
         ckpt.write_text(json.dumps(doc))
-        rc = cli.entry([
-            "generate", "--ckpt", str(ckpt),
-            "--music", str(workspace / "data" / "p0" / "audio.csv"),
-            "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
-            "--frames", "2", "--out", str(tmp_path / "g")])
+        rc = self._generate_from(workspace, ckpt, tmp_path / "g")
         err = capsys.readouterr().err
         assert rc == 2
         assert "cut.json" in err and "out.b" in err
+
+    def test_undecodable_checkpoint_exits_two(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "binary.json"
+        ckpt.write_bytes(b"\xff" + (workspace / "run" / "checkpoint.json").read_bytes())
+        assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "UTF-8" in err
+
+    def test_v1_checkpoint_exits_two(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        doc["format"] = "qean-ckpt-v1"
+        ckpt = tmp_path / "old.json"
+        ckpt.write_text(json.dumps(doc))
+        assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "qean-ckpt-v1" in err and "qean-ckpt-v2" in err
 
     def test_wrong_stream_kind_exits_two(self, workspace, tmp_path, capsys):
         rc = cli.entry([
@@ -311,6 +338,19 @@ class TestEval:
         assert _beat_eval(tmp_path) == 3
         err = capsys.readouterr().err
         assert str(tmp_path / "ref" / "c" / "audio.csv") in err and "start_frame 40" in err
+
+    def test_undecodable_reference_exits_two(self, workspace, tmp_path, capsys):
+        ref = tmp_path / "ref" / "p0"
+        ref.mkdir(parents=True)
+        for name in ("audio.csv", "audio.csv.meta", "motion.csv", "motion.csv.meta"):
+            (ref / name).write_bytes((workspace / "data" / "p0" / name).read_bytes())
+        audio = ref / "audio.csv"
+        audio.write_bytes(b"\xff\xfe" + audio.read_bytes())
+        rc = cli.entry(["eval", "--ref", str(tmp_path / "ref"),
+                        "--gen", str(workspace / "gen"), "--metrics", "fid"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(audio) in err and "UTF-8" in err
 
     def test_full_report_on_generated(self, workspace, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,16 @@ class TestStreamIO:
         rows[7] = ",".join(cells)
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(MalformedFile, match=r"row 7 of .*motion\.csv"):
+            features.load_stream(str(path))
+
+    @pytest.mark.parametrize("which", ["audio.csv", "audio.csv.meta"])
+    def test_undecodable_file_rejected(self, tmp_path, which):
+        audio, _ = features.synth_pair(5, seconds=0.2, beat_period_frames=4)
+        path = tmp_path / "audio.csv"
+        features.save_stream(str(path), audio, features.StreamMeta("audio", 60, 12, 35))
+        bad = tmp_path / which
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        with pytest.raises(MalformedFile, match=f"{re.escape(str(bad))} is not valid UTF-8"):
             features.load_stream(str(path))
 
     def test_missing_sidecar(self, tmp_path):

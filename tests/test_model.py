@@ -6,9 +6,11 @@ complex-number rotary) kept deliberately unlike the package's tape
 implementation; with quaternion attention disabled the two must agree.
 """
 
+import base64
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -462,46 +464,93 @@ class TestAutoregressive:
             model.autoregressive_generate(motion, audio[:, :-1], 1, weights, config)
 
 
+def _packed(values) -> str:
+    """base64 of little-endian float64 values, packed one float() at a time."""
+    values = [float(v) for v in values]
+    return base64.b64encode(struct.pack("<%dd" % len(values), *values)).decode("ascii")
+
+
+def _unpacked(text: str) -> list:
+    raw = base64.b64decode(text)
+    return list(struct.unpack("<%dd" % (len(raw) // 8), raw))
+
+
 class TestCheckpoint:
+    EDGE = np.array([-0.0, 5e-324, 1e16, -1e16, 0.1, -2.5e-300, 1.0 / 3.0])
+
+    def _with_edges(self, weights):
+        weights = {name: Tensor(t.data.copy()) for name, t in weights.items()}
+        for t in weights.values():
+            flat = t.data.reshape(-1)
+            flat[:self.EDGE.size] = self.EDGE[:flat.size]
+        return weights
+
     def test_round_trip_exact(self, tiny_setup, tmp_path):
         weights, config, _, _ = tiny_setup
+        weights = self._with_edges(weights)
         path = str(tmp_path / "model.json")
         model.save_checkpoint(path, weights, config)
         loaded, loaded_config = model.load_checkpoint(path)
         assert loaded_config == config
         assert set(loaded) == set(weights)
         for name in weights:
-            np.testing.assert_array_equal(loaded[name].data, weights[name].data)
+            data = loaded[name].data
+            # every bit, -0.0 and the subnormal included
+            assert data.tobytes() == weights[name].data.tobytes(), name
+            assert data.dtype == np.float64 and data.shape == weights[name].shape
+            assert data.flags.owndata and data.flags.writeable, name
         assert all(t.requires_grad for t in loaded.values())
 
-    def test_bytes_match_per_value_float_conversion(self, tiny_setup, tmp_path):
+    def test_bytes_match_struct_packed_base64(self, tiny_setup, tmp_path):
         weights, config, _, _ = tiny_setup
-        edge = np.array([-0.0, 5e-324, 1e16, -1e16, 0.1, -2.5e-300, 1.0 / 3.0])
-        weights = {name: Tensor(t.data.copy()) for name, t in weights.items()}
-        for t in weights.values():
-            flat = t.data.reshape(-1)
-            flat[:edge.size] = edge[:flat.size]
+        weights = self._with_edges(weights)
         path = tmp_path / "model.json"
         model.save_checkpoint(str(path), weights, config)
-        # the written-out construction: one float() per value
-        doc = {"format": model.CHECKPOINT_FORMAT,
+        # the written-out construction: struct-packed float() values, base64
+        doc = {"format": "qean-ckpt-v2",
                "config": model.config_to_dict(config),
                "tensors": {name: {"shape": list(weights[name].data.shape),
-                                  "values": [float(v) for v in weights[name].data.reshape(-1)]}
+                                  "data": _packed(weights[name].data.reshape(-1))}
                            for name in sorted(weights)}}
         want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_bytes() == want.encode()
 
+    def test_save_load_save_is_byte_identical(self, tiny_setup, tmp_path):
+        weights, config, _, _ = tiny_setup
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save_checkpoint(str(first), self._with_edges(weights), config)
+        loaded, loaded_config = model.load_checkpoint(str(first))
+        model.save_checkpoint(str(second), loaded, loaded_config)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all {")
-        with pytest.raises(MalformedFile):
+        with pytest.raises(MalformedFile, match=r"junk\.json"):
+            model.load_checkpoint(str(path))
+
+    def test_rejects_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{" + bytes(range(128, 256)))
+        with pytest.raises(MalformedFile, match=r"binary\.json is not valid UTF-8"):
             model.load_checkpoint(str(path))
 
     def test_rejects_wrong_format_tag(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "qean-ckpt-v2", "config": {}, "tensors": {}}))
-        with pytest.raises(MalformedFile):
+        path.write_text(json.dumps({"format": "qean-ckpt-v3", "config": {}, "tensors": {}}))
+        with pytest.raises(MalformedFile, match=r"other\.json.*qean-ckpt-v3.*qean-ckpt-v2"):
+            model.load_checkpoint(str(path))
+
+    def test_rejects_v1_checkpoint(self, tiny_setup, tmp_path):
+        # the previous format: the same envelope with a float list per tensor
+        weights, config, _, _ = tiny_setup
+        doc = {"format": "qean-ckpt-v1",
+               "config": model.config_to_dict(config),
+               "tensors": {name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+                           for name, t in weights.items()}}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, sort_keys=True))
+        with pytest.raises(MalformedFile, match=r"old\.json.*qean-ckpt-v1.*qean-ckpt-v2"):
             model.load_checkpoint(str(path))
 
     def test_rejects_unknown_config_key(self, tmp_path):
@@ -520,21 +569,6 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile, match=r"cfg\.json"):
             model.load_checkpoint(str(path))
 
-    def test_rejects_shape_mismatch(self, tmp_path):
-        doc = {"format": model.CHECKPOINT_FORMAT, "config": {},
-               "tensors": {"x": {"shape": [2, 2], "values": [1.0, 2.0, 3.0]}}}
-        path = tmp_path / "shape.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(MalformedFile):
-            model.load_checkpoint(str(path))
-
-    def test_rejects_non_finite(self, tmp_path):
-        path = tmp_path / "inf.json"
-        path.write_text('{"format":"qean-ckpt-v1","config":{},'
-                        '"tensors":{"x":{"shape":[1],"values":[Infinity]}}}')
-        with pytest.raises(MalformedFile):
-            model.load_checkpoint(str(path))
-
     def _edited(self, tiny_setup, tmp_path, edit):
         weights, config, _, _ = tiny_setup
         path = tmp_path / "model.json"
@@ -544,6 +578,75 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         return str(path)
 
+    def _payload_edited(self, tiny_setup, tmp_path, name, edit):
+        """A saved tiny checkpoint whose tensor `name` holds edit(values)."""
+        def rewrite(tensors):
+            tensors[name]["data"] = _packed(edit(_unpacked(tensors[name]["data"])))
+        return self._edited(tiny_setup, tmp_path, rewrite)
+
+    def test_rejects_shape_mismatch(self, tiny_setup, tmp_path):
+        # a payload one float short of the shape it declares
+        path = self._payload_edited(tiny_setup, tmp_path, "out.b", lambda v: v[:-1])
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor out\.b holds 3496 bytes of data, "
+                                 r"expected 3504"):
+            model.load_checkpoint(path)
+
+    def test_rejects_non_finite(self, tiny_setup, tmp_path):
+        def plant(values):
+            values[3] = math.nan
+            return values
+        path = self._payload_edited(tiny_setup, tmp_path, "dec.0.ff.fc1.w", plant)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor dec\.0\.ff\.fc1\.w contains non-finite"):
+            model.load_checkpoint(path)
+
+    def test_rejects_infinite(self, tiny_setup, tmp_path):
+        def plant(values):
+            values[-1] = math.inf
+            return values
+        path = self._payload_edited(tiny_setup, tmp_path, "embed.audio.b", plant)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor embed\.audio\.b contains non-finite"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: "not base64!",
+        lambda text: text[:8] + "*" + text[8:],     # a lenient decoder skips the '*'
+        lambda text: text[:-4] + "AA=A",
+        lambda text: "\u00e9" + text,
+    ], ids=["junk", "stray_char", "inner_padding", "non_ascii"])
+    def test_rejects_invalid_base64(self, tiny_setup, tmp_path, corrupt):
+        def edit(tensors):
+            entry = tensors["pos.motion"]
+            entry["data"] = corrupt(entry["data"])
+        path = self._edited(tiny_setup, tmp_path, edit)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor pos\.motion has invalid base64"):
+            model.load_checkpoint(path)
+
+    def test_rejects_missing_data(self, tiny_setup, tmp_path):
+        path = self._edited(tiny_setup, tmp_path, lambda t: t["out.w"].pop("data"))
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor out\.w has no base64 'data'"):
+            model.load_checkpoint(path)
+
+    def test_rejects_entry_not_object(self, tiny_setup, tmp_path):
+        def flatten(tensors):
+            tensors["out.b"] = [0.0] * 438
+        path = self._edited(tiny_setup, tmp_path, flatten)
+        with pytest.raises(MalformedFile, match=r"model\.json: tensor out\.b is not an object"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("entry", [438.9, 438.0, "438", True])
+    def test_rejects_non_integer_shape(self, tiny_setup, tmp_path, entry):
+        def retype(tensors):
+            tensors["out.b"]["shape"] = [entry]
+        path = self._edited(tiny_setup, tmp_path, retype)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor out\.b has shape .* not a list of integers"):
+            model.load_checkpoint(path)
+
     def test_rejects_missing_tensor(self, tiny_setup, tmp_path):
         path = self._edited(tiny_setup, tmp_path, lambda t: t.pop("out.b"))
         with pytest.raises(MalformedFile, match=r"model\.json: tensor out\.b is missing"):
@@ -551,7 +654,7 @@ class TestCheckpoint:
 
     def test_rejects_extra_tensor(self, tiny_setup, tmp_path):
         def add(tensors):
-            tensors["dec.0.attn.spare"] = {"shape": [1], "values": [0.0]}
+            tensors["dec.0.attn.spare"] = {"shape": [1], "data": _packed([0.0])}
         path = self._edited(tiny_setup, tmp_path, add)
         with pytest.raises(MalformedFile, match=r"model\.json: unexpected tensor dec\.0\.attn\.spare"):
             model.load_checkpoint(path)
@@ -569,7 +672,7 @@ class TestCheckpoint:
         assert model.weight_shapes(config) == {n: t.shape for n, t in weights.items()}
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MalformedFile):
+        with pytest.raises(MalformedFile, match=r"nowhere\.json"):
             model.load_checkpoint(str(tmp_path / "nowhere.json"))
 
 
