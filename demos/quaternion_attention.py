@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from quatmotion import numerics as num
-from quatmotion import qra
+from quatmotion import qra, quaternion
+from quatmotion.autograd import Tensor
 
 
 def main():
@@ -25,12 +26,26 @@ def main():
 
     params = qra.QRAParams.random(rng, d_model, d_attn, periods)
     q = num.matmul(x, params.w_q)
-    fp = qra.gen_freq_phase(q, params.omega_q, params.theta_q)
-    print(f"latent frequencies (step x period), all >= 0:\n{np.round(fp.omega, 3)}")
-    print(f"latent phases, all inside (-pi, pi):\n{np.round(fp.theta, 3)}")
+    omega = num.relu(num.conv1d(q, params.omega_q))
+    theta = num.pi_tanh(num.conv1d(q, params.theta_q))
+    print(f"latent frequencies (step x period), all >= 0:\n{np.round(omega, 3)}")
+    print(f"latent phases, all inside (-pi, pi):\n{np.round(theta, 3)}")
 
-    angles = qra.rotation_angles(fp, qra.position_vector(q.shape[0]))
+    steps = q.shape[0]
+    angles = 2.0 * math.pi * omega * (np.arange(steps) / steps)[:, None] + theta
     print(f"\nrotation angles of period 0 by step: {np.round(angles[:, 0], 3)}")
+
+    # the rotation kernel spins a slot exactly as the Hamilton product does
+    slot, angle = q[1, :4], angles[1, 0]
+    spun = quaternion.slot_rotate(slot, math.cos(angle), math.sin(angle), "i")
+    direct = quaternion.hamilton(quaternion.Quaternion.from_array(slot),
+                                 quaternion.unit_exp("i", angle)).as_array()
+    print(f"slot 0 of step 1 spun by kernel vs Hamilton product: "
+          f"max gap {np.abs(spun - direct).max():.3e}")
+
+    k = num.matmul(y, params.w_k)
+    logits = qra.rotary_logits(Tensor(q), Tensor(k), params.kernels(), periods).data
+    print(f"\nrotary logits (queries x keys):\n{np.round(logits, 3)}")
 
     out = qra.qra_attention(x, y, params)
     print(f"\nattention output shape {out.shape}, first row:\n{np.round(out[0], 4)}")

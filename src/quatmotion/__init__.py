@@ -12,7 +12,6 @@ suites (verification) behind the `quatmotion` command line.
 from .errors import QuatMotionError
 from .quaternion import (
     Quaternion,
-    QuaternionSeries,
     hamilton,
     q_add,
     q_conj,
@@ -24,15 +23,7 @@ from .quaternion import (
     unit_exp,
 )
 from .spe import RotarySchedule, rope_logits, rope_rotate, theta_schedule
-from .qra import (
-    FreqPhase,
-    QRAParams,
-    gen_freq_phase,
-    multi_head_qra,
-    qra_attention,
-    rotary_similarity,
-    series_rotate,
-)
+from .qra import QRAParams, qra_attention, rotary_logits
 from .model import ModelConfig, autoregressive_generate, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 from .features import StreamMeta, load_stream, save_stream, synth_pair
@@ -42,12 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuatMotionError",
-    "Quaternion", "QuaternionSeries", "hamilton", "q_add", "q_conj",
+    "Quaternion", "hamilton", "q_add", "q_conj",
     "q_norm", "q_scale", "quat_to_rotmat", "quaternionize", "rotmat_to_quat",
     "unit_exp",
     "RotarySchedule", "rope_logits", "rope_rotate", "theta_schedule",
-    "FreqPhase", "QRAParams", "gen_freq_phase", "multi_head_qra",
-    "qra_attention", "rotary_similarity", "series_rotate",
+    "QRAParams", "qra_attention", "rotary_logits",
     "ModelConfig", "autoregressive_generate", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "train",
     "StreamMeta", "load_stream", "save_stream", "synth_pair",

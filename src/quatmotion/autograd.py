@@ -10,9 +10,10 @@ builds no tape.
 The op set is exactly what the attention stack needs: broadcast
 arithmetic, (batched) matmul, reshape / transpose / slice / concat, relu,
 the bounded-phase tanh, row softmax, 1-d convolution over time, layer
-normalisation, rotary pair rotation with constant angle tables, right
-Hamilton multiplication by a unit axis exponential with learnable angles,
-and the similarity of query slots with keys spun that way.
+normalisation, rotary pair rotation with constant angle tables and right
+Hamilton multiplication by a unit axis exponential with learnable angles
+(both one call of quaternion.slot_rotate, the only rotation kernel), and
+the similarity of query slots with keys spun that way.
 
 objective() gives a tape-built loss the two forms numerics.grad_check
 evaluates: one tracked value and gradient, and untracked loss probes.
@@ -454,24 +455,19 @@ def rope_apply(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate interleaved feature pairs by constant per-position angles.
 
     x: (..., T, d) with even d; cos, sin: (T, d/2) angle tables. The tables
-    are positional constants, so no gradient flows into them.
+    are positional constants, so no gradient flows into them. The pairs go
+    through quaternion.slot_rotate's plane turn; the map is orthogonal, so
+    its VJP is the same call with -sin.
     """
     x = _wrap(x)
     cos = np.asarray(cos, dtype=np.float64)
     sin = np.asarray(sin, dtype=np.float64)
-    x0 = x.data[..., 0::2]
-    x1 = x.data[..., 1::2]
-    out = np.empty_like(x.data)
-    out[..., 0::2] = x0 * cos - x1 * sin
-    out[..., 1::2] = x0 * sin + x1 * cos
+    shape = x.data.shape
+    pairs = shape[:-1] + (shape[-1] // 2, 2)
+    out = quaternion.slot_rotate(x.data.reshape(pairs), cos, sin, "plane").reshape(shape)
 
     def vjp(g):
-        g0 = g[..., 0::2]
-        g1 = g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = g0 * cos + g1 * sin
-        gx[..., 1::2] = -g0 * sin + g1 * cos
-        return (gx,)
+        return (quaternion.slot_rotate(g.reshape(pairs), cos, -sin, "plane").reshape(shape),)
 
     return Tensor(out, _parents=(x,), _vjp=vjp)
 
@@ -483,7 +479,8 @@ def quat_rotate(x, angles, axis: str) -> Tensor:
     angle shared by all S slots of a row. A size-1 row axis of x against a
     full angle axis rotates the same slots once per angle, which is how
     the decoder rotates by every period in one call. The map is
-    orthogonal in x, so its transpose is the rotation by -angle.
+    quaternion.slot_rotate, orthogonal in x, so its transpose is the same
+    call with -sin.
     """
     x, angles = _wrap(x), _wrap(angles)
     try:

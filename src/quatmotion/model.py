@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autograd as ag
+from . import qra
 from .autograd import Tensor
 from .errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                      HeadDimNotQuaternion, MalformedFile, QuatMotionError)
@@ -36,8 +37,6 @@ from .spe import RotarySchedule, angle_tables
 CHECKPOINT_FORMAT = "qean-ckpt-v2"
 # tensor payloads: row-major float64 bytes, little-endian on every host
 _TENSOR_DTYPE = np.dtype("<f8")
-
-TWO_PI = 2.0 * math.pi
 
 # width of QRA's frequency/phase convolutions over time
 QRA_KERNEL_WIDTH = 3
@@ -64,6 +63,19 @@ class ModelConfig:
     rotary_base: float = 10000.0
 
     def __post_init__(self):
+        # field types are checked first, so a checkpoint's config cannot
+        # smuggle in a float count, a truthy int or a NaN rotary base
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool":
+                ok = isinstance(value, bool)
+            else:
+                allowed = int if f.type == "int" else (int, float)
+                ok = isinstance(value, allowed) and not isinstance(value, bool)
+            if not ok:
+                raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+        if not (math.isfinite(self.rotary_base) and self.rotary_base > 0):
+            raise ValueError(f"rotary_base must be finite and > 0, got {self.rotary_base!r}")
         if self.d_model < 1 or self.heads < 1 or self.d_model % self.heads != 0:
             raise DimensionMismatch(
                 f"d_model {self.d_model} must be a positive multiple of heads {self.heads}")
@@ -235,63 +247,28 @@ def _encode(h: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor
     return h
 
 
-def _freq_phase(z: Tensor, prefix: str, side: str, weights: dict, periods: int,
-                drop: int = 0):
-    """Latent frequencies relu(conv) and phases pi*tanh(conv) of one side.
-
-    The omega and theta kernels are concatenated on the tape, so a single
-    convolution yields both as its first and last `periods` outputs. The
-    first `drop` rows of the convolution are cut before the activations.
-    """
-    kern = ag.concat([weights[f"{prefix}.omega_{side}.w"],
-                      weights[f"{prefix}.theta_{side}.w"]], axis=1)
-    bias = ag.concat([weights[f"{prefix}.omega_{side}.b"],
-                      weights[f"{prefix}.theta_{side}.b"]], axis=1)
-    both = ag.conv1d(z, kern, bias)
-    if drop:
-        both = both[..., drop:, :]
-    return ag.relu(both[..., :periods]), ag.pi_tanh(both[..., periods:])
-
-
 def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
                      weights: dict, config: ModelConfig,
                      keep: int | None = None, window: int | None = None) -> Tensor:
     """Decoder attention of query rows m_norm over the memory rows.
 
     m_norm holds the last rows of a `window`-row query window (by default
-    all of it), and only its last `keep` rows (by default all) come out.
-    The rows before them are a halo that QRA's query convolution reads;
-    query positions stay absolute within the window.
+    all of it), and only its last `keep` rows (by default all) come out;
+    qra.rotary_logits describes the halo rows before them.
     """
-    heads, dh, periods = config.heads, config.d_head, config.periods
-    rows = m_norm.shape[1]
-    keep = rows if keep is None else keep
-    window = rows if window is None else window
-    drop = rows - keep
-    q_all = _heads_split(ag.matmul(m_norm, weights[prefix + ".wq"]), heads)
-    # the halo rows only feed the query convolution
-    q = q_all[:, :, drop:, :] if drop else q_all
+    heads, dh = config.heads, config.d_head
+    q = _heads_split(ag.matmul(m_norm, weights[prefix + ".wq"]), heads)
     k = _heads_split(ag.matmul(memory, weights[prefix + ".wk"]), heads)
     v = _heads_split(ag.matmul(memory, weights[prefix + ".wv"]), heads)
-    b = q.shape[0]
-    m = k.shape[2]
 
     if config.use_qra:
-        omega_q, theta_q = _freq_phase(q_all, prefix, "q", weights, periods, drop)
-        omega_k, theta_k = _freq_phase(k, prefix, "k", weights, periods)
-        pos_q = TWO_PI * np.arange(window - keep, window, dtype=np.float64)[:, None] / window
-        pos_k = TWO_PI * np.arange(m, dtype=np.float64)[:, None] / m
-        ang_q = omega_q * Tensor(pos_q) + theta_q    # (b, heads, keep, periods)
-        ang_k = omega_k * Tensor(pos_k) + theta_k
+        kernels = {name: weights[f"{prefix}.{name}"] for name in qra.KERNEL_NAMES}
         key_axis = "i" if config.qra_keys_use_axis_i else "j"
-        # a size-1 period axis on the slots: one rotation per period angle
-        q_slots = ag.reshape(q, (b, heads, keep, 1, dh // 4, 4))
-        phi = ag.quat_rotate(q_slots, ang_q, "i")    # (b, heads, keep, periods, dh/4, 4)
-        # the keys' spins fold into the scores, so the keys stay unspun
-        k_slots = ag.reshape(k, (b, heads, m, dh // 4, 4))
-        total = ag.rotated_scores(phi, k_slots, ang_k, key_axis)
-        logits = ag.mul(total, 1.0 / (periods * math.sqrt(dh)))
+        logits = qra.rotary_logits(q, k, kernels, config.periods, key_axis, keep, window)
     else:
+        drop = 0 if keep is None else q.shape[2] - keep
+        if drop:
+            q = q[:, :, drop:, :]
         logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
 
     mixed = _heads_merge(ag.matmul(ag.softmax_rows(logits), v))
@@ -359,14 +336,6 @@ def encode(hidden, which: str, weights: dict, config: ModelConfig) -> np.ndarray
     """Self-attention encoder stack over one embedded sequence."""
     hidden = np.asarray(hidden, dtype=np.float64)
     return _encode(Tensor(hidden[None]), which, _untracked(weights), config).data[0]
-
-
-def cross_modal_decode(h_motion, h_audio, weights: dict, config: ModelConfig) -> np.ndarray:
-    """Decode N future frames from encoded motion and audio sequences."""
-    h_motion = np.asarray(h_motion, dtype=np.float64)
-    h_audio = np.asarray(h_audio, dtype=np.float64)
-    return _decode(Tensor(h_motion[None]), Tensor(h_audio[None]),
-                   _untracked(weights), config).data[0]
 
 
 def predict_future(weights: dict, config: ModelConfig, seed_motion, audio_window) -> np.ndarray:

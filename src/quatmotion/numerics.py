@@ -180,9 +180,6 @@ class GradReport:
     def passed(self) -> bool:
         return all(e <= self.tol for e in self.errors)
 
-    def per_param_pass(self) -> list[bool]:
-        return [e <= self.tol for e in self.errors]
-
 
 class Objective(NamedTuple):
     """A scalar loss in the two forms grad_check evaluates.

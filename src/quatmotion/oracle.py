@@ -1,0 +1,219 @@
+"""Independent references for the `verify` suites, unit tests and criteria.
+
+reference_qra is quaternion rotary attention in plain Python floats and
+index loops (its own Hamilton product, padded convolution and softmax);
+canonical_forward is the model with canonical cross-attention in plain
+numpy, with einsum heads and rotary pairs read as complex numbers. The
+module imports only math and numpy, never the package, so agreement with
+it pins the package to a separate derivation rather than to itself.
+"""
+
+import math
+
+import numpy as np
+
+
+# ------------------------------------------------ quaternion rotary attention
+
+def hamilton4(a, b):
+    """Product of two quaternions given as 4-tuples (e, f, g, h)."""
+    ae, af, ag, ah = a
+    be, bf, bg, bh = b
+    return (
+        ae * be - af * bf - ag * bg - ah * bh,
+        ae * bf + af * be + ag * bh - ah * bg,
+        ae * bg - af * bh + ag * be + ah * bf,
+        ae * bh + af * bg - ag * bf + ah * be,
+    )
+
+
+def axis_unit(axis, angle):
+    """cos(angle) + sin(angle) on imaginary axis 'i', 'j' or 'k'."""
+    c, s = math.cos(angle), math.sin(angle)
+    return {"i": (c, s, 0.0, 0.0), "j": (c, 0.0, s, 0.0), "k": (c, 0.0, 0.0, s)}[axis]
+
+
+def project_rows(rows, w):
+    return [[sum(row[i] * w[i][o] for i in range(len(w))) for o in range(len(w[0]))]
+            for row in rows]
+
+
+def conv_same(rows, weights, bias):
+    """Zero-padded same-length 1-D convolution; weights[o][c][u]."""
+    steps, chans = len(rows), len(rows[0])
+    width = len(weights[0][0])
+    half = width // 2
+    out = []
+    for t in range(steps):
+        vals = []
+        for o in range(len(weights)):
+            acc = bias[o]
+            for u in range(width):
+                src = t + u - half
+                if 0 <= src < steps:
+                    for c in range(chans):
+                        acc += weights[o][c][u] * rows[src][c]
+            vals.append(acc)
+        out.append(vals)
+    return out
+
+
+def softmax_row(vals):
+    peak = max(vals)
+    exps = [math.exp(v - peak) for v in vals]
+    total = sum(exps)
+    return [e / total for e in exps]
+
+
+def rotate_series(rows, omega, theta, axis, periods):
+    """Per period: every 4-slot of row n right-multiplied by the unit
+    exponential at angle 2*pi*omega[n][p]*(n/N) + theta[n][p]."""
+    steps = len(rows)
+    series = []
+    for p in range(periods):
+        rotated = []
+        for n in range(steps):
+            unit = axis_unit(axis, 2.0 * math.pi * omega[n][p] * (float(n) / steps)
+                             + theta[n][p])
+            rotated.append([hamilton4(tuple(rows[n][4 * s:4 * s + 4]), unit)
+                            for s in range(len(rows[n]) // 4)])
+        series.append(rotated)
+    return series
+
+
+def similarity(phi, psi, d_attn, periods):
+    """Sum over periods and slots of Re[phi (x) conj(psi)], / (P sqrt(d))."""
+    scale = 1.0 / (periods * math.sqrt(d_attn))
+    sims = []
+    for n in range(len(phi[0])):
+        row = []
+        for m in range(len(psi[0])):
+            acc = 0.0
+            for p in range(periods):
+                for a, b in zip(phi[p][n], psi[p][m]):
+                    acc += hamilton4(a, (b[0], -b[1], -b[2], -b[3]))[0]
+            row.append(acc * scale)
+        sims.append(row)
+    return sims
+
+
+def _listify(a):
+    try:
+        return [_listify(v) for v in a]
+    except TypeError:
+        return float(a)
+
+
+def reference_qra(x, y, w_q, w_k, w_v, kernels, periods, key_axis="j"):
+    """Full pipeline: project, generate freq/phase, rotate, score, mix.
+
+    kernels maps "omega_q", "theta_q", "omega_k" and "theta_k" to (weights
+    (P, d_attn, width), bias (P,)) pairs. Returns the (N, d_attn) rows.
+    """
+    x, y = _listify(x), _listify(y)
+    q_rows = project_rows(x, _listify(w_q))
+    k_rows = project_rows(y, _listify(w_k))
+    v_rows = project_rows(y, _listify(w_v))
+
+    def conv(rows, name):
+        weights, bias = kernels[name]
+        return conv_same(rows, _listify(weights), _listify(bias))
+
+    def spun(rows, side, axis):
+        omega = [[max(0.0, v) for v in row] for row in conv(rows, "omega_" + side)]
+        theta = [[math.pi * math.tanh(v) for v in row] for row in conv(rows, "theta_" + side)]
+        return rotate_series(rows, omega, theta, axis, periods)
+
+    sims = similarity(spun(q_rows, "q", "i"), spun(k_rows, "k", key_axis),
+                      len(q_rows[0]), periods)
+    out = []
+    for n in range(len(q_rows)):
+        weights = softmax_row(sims[n])
+        out.append([sum(weights[m] * v_rows[m][c] for m in range(len(k_rows)))
+                    for c in range(len(q_rows[0]))])
+    return np.array(out)
+
+
+def reference_from_params(x, y, params, key_axis="j"):
+    """Unpack a QRAParams-shaped object without importing its class."""
+    kernels = {name: (getattr(params, name).weights, getattr(params, name).bias)
+               for name in ("omega_q", "theta_q", "omega_k", "theta_k")}
+    return reference_qra(x, y, params.w_q, params.w_k, params.w_v, kernels,
+                         params.periods, key_axis=key_axis)
+
+
+# ------------------------------------------------------ canonical transformer
+
+def _layer_norm(x, gamma, beta, eps=1e-5):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps) * gamma + beta
+
+
+def _rope(x, base):
+    # x: (T, H, dh); pairs as complex numbers spun by pos * base**(-2i/dh)
+    steps, _, dh = x.shape
+    freqs = base ** (-2.0 * np.arange(dh // 2) / dh)
+    z = (x[..., 0::2] + 1j * x[..., 1::2]) * np.exp(
+        1j * np.arange(steps)[:, None, None] * freqs[None, None, :])
+    out = np.empty_like(x)
+    out[..., 0::2] = z.real
+    out[..., 1::2] = z.imag
+    return out
+
+
+def _softmax(a):
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention(x_q, x_kv, w, prefix, heads, rope_base=None):
+    steps, d = x_q.shape
+    q = (x_q @ w[prefix + ".wq"]).reshape(steps, heads, d // heads)
+    k = (x_kv @ w[prefix + ".wk"]).reshape(x_kv.shape[0], heads, d // heads)
+    v = (x_kv @ w[prefix + ".wv"]).reshape(x_kv.shape[0], heads, d // heads)
+    if rope_base is not None:
+        q, k = _rope(q, rope_base), _rope(k, rope_base)
+    logits = np.einsum("thd,shd->hts", q, k) / math.sqrt(d // heads)
+    mix = np.einsum("hts,shd->thd", _softmax(logits), v)
+    return mix.reshape(steps, d) @ w[prefix + ".wo"]
+
+
+def canonical_forward(weights, config, motion, audio):
+    """Predicted (N, motion dims) frames of one sequence, use_qra=False only.
+
+    weights maps names to objects holding a `.data` array (the model's
+    tensors); config is read by attribute.
+    """
+    assert not config.use_qra
+    w = {name: t.data for name, t in weights.items()}
+    rope = config.rotary_base if config.use_spe else None
+
+    def norm(x, name):
+        return _layer_norm(x, w[name + ".gamma"], w[name + ".beta"])
+
+    def ff(x, prefix):
+        h = np.maximum(x @ w[prefix + ".fc1.w"] + w[prefix + ".fc1.b"], 0.0)
+        return h @ w[prefix + ".fc2.w"] + w[prefix + ".fc2.b"]
+
+    streams = {}
+    for name, x in (("motion", motion), ("audio", audio)):
+        h = x @ w[f"embed.{name}.w"] + w[f"embed.{name}.b"]
+        if config.use_learned_abs_pos:
+            h = h + w[f"pos.{name}"][:h.shape[0]]
+        for layer in range(config.encoder_layers):
+            p = f"enc.{name}.{layer}"
+            hn = norm(h, p + ".ln1")
+            h = h + _attention(hn, hn, w, p + ".attn", config.heads, rope_base=rope)
+            h = h + ff(norm(h, p + ".ln2"), p + ".ff")
+        if config.encoder_layers > 0:
+            h = norm(h, f"enc.{name}.norm")
+        streams[name] = h
+    memory = np.vstack([streams["motion"], streams["audio"]])
+    state = streams["motion"]
+    for layer in range(config.decoder_layers):
+        p = f"dec.{layer}"
+        state = state + _attention(norm(state, p + ".ln1"), memory, w, p + ".attn",
+                                   config.heads)
+        state = state + ff(norm(state, p + ".ln2"), p + ".ff")
+    flat = state[-1] @ w["out.w"] + w["out.b"]
+    return flat.reshape(config.future_frames, -1)

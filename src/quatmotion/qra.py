@@ -1,57 +1,40 @@
-"""Quaternion rotary attention over plain arrays.
+"""Quaternion rotary attention (QRA).
 
 Rows of projected queries and keys are grouped into quaternion slots and
-right-multiplied by unit axis exponentials whose angles are learned
-per-step, per-period latent frequencies and phases (1D convolutions with
-relu / pi*tanh activations). Similarity between two rotated rows is the
-mean over periods of the summed real parts of slotwise Hamilton products
-with the conjugated key, scaled by 1/(P*sqrt(d)). With one period and
-zero angles this is exactly canonical scaled dot-product attention.
+right-multiplied by unit axis exponentials: in period p, row n of N turns
+by 2*pi*omega[n, p]*n/N + theta[n, p], where the latent frequencies omega
+and phases theta are 1-d convolutions of the rows with relu and pi*tanh
+activations. The logit of a query row and a key row is the sum over
+periods and slots of the real parts of the Hamilton products of the spun
+query slots with the conjugated spun key slots, scaled by 1/(P*sqrt(d)).
+With one period and zero angles this is exactly canonical scaled
+dot-product attention.
 
-This module is the reference array path used by verification and tests;
-the trainable batched path lives in the model module and is checked
-against this one.
+rotary_logits is the one implementation, on the autodiff tape: the
+model's decoder calls it with all heads at once, and qra_attention runs
+it on untracked single-head tensors. quatmotion.oracle re-derives the
+whole pipeline in scalar loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autograd as ag
 from . import numerics
+from .autograd import Tensor
 from .errors import DimensionMismatch, HeadDimNotQuaternion
 from .numerics import ConvKernel
-from .quaternion import QuaternionSeries, quaternionize_rows, right_multiply_unit
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
-
-@dataclass
-class FreqPhase:
-    """Per-step, per-period rotation parameters.
-
-    omega is nonnegative (relu) and theta lies in (-pi, pi) (pi*tanh),
-    both of shape (steps, periods).
-    """
-
-    omega: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        self.omega = np.asarray(self.omega, dtype=np.float64)
-        self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.omega.ndim != 2 or self.omega.shape != self.theta.shape:
-            raise DimensionMismatch(
-                f"omega shape {self.omega.shape} and theta shape {self.theta.shape} must match")
-
-    @property
-    def steps(self) -> int:
-        return self.omega.shape[0]
-
-    @property
-    def periods(self) -> int:
-        return self.omega.shape[1]
+# the frequency/phase kernels rotary_logits reads: weights (..., P, d, W)
+# and biases (..., P) of the omega and theta convolutions of either side
+KERNEL_NAMES = ("omega_q.w", "omega_q.b", "theta_q.w", "theta_q.b",
+                "omega_k.w", "omega_k.b", "theta_k.w", "theta_k.b")
 
 
 @dataclass
@@ -102,93 +85,74 @@ class QRAParams:
             w_v=rng.standard_normal((d_model, d_attn)) / np.sqrt(d_model),
             omega_q=kern(), theta_q=kern(), omega_k=kern(), theta_k=kern())
 
-
-def position_vector(length: int) -> np.ndarray:
-    """Normalized positions [0, 1, ..., L-1] / L, all in [0, 1)."""
-    if length < 1:
-        raise DimensionMismatch(f"position vector needs length >= 1, got {length}")
-    return np.arange(length, dtype=np.float64) / float(length)
-
-
-def gen_freq_phase(z, omega_kernel: ConvKernel, theta_kernel: ConvKernel) -> FreqPhase:
-    """Latent frequencies and phases of each step: relu / pi*tanh of conv1d."""
-    z = numerics.as_matrix(z)
-    omega = numerics.relu(numerics.conv1d(z, omega_kernel))
-    theta = numerics.pi_tanh(numerics.conv1d(z, theta_kernel))
-    return FreqPhase(omega=omega, theta=theta)
+    def kernels(self) -> dict:
+        """The kernel arrays, under the names rotary_logits reads."""
+        out = {}
+        for name in ("omega_q", "theta_q", "omega_k", "theta_k"):
+            out[name + ".w"] = getattr(self, name).weights
+            out[name + ".b"] = getattr(self, name).bias
+        return out
 
 
-def rotation_angles(fp: FreqPhase, pos) -> np.ndarray:
-    """Total rotation angle 2*pi*omega[n,p]*pos[n] + theta[n,p], shape (steps, P)."""
-    pos = np.asarray(pos, dtype=np.float64).reshape(-1)
-    if pos.size != fp.steps:
-        raise DimensionMismatch(f"expected {fp.steps} positions, got {pos.size}")
-    return TWO_PI * fp.omega * pos[:, None] + fp.theta
+def _freq_phase(z: Tensor, kernels: dict, side: str, periods: int, drop: int = 0):
+    """Latent frequencies relu(conv) and phases pi*tanh(conv) of one side.
 
-
-def series_rotate(z, fp: FreqPhase, pos, axis: str) -> list:
-    """Rotate the quaternionized rows of z once per period.
-
-    Returns P QuaternionSeries; slot s of step n in series p is the slot
-    right-multiplied by unit_exp(axis, 2*pi*omega[n,p]*pos[n] + theta[n,p]).
+    The omega and theta kernels are concatenated on the tape, so a single
+    convolution yields both as its first and last `periods` outputs. The
+    first `drop` rows of the convolution are cut before the activations.
     """
-    z = numerics.as_matrix(z)
-    if z.shape[0] != fp.steps:
-        raise DimensionMismatch(f"z has {z.shape[0]} steps but freq/phase has {fp.steps}")
-    slots = quaternionize_rows(z)
-    angles = rotation_angles(fp, pos)
-    out = []
-    for p in range(fp.periods):
-        out.append(QuaternionSeries(right_multiply_unit(slots, angles[:, p], axis)))
-    return out
+    kern = ag.concat([kernels[f"omega_{side}.w"], kernels[f"theta_{side}.w"]], axis=-3)
+    bias = ag.concat([kernels[f"omega_{side}.b"], kernels[f"theta_{side}.b"]], axis=-1)
+    both = ag.conv1d(z, kern, bias)
+    if drop:
+        both = both[..., drop:, :]
+    return ag.relu(both[..., :periods]), ag.pi_tanh(both[..., periods:])
 
 
-def rotary_similarity(phi: list, psi: list, d_attn: int) -> np.ndarray:
-    """Mean rotated quaternion dot product, scaled by 1/(P*sqrt(d_attn)).
+def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, periods: int,
+                  key_axis: str = "j", keep: int | None = None,
+                  window: int | None = None) -> Tensor:
+    """QRA logits (..., keep, M) of query rows over key rows, on the tape.
 
-    Entry (n, m) sums Re[hamilton(phi_p[n, s], q_conj(psi_p[m, s]))] over
-    periods p and slots s; the real part of q (x) conj(r) is the 4-vector
-    dot product q.r, so each period contributes a flattened inner product.
+    q_all: (..., R, d) query rows, k: (..., M, d) key rows, with d
+    divisible by 4; kernels maps KERNEL_NAMES to tensors whose leading
+    axes broadcast against the rows' (one kernel per head). q_all holds
+    the last rows of a `window`-row query window (by default all of it),
+    and only its last `keep` rows (by default all) get logits. The rows
+    before them are a halo that the query convolution reads; query
+    positions stay absolute within the window. Queries spin about axis i,
+    keys about key_axis.
     """
-    if len(phi) != len(psi) or not phi:
-        raise DimensionMismatch(f"period counts differ: {len(phi)} vs {len(psi)}")
-    periods = len(phi)
-    total = None
-    for a, b in zip(phi, psi):
-        if a.slots_per_step != b.slots_per_step:
-            raise DimensionMismatch("slot counts differ between query and key series")
-        term = np.einsum("nsc,msc->nm", a.values, b.values)
-        total = term if total is None else total + term
-    return total / (periods * np.sqrt(d_attn))
+    rows, dh = q_all.shape[-2:]
+    keep = rows if keep is None else keep
+    window = rows if window is None else window
+    drop = rows - keep
+    # the halo rows only feed the query convolution
+    q = q_all[..., drop:, :] if drop else q_all
+    m = k.shape[-2]
+    omega_q, theta_q = _freq_phase(q_all, kernels, "q", periods, drop)
+    omega_k, theta_k = _freq_phase(k, kernels, "k", periods)
+    pos_q = TWO_PI * np.arange(window - keep, window, dtype=np.float64)[:, None] / window
+    pos_k = TWO_PI * np.arange(m, dtype=np.float64)[:, None] / m
+    ang_q = omega_q * Tensor(pos_q) + theta_q    # (..., keep, periods)
+    ang_k = omega_k * Tensor(pos_k) + theta_k
+    # a size-1 period axis on the slots: one rotation per period angle
+    q_slots = ag.reshape(q, q.shape[:-1] + (1, dh // 4, 4))
+    phi = ag.quat_rotate(q_slots, ang_q, "i")    # (..., keep, periods, d/4, 4)
+    # the keys' spins fold into the scores, so the keys stay unspun
+    k_slots = ag.reshape(k, k.shape[:-1] + (dh // 4, 4))
+    total = ag.rotated_scores(phi, k_slots, ang_k, key_axis)
+    return ag.mul(total, 1.0 / (periods * math.sqrt(dh)))
 
 
 def qra_attention(x, y, params: QRAParams, key_axis: str = "j") -> np.ndarray:
     """Single-head quaternion rotary attention from x (N rows) onto y (M rows).
 
     Queries rotate about axis i, keys about key_axis (j unless the
-    same-axis variant is requested).
+    same-axis variant is requested). Runs rotary_logits off the tape.
     """
-    x = numerics.as_matrix(x)
-    y = numerics.as_matrix(y)
     q = numerics.matmul(x, params.w_q)
     k = numerics.matmul(y, params.w_k)
     v = numerics.matmul(y, params.w_v)
-    fp_q = gen_freq_phase(q, params.omega_q, params.theta_q)
-    fp_k = gen_freq_phase(k, params.omega_k, params.theta_k)
-    phi = series_rotate(q, fp_q, position_vector(q.shape[0]), "i")
-    psi = series_rotate(k, fp_k, position_vector(k.shape[0]), key_axis)
-    s = numerics.softmax_rows(rotary_similarity(phi, psi, params.d_attn))
-    return numerics.matmul(s, v)
-
-
-def multi_head_qra(x, y, head_params: list, w_o, key_axis: str = "j") -> np.ndarray:
-    """Concatenate per-head qra_attention outputs and project by w_o."""
-    x = numerics.as_matrix(x)
-    y = numerics.as_matrix(y)
-    if not head_params:
-        raise DimensionMismatch("need at least one head")
-    for p in head_params:
-        if p.d_attn % 4 != 0:
-            raise HeadDimNotQuaternion(f"head dim {p.d_attn} is not divisible by 4")
-    heads = [qra_attention(x, y, p, key_axis=key_axis) for p in head_params]
-    return numerics.matmul(np.concatenate(heads, axis=1), w_o)
+    logits = rotary_logits(Tensor(q), Tensor(k), params.kernels(), params.periods, key_axis)
+    return numerics.matmul(numerics.softmax_rows(logits.data), v)

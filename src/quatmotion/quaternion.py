@@ -2,9 +2,10 @@
 
 Quaternions are rank-4 hypercomplex numbers q = e + f*i + g*j + h*k with
 the non-commutative Hamilton product. This module provides the scalar
-algebra, unit-axis exponentials used for series rotation, the grouping of
-real vectors into quaternion slots, and conversions to and from rotation
-matrices for the 219-dim motion layout.
+algebra, unit-axis exponentials, the grouping of real vectors into
+quaternion slots, the one slot rotation kernel that QRA and RoPE share,
+and conversions to and from rotation matrices for the 219-dim motion
+layout.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InsufficientDims, NotRotation, NotUnit
+from .errors import InsufficientDims, NotRotation, NotUnit
 
 _AXES = ("i", "j", "k")
 
@@ -95,93 +96,55 @@ def quaternionize(v) -> list[Quaternion]:
     return [Quaternion(*row) for row in blocks]
 
 
-def quaternionize_rows(z: np.ndarray) -> np.ndarray:
-    """Array form: (steps, d) -> (steps, d//4, 4) with d divisible by 4."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] % 4 != 0:
-        raise DimensionMismatch(f"rows of shape {z.shape} cannot be grouped into quaternions")
-    return z.reshape(z.shape[0], z.shape[1] // 4, 4)
-
-
-@dataclass
-class QuaternionSeries:
-    """Per-timestep quaternion slots, stored as an array of shape (steps, slots, 4)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 3 or self.values.shape[2] != 4:
-            raise DimensionMismatch("QuaternionSeries values must have shape (steps, slots, 4)")
-
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def slots_per_step(self) -> int:
-        return self.values.shape[1]
-
-    def quat(self, step: int, slot: int) -> Quaternion:
-        return Quaternion.from_array(self.values[step, slot])
-
-
-# Right-multiplying a slot (e,f,g,h) by a unit axis quaternion permutes
-# its components and flips two signs: component c of the product is
-# sign * x[source], e.g. (e,f,g,h) * i = (-f, e, h, -g).
-_QUARTER_TURNS = {
+# Turning a slot by a quarter turn permutes its components and flips
+# signs: component c of the turned slot is sign * x[source]. For a
+# quaternion slot (e,f,g,h) the turn about an axis is its right Hamilton
+# product with that unit, e.g. (e,f,g,h) * i = (-f, e, h, -g); the 2-wide
+# "plane" turn (x0, x1) -> (-x1, x0) is the same step for rotary pairs.
+_TURNS = {
     "i": ((1, -1.0), (0, 1.0), (3, 1.0), (2, -1.0)),
     "j": ((2, -1.0), (3, -1.0), (0, 1.0), (1, 1.0)),
     "k": ((3, -1.0), (2, 1.0), (1, -1.0), (0, 1.0)),
+    "plane": ((1, -1.0), (0, 1.0)),
 }
 
 
+def _turn_table(axis: str):
+    if axis not in _TURNS:
+        raise ValueError(f"axis must be one of {tuple(_TURNS)}, got {axis!r}")
+    return _TURNS[axis]
+
+
 def quarter_turn(x: np.ndarray, axis: str) -> np.ndarray:
-    """Right Hamilton product of slots x (..., 4) with the unit axis itself."""
-    if axis not in _QUARTER_TURNS:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+    """Slots x (..., W) turned a quarter: x * axis for quaternion slots."""
     out = np.empty(x.shape)
-    # four strided slice copies; a fancy index over a length-4 axis is
+    # strided slice copies; a fancy index over a short last axis is
     # several times slower and leaves the result in a scattered layout
-    for c, (source, sign) in enumerate(_QUARTER_TURNS[axis]):
+    for c, (source, sign) in enumerate(_turn_table(axis)):
         np.multiply(x[..., source], sign, out=out[..., c])
     return out
 
 
 def slot_rotate(x: np.ndarray, co, si, axis: str) -> np.ndarray:
-    """Right Hamilton product of slots x (..., 4) with co + si*axis.
+    """Rotate slots x (..., W) by the angle whose cosine and sine are co, si.
 
-    co and si broadcast against x[..., 0], and so may add leading axes.
-    Expanding hamilton(q, unit_exp(axis, angle)) gives co * x + si *
-    (x * axis), written here into one preallocated output. Keeping it in
-    one place lets the autodiff layer and the plain-array layer share a
-    single derivation.
+    The one rotation kernel: co * x + si * quarter_turn(x, axis). For a
+    quaternion axis ('i', 'j', 'k'; W = 4) this is the right Hamilton
+    product with co + si*axis, as QRA spins its slots; for 'plane' (W = 2)
+    it spins rotary pairs (x0, x1) as RoPE does. co and si broadcast
+    against x[..., 0], and so may add leading axes. Each turned component
+    is added with its sign folded into si, so no turned copy of x is made;
+    the sums are bit-identical to the written-out pair and Hamilton forms.
     """
-    co = np.asarray(co)[..., None]
-    si = np.asarray(si)[..., None]
-    out = np.empty(np.broadcast_shapes(x.shape, co.shape, si.shape))
-    np.multiply(x, co, out=out)
-    out += quarter_turn(x, axis) * si
+    table = _turn_table(axis)
+    co = np.asarray(co)
+    si = np.asarray(si)
+    out = np.multiply(x, co[..., None])
+    signed = {1.0: si, -1.0: -si}
+    for c, (source, sign) in enumerate(table):
+        col = out[..., c]
+        col += x[..., source] * signed[sign]
     return out
-
-
-def right_multiply_unit(x: np.ndarray, angles, axis: str) -> np.ndarray:
-    """Rotate quaternion slots x (..., S, 4) by unit_exp(axis, angles).
-
-    angles has shape x.shape[:-2] (every slot of a row shares its angle)
-    or x.shape[:-1] (one angle per slot).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.shape == x.shape[:-1]:
-        co, si = np.cos(angles), np.sin(angles)
-    elif angles.shape == x.shape[:-2]:
-        co, si = np.cos(angles)[..., None], np.sin(angles)[..., None]
-    else:
-        raise DimensionMismatch(
-            f"angles shape {angles.shape} matches neither rows {x.shape[:-2]} "
-            f"nor slots {x.shape[:-1]}")
-    return slot_rotate(x, co, si, axis)
 
 
 def quat_to_rotmat(q: Quaternion) -> np.ndarray:

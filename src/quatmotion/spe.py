@@ -7,9 +7,10 @@ transpose of a rotation by angle t is a rotation by s - t, so logits
 between spun queries and keys depend on positions only through their
 offset. Values are left unrotated.
 
-Two equivalent implementations exist: explicit 2x2 rotation blocks
-(rope_rotate) and complex multiplication (rope_rotate_complex). They
-agree to a few ulps and the verification suite cross-checks them.
+rope_rotate runs the pairs through the shared slot kernel
+(quaternion.slot_rotate with its 2-wide plane turn); rope_rotate_complex
+is the independent formulation by complex multiplication. They agree to
+a few ulps and the verification suite cross-checks them.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
+from .quaternion import slot_rotate
 
 DEFAULT_BASE = 10000.0
 
@@ -66,12 +68,7 @@ def rope_rotate(x, pos, sched: RotarySchedule) -> np.ndarray:
     """Spin each pair (x[2t], x[2t+1]) by pos * angles[t]; norm preserved."""
     x = _check_vector(x, sched)
     ang = float(pos) * sched.angles
-    co, si = np.cos(ang), np.sin(ang)
-    x0, x1 = x[0::2], x[1::2]
-    out = np.empty_like(x)
-    out[0::2] = x0 * co - x1 * si
-    out[1::2] = x0 * si + x1 * co
-    return out
+    return slot_rotate(x.reshape(-1, 2), np.cos(ang), np.sin(ang), "plane").reshape(-1)
 
 
 def rope_rotate_complex(x, pos, sched: RotarySchedule) -> np.ndarray:
@@ -84,21 +81,6 @@ def rope_rotate_complex(x, pos, sched: RotarySchedule) -> np.ndarray:
     return out
 
 
-def rotate_rows(x, sched: RotarySchedule, offset: float = 0.0) -> np.ndarray:
-    """Spin every row of x (steps, dim) at position row_index + offset."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != sched.dim:
-        raise DimensionMismatch(f"expected (steps, {sched.dim}), got shape {x.shape}")
-    pos = np.arange(x.shape[0], dtype=np.float64) + float(offset)
-    ang = pos[:, None] * sched.angles[None, :]
-    co, si = np.cos(ang), np.sin(ang)
-    x0, x1 = x[:, 0::2], x[:, 1::2]
-    out = np.empty_like(x)
-    out[:, 0::2] = x0 * co - x1 * si
-    out[:, 1::2] = x0 * si + x1 * co
-    return out
-
-
 def rope_logits(q, k, sched: RotarySchedule, q_offset: float = 0.0, k_offset: float = 0.0) -> np.ndarray:
     """Unscaled attention logits between spun queries and keys.
 
@@ -108,9 +90,15 @@ def rope_logits(q, k, sched: RotarySchedule, q_offset: float = 0.0, k_offset: fl
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or q.shape[1] != k.shape[1]:
-        raise DimensionMismatch(f"incompatible query/key shapes {q.shape} and {k.shape}")
-    return rotate_rows(q, sched, q_offset) @ rotate_rows(k, sched, k_offset).T
+    if q.ndim != 2 or k.ndim != 2 or not q.shape[1] == k.shape[1] == sched.dim:
+        raise DimensionMismatch(f"query/key shapes {q.shape} and {k.shape} do not both "
+                                f"have {sched.dim} columns")
+
+    def spun(rows, offset):
+        co, si = angle_tables(rows.shape[0], sched, offset)
+        return slot_rotate(rows.reshape(rows.shape[0], -1, 2), co, si, "plane").reshape(rows.shape)
+
+    return spun(q, q_offset) @ spun(k, k_offset).T
 
 
 def angle_tables(steps: int, sched: RotarySchedule, offset: float = 0.0):

@@ -6,9 +6,10 @@ resolve functions through module attributes (quaternion.hamilton, not a
 local alias), so an injected defect in a primitive is caught by the
 suite that owns the broken property.
 
-Public suites: algebra, spe, qra, grad, metrics. Three internal groups
+Public suites: algebra, spe, qra, grad, metrics. Four internal groups
 (numerics, model, training, features) run only under `all`; they cover
-the remaining module invariants. Each group's check count is itself
+the remaining module invariants. Reference computations come from
+quatmotion.oracle, which shares no code with the package. Each group's check count is itself
 asserted, keeping the enumerated checklist in the docs honest.
 """
 
@@ -23,6 +24,7 @@ from . import features as feat
 from . import metrics as met
 from . import model as mod
 from . import numerics as num
+from . import oracle
 from . import qra
 from . import quaternion as quat
 from . import spe
@@ -180,102 +182,6 @@ def spe_checks() -> list:
 
 # -------------------------------------------------------------------- qra
 
-def _reference_qra(x, y, params: qra.QRAParams, key_axis: str = "j"):
-    """Straight-line scalar re-evaluation of the attention pipeline.
-
-    Deliberately shares no array code with the package path: plain
-    Python loops, its own Hamilton product, its own convolution, its own
-    softmax.
-    """
-    def ham(a, b):
-        return (a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3],
-                a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2],
-                a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1],
-                a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0])
-
-    def project(rows, w):
-        out = []
-        for row in rows:
-            out.append([sum(row[i] * w[i][o] for i in range(len(row)))
-                        for o in range(len(w[0]))])
-        return out
-
-    def conv(rows, kernel):
-        steps, chans = len(rows), len(rows[0])
-        width = kernel.width
-        pad = width // 2
-        out = []
-        for t in range(steps):
-            vals = []
-            for o in range(kernel.out_channels):
-                acc = float(kernel.bias[o])
-                for u in range(width):
-                    src = t - pad + u
-                    if 0 <= src < steps:
-                        for c in range(chans):
-                            acc += rows[src][c] * float(kernel.weights[o][c][u])
-                vals.append(acc)
-            out.append(vals)
-        return out
-
-    def rotated(rows, omega, theta, axis):
-        steps = len(rows)
-        series = []
-        for p in range(params.periods):
-            per_step = []
-            for n in range(steps):
-                angle = 2.0 * math.pi * omega[n][p] * (n / steps) + theta[n][p]
-                unit = {"i": (math.cos(angle), math.sin(angle), 0.0, 0.0),
-                        "j": (math.cos(angle), 0.0, math.sin(angle), 0.0),
-                        "k": (math.cos(angle), 0.0, 0.0, math.sin(angle))}[axis]
-                slots = []
-                for s in range(len(rows[n]) // 4):
-                    q4 = tuple(rows[n][4 * s + c] for c in range(4))
-                    slots.append(ham(q4, unit))
-                per_step.append(slots)
-            series.append(per_step)
-        return series
-
-    x = [list(map(float, row)) for row in np.asarray(x)]
-    y = [list(map(float, row)) for row in np.asarray(y)]
-    q_rows = project(x, params.w_q.tolist())
-    k_rows = project(y, params.w_k.tolist())
-    v_rows = project(y, params.w_v.tolist())
-
-    def act_relu(rows):
-        return [[max(0.0, v) for v in row] for row in rows]
-
-    def act_pitanh(rows):
-        return [[math.pi * math.tanh(v) for v in row] for row in rows]
-
-    phi = rotated(q_rows, act_relu(conv(q_rows, params.omega_q)),
-                  act_pitanh(conv(q_rows, params.theta_q)), "i")
-    psi = rotated(k_rows, act_relu(conv(k_rows, params.omega_k)),
-                  act_pitanh(conv(k_rows, params.theta_k)), key_axis)
-
-    n_steps, m_steps = len(q_rows), len(k_rows)
-    scale = 1.0 / (params.periods * math.sqrt(params.d_attn))
-    out = []
-    for n in range(n_steps):
-        sims = []
-        for m in range(m_steps):
-            acc = 0.0
-            for p in range(params.periods):
-                for s in range(params.d_attn // 4):
-                    a = phi[p][n][s]
-                    b = psi[p][m][s]
-                    conj = (b[0], -b[1], -b[2], -b[3])
-                    acc += ham(a, conj)[0]
-            sims.append(acc * scale)
-        peak = max(sims)
-        exps = [math.exp(v - peak) for v in sims]
-        tot = sum(exps)
-        weights = [e / tot for e in exps]
-        out.append([sum(weights[m] * v_rows[m][c] for m in range(m_steps))
-                    for c in range(params.d_attn)])
-    return np.array(out)
-
-
 def _canonical_attention(x, y, params: qra.QRAParams):
     q = x @ params.w_q
     k = y @ params.w_k
@@ -284,12 +190,10 @@ def _canonical_attention(x, y, params: qra.QRAParams):
     return s @ v
 
 
-def _zeroed_kernels(rng, d_model, d_attn, periods=1):
-    p = qra.QRAParams.random(rng, d_model, d_attn, periods)
-    for kern in (p.omega_q, p.theta_q, p.omega_k, p.theta_k):
-        kern.weights[:] = 0.0
-        kern.bias[:] = 0.0
-    return p
+def _logits(x, y, p: qra.QRAParams, kernels=None, periods=None) -> np.ndarray:
+    """QRA logits of x's queries over y's keys, off the tape."""
+    return qra.rotary_logits(Tensor(x @ p.w_q), Tensor(y @ p.w_k), kernels or p.kernels(),
+                             periods or p.periods).data
 
 
 def qra_checks() -> list:
@@ -298,7 +202,7 @@ def qra_checks() -> list:
 
     worst = 0.0
     for _ in range(25):
-        p = _zeroed_kernels(rng, 6, 8)
+        p = qra.QRAParams.random(rng, 6, 8, 1, scale=0.0)    # zero kernels
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((5, 6))
         worst = max(worst, float(np.abs(qra.qra_attention(x, y, p)
@@ -309,60 +213,54 @@ def qra_checks() -> list:
     x = rng.standard_normal((4, 6))
     y = rng.standard_normal((5, 6))
     q = x @ p.w_q
-    k = y @ p.w_k
-    fp_q = qra.gen_freq_phase(q, p.omega_q, p.theta_q)
-    fp_k = qra.gen_freq_phase(k, p.omega_k, p.theta_k)
-    phi = qra.series_rotate(q, fp_q, qra.position_vector(4), "i")
-    psi = qra.series_rotate(k, fp_k, qra.position_vector(5), "j")
-    s = num.softmax_rows(qra.rotary_similarity(phi, psi, p.d_attn))
+    s = num.softmax_rows(_logits(x, y, p))
     checks.append(_check("qra/attention_rows_sum_to_one",
                          float(np.abs(s.sum(axis=1) - 1.0).max()), 1e-12))
 
-    before = np.linalg.norm(q.reshape(4, 2, 4), axis=2)
-    worst = 0.0
-    for series in phi:
-        after = np.linalg.norm(series.values, axis=2)
-        worst = max(worst, float(np.abs(after - before).max()))
-    checks.append(_check("qra/rotation_isometry", worst, 1e-12))
+    # QRA's query rotation: each row's slots spun once per period angle
+    angles = np.linspace(-9.0, 9.0, 8).reshape(4, 2)
+    phi = ag.quat_rotate(Tensor(q.reshape(4, 1, 2, 4)), Tensor(angles), "i").data
+    before = np.linalg.norm(q.reshape(4, 1, 2, 4), axis=-1)
+    checks.append(_check("qra/rotation_isometry",
+                         float(np.abs(np.linalg.norm(phi, axis=-1) - before).max()), 1e-12))
 
     worst = 0.0
     for trial in range(6):
         n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         periods = int(rng.integers(1, 4))
-        p = qra.QRAParams.random(rng, 5, 8, periods)
-        x = rng.standard_normal((n, 5))
-        y = rng.standard_normal((m, 5))
-        worst = max(worst, float(np.abs(qra.qra_attention(x, y, p)
-                                        - _reference_qra(x, y, p)).max()))
+        p3 = qra.QRAParams.random(rng, 5, 8, periods)
+        xs = rng.standard_normal((n, 5))
+        ys = rng.standard_normal((m, 5))
+        worst = max(worst, float(np.abs(qra.qra_attention(xs, ys, p3)
+                                        - oracle.reference_from_params(xs, ys, p3)).max()))
     checks.append(_check("qra/brute_force_equivalence", worst, 1e-10))
 
     report = _qra_grad_report()
     checks.append(_check("qra/gradient_correctness", report.max_error, report.tol))
 
-    p = qra.QRAParams.random(rng, 6, 8, 2)
-    x = rng.standard_normal((6, 6))
-    y = rng.standard_normal((7, 6))
-    h = qra.qra_attention(x, y, p)
-    v = y @ p.w_v
+    p6 = qra.QRAParams.random(rng, 6, 8, 2)
+    x6 = rng.standard_normal((6, 6))
+    y6 = rng.standard_normal((7, 6))
+    h = qra.qra_attention(x6, y6, p6)
+    v = y6 @ p6.w_v
     bound = np.linalg.norm(v, axis=1).max() + 1e-12
     checks.append(_check("qra/output_in_value_hull",
                          max(0.0, float(np.linalg.norm(h, axis=1).max() - bound)), 0.0))
 
-    p1 = _zeroed_kernels(rng, 6, 8)
-    q = rng.standard_normal((4, 6)) @ p1.w_q
-    k = rng.standard_normal((5, 6)) @ p1.w_k
-    fp_q = qra.gen_freq_phase(q, p1.omega_q, p1.theta_q)
-    fp_k = qra.gen_freq_phase(k, p1.omega_k, p1.theta_k)
-    phi = qra.series_rotate(q, fp_q, qra.position_vector(4), "i")
-    psi = qra.series_rotate(k, fp_k, qra.position_vector(5), "j")
-    sim = qra.rotary_similarity(phi, psi, 8)
+    p1 = qra.QRAParams.random(rng, 6, 8, 1, scale=0.0)
+    x1 = rng.standard_normal((4, 6))
+    y1 = rng.standard_normal((5, 6))
+    sim = _logits(x1, y1, p1)
     checks.append(_check("qra/similarity_matmul_identity",
-                         float(np.abs(sim - q @ k.T / np.sqrt(8)).max()), 1e-12))
+                         float(np.abs(sim - (x1 @ p1.w_q) @ (y1 @ p1.w_k).T / np.sqrt(8)).max()),
+                         1e-12))
 
-    reps = 3
-    sim_rep = qra.rotary_similarity(phi * reps, psi * reps, 8)
+    # period 0 of p's kernels, once and repeated three times
+    one = {name: a[:1] for name, a in p.kernels().items()}
+    reps = {name: np.concatenate([a] * 3) for name, a in one.items()}
     checks.append(_check("qra/period_duplication_invariance",
-                         float(np.abs(sim_rep - sim).max()), 1e-12))
+                         float(np.abs(_logits(x, y, p, reps, 3) - _logits(x, y, p, one, 1)).max()),
+                         1e-12))
     return checks
 
 
@@ -376,26 +274,12 @@ def _qra_grad_report() -> num.GradReport:
     rng = np.random.default_rng(14)
     x = rng.standard_normal((4, 6))
     y = rng.standard_normal((5, 6))
-    pos_q = 2.0 * np.pi * np.arange(4) / 4.0
-    pos_k = 2.0 * np.pi * np.arange(5) / 5.0
 
-    def build(wq, wk, wv, ow, ob, tw, tb, kow, kob, ktw, ktb):
+    def build(wq, wk, wv, *kernels):
         q = ag.matmul(Tensor(x), wq)
         k = ag.matmul(Tensor(y), wk)
         v = ag.matmul(Tensor(y), wv)
-        omega_q = ag.relu(ag.conv1d(q, ow, ob))
-        theta_q = ag.pi_tanh(ag.conv1d(q, tw, tb))
-        omega_k = ag.relu(ag.conv1d(k, kow, kob))
-        theta_k = ag.pi_tanh(ag.conv1d(k, ktw, ktb))
-        total = None
-        for p in range(2):
-            ang_q = omega_q[:, p] * Tensor(pos_q) + theta_q[:, p]
-            ang_k = omega_k[:, p] * Tensor(pos_k) + theta_k[:, p]
-            phi = ag.reshape(ag.quat_rotate(ag.reshape(q, (4, 2, 4)), ang_q, "i"), (4, 8))
-            psi = ag.reshape(ag.quat_rotate(ag.reshape(k, (5, 2, 4)), ang_k, "j"), (5, 8))
-            sim = ag.matmul(phi, ag.transpose(psi, (1, 0)))
-            total = sim if total is None else total + sim
-        logits = ag.mul(total, 1.0 / (2.0 * math.sqrt(8)))
+        logits = qra.rotary_logits(q, k, dict(zip(qra.KERNEL_NAMES, kernels)), 2)
         h = ag.matmul(ag.softmax_rows(logits), v)
         return ag.mean_(ag.mul(h, h))
 
@@ -622,60 +506,6 @@ def numerics_checks() -> list:
 
 # ------------------------------------------------------------------ model
 
-def _reference_canonical_forward(weights, config: mod.ModelConfig, motion, audio):
-    """Plain-numpy canonical transformer, no shared forward code."""
-    w = {k: t.data for k, t in weights.items()}
-    dh = config.d_head
-
-    def ln(x, name):
-        mu = x.mean(-1, keepdims=True)
-        xc = x - mu
-        return xc / np.sqrt((xc * xc).mean(-1, keepdims=True) + 1e-5) \
-            * w[name + ".gamma"] + w[name + ".beta"]
-
-    def softmax(x):
-        e = np.exp(x - x.max(-1, keepdims=True))
-        return e / e.sum(-1, keepdims=True)
-
-    def attention(src, mem, prefix):
-        q = src @ w[prefix + ".wq"]
-        k = mem @ w[prefix + ".wk"]
-        v = mem @ w[prefix + ".wv"]
-        outs = []
-        for h in range(config.heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            s = softmax(q[:, sl] @ k[:, sl].T / math.sqrt(dh))
-            outs.append(s @ v[:, sl])
-        return np.concatenate(outs, axis=1) @ w[prefix + ".wo"]
-
-    def ff(x, prefix):
-        h = np.maximum(0.0, x @ w[prefix + ".fc1.w"] + w[prefix + ".fc1.b"])
-        return h @ w[prefix + ".fc2.w"] + w[prefix + ".fc2.b"]
-
-    def encode(x, which):
-        h = x @ w[f"embed.{which}.w"] + w[f"embed.{which}.b"]
-        if config.use_learned_abs_pos:
-            h = h + w[f"pos.{which}"][:h.shape[0]]
-        for layer in range(config.encoder_layers):
-            prefix = f"enc.{which}.{layer}"
-            h = h + attention(ln(h, prefix + ".ln1"), ln(h, prefix + ".ln1"), prefix + ".attn")
-            h = h + ff(ln(h, prefix + ".ln2"), prefix + ".ff")
-        if config.encoder_layers > 0:
-            h = ln(h, f"enc.{which}.norm")
-        return h
-
-    hm = encode(motion, "motion")
-    ha = encode(audio, "audio")
-    mem = np.concatenate([hm, ha], axis=0)
-    state = hm
-    for layer in range(config.decoder_layers):
-        prefix = f"dec.{layer}"
-        state = state + attention(ln(state, prefix + ".ln1"), mem, prefix + ".attn")
-        state = state + ff(ln(state, prefix + ".ln2"), prefix + ".ff")
-    flat = state[-1] @ w["out.w"] + w["out.b"]
-    return flat.reshape(config.future_frames, feat.MOTION_DIMS)
-
-
 def _tiny_config(**kw) -> mod.ModelConfig:
     base = dict(d_model=8, heads=2, encoder_layers=1, decoder_layers=1, periods=2,
                 seed_motion_frames=6, audio_frames=9, future_frames=2)
@@ -722,7 +552,7 @@ def model_checks() -> list:
     plain = _tiny_config(use_spe=False, use_qra=False)
     plain_w = mod.init_weights(plain, np.random.default_rng(3))
     got = mod.predict_future(plain_w, plain, motion, audio)
-    ref = _reference_canonical_forward(plain_w, plain, motion, audio)
+    ref = oracle.canonical_forward(plain_w, plain, motion, audio)
     checks.append(_check("model/ablation_matches_reference", float(np.abs(got - ref).max()), 1e-10))
 
     zero_depth = _tiny_config(encoder_layers=0)

@@ -11,9 +11,7 @@ import time
 
 import numpy as np
 
-import oracle_qra
 import test_autograd
-import test_model
 
 from quatmotion import autograd as ag
 from quatmotion import cli
@@ -21,6 +19,7 @@ from quatmotion import features as feat
 from quatmotion import metrics as met
 from quatmotion import model as mod
 from quatmotion import numerics as num
+from quatmotion import oracle
 from quatmotion import qra
 from quatmotion import quaternion as quat
 from quatmotion import spe
@@ -179,8 +178,7 @@ def test_criterion_04_attention_oracle():
                         x = rng.standard_normal((n, d_model))
                         y = rng.standard_normal((m, d_model))
                         got = qra.qra_attention(x, y, params, key_axis=axis)
-                        want = np.asarray(oracle_qra.reference_from_params(
-                            x, y, params, key_axis=axis))
+                        want = oracle.reference_from_params(x, y, params, key_axis=axis)
                         worst = max(worst, float(np.abs(got - want).max()))
                         cases += 1
     dt = time.perf_counter() - t0
@@ -342,7 +340,7 @@ def test_criterion_09_ablation_reference():
         config = mod.ModelConfig(use_spe=use_spe, use_qra=False)
         weights = mod.init_weights(config, np.random.default_rng(9))
         got = mod.predict_future(weights, config, motion, audio)
-        want = test_model._einsum_reference(weights, config, motion, audio)
+        want = oracle.canonical_forward(weights, config, motion, audio)
         gaps[f"use_spe={use_spe}"] = float(np.abs(got - want).max())
 
     print(f"criterion 9: canonical-reference gaps {gaps} (tol 1e-10)")

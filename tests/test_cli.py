@@ -264,6 +264,16 @@ class TestGenerate:
         assert rc == 2
         assert "cut.json" in err and "out.b" in err
 
+    def test_checkpoint_float_count_exits_two(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        doc["config"]["d_model"] = float(doc["config"]["d_model"])
+        ckpt = tmp_path / "floaty.json"
+        ckpt.write_text(json.dumps(doc))
+        rc = self._generate_from(workspace, ckpt, tmp_path / "g")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "floaty.json" in err and "d_model" in err and "Traceback" not in err
+
     def test_undecodable_checkpoint_exits_two(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "binary.json"
         ckpt.write_bytes(b"\xff" + (workspace / "run" / "checkpoint.json").read_bytes())

@@ -1,9 +1,10 @@
 """Model stack: config gates, weight inventory, forward equivalences,
 autoregressive windowing, checkpoint format.
 
-_einsum_reference is a from-scratch canonical transformer (einsum heads,
-complex-number rotary) kept deliberately unlike the package's tape
-implementation; with quaternion attention disabled the two must agree.
+With quaternion attention disabled the model must agree with
+quatmotion.oracle.canonical_forward, a from-scratch canonical transformer
+(einsum heads, complex-number rotary) kept deliberately unlike the
+package's tape implementation.
 """
 
 import base64
@@ -16,89 +17,11 @@ import numpy as np
 import pytest
 
 from quatmotion import autograd as ag
-from quatmotion import model, qra, spe
+from quatmotion import model, oracle, spe
 from quatmotion.autograd import Tensor
 from quatmotion.errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                                HeadDimNotQuaternion, MalformedFile)
 from quatmotion.model import ModelConfig
-from quatmotion.numerics import ConvKernel
-
-
-def _ref_layer_norm(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * gamma + beta
-
-
-def _ref_rope(x, base):
-    # x: (T, H, dh); pairs as complex numbers spun by pos * base**(-2i/dh)
-    steps, _, dh = x.shape
-    freqs = base ** (-2.0 * np.arange(dh // 2) / dh)
-    ang = np.arange(steps)[:, None, None] * freqs[None, None, :]
-    z = (x[..., 0::2] + 1j * x[..., 1::2]) * np.exp(1j * ang)
-    out = np.empty_like(x)
-    out[..., 0::2] = z.real
-    out[..., 1::2] = z.imag
-    return out
-
-
-def _ref_softmax(a):
-    e = np.exp(a - a.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _ref_attention(x_q, x_kv, wq, wk, wv, wo, heads, rope_base=None):
-    steps, d = x_q.shape
-    dh = d // heads
-    q = (x_q @ wq).reshape(steps, heads, dh)
-    k = (x_kv @ wk).reshape(x_kv.shape[0], heads, dh)
-    v = (x_kv @ wv).reshape(x_kv.shape[0], heads, dh)
-    if rope_base is not None:
-        q = _ref_rope(q, rope_base)
-        k = _ref_rope(k, rope_base)
-    logits = np.einsum("thd,shd->hts", q, k) / math.sqrt(dh)
-    mix = np.einsum("hts,shd->thd", _ref_softmax(logits), v)
-    return mix.reshape(steps, d) @ wo
-
-
-def _ref_ff(x, w, prefix):
-    h = np.maximum(x @ w[prefix + ".fc1.w"] + w[prefix + ".fc1.b"], 0.0)
-    return h @ w[prefix + ".fc2.w"] + w[prefix + ".fc2.b"]
-
-
-def _einsum_reference(weights, config, motion, audio):
-    """Canonical-attention forward pass; valid only when use_qra is False."""
-    assert not config.use_qra
-    w = {k: t.data for k, t in weights.items()}
-    rope = config.rotary_base if config.use_spe else None
-    streams = {}
-    for name, x in (("motion", motion), ("audio", audio)):
-        h = x @ w[f"embed.{name}.w"] + w[f"embed.{name}.b"]
-        if config.use_learned_abs_pos:
-            h = h + w[f"pos.{name}"][:h.shape[0]]
-        for layer in range(config.encoder_layers):
-            p = f"enc.{name}.{layer}"
-            hn = _ref_layer_norm(h, w[p + ".ln1.gamma"], w[p + ".ln1.beta"])
-            h = h + _ref_attention(hn, hn, w[p + ".attn.wq"], w[p + ".attn.wk"],
-                                   w[p + ".attn.wv"], w[p + ".attn.wo"],
-                                   config.heads, rope_base=rope)
-            hn = _ref_layer_norm(h, w[p + ".ln2.gamma"], w[p + ".ln2.beta"])
-            h = h + _ref_ff(hn, w, p + ".ff")
-        if config.encoder_layers > 0:
-            h = _ref_layer_norm(h, w[f"enc.{name}.norm.gamma"], w[f"enc.{name}.norm.beta"])
-        streams[name] = h
-    memory = np.vstack([streams["motion"], streams["audio"]])
-    state = streams["motion"]
-    for layer in range(config.decoder_layers):
-        p = f"dec.{layer}"
-        sn = _ref_layer_norm(state, w[p + ".ln1.gamma"], w[p + ".ln1.beta"])
-        state = state + _ref_attention(sn, memory, w[p + ".attn.wq"], w[p + ".attn.wk"],
-                                       w[p + ".attn.wv"], w[p + ".attn.wo"], config.heads)
-        sn = _ref_layer_norm(state, w[p + ".ln2.gamma"], w[p + ".ln2.beta"])
-        state = state + _ref_ff(sn, w, p + ".ff")
-    flat = state[-1] @ w["out.w"] + w["out.b"]
-    return flat.reshape(config.future_frames, 219)
 
 
 def _expected_names(config):
@@ -255,7 +178,7 @@ class TestCanonicalEquivalence:
         motion = rng.standard_normal((config.seed_motion_frames, 219)) * 0.2
         audio = rng.standard_normal((config.audio_frames, 35)) * 0.2
         got = model.predict_future(weights, config, motion, audio)
-        want = _einsum_reference(weights, config, motion, audio)
+        want = oracle.canonical_forward(weights, config, motion, audio)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_desk_scale_ablation_matches_reference(self, rng):
@@ -264,7 +187,7 @@ class TestCanonicalEquivalence:
         motion = rng.standard_normal((30, 219)) * 0.1
         audio = rng.standard_normal((60, 35)) * 0.1
         got = model.predict_future(weights, config, motion, audio)
-        want = _einsum_reference(weights, config, motion, audio)
+        want = oracle.canonical_forward(weights, config, motion, audio)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_zeroed_kernels_single_period_is_canonical(self, rng):
@@ -289,34 +212,28 @@ class TestCanonicalEquivalence:
 class TestCrossAttentionVsArrayPath:
     @pytest.mark.parametrize("key_axis_i", [False, True])
     def test_matches_multi_head_qra(self, rng, key_axis_i):
+        # multi-head QRA as the scalar oracle computes it: one head at a
+        # time, concatenated and projected by wo
         config = ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
                              periods=2, seed_motion_frames=5, audio_frames=7,
                              future_frames=1, qra_keys_use_axis_i=key_axis_i)
         weights = model.init_weights(config, np.random.default_rng(8))
+        w = {name: t.data for name, t in weights.items() if name.startswith("dec.0.attn.")}
         n, m, d, dh = 5, 12, config.d_model, config.d_head
         m_norm = rng.standard_normal((n, d))
         memory = rng.standard_normal((m, d))
         got = model._cross_attention(Tensor(m_norm[None]), Tensor(memory[None]),
                                      "dec.0.attn", weights, config).data[0]
-
-        head_params = []
+        heads = []
         for h in range(config.heads):
             cols = slice(h * dh, (h + 1) * dh)
-
-            def kern(name, h=h):
-                return ConvKernel(weights=weights[f"dec.0.attn.{name}.w"].data[h],
-                                  bias=weights[f"dec.0.attn.{name}.b"].data[h])
-
-            head_params.append(qra.QRAParams(
-                d_model=d, d_attn=dh, periods=config.periods,
-                w_q=weights["dec.0.attn.wq"].data[:, cols],
-                w_k=weights["dec.0.attn.wk"].data[:, cols],
-                w_v=weights["dec.0.attn.wv"].data[:, cols],
-                omega_q=kern("omega_q"), theta_q=kern("theta_q"),
-                omega_k=kern("omega_k"), theta_k=kern("theta_k")))
-        want = qra.multi_head_qra(m_norm, memory, head_params,
-                                  weights["dec.0.attn.wo"].data,
-                                  key_axis="i" if key_axis_i else "j")
+            kernels = {kern: (w[f"dec.0.attn.{kern}.w"][h], w[f"dec.0.attn.{kern}.b"][h])
+                       for kern in ("omega_q", "theta_q", "omega_k", "theta_k")}
+            heads.append(oracle.reference_qra(
+                m_norm, memory, w["dec.0.attn.wq"][:, cols], w["dec.0.attn.wk"][:, cols],
+                w["dec.0.attn.wv"][:, cols], kernels, config.periods,
+                key_axis="i" if key_axis_i else "j"))
+        want = np.concatenate(heads, axis=1) @ w["dec.0.attn.wo"]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -561,12 +478,19 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile):
             model.load_checkpoint(str(path))
 
-    @pytest.mark.parametrize("config", [{"d_model": "x"}, {"d_model": 6, "heads": 4}, []])
+    @pytest.mark.parametrize("config", [
+        {"d_model": "x"}, {"d_model": 6, "heads": 4}, [],
+        {"d_model": 8.0}, {"heads": True}, {"fps": 2.5}, {"use_qra": 1},
+        {"rotary_base": math.nan}, {"rotary_base": -1.0}, {"rotary_base": math.inf},
+    ])
     def test_rejects_bad_config(self, tmp_path, config):
+        # the message names the offending field (or 'config' itself), not
+        # just the tensor that an empty tensor table is missing
+        field = next(iter(config), "config")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"format": model.CHECKPOINT_FORMAT,
                                     "config": config, "tensors": {}}))
-        with pytest.raises(MalformedFile, match=r"cfg\.json"):
+        with pytest.raises(MalformedFile, match=rf"cfg\.json.*\b{field}\b"):
             model.load_checkpoint(str(path))
 
     def _edited(self, tiny_setup, tmp_path, edit):

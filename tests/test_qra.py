@@ -1,50 +1,29 @@
 """Quaternion rotary attention versus a straight-line scalar oracle.
 
-oracle_qra re-derives the whole pipeline (projection, conv, activations,
-rotation, Hamilton similarity, softmax) in pure Python lists, so any
-indexing or orientation slip in the package shows up as a mismatch here
-rather than cancelling out.
+quatmotion.oracle re-derives the whole pipeline (projection, conv,
+activations, rotation, Hamilton similarity, softmax) in pure Python
+lists, so any indexing or orientation slip in qra.rotary_logits shows up
+as a mismatch here rather than cancelling out. The pieces it is built
+from are checked against scalar Hamilton products.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-import oracle_qra
-from quatmotion import numerics, qra, quaternion
+from quatmotion import autograd as ag
+from quatmotion import model, numerics, oracle, qra, quaternion
+from quatmotion.autograd import Tensor
 from quatmotion.errors import DimensionMismatch, HeadDimNotQuaternion
 from quatmotion.numerics import ConvKernel
 
 
-def _zero_kernel(periods, d_attn, width=3):
-    return ConvKernel(weights=np.zeros((periods, d_attn, width)),
-                      bias=np.zeros(periods))
-
-
-def _zeroed_params(d_model, d_attn, rng):
-    return qra.QRAParams(
-        d_model=d_model, d_attn=d_attn, periods=1,
-        w_q=rng.standard_normal((d_model, d_attn)),
-        w_k=rng.standard_normal((d_model, d_attn)),
-        w_v=rng.standard_normal((d_model, d_attn)),
-        omega_q=_zero_kernel(1, d_attn), theta_q=_zero_kernel(1, d_attn),
-        omega_k=_zero_kernel(1, d_attn), theta_k=_zero_kernel(1, d_attn))
-
-
-class TestFreqPhase:
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            qra.FreqPhase(omega=np.zeros((3, 2)), theta=np.zeros((3, 3)))
-
-    def test_properties(self):
-        fp = qra.FreqPhase(omega=np.zeros((5, 3)), theta=np.zeros((5, 3)))
-        assert fp.steps == 5
-        assert fp.periods == 3
-
-    def test_one_d_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            qra.FreqPhase(omega=np.zeros(4), theta=np.zeros(4))
+def _hamilton(x, axis, angle):
+    """Scalar right product of one 4-slot with unit_exp(axis, angle)."""
+    return quaternion.hamilton(quaternion.Quaternion.from_array(x),
+                               quaternion.unit_exp(axis, float(angle))).as_array()
 
 
 class TestQRAParams:
@@ -65,7 +44,7 @@ class TestQRAParams:
         with pytest.raises(DimensionMismatch):
             qra.QRAParams(d_model=8, d_attn=4, periods=2,
                           w_q=p.w_q, w_k=p.w_k, w_v=p.w_v,
-                          omega_q=_zero_kernel(3, 4), theta_q=p.theta_q,
+                          omega_q=ConvKernel(np.zeros((3, 4, 3)), np.zeros(3)), theta_q=p.theta_q,
                           omega_k=p.omega_k, theta_k=p.theta_k)
 
     def test_periods_positive(self, rng):
@@ -79,119 +58,79 @@ class TestQRAParams:
         np.testing.assert_array_equal(a.omega_k.weights, b.omega_k.weights)
 
 
-class TestPositionVector:
-    def test_values(self):
-        np.testing.assert_array_equal(qra.position_vector(4), [0.0, 0.25, 0.5, 0.75])
-
-    def test_half_open_range(self):
-        p = qra.position_vector(7)
-        assert p[0] == 0.0
-        assert np.all(p < 1.0)
-
-    def test_length_gate(self):
-        with pytest.raises(DimensionMismatch):
-            qra.position_vector(0)
-
-
 class TestGenFreqPhase:
     def test_ranges(self, rng):
         z = rng.standard_normal((9, 4)) * 5
-        kern = lambda: ConvKernel(weights=rng.standard_normal((3, 4, 3)),
-                                  bias=rng.standard_normal(3))
-        fp = qra.gen_freq_phase(z, kern(), kern())
-        assert np.all(fp.omega >= 0.0)
-        assert np.all(np.abs(fp.theta) < math.pi)
-        assert fp.omega.shape == (9, 3)
+        kernels = {name: rng.standard_normal((3, 4, 3) if name.endswith(".w") else 3)
+                   for name in qra.KERNEL_NAMES}
+        omega, theta = (t.data for t in qra._freq_phase(Tensor(z), kernels, "q", 3))
+        assert np.all(omega >= 0.0)
+        assert np.all(np.abs(theta) < math.pi)
+        assert omega.shape == theta.shape == (9, 3)
 
     def test_matches_component_ops(self, rng):
         z = rng.standard_normal((6, 4))
         ok = ConvKernel(weights=rng.standard_normal((2, 4, 3)), bias=rng.standard_normal(2))
         tk = ConvKernel(weights=rng.standard_normal((2, 4, 3)), bias=rng.standard_normal(2))
-        fp = qra.gen_freq_phase(z, ok, tk)
-        np.testing.assert_array_equal(fp.omega, numerics.relu(numerics.conv1d(z, ok)))
-        np.testing.assert_array_equal(fp.theta, numerics.pi_tanh(numerics.conv1d(z, tk)))
-
-
-class TestRotationAngles:
-    def test_formula(self):
-        fp = qra.FreqPhase(omega=np.array([[1.0, 2.0], [0.5, 0.0]]),
-                           theta=np.array([[0.1, -0.2], [0.3, 0.4]]))
-        pos = np.array([0.0, 0.5])
-        got = qra.rotation_angles(fp, pos)
-        want = [[0.1, -0.2],
-                [2 * math.pi * 0.5 * 0.5 + 0.3, 0.4]]
-        np.testing.assert_allclose(got, want, atol=1e-15)
-
-    def test_position_count_gate(self):
-        fp = qra.FreqPhase(omega=np.zeros((3, 1)), theta=np.zeros((3, 1)))
-        with pytest.raises(DimensionMismatch):
-            qra.rotation_angles(fp, np.zeros(2))
+        kernels = {"omega_k.w": ok.weights, "omega_k.b": ok.bias,
+                   "theta_k.w": tk.weights, "theta_k.b": tk.bias}
+        omega, theta = qra._freq_phase(Tensor(z), kernels, "k", 2)
+        np.testing.assert_array_equal(omega.data, numerics.relu(numerics.conv1d(z, ok)))
+        np.testing.assert_array_equal(theta.data, numerics.pi_tanh(numerics.conv1d(z, tk)))
 
 
 class TestSeriesRotate:
+    """Query slots spun once per period, as rotary_logits calls quat_rotate."""
+
     @pytest.mark.parametrize("axis", ["i", "j", "k"])
     def test_matches_slotwise_hamilton(self, rng, axis):
         z = rng.standard_normal((3, 8))
-        fp = qra.FreqPhase(omega=rng.random((3, 2)), theta=rng.standard_normal((3, 2)))
-        pos = qra.position_vector(3)
-        series = qra.series_rotate(z, fp, pos, axis)
-        assert len(series) == 2
-        angles = qra.rotation_angles(fp, pos)
-        for p, ser in enumerate(series):
-            for n in range(3):
-                r = quaternion.unit_exp(axis, angles[n, p])
+        angles = rng.standard_normal((3, 2))
+        series = ag.quat_rotate(Tensor(z.reshape(3, 1, 2, 4)), Tensor(angles), axis).data
+        assert series.shape == (3, 2, 2, 4)
+        for n in range(3):
+            for p in range(2):
                 for s in range(2):
-                    q = quaternion.Quaternion.from_array(z[n, 4 * s:4 * s + 4])
                     np.testing.assert_allclose(
-                        ser.values[n, s], quaternion.hamilton(q, r).as_array(),
+                        series[n, p, s], _hamilton(z[n, 4 * s:4 * s + 4], axis, angles[n, p]),
                         atol=1e-14)
 
     def test_norm_preserved(self, rng):
-        z = rng.standard_normal((4, 8))
-        fp = qra.FreqPhase(omega=rng.random((4, 3)), theta=rng.standard_normal((4, 3)))
-        for ser in qra.series_rotate(z, fp, qra.position_vector(4), "k"):
-            np.testing.assert_allclose(np.linalg.norm(ser.values, axis=-1),
-                                       np.linalg.norm(z.reshape(4, 2, 4), axis=-1),
-                                       atol=1e-12)
+        z = rng.standard_normal((4, 1, 2, 4))
+        series = ag.quat_rotate(Tensor(z), Tensor(rng.uniform(-9, 9, (4, 3))), "k").data
+        np.testing.assert_allclose(np.linalg.norm(series, axis=-1),
+                                   np.broadcast_to(np.linalg.norm(z, axis=-1), (4, 3, 2)),
+                                   atol=1e-12)
 
-    def test_step_count_gate(self, rng):
-        fp = qra.FreqPhase(omega=np.zeros((3, 1)), theta=np.zeros((3, 1)))
-        with pytest.raises(DimensionMismatch):
-            qra.series_rotate(rng.standard_normal((4, 8)), fp, qra.position_vector(3), "i")
+    def test_step_count_gate(self):
+        # angles for 3 steps cannot spin the slots of 4
+        with pytest.raises(ValueError):
+            ag.quat_rotate(Tensor(np.zeros((4, 1, 2, 4))), Tensor(np.zeros((3, 2))), "i")
 
 
 class TestRotarySimilarity:
     def test_matches_hamilton_real_part(self, rng):
-        # entry (n, m): mean over periods of sum_s Re[phi (x) conj(psi)]
-        za = rng.standard_normal((3, 8))
-        zb = rng.standard_normal((2, 8))
-        fpa = qra.FreqPhase(omega=rng.random((3, 2)), theta=rng.standard_normal((3, 2)))
-        fpb = qra.FreqPhase(omega=rng.random((2, 2)), theta=rng.standard_normal((2, 2)))
-        phi = qra.series_rotate(za, fpa, qra.position_vector(3), "i")
-        psi = qra.series_rotate(zb, fpb, qra.position_vector(2), "j")
-        sim = qra.rotary_similarity(phi, psi, d_attn=8)
+        # entry (n, m): sum over periods and slots of Re[phi (x) conj(psi)],
+        # with psi the key slot right-multiplied by its period's unit
+        phi = rng.standard_normal((3, 2, 2, 4))
+        keys = rng.standard_normal((2, 2, 4))
+        angles = rng.standard_normal((2, 2))
+        sim = ag.rotated_scores(Tensor(phi), Tensor(keys), Tensor(angles), "j").data
         for n in range(3):
             for m in range(2):
                 acc = 0.0
                 for p in range(2):
                     for s in range(2):
-                        a = quaternion.Quaternion.from_array(phi[p].values[n, s])
-                        b = quaternion.Quaternion.from_array(psi[p].values[m, s])
+                        a = quaternion.Quaternion.from_array(phi[n, p, s])
+                        b = quaternion.Quaternion.from_array(_hamilton(keys[m, s], "j", angles[m, p]))
                         acc += quaternion.hamilton(a, quaternion.q_conj(b)).e
-                assert sim[n, m] == pytest.approx(acc / (2 * math.sqrt(8)), abs=1e-12)
+                assert sim[n, m] == pytest.approx(acc, abs=1e-12)
 
-    def test_period_count_gate(self, rng):
-        z = rng.standard_normal((2, 4))
-        fp1 = qra.FreqPhase(omega=np.zeros((2, 1)), theta=np.zeros((2, 1)))
-        fp2 = qra.FreqPhase(omega=np.zeros((2, 2)), theta=np.zeros((2, 2)))
-        phi = qra.series_rotate(z, fp1, qra.position_vector(2), "i")
-        psi = qra.series_rotate(z, fp2, qra.position_vector(2), "j")
-        with pytest.raises(DimensionMismatch):
-            qra.rotary_similarity(phi, psi, d_attn=4)
-
-    def test_empty_gate(self):
-        with pytest.raises(DimensionMismatch):
-            qra.rotary_similarity([], [], d_attn=4)
+    def test_period_count_gate(self):
+        # two periods of query slots against keys spun for one
+        with pytest.raises(ValueError):
+            ag.rotated_scores(Tensor(np.zeros((3, 2, 2, 4))), Tensor(np.zeros((2, 2, 4))),
+                              Tensor(np.zeros((2, 1))), "j")
 
 
 class TestDegeneracy:
@@ -202,7 +141,7 @@ class TestDegeneracy:
     def test_collapses_to_canonical(self, seed, key_axis):
         rng = np.random.default_rng(seed)
         n, m, d_model, d_attn = rng.integers(1, 6), rng.integers(1, 6), 6, 8
-        params = _zeroed_params(d_model, d_attn, rng)
+        params = qra.QRAParams.random(rng, d_model, d_attn, 1, scale=0.0)
         x = rng.standard_normal((int(n), d_model))
         y = rng.standard_normal((int(m), d_model))
         got = qra.qra_attention(x, y, params, key_axis=key_axis)
@@ -211,11 +150,11 @@ class TestDegeneracy:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_zero_angles_mean_no_rotation(self, rng):
-        params = _zeroed_params(6, 8, rng)
+        params = qra.QRAParams.random(rng, 6, 8, 1, scale=0.0)
         z = rng.standard_normal((4, 8))
-        fp = qra.gen_freq_phase(z, params.omega_q, params.theta_q)
-        np.testing.assert_array_equal(fp.omega, 0.0)
-        np.testing.assert_array_equal(fp.theta, 0.0)
+        omega, theta = qra._freq_phase(Tensor(z), params.kernels(), "q", 1)
+        np.testing.assert_array_equal(omega.data, 0.0)
+        np.testing.assert_array_equal(theta.data, 0.0)
 
 
 class TestAgainstOracle:
@@ -232,36 +171,26 @@ class TestAgainstOracle:
         x = rng.standard_normal((n, d_model))
         y = rng.standard_normal((m, d_model))
         got = qra.qra_attention(x, y, params, key_axis=key_axis)
-        want = oracle_qra.reference_from_params(x, y, params, key_axis=key_axis)
-        np.testing.assert_allclose(got, np.array(want), atol=1e-10)
+        want = oracle.reference_from_params(x, y, params, key_axis=key_axis)
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_oracle_hamilton_self_check(self):
-        assert oracle_qra.hamilton4((1, 2, 3, 4), (5, 6, 7, 8)) == (-60, 12, 30, 24)
+        assert oracle.hamilton4((1, 2, 3, 4), (5, 6, 7, 8)) == (-60, 12, 30, 24)
 
 
 class TestMultiHead:
-    def test_matches_manual_concat(self, rng):
-        heads = [qra.QRAParams.random(rng, 12, 4, 2) for _ in range(3)]
-        w_o = rng.standard_normal((12, 12))
-        x = rng.standard_normal((5, 12))
-        y = rng.standard_normal((4, 12))
-        got = qra.multi_head_qra(x, y, heads, w_o)
-        manual = np.concatenate([qra.qra_attention(x, y, h) for h in heads], axis=1) @ w_o
-        np.testing.assert_array_equal(got, manual)
-
     def test_key_axis_forwarded(self, rng):
-        heads = [qra.QRAParams.random(rng, 8, 4, 1)]
-        w_o = np.eye(4)
-        x = rng.standard_normal((3, 8))
-        y = rng.standard_normal((3, 8))
-        same = qra.multi_head_qra(x, y, heads, w_o, key_axis="i")
-        cross = qra.multi_head_qra(x, y, heads, w_o, key_axis="j")
+        # the model's multi-head QRA passes the configured key axis through
+        config = model.ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
+                                   periods=1, seed_motion_frames=3, audio_frames=3,
+                                   future_frames=1)
+        weights = model.init_weights(config, np.random.default_rng(6))
+        x = Tensor(rng.standard_normal((1, 3, 8)))
+        y = Tensor(rng.standard_normal((1, 6, 8)))
+        same, cross = (model._cross_attention(
+            x, y, "dec.0.attn", weights,
+            dataclasses.replace(config, qra_keys_use_axis_i=flag)).data for flag in (True, False))
         assert not np.allclose(same, cross)
-
-    def test_empty_heads_rejected(self, rng):
-        with pytest.raises(DimensionMismatch):
-            qra.multi_head_qra(rng.standard_normal((2, 4)),
-                               rng.standard_normal((2, 4)), [], np.eye(4))
 
 
 class TestHullBound:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatmotion import quaternion as quat
-from quatmotion.errors import DimensionMismatch, InsufficientDims, NotRotation, NotUnit
+from quatmotion.errors import InsufficientDims, NotRotation, NotUnit
 
 Q = quat.Quaternion
 
@@ -111,28 +111,35 @@ class TestUnitExp:
 
 
 class TestSlotRotate:
-    """The componentwise rotation kernel against the product it expands."""
+    """The one rotation kernel against the scalar products it stands for."""
 
     @pytest.mark.parametrize("axis", ["i", "j", "k"])
     def test_matches_hamilton(self, axis, rng):
         x = rng.standard_normal((5, 3, 4))
         angles = rng.uniform(-6, 6, (5, 3))
-        got = quat.right_multiply_unit(x, angles, axis)
+        got = quat.slot_rotate(x, np.cos(angles), np.sin(angles), axis)
         for n in range(5):
             for s in range(3):
                 direct = quat.hamilton(Q(*x[n, s]),
                                        quat.unit_exp(axis, angles[n, s]))
                 np.testing.assert_allclose(got[n, s], direct.as_array(), atol=1e-12)
 
+    def test_plane_turn_is_complex_multiplication(self, rng):
+        x = rng.standard_normal((5, 2))
+        angles = rng.uniform(-6, 6, 5)
+        got = quat.slot_rotate(x, np.cos(angles), np.sin(angles), "plane")
+        want = (x[:, 0] + 1j * x[:, 1]) * np.exp(1j * angles)
+        np.testing.assert_allclose(got, np.stack([want.real, want.imag], axis=1), atol=1e-14)
+
     def test_zero_angle_is_identity(self, rng):
         x = rng.standard_normal((4, 2, 4))
         np.testing.assert_array_equal(
-            quat.right_multiply_unit(x, np.zeros((4, 2)), "i"), x)
+            quat.slot_rotate(x, np.ones((4, 2)), np.zeros((4, 2)), "i"), x)
 
     def test_norm_preserved(self, rng):
         x = rng.standard_normal((6, 2, 4))
         angles = rng.uniform(-9, 9, (6, 2))
-        out = quat.right_multiply_unit(x, angles, "j")
+        out = quat.slot_rotate(x, np.cos(angles), np.sin(angles), "j")
         np.testing.assert_allclose(np.linalg.norm(out, axis=-1),
                                    np.linalg.norm(x, axis=-1), atol=1e-12)
 
@@ -151,16 +158,6 @@ class TestQuaternionize:
     def test_too_short(self):
         with pytest.raises(InsufficientDims):
             quat.quaternionize(np.array([1.0, 2.0, 3.0]))
-
-    def test_rows(self, rng):
-        m = rng.standard_normal((5, 8))
-        rows = quat.quaternionize_rows(m)
-        assert rows.shape == (5, 2, 4)
-        np.testing.assert_array_equal(rows.reshape(5, 8), m)
-
-    def test_rows_rejects_ragged_width(self, rng):
-        with pytest.raises(DimensionMismatch):
-            quat.quaternionize_rows(rng.standard_normal((5, 7)))
 
 
 class TestRotationConversions:
@@ -226,16 +223,3 @@ class TestRotationConversions:
         m[0, 1] = 0.1
         with pytest.raises(NotRotation):
             quat.rotmat_to_quat(m)
-
-
-class TestSeriesType:
-    def test_accessors(self, rng):
-        values = rng.standard_normal((4, 3, 4))
-        series = quat.QuaternionSeries(values=values)
-        assert series.steps == 4
-        assert series.slots_per_step == 3
-        assert series.quat(2, 1) == Q(*values[2, 1])
-
-    def test_rejects_wrong_last_axis(self, rng):
-        with pytest.raises(DimensionMismatch):
-            quat.QuaternionSeries(values=rng.standard_normal((4, 3, 3)))

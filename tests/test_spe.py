@@ -147,18 +147,6 @@ class TestRopeLogits:
 
 
 class TestRowHelpers:
-    def test_rotate_rows_matches_per_row(self, rng):
-        sched = spe.RotarySchedule(dim=6)
-        x = rng.standard_normal((5, 6))
-        rows = spe.rotate_rows(x, sched, offset=3.0)
-        for t in range(5):
-            np.testing.assert_allclose(rows[t], spe.rope_rotate(x[t], t + 3.0, sched),
-                                       atol=1e-12)
-
-    def test_rotate_rows_shape_gate(self, rng):
-        with pytest.raises(DimensionMismatch):
-            spe.rotate_rows(rng.standard_normal((5, 4)), spe.RotarySchedule(dim=6))
-
     def test_angle_tables(self):
         sched = spe.RotarySchedule(dim=4)
         cos, sin = spe.angle_tables(3, sched, offset=1.0)
