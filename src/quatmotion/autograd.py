@@ -15,8 +15,10 @@ Hamilton multiplication by a unit axis exponential with learnable angles
 (both one call of quaternion.slot_rotate, the only rotation kernel), and
 the similarity of query slots with keys spun that way.
 
-objective() gives a tape-built loss the two forms numerics.grad_check
-evaluates: one tracked value and gradient, and untracked loss probes.
+objective() gives a tape-built loss the forms numerics.grad_check
+evaluates: one tracked value and gradient, and untracked loss probes,
+one loss per call or, for a build that takes a leading probe axis, a
+batch of them per call.
 """
 
 from __future__ import annotations
@@ -564,8 +566,8 @@ def rotated_scores(phi, k, angles, axis: str) -> Tensor:
     return Tensor(out, _parents=(phi, k, angles), _vjp=vjp)
 
 
-def objective(build) -> numerics.Objective:
-    """The two forms numerics.grad_check evaluates of a loss built on the tape.
+def objective(build, batched: bool = False) -> numerics.Objective:
+    """The forms numerics.grad_check evaluates of a loss built on the tape.
 
     build(*tensors) returns a scalar Tensor, one tensor per parameter
     array. value_and_grad wraps the arrays in tracked leaves and runs one
@@ -573,6 +575,17 @@ def objective(build) -> numerics.Objective:
     wraps them untracked, so it builds no tape and runs no backward; the
     ops compute the same forward either way, so both forms return the
     same loss bit for bit.
+
+    batched=True also supplies losses, grad_check's batched probe form:
+    build runs once on untracked tensors that all carry one leading probe
+    axis of size K, and must return the K losses. So build has to treat
+    that axis as a batch axis throughout: every tensor it makes from the
+    parameters or combines with them keeps the leading axis, nothing
+    indexes, slices, concatenates or reshapes along it, and the loss is
+    reduced over the trailing axes only (mean_(x, axis=(-2, -1)) rather
+    than mean_(x)). Ops that line parameters up from the left (a 1-d
+    layer_norm gamma, a getitem or concat axis counted from 0) break
+    this; leave batched off for such builds.
     """
     def value_and_grad(arrays):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
@@ -584,4 +597,7 @@ def objective(build) -> numerics.Objective:
     def loss(arrays):
         return float(build(*(Tensor(a) for a in arrays)).data)
 
-    return numerics.Objective(value_and_grad, loss)
+    def losses(arrays):
+        return build(*(Tensor(a) for a in arrays)).data
+
+    return numerics.Objective(value_and_grad, loss, losses if batched else None)

@@ -58,20 +58,26 @@ _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(mod.ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(trn.TrainConfig)}
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, origin: str):
+    """Convert one raw config value; errors name the key and its origin,
+    "--set" or the config file it was read from."""
     raw = raw.strip()
     if key == "decay_steps":
         # "2000:1e-5,4000:1e-6"
         pairs = []
         for part in raw.split(","):
             if ":" not in part:
-                raise MalformedFile(f"decay_steps entries need step:lr, got {part!r}")
+                raise MalformedFile(f"{origin}: decay_steps entries need step:lr, got {part!r}")
             step, lr = part.split(":", 1)
-            pairs.append((int(step), float(lr)))
+            try:
+                pairs.append((int(step), float(lr)))
+            except ValueError:
+                raise MalformedFile(f"{origin}: decay_steps expects integer:number "
+                                    f"entries, got {part!r}") from None
         return tuple(pairs)
     hint = _MODEL_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
     if hint is None:
-        raise MalformedFile(f"unknown config key {key!r}")
+        raise MalformedFile(f"{origin}: unknown config key {key!r}")
     hint = str(hint)
     if "bool" in hint:
         lowered = raw.lower()
@@ -79,10 +85,12 @@ def _parse_value(key: str, raw: str):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise MalformedFile(f"{key} expects a boolean, got {raw!r}")
-    if "int" in hint:
-        return int(raw)
-    return float(raw)
+        raise MalformedFile(f"{origin}: {key} expects a boolean, got {raw!r}")
+    kind, convert = ("an integer", int) if "int" in hint else ("a number", float)
+    try:
+        return convert(raw)
+    except ValueError:
+        raise MalformedFile(f"{origin}: {key} expects {kind}, got {raw!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -106,10 +114,13 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _build_configs(pairs: dict):
+def _build_configs(pairs: dict, origins: dict | None = None):
+    """ModelConfig and TrainConfig from raw key -> value strings; origins
+    maps a key to where its value came from (default "--set")."""
+    origins = origins or {}
     model_kw, train_kw = {}, {}
     for key, raw in pairs.items():
-        value = _parse_value(key, raw)
+        value = _parse_value(key, raw, origins.get(key, "--set"))
         if key in _MODEL_FIELDS:
             model_kw[key] = value
         else:
@@ -188,12 +199,14 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     pairs = _read_config_file(args.config) if args.config else {}
+    origins = dict.fromkeys(pairs, f"config {args.config}")
     for item in args.set or []:
         if "=" not in item:
             raise MalformedFile(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         pairs[key.strip()] = raw.strip()
-    model_config, train_config = _build_configs(pairs)
+        origins.pop(key.strip(), None)
+    model_config, train_config = _build_configs(pairs, origins)
     if "QEAN_SEED" in os.environ:
         train_config = dataclasses.replace(train_config, rng_seed=_env_seed(0))
 

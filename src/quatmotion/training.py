@@ -8,6 +8,7 @@ learning rate scale-free across desk and full-size configurations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,17 +34,33 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "total_steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be int, got {type(value).__name__} {value!r}")
         self.decay_steps = tuple((int(s), float(lr)) for s, lr in self.decay_steps)
         bounds = [s for s, _ in self.decay_steps]
         rates = [lr for _, lr in self.decay_steps]
         if bounds != sorted(set(bounds)):
             raise ValueError("decay boundaries must be strictly increasing")
-        if any(lr <= 0 for lr in rates) or self.lr_init <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (math.isfinite(self.lr_init) and self.lr_init > 0):
+            raise ValueError(f"lr_init must be finite and > 0, got {self.lr_init!r}")
+        if not all(math.isfinite(lr) and lr > 0 for lr in rates):
+            raise ValueError(f"decay_steps rates must be finite and > 0, got {rates!r}")
         if any(b >= a for a, b in zip([self.lr_init] + rates, rates)):
             raise ValueError("decayed learning rates must be strictly decreasing")
-        if self.batch_size < 1 or self.total_steps < 0:
-            raise ValueError("batch_size must be >= 1 and total_steps >= 0")
+        for name in ("beta1", "beta2"):
+            # NaN fails every comparison, so the negated range rejects it
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.total_steps < 0:
+            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
 
     @staticmethod
     def full_scale() -> "TrainConfig":

@@ -270,7 +270,12 @@ def _sq_sum(t: Tensor) -> Tensor:
     return ag.sum_(ag.mul(t, t))
 
 
-def _qra_grad_report() -> num.GradReport:
+def _qra_grad_problem():
+    """A one-head QRA loss build(*tensors) and its 11 parameter arrays.
+
+    The loss reduces over its trailing axes only, so build also takes
+    parameters with one leading probe axis and returns one loss per probe.
+    """
     rng = np.random.default_rng(14)
     x = rng.standard_normal((4, 6))
     y = rng.standard_normal((5, 6))
@@ -281,13 +286,19 @@ def _qra_grad_report() -> num.GradReport:
         v = ag.matmul(Tensor(y), wv)
         logits = qra.rotary_logits(q, k, dict(zip(qra.KERNEL_NAMES, kernels)), 2)
         h = ag.matmul(ag.softmax_rows(logits), v)
-        return ag.mean_(ag.mul(h, h))
+        # trailing axes only: with a leading probe axis, one loss per probe
+        return ag.mean_(ag.mul(h, h), axis=(-2, -1))
 
     params = [rng.standard_normal((6, 8)) / np.sqrt(6) for _ in range(3)]
     for _ in range(2):  # q-side then k-side kernels
         params += [0.4 * rng.standard_normal((2, 8, 3)), 0.4 * rng.standard_normal(2),
                    0.4 * rng.standard_normal((2, 8, 3)), 0.4 * rng.standard_normal(2)]
-    return num.grad_check(ag.objective(build), params, tol=1e-4)
+    return build, params
+
+
+def _qra_grad_report() -> num.GradReport:
+    build, params = _qra_grad_problem()
+    return num.grad_check(ag.objective(build, batched=True), params, tol=1e-4)
 
 
 def grad_checks() -> list:

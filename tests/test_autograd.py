@@ -13,7 +13,7 @@ import pytest
 
 from quatmotion import autograd as ag
 from quatmotion import numerics as num
-from quatmotion import features, model, quaternion, spe, training
+from quatmotion import features, model, quaternion, spe, training, verification
 
 _R = np.random.default_rng(7)
 
@@ -121,6 +121,14 @@ GRAD_CASES += [
 ]
 
 
+def _heads_2p_batched(x, w, b):
+    # conv1d_heads_2p with a size-1 axis in front of the kernels' head
+    # axis, so a leading probe axis lines up with the input's own
+    w = ag.reshape(w, w.shape[:-4] + (1,) + w.shape[-4:])
+    b = ag.reshape(b, b.shape[:-2] + (1,) + b.shape[-2:])
+    return (ag.conv1d(x, w, b) * WCH).sum(axis=(-4, -3, -2, -1))
+
+
 class TestGradients:
     @pytest.mark.parametrize("name,params,build",
                              GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
@@ -166,6 +174,13 @@ class TestObjective:
         assert objective.loss(arrays) == tracked
 
     def test_grad_check_runs_one_backward_and_builds_no_probe_tape(self, monkeypatch):
+        self._one_backward_no_probe_tape(monkeypatch, "looped")
+
+    def test_batched_grad_check_runs_one_backward_and_builds_no_probe_tape(self, monkeypatch):
+        self._one_backward_no_probe_tape(monkeypatch, "batched")
+
+    @staticmethod
+    def _one_backward_no_probe_tape(monkeypatch, form):
         backward_calls = []
         original = ag.Tensor.backward
 
@@ -175,6 +190,8 @@ class TestObjective:
 
         monkeypatch.setattr(ag.Tensor, "backward", spy)
         name, params, build = next(c for c in GRAD_CASES if c[0] == "conv1d_heads_2p")
+        if form == "batched":
+            build = _heads_2p_batched
         losses = []
 
         def recording(*tensors):
@@ -182,12 +199,42 @@ class TestObjective:
             losses.append(out)
             return out
 
-        report = num.grad_check(ag.objective(recording), [p.copy() for p in params])
+        objective = ag.objective(recording, batched=form == "batched")
+        if form == "batched":
+            def no_loss(arrays):
+                raise AssertionError("a batched objective's probes never call loss")
+            objective = objective._replace(loss=no_loss)
+        report = num.grad_check(objective, [p.copy() for p in params])
         assert report.passed
         assert len(backward_calls) == 1
         assert backward_calls[0] is losses[0]
-        assert len(losses) == 1 + 2 * sum(p.size for p in params)
+        if form == "looped":
+            assert len(losses) == 1 + 2 * sum(p.size for p in params)
+        else:
+            # every parameter's stack fits one chunk: one losses call each
+            assert all(2 * p.size * p.size <= num.PROBE_STACK_ELEMENTS for p in params)
+            assert [out.shape for out in losses[1:]] == [(2 * p.size,) for p in params]
         assert all(not out._track and out._parents == () for out in losses[1:])
+
+    def test_batched_losses_match_probe_loss(self, rng):
+        build, params = verification._qra_grad_problem()
+        objective = ag.objective(build, batched=True)
+        stacks = [p + 1e-3 * rng.standard_normal((5,) + p.shape) for p in params]
+        batched = objective.losses(stacks)
+        looped = [objective.loss([s[i] for s in stacks]) for i in range(5)]
+        assert batched.shape == (5,)
+        np.testing.assert_allclose(batched, looped, rtol=1e-13, atol=0)
+
+    def test_qra_grad_problem_same_report_in_both_forms(self):
+        build, params = verification._qra_grad_problem()
+        looped = num.grad_check(ag.objective(build), [p.copy() for p in params], tol=1e-4)
+        batched = num.grad_check(ag.objective(build, batched=True),
+                                 [p.copy() for p in params], tol=1e-4)
+        # qra/gradient_correctness probes every one of the 344 coordinates
+        assert looped.probes == batched.probes == [p.size for p in params]
+        assert sum(batched.probes) == 344
+        np.testing.assert_allclose(batched.errors, looped.errors, rtol=0, atol=1e-9)
+        assert looped.passed and batched.passed
 
 
 class TestForwardAgainstReference:

@@ -205,6 +205,30 @@ class TestTrain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["batch_size=abc", "lr_init=fast", "decay_steps=1:x"])
+    def test_unparsable_set_value_names_the_key(self, workspace, tmp_path, bad, capsys):
+        rc = cli.entry(_train_args(workspace / "data", tmp_path / "out", extra=(bad,)))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--set" in err and bad.split("=")[0] in err
+        assert "Traceback" not in err
+
+    def test_unparsable_config_value_names_key_and_file(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("batch_size = abc\n")
+        rc = cli.entry(["train", "--config", str(cfg), "--data", str(workspace / "data"),
+                        "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "batch_size" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("bad", ["beta2=1.5", "lr_init=nan", "clip_norm=-1", "eps=0"])
+    def test_out_of_range_train_setting_exits_two(self, workspace, tmp_path, bad, capsys):
+        rc = cli.entry(_train_args(workspace / "data", tmp_path / "out", extra=(bad,)))
+        assert rc == 2
+        assert bad.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+
     def test_missing_data_dir_exits_two(self, tmp_path, capsys):
         rc = cli.entry(["train", "--data", str(tmp_path / "nowhere"),
                         "--out", str(tmp_path / "out")])

@@ -272,6 +272,133 @@ class TestGradCheck:
         with pytest.raises(NonFiniteLoss):
             num.grad_check(f, [np.zeros(2)])
 
+    # the batched probe form: params carry a leading probe axis, one loss per row
+    @staticmethod
+    def _sq_losses(params):
+        a = params[0]
+        return (a ** 2).reshape(len(a), -1).sum(axis=1)
+
+    def _forms(self, objective, losses):
+        return {"looped": objective, "batched": objective._replace(losses=losses)}
+
+    def test_batched_correct_gradient_passes(self):
+        x = np.array([1.0, -2.0, 3.0])
+        reports = {form: num.grad_check(f, [x.copy()]) for form, f in
+                   self._forms(self._quadratic, self._sq_losses).items()}
+        assert reports["batched"].passed
+        assert reports["batched"].max_error < 1e-9
+        np.testing.assert_allclose(reports["batched"].errors, reports["looped"].errors,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("form", ["looped", "batched"])
+    def test_one_wrong_coordinate_fails(self, form):
+        def loss(params):
+            x, y = params
+            return float((x ** 2).sum() + (y ** 3).sum())
+
+        def value_and_grad(params):
+            x, y = params
+            gx = 2.0 * x
+            gx[2] += 0.5  # one analytic coordinate off
+            return loss(params), [gx, 3.0 * y ** 2]
+
+        def losses(params):
+            x, y = params
+            return (x ** 2).sum(axis=1) + (y ** 3).sum(axis=1)
+
+        f = self._forms(num.Objective(value_and_grad, loss), losses)[form]
+        report = num.grad_check(f, [np.linspace(-1.0, 1.0, 4), np.array([0.5, -1.5, 2.0])])
+        assert not report.passed
+        assert report.errors[0] > 0.1
+        assert report.errors[1] < 1e-6
+
+    def test_batched_probes_same_coordinates(self):
+        big = np.linspace(-1, 1, 200)
+        moved = {"looped": [], "batched": []}
+
+        def loss(params):
+            delta = params[0] - big
+            (c,) = np.flatnonzero(delta)
+            moved["looped"].append((int(c), bool(delta[c] > 0)))
+            return self._quadratic.loss(params)
+
+        def losses(params):
+            for row in params[0]:
+                delta = row - big
+                (c,) = np.flatnonzero(delta)
+                moved["batched"].append((int(c), bool(delta[c] > 0)))
+            return self._sq_losses(params)
+
+        forms = self._forms(num.Objective(self._quadratic.value_and_grad, loss), losses)
+        reports = {form: num.grad_check(f, [big.copy()], max_probes_per_param=5)
+                   for form, f in forms.items()}
+        assert reports["looped"].probes == reports["batched"].probes == [5]
+        assert reports["looped"].errors == reports["batched"].errors
+        assert len(moved["batched"]) == 10
+        assert sorted(moved["looped"]) == sorted(moved["batched"])
+        # +h rows first, then -h rows, over the same coordinates
+        coords = [c for c, _ in moved["batched"][:5]]
+        assert moved["batched"] == [(c, True) for c in coords] + [(c, False) for c in coords]
+
+    def test_batched_chunks_under_element_bound(self, monkeypatch):
+        calls = []
+
+        def losses(params):
+            calls.append(params[0].shape)
+            return self._sq_losses(params)
+
+        f = self._quadratic._replace(losses=losses)
+        x = np.linspace(-1, 1, 30)
+        whole = num.grad_check(f, [x.copy()])
+        assert calls == [(60, 30)]
+        calls.clear()
+        monkeypatch.setattr(num, "PROBE_STACK_ELEMENTS", 250)
+        chunked = num.grad_check(f, [x.copy()])
+        # 250 // 60 = 4 coordinates (8 rows, 240 elements) per call
+        assert calls == [(8, 30)] * 7 + [(4, 30)]
+        assert chunked.errors == whole.errors
+        calls.clear()
+        monkeypatch.setattr(num, "PROBE_STACK_ELEMENTS", 1)
+        num.grad_check(f, [x.copy()])
+        assert calls == [(2, 30)] * 30  # two rows at the least
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_batched_non_finite_probe_loss_raises(self, bad):
+        def losses(params):
+            out = self._sq_losses(params)
+            out[-1] = bad
+            return out
+
+        with pytest.raises(NonFiniteLoss):
+            num.grad_check(self._quadratic._replace(losses=losses), [np.zeros(2)])
+
+    def test_batched_losses_shape_checked(self):
+        f = self._quadratic._replace(losses=lambda params: self._sq_losses(params)[:1])
+        with pytest.raises(DimensionMismatch):
+            num.grad_check(f, [np.zeros(2)])
+
+    @pytest.mark.parametrize("form", ["looped", "batched"])
+    def test_nan_analytic_gradient_fails(self, form):
+        def value_and_grad(params):
+            loss, (g,) = self._quadratic.value_and_grad(params)
+            g[1] = np.nan
+            return loss, [g]
+
+        f = self._forms(self._quadratic._replace(value_and_grad=value_and_grad),
+                        self._sq_losses)[form]
+        report = num.grad_check(f, [np.array([1.0, 2.0, 3.0])])
+        assert not report.passed
+        assert np.isnan(report.max_error)
+
+    @pytest.mark.parametrize("form", ["looped", "batched"])
+    def test_non_contiguous_parameter_is_probed(self, form):
+        # a transposed view: probes must move the array the objective reads
+        x = np.arange(1.0, 7.0).reshape(2, 3).T
+        f = self._forms(self._quadratic, self._sq_losses)[form]
+        report = num.grad_check(f, [x])
+        assert report.passed
+        assert report.max_error < 1e-9
+
     def test_gradient_shape_mismatch(self):
         f = num.Objective(value_and_grad=lambda params: (float(params[0].sum()),
                                                          [np.zeros(5)]),

@@ -52,6 +52,35 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"lr_init": float("nan")}, "lr_init"),
+        ({"lr_init": float("inf")}, "lr_init"),
+        ({"decay_steps": ((2000, float("nan")),)}, "decay_steps"),
+        ({"decay_steps": ((2000, 1e-5), (4000, float("-inf")))}, "decay_steps"),
+        ({"beta1": 1.0}, "beta1"),
+        ({"beta1": -0.1}, "beta1"),
+        ({"beta1": float("nan")}, "beta1"),
+        ({"beta2": 1.5}, "beta2"),
+        ({"eps": 0.0}, "eps"),
+        ({"eps": -1.0}, "eps"),
+        ({"eps": float("inf")}, "eps"),
+        ({"clip_norm": -1.0}, "clip_norm"),
+        ({"clip_norm": float("nan")}, "clip_norm"),
+        ({"clip_norm": float("inf")}, "clip_norm"),
+        ({"batch_size": 8.0}, "batch_size"),
+        ({"batch_size": True}, "batch_size"),
+        ({"total_steps": 10.0}, "total_steps"),
+        ({"total_steps": False}, "total_steps"),
+    ])
+    def test_rejects_naming_the_field(self, kwargs, field):
+        with pytest.raises((ValueError, TypeError), match=field):
+            TrainConfig(**kwargs)
+
+    def test_accepts_edge_values(self):
+        # the closed ends: betas of 0 keep no history, clip_norm 0 disables clipping
+        c = TrainConfig(beta1=0.0, beta2=0.0, clip_norm=0.0, total_steps=0)
+        assert (c.beta1, c.beta2, c.clip_norm, c.total_steps) == (0.0, 0.0, 0.0, 0)
+
 
 class TestL2Loss:
     def test_array_hand_case(self):
