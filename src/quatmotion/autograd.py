@@ -583,9 +583,15 @@ def objective(build, batched: bool = False) -> numerics.Objective:
     parameters or combines with them keeps the leading axis, nothing
     indexes, slices, concatenates or reshapes along it, and the loss is
     reduced over the trailing axes only (mean_(x, axis=(-2, -1)) rather
-    than mean_(x)). Ops that line parameters up from the left (a 1-d
-    layer_norm gamma, a getitem or concat axis counted from 0) break
-    this; leave batched off for such builds.
+    than mean_(x)). Count axes from the right (x[..., 1:3],
+    concat(axis=-1), mean_(axis=-1)). Broadcasting lines operands up from
+    the right, so a parameter with fewer batch axes than the operand it
+    meets (a 1-d layer_norm gamma against (B, T, C) inputs, conv1d
+    kernels against batched inputs) would put its probe axis on one of
+    the other's batch axes: give it size-1 axes after the probe axis
+    when batched, as in w[:, None] (or w[:, None, None] for a gamma
+    against two batch axes). Every parameter has one axis more in the
+    batched form, so build can tell the forms apart by a parameter's ndim.
     """
     def value_and_grad(arrays):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]

@@ -165,9 +165,20 @@ def _discover_pairs(root: str) -> list:
     return found
 
 
-def _load_pair(path: str):
-    audio, _ = feat.load_stream(os.path.join(path, "audio.csv"))
-    motion, _ = feat.load_stream(os.path.join(path, "motion.csv"))
+def _load_checked(path: str, kind: str, fps: int | None = None):
+    """A stream's matrix; its sidecar must name `kind` and, when fps (the
+    model's) is given, that frame rate."""
+    matrix, meta = feat.load_stream(path)
+    if meta.kind != kind:
+        raise MetaMismatch(f"{path} is a {meta.kind} stream, need {kind}")
+    if fps is not None and meta.fps != fps:
+        raise MetaMismatch(f"{path} is sampled at {meta.fps} fps, but the model runs at {fps}")
+    return matrix
+
+
+def _load_pair(path: str, fps: int | None = None):
+    audio = _load_checked(os.path.join(path, "audio.csv"), "audio", fps)
+    motion = _load_checked(os.path.join(path, "motion.csv"), "motion", fps)
     return audio, motion
 
 
@@ -210,7 +221,7 @@ def cmd_train(args) -> int:
     if "QEAN_SEED" in os.environ:
         train_config = dataclasses.replace(train_config, rng_seed=_env_seed(0))
 
-    dataset = [_load_pair(path) for _, path in _discover_pairs(args.data)]
+    dataset = [_load_pair(path, model_config.fps) for _, path in _discover_pairs(args.data)]
     weights = mod.init_weights(model_config, np.random.default_rng(train_config.rng_seed))
 
     os.makedirs(args.out, exist_ok=True)
@@ -227,12 +238,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     weights, config = mod.load_checkpoint(args.ckpt)
-    audio, audio_meta = feat.load_stream(args.music)
-    if audio_meta.kind != "audio":
-        raise MetaMismatch(f"{args.music} is a {audio_meta.kind} stream, need audio")
-    seed_motion, motion_meta = feat.load_stream(args.seed_motion)
-    if motion_meta.kind != "motion":
-        raise MetaMismatch(f"{args.seed_motion} is a {motion_meta.kind} stream, need motion")
+    audio = _load_checked(args.music, "audio", config.fps)
+    seed_motion = _load_checked(args.seed_motion, "motion", config.fps)
 
     generated = mod.autoregressive_generate(
         seed_motion[:config.seed_motion_frames], audio, args.frames, weights, config)
@@ -307,7 +314,7 @@ def cmd_eval(args) -> int:
         if not found:
             raise MalformedFile(f"no motion.csv found under {gen_root}")
     for name, path in found:
-        motion, _ = feat.load_stream(os.path.join(path, "motion.csv"))
+        motion = _load_checked(os.path.join(path, "motion.csv"), "motion")
         gen_motions.append(motion)
         gen_names.append(name)
         gen_paths.append(path)

@@ -233,6 +233,44 @@ def _parse_meta(path: str) -> dict:
     return entries
 
 
+def _read_cells(lines) -> np.ndarray:
+    """Comma-separated float rows through numpy's C reader.
+
+    A cell is an optionally signed decimal or exponent float literal, or
+    nan, inf or infinity in any case, with surrounding whitespace allowed.
+    Python float()'s extras (digit-group underscores, non-ASCII digits)
+    and `#` comments are rejected.
+    """
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _parses(text: str) -> bool:
+    """Whether _read_cells accepts text as one row."""
+    if not text.strip():
+        return False
+    try:
+        _read_cells([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _rejected_row(path: str, lines) -> MalformedFile:
+    """The error for the first row _read_cells rejects, by its 0-based
+    index among the non-blank lines. numpy's own messages count a ragged
+    row from 1 and a bad cell's row from 0, so they are not forwarded."""
+    width = lines[0].count(",") + 1
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            return MalformedFile(
+                f"ragged row {i} in {path}: {len(cells)} cells, row 0 has {width}")
+        if not _parses(line):
+            cell = next((c for c in cells if not _parses(c)), line)
+            return MalformedFile(f"non-numeric cell {cell.strip()!r} in row {i} of {path}")
+    return MalformedFile(f"cannot parse the rows of {path}")
+
+
 def load_stream(path: str):
     """Read a CSV + sidecar pair back into (matrix, StreamMeta)."""
     entries = _parse_meta(path + ".meta")
@@ -249,16 +287,14 @@ def load_stream(path: str):
 
     text = _read_text(path, "stream")
     lines = [line for line in text.splitlines() if line.strip()]
-    data = []
-    for i, line in enumerate(lines):
-        cells = line.split(",")
-        if data and len(cells) != len(data[0]):
-            raise MalformedFile(f"ragged row {i} in {path}")
+    if not lines:
+        # loadtxt warns on empty input; an empty stream is a valid one
+        matrix = np.zeros((0, meta.dims))
+    else:
         try:
-            data.append([float(c) for c in cells])
+            matrix = _read_cells(lines)
         except ValueError as exc:
-            raise MalformedFile(f"non-numeric cell in row {i} of {path}: {exc}") from exc
-    matrix = np.array(data, dtype=np.float64) if data else np.zeros((0, meta.dims))
+            raise _rejected_row(path, lines) from exc
     bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad_rows.size:
         raise MalformedFile(f"non-finite cell (nan or inf) in row {bad_rows[0]} of {path}")

@@ -266,10 +266,6 @@ def qra_checks() -> list:
 
 # ------------------------------------------------------------------- grad
 
-def _sq_sum(t: Tensor) -> Tensor:
-    return ag.sum_(ag.mul(t, t))
-
-
 def _qra_grad_problem():
     """A one-head QRA loss build(*tensors) and its 11 parameter arrays.
 
@@ -301,64 +297,87 @@ def _qra_grad_report() -> num.GradReport:
     return num.grad_check(ag.objective(build, batched=True), params, tol=1e-4)
 
 
-def grad_checks() -> list:
+def _sq_loss(build, ndim: int):
+    """build's output squared and summed into a loss over its trailing axes.
+
+    The first tensor build gets has ndim axes, or ndim + 1 when every
+    tensor carries a leading probe axis; that axis is kept, so the loss
+    also comes out one per probe, as grad_check's batched form needs.
+    """
+    def loss(*tensors):
+        out = build(*tensors)
+        return ag.sum_(ag.mul(out, out), axis=tuple(range(tensors[0].ndim - ndim, out.ndim)))
+    return loss
+
+
+def _after_probe(t: Tensor, ndim: int, ones: int = 1) -> Tensor:
+    """t, or, when it carries a leading probe axis (more than ndim axes),
+    t with `ones` size-1 axes after that axis, so that it broadcasts
+    against an operand with that many more leading batch axes."""
+    return t[(slice(None),) + (None,) * ones] if t.ndim > ndim else t
+
+
+def _grad_cases() -> list:
+    """The grad suite's problems, (name, build, params, tol) each.
+
+    Every build takes its params with or without a leading probe axis:
+    axes count from the right, operands with fewer batch axes get size-1
+    axes after the probe axis (_after_probe), and the loss reduces over
+    the trailing axes only (_sq_loss).
+    """
     rng = np.random.default_rng(15)
-    checks = []
+    cases = [("quadratic_closed_form", lambda t: t, [np.array([3.0])], 1e-9),
+             ("constant_zero", lambda t: ag.mul(t, 0.0), [rng.standard_normal(4)], 1e-12)]
 
-    r = num.grad_check(ag.objective(_sq_sum), [np.array([3.0])])
-    checks.append(_check("grad/quadratic_closed_form", r.max_error, 1e-9))
-
-    r = num.grad_check(ag.objective(lambda t: ag.sum_(ag.mul(t, 0.0))),
-                       [rng.standard_normal(4)])
-    checks.append(_check("grad/constant_zero", r.max_error, 1e-12))
-
-    cases = []
+    def op_case(name, build, params):
+        cases.append((name, build, params, 1e-4))
 
     a0 = rng.standard_normal((3, 4))
     b0 = rng.standard_normal((4, 2))
-    cases.append(("matmul", lambda a, b: _sq_sum(ag.matmul(a, b)), [a0, b0]))
+    op_case("matmul", ag.matmul, [a0, b0])
 
     a1 = rng.standard_normal((2, 3, 4))
     b1 = rng.standard_normal((4, 5))
-    cases.append(("matmul_batched", lambda a, b: _sq_sum(ag.matmul(a, b)), [a1, b1]))
+    op_case("matmul_batched", lambda a, b: ag.matmul(a, _after_probe(b, 2)), [a1, b1])
 
     a2 = rng.standard_normal((3, 1))
     b2 = rng.standard_normal((1, 4))
-    cases.append(("add_broadcast",
-                  lambda a, b: _sq_sum(ag.add(a, b)), [a2, b2]))
-    cases.append(("mul_broadcast",
-                  lambda a, b: _sq_sum(ag.mul(a, b)), [a2, b2]))
-    cases.append(("sub_neg",
-                  lambda a, b: _sq_sum(ag.sub(ag.neg(a), b)), [a2, b2]))
+    op_case("add_broadcast", ag.add, [a2, b2])
+    op_case("mul_broadcast", ag.mul, [a2, b2])
+    op_case("sub_neg", lambda a, b: ag.sub(ag.neg(a), b), [a2, b2])
 
     # keep relu inputs away from the kink; central differences straddle it
     off = rng.standard_normal((3, 5))
     off = np.sign(off) * (np.abs(off) + 0.1)
-    cases.append(("relu", lambda x: _sq_sum(ag.relu(x)), [off]))
-    cases.append(("pi_tanh", lambda x: _sq_sum(ag.pi_tanh(x)), [rng.standard_normal((3, 5))]))
+    op_case("relu", ag.relu, [off])
+    op_case("pi_tanh", ag.pi_tanh, [rng.standard_normal((3, 5))])
     sm_weights = rng.standard_normal((2, 5))  # fixed, so the loss is a function of x alone
-    cases.append(("softmax_rows",
-                  lambda x: _sq_sum(ag.mul(ag.softmax_rows(x), Tensor(sm_weights))),
-                  [rng.standard_normal((2, 5))]))
+    op_case("softmax_rows", lambda x: ag.mul(ag.softmax_rows(x), Tensor(sm_weights)),
+            [rng.standard_normal((2, 5))])
+
+    def conv(x, w, b):
+        return ag.conv1d(x, _after_probe(w, 3), _after_probe(b, 1))
 
     xc = rng.standard_normal((2, 7, 3))
     wc = 0.5 * rng.standard_normal((2, 3, 3))
     bc = 0.5 * rng.standard_normal(2)
-    cases.append(("conv1d", lambda x, w, b: _sq_sum(ag.conv1d(x, w, b)), [xc, wc, bc]))
+    op_case("conv1d", conv, [xc, wc, bc])
+
+    def conv_headed(x, w, b):
+        return ag.conv1d(x, _after_probe(w, 4), _after_probe(b, 2))
 
     xh = rng.standard_normal((2, 4, 6, 3))
     wh = 0.5 * rng.standard_normal((4, 2, 3, 5))
     bh = 0.5 * rng.standard_normal((4, 2))
-    cases.append(("conv1d_headed", lambda x, w, b: _sq_sum(ag.conv1d(x, w, b)), [xh, wh, bh]))
+    op_case("conv1d_headed", conv_headed, [xh, wh, bh])
 
     xl = rng.standard_normal((2, 3, 6))
-    cases.append(("layer_norm",
-                  lambda x, g, b: _sq_sum(ag.layer_norm(x, g, b)),
-                  [xl, 1.0 + 0.1 * rng.standard_normal(6), 0.1 * rng.standard_normal(6)]))
+    op_case("layer_norm",
+            lambda x, g, b: ag.layer_norm(x, _after_probe(g, 1, 2), _after_probe(b, 1, 2)),
+            [xl, 1.0 + 0.1 * rng.standard_normal(6), 0.1 * rng.standard_normal(6)])
 
     co, si = spe.angle_tables(5, spe.RotarySchedule(8))
-    cases.append(("rope_apply", lambda x: _sq_sum(ag.rope_apply(x, co, si)),
-                  [rng.standard_normal((2, 5, 8))]))
+    op_case("rope_apply", lambda x: ag.rope_apply(x, co, si), [rng.standard_normal((2, 5, 8))])
 
     xq = rng.standard_normal((2, 3, 2, 4))
     aq = rng.standard_normal((2, 3))
@@ -366,24 +385,32 @@ def grad_checks() -> list:
     # which would zero out the angle gradient and test nothing
     qw = rng.standard_normal((2, 3, 2, 4))
     for axis in ("i", "j", "k"):
-        cases.append((f"quat_rotate_{axis}",
-                      lambda x, a, axis=axis: _sq_sum(ag.mul(ag.quat_rotate(x, a, axis),
-                                                           Tensor(qw))),
-                      [xq, aq]))
+        op_case(f"quat_rotate_{axis}",
+                lambda x, a, axis=axis: ag.mul(ag.quat_rotate(x, a, axis), Tensor(qw)),
+                [xq, aq])
 
     xg = rng.standard_normal((4, 5))
-    cases.append(("getitem_slice", lambda x: _sq_sum(x[1:3, ::2]), [xg]))
-    cases.append(("concat_reshape",
-                  lambda a, b: _sq_sum(ag.reshape(ag.concat([a, b], axis=1), (12,))),
-                  [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]))
-    cases.append(("mean_axis",
-                  lambda x: _sq_sum(ag.mean_(x, axis=1, keepdims=True)),
-                  [rng.standard_normal((3, 4))]))
+    op_case("getitem_slice", lambda x: x[..., 1:3, ::2], [xg])
 
-    for name, build, params in cases:
-        r = num.grad_check(ag.objective(build), params, tol=1e-4)
-        checks.append(_check(f"grad/{name}", r.max_error, 1e-4))
+    def concat_reshape(a, b):
+        joined = ag.concat([a, b], axis=-1)
+        return ag.reshape(joined, joined.shape[:-2] + (12,))
 
+    op_case("concat_reshape", concat_reshape,
+            [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))])
+    op_case("mean_axis", lambda x: ag.mean_(x, axis=-1, keepdims=True),
+            [rng.standard_normal((3, 4))])
+
+    return [(name, _sq_loss(build, params[0].ndim), params, tol)
+            for name, build, params, tol in cases]
+
+
+def grad_checks() -> list:
+    """Every case through grad_check's batched probe form."""
+    checks = []
+    for name, build, params, tol in _grad_cases():
+        r = num.grad_check(ag.objective(build, batched=True), params, tol=1e-4)
+        checks.append(_check(f"grad/{name}", r.max_error, tol))
     return checks
 
 

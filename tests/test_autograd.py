@@ -129,6 +129,16 @@ def _heads_2p_batched(x, w, b):
     return (ag.conv1d(x, w, b) * WCH).sum(axis=(-4, -3, -2, -1))
 
 
+# verify --suite grad: its 20 checks, in order, each probed in the batched form
+GRAD_SUITE = verification._grad_cases()
+GRAD_SUITE_NAMES = [
+    "quadratic_closed_form", "constant_zero", "matmul", "matmul_batched", "add_broadcast",
+    "mul_broadcast", "sub_neg", "relu", "pi_tanh", "softmax_rows", "conv1d", "conv1d_headed",
+    "layer_norm", "rope_apply", "quat_rotate_i", "quat_rotate_j", "quat_rotate_k",
+    "getitem_slice", "concat_reshape", "mean_axis",
+]
+
+
 class TestGradients:
     @pytest.mark.parametrize("name,params,build",
                              GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
@@ -216,14 +226,42 @@ class TestObjective:
             assert [out.shape for out in losses[1:]] == [(2 * p.size,) for p in params]
         assert all(not out._track and out._parents == () for out in losses[1:])
 
-    def test_batched_losses_match_probe_loss(self, rng):
-        build, params = verification._qra_grad_problem()
+    @staticmethod
+    def _batched_losses_match_probe_loss(build, params, rng):
         objective = ag.objective(build, batched=True)
         stacks = [p + 1e-3 * rng.standard_normal((5,) + p.shape) for p in params]
         batched = objective.losses(stacks)
         looped = [objective.loss([s[i] for s in stacks]) for i in range(5)]
         assert batched.shape == (5,)
         np.testing.assert_allclose(batched, looped, rtol=1e-13, atol=0)
+
+    def test_batched_losses_match_probe_loss(self, rng):
+        self._batched_losses_match_probe_loss(*verification._qra_grad_problem(), rng)
+
+    @pytest.mark.parametrize("case", GRAD_SUITE, ids=[c[0] for c in GRAD_SUITE])
+    def test_grad_suite_batched_losses_match_probe_loss(self, case, rng):
+        _, build, params, _ = case
+        self._batched_losses_match_probe_loss(build, params, rng)
+
+    def test_grad_suite_probes_every_coordinate_batched(self):
+        def no_loss(arrays):
+            raise AssertionError("a batched objective's probes never call loss")
+
+        probes = {}
+        for name, build, params, _ in GRAD_SUITE:
+            objective = ag.objective(build, batched=True)._replace(loss=no_loss)
+            report = num.grad_check(objective, [p.copy() for p in params], tol=1e-4)
+            assert report.passed, f"{name}: max rel err {report.max_error:.3e}"
+            assert report.probes == [p.size for p in params]
+            probes[name] = sum(report.probes)
+        assert list(probes) == GRAD_SUITE_NAMES
+        assert sum(probes.values()) == 798
+
+    def test_grad_suite_keeps_its_checks_and_tolerances(self):
+        checks = verification.grad_checks()
+        assert [c.name for c in checks] == [f"grad/{n}" for n in GRAD_SUITE_NAMES]
+        assert [c.tolerance for c in checks] == [1e-9, 1e-12] + [1e-4] * 18
+        assert all(c.passed for c in checks)
 
     def test_qra_grad_problem_same_report_in_both_forms(self):
         build, params = verification._qra_grad_problem()

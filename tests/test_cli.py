@@ -323,6 +323,68 @@ class TestGenerate:
         assert rc == 2
 
 
+def _copied_pair(workspace, root, audio_from="audio", fps=None):
+    """data/p0 copied to root/p0; audio_from="motion" puts the motion
+    stream in audio.csv, and fps, when given, goes into audio.csv.meta."""
+    src, pair = workspace / "data" / "p0", root / "p0"
+    pair.mkdir(parents=True)
+    for kind, source in (("audio", audio_from), ("motion", "motion")):
+        for ext in (".csv", ".csv.meta"):
+            (pair / (kind + ext)).write_bytes((src / (source + ext)).read_bytes())
+    if fps is not None:
+        meta = pair / "audio.csv.meta"
+        meta.write_text(meta.read_text().replace("fps: 60", f"fps: {fps}"))
+    return pair
+
+
+class TestStreamContract:
+    """Streams whose kind or fps does not fit, or that do not parse, exit 2
+    naming the file; nothing downstream sees them."""
+
+    def _generate(self, workspace, pair, out):
+        return cli.entry(["generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
+                          "--music", str(pair / "audio.csv"),
+                          "--seed-motion", str(pair / "motion.csv"),
+                          "--frames", "2", "--out", str(out)])
+
+    def test_generate_rejects_music_at_another_fps(self, workspace, tmp_path, capsys):
+        pair = _copied_pair(workspace, tmp_path, fps=30)
+        assert self._generate(workspace, pair, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert str(pair / "audio.csv") in err and "30 fps" in err and "60" in err
+        assert not (tmp_path / "g").exists()
+
+    def test_train_rejects_audio_at_another_fps(self, workspace, tmp_path, capsys):
+        pair = _copied_pair(workspace, tmp_path, fps=30)
+        assert cli.entry(_train_args(tmp_path, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert str(pair / "audio.csv") in err and "30 fps" in err and "60" in err
+        assert not (tmp_path / "out" / "checkpoint.json").exists()
+
+    def test_train_rejects_motion_in_audio_file(self, workspace, tmp_path, capsys):
+        pair = _copied_pair(workspace, tmp_path, audio_from="motion")
+        assert cli.entry(_train_args(tmp_path, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert str(pair / "audio.csv") in err and "motion" in err and "audio" in err
+
+    def test_eval_rejects_motion_in_reference_audio(self, workspace, tmp_path, capsys):
+        pair = _copied_pair(workspace, tmp_path / "ref", audio_from="motion")
+        rc = cli.entry(["eval", "--ref", str(tmp_path / "ref"),
+                        "--gen", str(workspace / "gen"), "--metrics", "fid"])
+        assert rc == 2
+        assert str(pair / "audio.csv") in capsys.readouterr().err
+
+    def test_generate_rejects_ragged_music(self, workspace, tmp_path, capsys):
+        pair = _copied_pair(workspace, tmp_path)
+        audio = pair / "audio.csv"
+        rows = audio.read_text().splitlines()
+        rows[3] = rows[3].rsplit(",", 1)[0]
+        audio.write_text("\n".join(rows) + "\n")
+        assert self._generate(workspace, pair, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert f"ragged row 3 in {audio}" in err and "Traceback" not in err
+
+
 def _continuation(root, start_frame=None):
     """A reference pair (beat period 24) and, as its "generated" clip, the
     true frames [30, 90): the rollout a perfect model makes from a

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,34 @@ class TestStreamIO:
         want = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in motion)
         assert path.read_bytes() == want.encode()
 
+    def test_edge_values_load_back_bit_exact(self, rng, tmp_path):
+        motion = rng.standard_normal((3, 219))
+        motion[1, :6] = [-0.0, 5e-324, 1e16, -1e16, 1.0 / 3.0, -5e-324]
+        path = str(tmp_path / "motion.csv")
+        features.save_stream(path, motion, features.StreamMeta("motion", 60, 3, 219))
+        back, _ = features.load_stream(path)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back.view(np.int64), motion.view(np.int64))
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        audio, _ = features.synth_pair(5, seconds=0.05, beat_period_frames=2)
+        path = tmp_path / "audio.csv"
+        features.save_stream(str(path), audio, features.StreamMeta("audio", 60, 3, 35))
+        rows = path.read_text().splitlines()
+        path.write_text("\n \t\n" + rows[0] + "\n\n" + rows[1] + "\n   \n" + rows[2] + "\n \n")
+        back, _ = features.load_stream(str(path))
+        np.testing.assert_array_equal(back, audio)
+
+    def test_empty_stream_loads_without_warning(self, tmp_path):
+        path = tmp_path / "audio.csv"
+        path.write_text("\n  \n")
+        (tmp_path / "audio.csv.meta").write_text(
+            "format: qean-stream-v1\nkind: audio\nfps: 60\nframes: 0\ndims: 35\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back, meta = features.load_stream(str(path))
+        assert back.shape == (0, 35) and meta.frames == 0
+
     def test_empty_stream_writes_empty_file(self, tmp_path):
         path = tmp_path / "motion.csv"
         features.save_stream(str(path), np.zeros((0, 219)),
@@ -212,6 +241,40 @@ class TestStreamIO:
             "format: qean-stream-v1\nkind: audio\nfps: 60\nframes: 1\ndims: 35\n")
         with pytest.raises(MalformedFile):
             features.load_stream(str(path))
+
+    @staticmethod
+    def _motion_with_row(tmp_path, row: int, edit):
+        """A saved 12-frame motion stream whose line `row` is edit(cells),
+        after a leading blank line that row numbers do not count."""
+        _, motion = features.synth_pair(6, seconds=0.2, beat_period_frames=4)
+        path = tmp_path / "motion.csv"
+        features.save_stream(str(path), motion, features.StreamMeta("motion", 60, 12, 219))
+        rows = path.read_text().splitlines()
+        rows[row] = ",".join(edit(rows[row].split(",")))
+        path.write_text("\n" + "\n".join(rows) + "\n")
+        return str(path)
+
+    # Python float() took "1_000" and non-ASCII digits; the C reader does not
+    @pytest.mark.parametrize("cell", ["1#2", "1_000", "", "  ", "0x10", "1 2", "\u0661", '"1"'])
+    def test_bad_cell_names_file_and_row(self, tmp_path, cell):
+        def edit(cells):
+            cells[5] = cell
+            return cells
+
+        path = self._motion_with_row(tmp_path, 4, edit)
+        with pytest.raises(MalformedFile) as info:
+            features.load_stream(path)
+        message = str(info.value)
+        assert f"row 4 of {path}" in message and repr(cell.strip()) in message
+
+    @pytest.mark.parametrize("edit", [lambda cells: cells[:-1],
+                                      lambda cells: cells + ["1.0"],
+                                      lambda cells: cells[:-2] + ["x"]],
+                             ids=["short", "long", "short_and_non_numeric"])
+    def test_ragged_row_names_file_and_row(self, tmp_path, edit):
+        path = self._motion_with_row(tmp_path, 9, edit)
+        with pytest.raises(MalformedFile, match=rf"ragged row 9 in {re.escape(path)}"):
+            features.load_stream(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
