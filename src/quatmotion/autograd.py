@@ -1,11 +1,16 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tensor records the op that produced it and a closure computing
-vector-Jacobian products for its parents. Calling backward() on a scalar
-loss walks the tape in reverse topological order and accumulates gradients
-into every leaf created with requires_grad=True. A result none of whose
-inputs leads to such a leaf records nothing, so untracked computation
-builds no tape.
+A Tensor is an array plus, when a gradient can flow through it, a node
+on the tape. The node holds its parents' nodes, a closure computing
+vector-Jacobian products for them, a leaf flag and the accumulated
+gradient; it never refers back to a Tensor. Each VJP closure captures
+only the arrays and flags it reads (a saved operand, a mask, a shape),
+never an operand Tensor, so a tracked forward keeps alive just what its
+backward needs: an intermediate no VJP reads is freed as soon as its
+Tensor is dropped. Calling backward() on a scalar loss walks the nodes in
+reverse topological order and accumulates gradients into every leaf
+created with requires_grad=True. A result none of whose inputs leads to
+such a leaf gets no node, so untracked computation builds no tape.
 
 The op set is exactly what the attention stack needs: broadcast
 arithmetic, (batched) matmul, reshape / transpose / slice / concat, relu,
@@ -57,10 +62,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-class Tensor:
-    """A node on the autodiff tape."""
+class _Node:
+    """One tracked result on the tape.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_track")
+    parents has one entry per operand of the op: that operand's node, or
+    None for an operand that needs no gradient. vjp(g) returns one
+    gradient (or None) per operand. A leaf (a requires_grad tensor)
+    accumulates the gradients that reach it in grad.
+    """
+
+    __slots__ = ("parents", "vjp", "leaf", "grad")
+
+    def __init__(self, parents: tuple, vjp, leaf: bool):
+        self.parents = parents
+        self.vjp = vjp
+        self.leaf = leaf
+        self.grad = None
+
+
+class Tensor:
+    """An array and, when it is tracked, its node on the tape."""
+
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _vjp=None):
         # np.asarray returns a float64 ndarray unchanged; every op hands
@@ -69,20 +92,36 @@ class Tensor:
             self.data = data
         else:
             self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = requires_grad
         track = requires_grad
         if not track:
             for p in _parents:
-                if p._track:
+                if p._node is not None:
                     track = True
                     break
-        self._track = track
-        # an untracked node can never pass a gradient on, so it keeps no
-        # parents and no VJP closure: off the tape, each intermediate is
-        # freed as soon as the next op has consumed it
-        self._parents = _parents if self._track else ()
-        self._vjp = _vjp if self._track else None
+        # an untracked result can never pass a gradient on, so it gets no
+        # node: off the tape, each intermediate is freed as soon as the
+        # next op has consumed it
+        self._node = _Node(tuple(p._node for p in _parents), _vjp, requires_grad) if track else None
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node.vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise AttributeError("an untracked tensor holds no gradient")
 
     @property
     def shape(self):
@@ -101,41 +140,43 @@ class Tensor:
                 raise ValueError("backward() without a seed needs a scalar output")
             seed = np.ones_like(self.data)
         seed = np.asarray(seed, dtype=np.float64).reshape(self.data.shape)
+        root = self._node
+        if root is None:
+            return
 
         # Iterative topological order; recursion would overflow on deep tapes.
         order = []
         seen = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if p._track and id(p) not in seen:
+            for p in node.parents:
+                if p is not None and p not in seen:
                     stack.append((p, False))
 
-        pending = {id(self): seed}
+        pending = {root: seed}
         for node in reversed(order):
-            g = pending.pop(id(node), None)
+            g = pending.pop(node, None)
             if g is None:
                 continue
-            if node.requires_grad:
+            if node.leaf:
                 node.grad = g if node.grad is None else node.grad + g
-            if node._vjp is None:
+            if node.vjp is None:
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent._track:
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is None or parent is None:
                     continue
-                key = id(parent)
-                if key in pending:
-                    pending[key] = pending[key] + pg
+                if parent in pending:
+                    pending[parent] = pending[parent] + pg
                 else:
-                    pending[key] = pg
+                    pending[parent] = pg
 
     # operator sugar
     def __add__(self, other):
@@ -188,26 +229,33 @@ def _wrap(x) -> Tensor:
     return x if type(x) is Tensor else Tensor(np.asarray(x, dtype=np.float64))
 
 
+# Every VJP below reads only what it captured: an operand's array where
+# the other operand's gradient needs it, shapes, and a per-operand flag
+# that is None (or False) when that operand is untracked. None of them
+# mentions an operand Tensor.
+
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data + b.data
+    sa = a.data.shape if a._node is not None else None
+    sb = b.data.shape if b._node is not None else None
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a._track else None,
-                _unbroadcast(g, b.data.shape) if b._track else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
-    return Tensor(out, _parents=(a, b), _vjp=vjp)
+    return Tensor(a.data + b.data, _parents=(a, b), _vjp=vjp)
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data - b.data
+    sa = a.data.shape if a._node is not None else None
+    sb = b.data.shape if b._node is not None else None
 
     def vjp(g):
-        return (_unbroadcast(g, a.data.shape) if a._track else None,
-                _unbroadcast(-g, b.data.shape) if b._track else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(-g, sb))
 
-    return Tensor(out, _parents=(a, b), _vjp=vjp)
+    return Tensor(a.data - b.data, _parents=(a, b), _vjp=vjp)
 
 
 def neg(a) -> Tensor:
@@ -217,13 +265,16 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand
+    bd = b.data if a._node is not None else None
+    ad = a.data if b._node is not None else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a._track else None,
-                _unbroadcast(g * a.data, b.data.shape) if b._track else None)
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
-    return Tensor(out, _parents=(a, b), _vjp=vjp)
+    return Tensor(a.data * b.data, _parents=(a, b), _vjp=vjp)
 
 
 def matmul(a, b, bias=None) -> Tensor:
@@ -235,13 +286,17 @@ def matmul(a, b, bias=None) -> Tensor:
     batched product and no reduction over the batch. Only that branch
     takes a bias, of shape (b.shape[-1],): it is added in place into the
     fresh product, so a linear layer is one tape node instead of two.
+    The VJP keeps `b` only if `a` tracks, and `a` only if `b` tracks.
     """
     a, b = _wrap(a), _wrap(b)
+    sa, sb = a.data.shape, b.data.shape
+    bd = b.data if a._node is not None else None
     if b.data.ndim == 2 and a.data.ndim >= 2:
         a2 = a.data.reshape(-1, a.data.shape[-1])
         out = a2 @ b.data
         if bias is None:
             parents = (a, b)
+            bias_grad = None
         else:
             bias = _wrap(bias)
             if bias.data.shape != b.data.shape[-1:]:
@@ -249,27 +304,30 @@ def matmul(a, b, bias=None) -> Tensor:
                                  f"the {b.data.shape[-1]} output columns")
             out += bias.data
             parents = (a, b, bias)
+            bias_grad = bias._node is not None
         out = out.reshape(a.data.shape[:-1] + b.data.shape[-1:])
+        a2 = a2 if b._node is not None else None
 
         def vjp(g):
             g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.data.shape) if a._track else None
-            gb = a2.T @ g2 if b._track else None
-            if bias is None:
+            ga = None if bd is None else (g2 @ bd.T).reshape(sa)
+            gb = None if a2 is None else a2.T @ g2
+            if bias_grad is None:
                 return ga, gb
-            return ga, gb, g2.sum(axis=0) if bias._track else None
+            return ga, gb, g2.sum(axis=0) if bias_grad else None
     elif bias is not None:
         raise ValueError("matmul takes a bias only with a 2-D right operand")
     else:
         out = np.matmul(a.data, b.data)
         parents = (a, b)
+        ad = a.data if b._node is not None else None
 
         def vjp(g):
             ga = gb = None
-            if a._track:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-            if b._track:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            if bd is not None:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+            if ad is not None:
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
             return ga, gb
 
     return Tensor(out, _parents=parents, _vjp=vjp)
@@ -348,25 +406,28 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    """max(x, 0); a NaN input stays NaN in the output and gets no gradient."""
+    """max(x, 0); a NaN input stays NaN in the output and gets no gradient.
+
+    The VJP keeps a bool mask of the positive inputs, an eighth of the
+    input's bytes.
+    """
     a = _wrap(a)
-
-    def vjp(g):
-        return (g * (a.data > 0),)
-
-    return Tensor(numerics.relu(a.data), _parents=(a,), _vjp=vjp)
+    out = numerics.relu(a.data)
+    if a._node is None:
+        return Tensor(out)
+    mask = a.data > 0
+    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * mask,))
 
 
 def pi_tanh(a) -> Tensor:
     """pi * tanh(x), squashed into the open interval (-pi, pi)."""
     a = _wrap(a)
-    t = np.tanh(a.data)
     out = numerics.pi_tanh(a.data)
-
-    def vjp(g):
-        return (g * math.pi * (1.0 - t * t),)
-
-    return Tensor(out, _parents=(a,), _vjp=vjp)
+    if a._node is None:
+        return Tensor(out)
+    t = np.tanh(a.data)
+    slope = 1.0 - t * t
+    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * math.pi * slope,))
 
 
 def softmax_rows(a) -> Tensor:
@@ -387,7 +448,8 @@ def conv1d(x, w, b) -> Tensor:
     Leading axes broadcast, so one call convolves every head at once.
     The forward is numerics.conv1d_im2col; the VJP reuses its windows, so
     both gradients are matmuls and the input gradient is the W-shift
-    scatter of the window gradient back onto the padded time axis.
+    scatter of the window gradient back onto the padded time axis. It
+    keeps the kernel only if x tracks and the windows only if w tracks.
     """
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
     width = w.data.shape[-1]
@@ -396,28 +458,34 @@ def conv1d(x, w, b) -> Tensor:
     pad = width // 2
     steps, chans = x.data.shape[-2:]
     out, cols = numerics.conv1d_im2col(x.data, w.data, b.data)
-    kmat = w.data.reshape(w.data.shape[:-2] + (-1,))
+    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
+    kmat = w.data.reshape(sw[:-2] + (-1,)) if x._node is not None else None
+    cols = cols if w._node is not None else None
+    b_grad = b._node is not None
 
     def vjp(g):
         gx = gw = gb = None
-        if x._track:
+        if kmat is not None:
             gcols = np.matmul(g, kmat).reshape(g.shape[:-1] + (chans, width))
             gxpad = np.zeros(g.shape[:-2] + (steps + 2 * pad, chans))
             for u in range(width):
                 gxpad[..., u:u + steps, :] += gcols[..., u]
-            gx = _unbroadcast(gxpad[..., pad:pad + steps, :], x.data.shape)
-        if w._track:
+            gx = _unbroadcast(gxpad[..., pad:pad + steps, :], sx)
+        if cols is not None:
             gk = np.matmul(np.swapaxes(g, -1, -2), cols)
-            gw = _unbroadcast(gk.reshape(gk.shape[:-1] + (chans, width)), w.data.shape)
-        if b._track:
-            gb = _unbroadcast(g.sum(axis=-2), b.data.shape)
+            gw = _unbroadcast(gk.reshape(gk.shape[:-1] + (chans, width)), sw)
+        if b_grad:
+            gb = _unbroadcast(g.sum(axis=-2), sb)
         return gx, gw, gb
 
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean and unit variance, then affine."""
+    """Normalise the last axis to zero mean and unit variance, then affine.
+
+    The VJP keeps the normalised input and the inverse deviations, not x.
+    """
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     # in-place steps on two buffers, in the same order of operations as
     # the textbook expressions, so the results are bit-identical to them;
@@ -430,12 +498,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
+    gd = gamma.data
+    np.multiply(xhat, gd, out=out)
     out += beta.data
+    sgamma = gd.shape if gamma._node is not None else None
+    sbeta = beta.data.shape if beta._node is not None else None
 
     def vjp(g):
         # dx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-        dx = g * gamma.data
+        dx = g * gd
         tmp = dx * xhat
         m2 = np.add.reduce(tmp, axis=-1, keepdims=True) / n
         dx -= np.add.reduce(dx, axis=-1, keepdims=True) / n
@@ -443,11 +514,11 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         dx -= tmp
         dx *= inv
         dgamma = dbeta = None
-        if gamma._track:
+        if sgamma is not None:
             np.multiply(g, xhat, out=tmp)
-            dgamma = _unbroadcast(tmp, gamma.data.shape)
-        if beta._track:
-            dbeta = _unbroadcast(g, beta.data.shape)
+            dgamma = _unbroadcast(tmp, sgamma)
+        if sbeta is not None:
+            dbeta = _unbroadcast(g, sbeta)
         return dx, dgamma, dbeta
 
     return Tensor(out, _parents=(x, gamma, beta), _vjp=vjp)
@@ -459,7 +530,7 @@ def rope_apply(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     x: (..., T, d) with even d; cos, sin: (T, d/2) angle tables. The tables
     are positional constants, so no gradient flows into them. The pairs go
     through quaternion.slot_rotate's plane turn; the map is orthogonal, so
-    its VJP is the same call with -sin.
+    its VJP is the same call with -sin and keeps only the tables.
     """
     x = _wrap(x)
     cos = np.asarray(cos, dtype=np.float64)
@@ -482,7 +553,7 @@ def quat_rotate(x, angles, axis: str) -> Tensor:
     full angle axis rotates the same slots once per angle, which is how
     the decoder rotates by every period in one call. The map is
     quaternion.slot_rotate, orthogonal in x, so its transpose is the same
-    call with -sin.
+    call with -sin. The VJP keeps x only if the angles track.
     """
     x, angles = _wrap(x), _wrap(angles)
     try:
@@ -493,6 +564,8 @@ def quat_rotate(x, angles, axis: str) -> Tensor:
     co = np.cos(angles.data)[..., None]
     si = np.sin(angles.data)[..., None]
     out = quaternion.slot_rotate(x.data, co, si, axis)
+    sx, sangles = x.data.shape, angles.data.shape
+    xd = x.data if angles._node is not None else None
 
     def vjp(g):
         # one rotation back by -angle gives the input gradient, and its
@@ -500,11 +573,10 @@ def quat_rotate(x, angles, axis: str) -> Tensor:
         # back) gives the angle gradient
         back = quaternion.slot_rotate(g, co, -si, axis)
         gangle = None
-        if angles._track:
-            turned = quaternion.quarter_turn(x.data, axis)
-            gangle = _unbroadcast(np.einsum("...sc,...sc->...", back, turned),
-                                  angles.data.shape)
-        return _unbroadcast(back, x.data.shape), gangle
+        if xd is not None:
+            turned = quaternion.quarter_turn(xd, axis)
+            gangle = _unbroadcast(np.einsum("...sc,...sc->...", back, turned), sangles)
+        return _unbroadcast(back, sx), gangle
 
     return Tensor(out, _parents=(x, angles), _vjp=vjp)
 
@@ -521,7 +593,9 @@ def rotated_scores(phi, k, angles, axis: str) -> Tensor:
     product, <x, k * (c + s*u)> = c * <x, k> + s * <-x * u, k>, so one
     matmul of the 2P*Q stacked rows [phi_p, -phi_p * u] against the
     unspun keys gives both coefficients, mixed afterwards with each key's
-    cos and sin. The VJP is one matmul per input plus the mix.
+    cos and sin. The VJP is one matmul per input plus the mix; it keeps
+    the keys only if phi tracks, the stacked rows only if k tracks and
+    the coefficients only if the angles track.
     """
     phi, k, angles = _wrap(phi), _wrap(k), _wrap(angles)
     q, periods, slots = phi.data.shape[-4:-1]
@@ -540,27 +614,31 @@ def rotated_scores(phi, k, angles, axis: str) -> Tensor:
     turned = np.swapaxes(angles.data, -1, -2)     # (..., P, M)
     mix = np.concatenate([np.cos(turned), np.sin(turned)], axis=-2)    # (..., 2P, M)
     out = np.einsum("...qjm,...jm->...qm", coef, mix)
+    sphi, sk, sangles = phi.data.shape, k.data.shape, angles.data.shape
+    keys = keys if phi._node is not None else None
+    feats = feats if k._node is not None else None
+    coef = coef if angles._node is not None else None
 
     def vjp(g):
         gphi = gk = gangle = None
         gcoef = g[..., None, :] * mix[..., None, :, :]
         gcoef = gcoef.reshape(gcoef.shape[:-3] + (q * 2 * periods, m))
-        if phi._track:
+        if keys is not None:
             gfeats = np.matmul(gcoef, keys)
             gfeats = gfeats.reshape(gfeats.shape[:-2] + (q, 2, periods, slots, 4))
             gphi = gfeats[..., 0, :, :, :] + quaternion.quarter_turn(
                 gfeats[..., 1, :, :, :], axis)
-            gphi = _unbroadcast(gphi, phi.data.shape)
-        if k._track:
+            gphi = _unbroadcast(gphi, sphi)
+        if feats is not None:
             gkeys = np.matmul(np.swapaxes(gcoef, -1, -2), feats)
-            gk = _unbroadcast(gkeys.reshape(gkeys.shape[:-1] + (slots, 4)), k.data.shape)
-        if angles._track:
+            gk = _unbroadcast(gkeys.reshape(gkeys.shape[:-1] + (slots, 4)), sk)
+        if coef is not None:
             # d/dangle (c*C + s*S) = -s*C + c*S, with C and S the coefficients
             # summed against the output gradient over the queries
             gmix = np.einsum("...qm,...qjm->...jm", g, coef)
             cos, sin = mix[..., :periods, :], mix[..., periods:, :]
             gturned = cos * gmix[..., periods:, :] - sin * gmix[..., :periods, :]
-            gangle = _unbroadcast(np.swapaxes(gturned, -1, -2), angles.data.shape)
+            gangle = _unbroadcast(np.swapaxes(gturned, -1, -2), sangles)
         return gphi, gk, gangle
 
     return Tensor(out, _parents=(phi, k, angles), _vjp=vjp)

@@ -29,6 +29,7 @@ from . import training as trn
 from . import verification
 from .errors import (
     AudioTooShort,
+    DimensionMismatch,
     EmptyMotionBeats,
     EmptyMusicBeats,
     MalformedFile,
@@ -240,6 +241,15 @@ def cmd_generate(args) -> int:
     weights, config = mod.load_checkpoint(args.ckpt)
     audio = _load_checked(args.music, "audio", config.fps)
     seed_motion = _load_checked(args.seed_motion, "motion", config.fps)
+    if len(seed_motion) < config.seed_motion_frames:
+        raise DimensionMismatch(
+            f"{args.seed_motion} has {len(seed_motion)} frames, but the model's seed "
+            f"window needs {config.seed_motion_frames}")
+    needed = config.audio_frames + args.frames - 1
+    if args.frames > 0 and len(audio) < needed:
+        raise AudioTooShort(
+            f"{args.music} has {len(audio)} frames, but {args.frames} frames with a "
+            f"{config.audio_frames}-frame window need {needed}")
 
     generated = mod.autoregressive_generate(
         seed_motion[:config.seed_motion_frames], audio, args.frames, weights, config)
@@ -307,6 +317,8 @@ def cmd_eval(args) -> int:
     gen_root = args.gen
     if os.path.isfile(os.path.join(gen_root, "motion.csv")):
         found = [("", gen_root)]
+    elif not os.path.isdir(gen_root):
+        raise MalformedFile(f"--gen {gen_root} is not a directory")
     else:
         found = [(name, os.path.join(gen_root, name))
                  for name in sorted(os.listdir(gen_root))
@@ -320,13 +332,13 @@ def cmd_eval(args) -> int:
         gen_paths.append(path)
 
     report = {"ref_items": len(ref_motions), "gen_items": len(gen_motions)}
+    if "fid" in wanted or "diversity" in wanted:
+        gen_dyn, gen_geo = _feature_sets(gen_motions)
     if "fid" in wanted:
         ref_dyn, ref_geo = _feature_sets(ref_motions)
-        gen_dyn, gen_geo = _feature_sets(gen_motions)
         report["fid_k"] = report["fid_dynamic"] = met.fid(ref_dyn, gen_dyn)
         report["fid_g"] = report["fid_geometric"] = met.fid(ref_geo, gen_geo)
     if "diversity" in wanted:
-        gen_dyn, gen_geo = _feature_sets(gen_motions)
         report["dist_k"] = report["diversity_dynamic"] = met.diversity(gen_dyn)
         report["dist_g"] = report["diversity_geometric"] = met.diversity(gen_geo)
     if "beat" in wanted:

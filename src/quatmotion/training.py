@@ -210,7 +210,10 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
         for name in names:
             weights[name].zero_grad()
         loss_t.backward()
-        grads = {name: (weights[name].grad if weights[name].grad is not None
+        # the tape holds every activation its VJPs saved; drop it now rather
+        # than keep it alive through the next step's forward
+        del pred, loss_t
+        grads ={name: (weights[name].grad if weights[name].grad is not None
                         else np.zeros_like(weights[name].data))
                  for name in names}
         if train_config.clip_norm > 0:

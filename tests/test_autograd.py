@@ -8,6 +8,9 @@ exactly invariant under the rotation ops, so their angle gradients
 would be checked against pure roundoff.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -224,7 +227,8 @@ class TestObjective:
             # every parameter's stack fits one chunk: one losses call each
             assert all(2 * p.size * p.size <= num.PROBE_STACK_ELEMENTS for p in params)
             assert [out.shape for out in losses[1:]] == [(2 * p.size,) for p in params]
-        assert all(not out._track and out._parents == () for out in losses[1:])
+        # an untracked probe loss has no node, so no tape behind it
+        assert all(out._node is None for out in losses[1:])
 
     @staticmethod
     def _batched_losses_match_probe_loss(build, params, rng):
@@ -347,8 +351,9 @@ class TestForwardAgainstReference:
         split.backward(seed)
         for x, y in zip(*leaves):
             assert x.grad.tobytes() == y.grad.tobytes()
-        # one tape node instead of two
-        assert fused._parents == tuple(leaves[0])
+        # one tape node instead of two: its parents are the three leaves
+        assert fused._node.parents == tuple(leaf._node for leaf in leaves[0])
+        assert all(leaf._node.leaf and leaf._node.parents == () for leaf in leaves[0])
 
     def test_matmul_bias_gates(self):
         x = ag.Tensor(np.zeros((2, 3, 4)))
@@ -410,6 +415,61 @@ class TestForwardAgainstReference:
         var = x.var(axis=1, keepdims=True)
         expect = (x - mu) / np.sqrt(var + 1e-5) * gamma + beta
         np.testing.assert_allclose(out, expect, atol=1e-12)
+
+
+class TestTapeMemory:
+    """A tracked forward keeps alive only the arrays its VJPs read."""
+
+    @staticmethod
+    def _desk_loss(rng):
+        config = model.ModelConfig()
+        weights = model.init_weights(config, rng)
+        motion = rng.standard_normal((2, config.seed_motion_frames, features.MOTION_DIMS))
+        audio = rng.standard_normal((2, config.audio_frames, features.AUDIO_DIMS))
+        target = rng.standard_normal((2, config.future_frames, features.MOTION_DIMS))
+        return weights, lambda: training.l2_loss(
+            model.forward(weights, config, motion, audio), target)
+
+    def test_dropped_interior_result_dies_and_gradients_hold(self, rng, monkeypatch):
+        weights, loss_of = self._desk_loss(rng)
+        loss_of().backward()
+        want = {n: w.grad.copy() for n, w in weights.items()}
+        # attention logits feed only softmax_rows, whose VJP reads its own
+        # output: once forward has returned, nothing may hold them
+        logits = []
+        softmax = ag.softmax_rows
+
+        def spy(a):
+            logits.append(weakref.ref(a.data))
+            return softmax(a)
+
+        monkeypatch.setattr(ag, "softmax_rows", spy)
+        for w in weights.values():
+            w.zero_grad()
+        # with the cycle collector off, only reference counts can free them
+        gc.disable()
+        try:
+            loss = loss_of()
+        finally:
+            gc.enable()
+        assert len(logits) > 0
+        assert all(ref() is None for ref in logits)
+        loss.backward()
+        for name, w in weights.items():
+            assert w.grad.tobytes() == want[name].tobytes(), name
+
+    def test_no_vjp_captures_a_tensor(self, rng):
+        _, loss_of = self._desk_loss(rng)
+        stack, seen = [loss_of()._node], set()
+        while stack:
+            node = stack.pop()
+            if node is None or node in seen:
+                continue
+            seen.add(node)
+            for cell in getattr(node.vjp, "__closure__", None) or ():
+                assert not isinstance(cell.cell_contents, (ag.Tensor, ag._Node)), node.vjp
+            stack.extend(node.parents)
+        assert len(seen) > 100
 
 
 class TestTapeMechanics:
@@ -485,9 +545,10 @@ class TestTapeMechanics:
         x = ag.Tensor(np.ones((2, 3)))
         w = ag.Tensor(np.ones((3, 2)))
         out = ag.relu(ag.matmul(x, w) + 1.0)
-        assert out._parents == () and out._vjp is None
+        assert out._node is None and out._vjp is None
         tracked = ag.matmul(x, ag.Tensor(w.data, requires_grad=True))
-        assert len(tracked._parents) == 2 and tracked._vjp is not None
+        assert tracked._node.parents[0] is None and tracked._node.parents[1].leaf
+        assert tracked._vjp is not None and not tracked._node.leaf
 
     def test_concat_routes_slices(self):
         a = ag.Tensor(np.zeros((2, 2)), requires_grad=True)

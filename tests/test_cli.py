@@ -271,6 +271,33 @@ class TestGenerate:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_short_music_exits_three_naming_the_file(self, workspace, tmp_path, capsys):
+        music = workspace / "data" / "p0" / "audio.csv"
+        rc = cli.entry([
+            "generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
+            "--music", str(music),
+            "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+            "--frames", "100", "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(music) in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
+    def test_short_seed_motion_exits_three_naming_the_file(self, workspace, tmp_path, capsys):
+        # the model's seed window is 6 frames; this seed motion holds 3
+        motion, _ = feat.load_stream(str(workspace / "data" / "p0" / "motion.csv"))
+        short = tmp_path / "short.csv"
+        feat.save_stream(str(short), motion[:3],
+                         feat.StreamMeta("motion", feat.FPS, 3, feat.MOTION_DIMS))
+        rc = cli.entry([
+            "generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
+            "--music", str(workspace / "data" / "p0" / "audio.csv"),
+            "--seed-motion", str(short), "--frames", "2", "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert str(short) in err and "3 frames" in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
+
     def _generate_from(self, workspace, ckpt, out):
         return cli.entry([
             "generate", "--ckpt", str(ckpt),
@@ -464,6 +491,29 @@ class TestEval:
         assert report["dist_g"] == report["diversity_geometric"] >= 0.0
         printed = json.loads(capsys.readouterr().out)
         assert printed == report
+
+    def test_fid_and_diversity_featurize_each_set_once(self, workspace, tmp_path, monkeypatch):
+        argv = ["eval", "--ref", str(workspace / "data"), "--gen", str(workspace / "gen")]
+        alone = {}
+        for metric in ("fid", "diversity"):
+            assert cli.entry(argv + ["--metrics", metric, "--out", str(tmp_path / metric)]) == 0
+            alone.update(json.loads((tmp_path / metric).read_text()))
+        calls = []
+        featurize = cli._feature_sets
+        monkeypatch.setattr(cli, "_feature_sets",
+                            lambda motions: calls.append(len(motions)) or featurize(motions))
+        both = tmp_path / "both.json"
+        assert cli.entry(argv + ["--metrics", "fid,diversity", "--out", str(both)]) == 0
+        assert len(calls) == 2          # the references once, the rollouts once
+        assert both.read_text() == json.dumps(alone, sort_keys=True, indent=2) + "\n"
+
+    def test_missing_gen_directory_exits_two(self, workspace, tmp_path, capsys):
+        missing = tmp_path / "nowhere"
+        rc = cli.entry(["eval", "--ref", str(workspace / "data"),
+                        "--gen", str(missing), "--metrics", "fid"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(missing) in err and "Traceback" not in err
 
     def test_identical_sets_score_zero_fid(self, workspace, capsys):
         rc = cli.entry(["eval", "--ref", str(workspace / "data"),

@@ -1,5 +1,7 @@
 """Optimizer math, window sampling, the training loop, trace files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,26 @@ class TestTrainLoop:
         trace = training.train(weights, [(audio[:9], motion[:9])], config,
                                tiny_model_config)
         assert trace[-1][2] < 0.5 * trace[0][2]
+
+
+    def test_steps_do_not_hold_the_previous_tape(self, tiny_model_config):
+        # each step drops its tape after backward(), so the allocation peak
+        # of three steps stays near that of one instead of adding a tape
+        def peak(steps):
+            weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+            config = TrainConfig(batch_size=16, total_steps=steps)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in training.train_steps(weights, _tiny_dataset(), config,
+                                              tiny_model_config):
+                    pass
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(1), peak(3)
+        assert three <= 1.3 * one, (one, three)
 
 
 class TestLossCsv:
