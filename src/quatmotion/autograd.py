@@ -14,11 +14,12 @@ such a leaf gets no node, so untracked computation builds no tape.
 
 The op set is exactly what the attention stack needs: broadcast
 arithmetic, (batched) matmul, reshape / transpose / slice / concat, relu,
-the bounded-phase tanh, row softmax, 1-d convolution over time, layer
-normalisation, rotary pair rotation with constant angle tables and right
-Hamilton multiplication by a unit axis exponential with learnable angles
-(both one call of quaternion.slot_rotate, the only rotation kernel), and
-the similarity of query slots with keys spun that way.
+row softmax, 1-d convolution over time, QRA's rotation angles (two
+convolutions, their activations and the position scaling as one node),
+layer normalisation, rotary pair rotation with constant angle tables and
+right Hamilton multiplication by a unit axis exponential with learnable
+angles (both one call of quaternion.slot_rotate, the only rotation
+kernel), and the similarity of query slots with keys spun that way.
 
 objective() gives a tape-built loss the forms numerics.grad_check
 evaluates: one tracked value and gradient, and untracked loss probes,
@@ -37,8 +38,8 @@ from . import numerics, quaternion
 __all__ = [
     "Tensor",
     "add", "sub", "mul", "neg", "matmul", "reshape", "transpose",
-    "concat", "getitem", "sum_", "mean_", "relu", "pi_tanh",
-    "softmax_rows", "conv1d", "layer_norm", "rope_apply", "quat_rotate",
+    "concat", "getitem", "sum_", "mean_", "relu", "softmax_rows",
+    "conv1d", "qra_angles", "layer_norm", "rope_apply", "quat_rotate",
     "rotated_scores", "objective",
 ]
 
@@ -408,26 +409,15 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
 def relu(a) -> Tensor:
     """max(x, 0); a NaN input stays NaN in the output and gets no gradient.
 
-    The VJP keeps a bool mask of the positive inputs, an eighth of the
-    input's bytes.
+    The VJP keeps the output, the array the next op (a matmul operand)
+    already keeps, and reads the gradient's mask off it: out > 0 exactly
+    where x > 0, NaN included.
     """
     a = _wrap(a)
     out = numerics.relu(a.data)
     if a._node is None:
         return Tensor(out)
-    mask = a.data > 0
-    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * mask,))
-
-
-def pi_tanh(a) -> Tensor:
-    """pi * tanh(x), squashed into the open interval (-pi, pi)."""
-    a = _wrap(a)
-    out = numerics.pi_tanh(a.data)
-    if a._node is None:
-        return Tensor(out)
-    t = np.tanh(a.data)
-    slope = 1.0 - t * t
-    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * math.pi * slope,))
+    return Tensor(out, _parents=(a,), _vjp=lambda g: (g * (out > 0),))
 
 
 def softmax_rows(a) -> Tensor:
@@ -441,44 +431,108 @@ def softmax_rows(a) -> Tensor:
     return Tensor(y, _parents=(a,), _vjp=vjp)
 
 
-def conv1d(x, w, b) -> Tensor:
-    """Same-length 1-d convolution over the time axis.
+def _conv(x, w, b, x_grad: bool, w_grad: bool, b_grad: bool):
+    """Same-length 1-d convolution of arrays, and its VJP.
 
-    x: (..., T, C), w: (..., O, C, W) with odd W, b: w.shape[:-2].
-    Leading axes broadcast, so one call convolves every head at once.
-    The forward is numerics.conv1d_im2col; the VJP reuses its windows, so
-    both gradients are matmuls and the input gradient is the W-shift
-    scatter of the window gradient back onto the padded time axis. It
-    keeps the kernel only if x tracks and the windows only if w tracks.
+    x: (..., T, C), w: (..., O, C, W) with odd W, b: w.shape[:-2]; leading
+    axes broadcast. The forward is numerics.conv1d_im2col. The VJP returns
+    (gx, gw, gb), each None unless its flag is set; both gradients are
+    matmuls, and the input gradient is the W-shift scatter of the window
+    gradient back onto the padded time axis. It keeps the kernel only for
+    gx and the input only for gw, whose windows (W times the input's
+    size) it rebuilds, so no window array outlives the forward.
     """
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    width = w.data.shape[-1]
+    width = w.shape[-1]
     if width % 2 != 1:
         raise ValueError("kernel width must be odd to preserve length")
     pad = width // 2
-    steps, chans = x.data.shape[-2:]
-    out, cols = numerics.conv1d_im2col(x.data, w.data, b.data)
-    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
-    kmat = w.data.reshape(sw[:-2] + (-1,)) if x._node is not None else None
-    cols = cols if w._node is not None else None
-    b_grad = b._node is not None
+    steps, chans = x.shape[-2:]
+    out, _ = numerics.conv1d_im2col(x, w, b)
+    sx, sw, sb = x.shape, w.shape, b.shape
+    kern = w if x_grad else None
+    xd = x if w_grad else None
 
     def vjp(g):
         gx = gw = gb = None
-        if kmat is not None:
+        if kern is not None:
+            kmat = kern.reshape(sw[:-2] + (-1,))
             gcols = np.matmul(g, kmat).reshape(g.shape[:-1] + (chans, width))
             gxpad = np.zeros(g.shape[:-2] + (steps + 2 * pad, chans))
             for u in range(width):
                 gxpad[..., u:u + steps, :] += gcols[..., u]
             gx = _unbroadcast(gxpad[..., pad:pad + steps, :], sx)
-        if cols is not None:
-            gk = np.matmul(np.swapaxes(g, -1, -2), cols)
+        if xd is not None:
+            gk = np.matmul(np.swapaxes(g, -1, -2), numerics.conv_windows(xd, width))
             gw = _unbroadcast(gk.reshape(gk.shape[:-1] + (chans, width)), sw)
         if b_grad:
             gb = _unbroadcast(g.sum(axis=-2), sb)
         return gx, gw, gb
 
+    return out, vjp
+
+
+def conv1d(x, w, b) -> Tensor:
+    """Same-length 1-d convolution over the time axis.
+
+    x: (..., T, C), w: (..., O, C, W) with odd W, b: w.shape[:-2].
+    Leading axes broadcast, so one call convolves every head at once.
+    Forward and VJP are _conv's.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    out, vjp = _conv(x.data, w.data, b.data,
+                     x._node is not None, w._node is not None, b._node is not None)
     return Tensor(out, _parents=(x, w, b), _vjp=vjp)
+
+
+def qra_angles(z, w_omega, b_omega, w_theta, b_theta, positions, drop: int = 0) -> Tensor:
+    """QRA's rotation angles relu(conv_omega(z)) * positions + pi*tanh(conv_theta(z)).
+
+    z: (..., T, C) rows; w_omega, w_theta: (..., P, C, W) kernels and
+    b_omega, b_theta: (..., P) biases, whose leading axes broadcast
+    against z's as in conv1d; positions: (T - drop,) constants, the factor
+    of each output row's frequencies. Both convolutions run over all T
+    rows as one, with the kernels stacked; the first `drop` rows are then
+    cut, so they only feed the windows of the rows after them. Returns
+    (..., T - drop, P).
+
+    One tape node. Its VJP keeps z (through _conv) and the stacked
+    pre-activations, and scatters the row gradient into a zero buffer of
+    the convolution's shape with +=, as slicing VJPs do, so a -0.0
+    gradient entry reaches the convolution as +0.0.
+    """
+    z, w_omega, b_omega, w_theta, b_theta = (
+        _wrap(t) for t in (z, w_omega, b_omega, w_theta, b_theta))
+    periods = w_omega.data.shape[-3]
+    kern = np.concatenate([w_omega.data, w_theta.data], axis=-3)
+    bias = np.concatenate([b_omega.data, b_theta.data], axis=-1)
+    conv, conv_vjp = _conv(
+        z.data, kern, bias, z._node is not None,
+        w_omega._node is not None or w_theta._node is not None,
+        b_omega._node is not None or b_theta._node is not None)
+    pre = conv[..., drop:, :]
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.shape != pre.shape[-2:-1]:
+        raise ValueError(f"positions shape {pos.shape} does not match the "
+                         f"{pre.shape[-2]} rows after dropping {drop}")
+    pos = pos[:, None]
+    out = numerics.relu(pre[..., :periods]) * pos + numerics.pi_tanh(pre[..., periods:])
+    shape = conv.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        rows = full[..., drop:, :]
+        rows[..., :periods] += g * pos * (pre[..., :periods] > 0)
+        t = np.tanh(pre[..., periods:])
+        rows[..., periods:] += g * math.pi * (1.0 - t * t)
+        gz, gw, gb = conv_vjp(full)
+        gwo = gwt = gbo = gbt = None
+        if gw is not None:
+            gwo, gwt = gw[..., :periods, :, :], gw[..., periods:, :, :]
+        if gb is not None:
+            gbo, gbt = gb[..., :periods], gb[..., periods:]
+        return gz, gwo, gbo, gwt, gbt
+
+    return Tensor(out, _parents=(z, w_omega, b_omega, w_theta, b_theta), _vjp=vjp)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

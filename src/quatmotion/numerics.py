@@ -117,17 +117,13 @@ def conv1d(x: Array, kernel: ConvKernel) -> Array:
     return conv1d_im2col(x, kernel.weights, kernel.bias)[0]
 
 
-def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
-    """conv1d core on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible.
+def conv_windows(x: Array, width: int) -> Array:
+    """im2col windows (..., T, C*W) of x (..., T, C) for an odd width W.
 
-    im2col: row t of the window matrix holds the zero-padded input frames
-    t-pad .. t+pad, flattened channel-major to C*W entries, which is the
-    memory order of the kernel's trailing (C, W) axes. The convolution is
-    then one matmul against the kernel viewed as (..., O, C*W). Returns
-    the output (..., T, O) and the windows (..., T, C*W), which the
-    autodiff VJP reuses.
+    Row t holds the zero-padded input frames t-pad .. t+pad, flattened
+    channel-major to C*W entries, which is the memory order of a kernel's
+    trailing (C, W) axes.
     """
-    width = weights.shape[-1]
     pad = (width - 1) // 2
     t, c = x.shape[-2:]
     # tap u of row s reads frame s - pad + u; rows whose frame falls
@@ -137,7 +133,17 @@ def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
         lo, hi = max(0, pad - u), min(t, t + pad - u)
         if lo < hi:
             cols[..., lo:hi, :, u] = x[..., lo - pad + u:hi - pad + u, :]
-    cols = cols.reshape(x.shape[:-1] + (c * width,))
+    return cols.reshape(x.shape[:-1] + (c * width,))
+
+
+def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
+    """conv1d core on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible.
+
+    The convolution is one matmul of the conv_windows against the kernel
+    viewed as (..., O, C*W). Returns the output (..., T, O) and the
+    windows (..., T, C*W).
+    """
+    cols = conv_windows(x, weights.shape[-1])
     kmat = weights.reshape(weights.shape[:-2] + (-1,))
     out = np.matmul(cols, np.swapaxes(kmat, -1, -2))
     out += bias[..., None, :]

@@ -94,21 +94,6 @@ class QRAParams:
         return out
 
 
-def _freq_phase(z: Tensor, kernels: dict, side: str, periods: int, drop: int = 0):
-    """Latent frequencies relu(conv) and phases pi*tanh(conv) of one side.
-
-    The omega and theta kernels are concatenated on the tape, so a single
-    convolution yields both as its first and last `periods` outputs. The
-    first `drop` rows of the convolution are cut before the activations.
-    """
-    kern = ag.concat([kernels[f"omega_{side}.w"], kernels[f"theta_{side}.w"]], axis=-3)
-    bias = ag.concat([kernels[f"omega_{side}.b"], kernels[f"theta_{side}.b"]], axis=-1)
-    both = ag.conv1d(z, kern, bias)
-    if drop:
-        both = both[..., drop:, :]
-    return ag.relu(both[..., :periods]), ag.pi_tanh(both[..., periods:])
-
-
 def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, periods: int,
                   key_axis: str = "j", keep: int | None = None,
                   window: int | None = None) -> Tensor:
@@ -130,12 +115,12 @@ def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, periods: int,
     # the halo rows only feed the query convolution
     q = q_all[..., drop:, :] if drop else q_all
     m = k.shape[-2]
-    omega_q, theta_q = _freq_phase(q_all, kernels, "q", periods, drop)
-    omega_k, theta_k = _freq_phase(k, kernels, "k", periods)
-    pos_q = TWO_PI * np.arange(window - keep, window, dtype=np.float64)[:, None] / window
-    pos_k = TWO_PI * np.arange(m, dtype=np.float64)[:, None] / m
-    ang_q = omega_q * Tensor(pos_q) + theta_q    # (..., keep, periods)
-    ang_k = omega_k * Tensor(pos_k) + theta_k
+    pos_q = TWO_PI * np.arange(window - keep, window, dtype=np.float64) / window
+    pos_k = TWO_PI * np.arange(m, dtype=np.float64) / m
+    ang_q = ag.qra_angles(q_all, kernels["omega_q.w"], kernels["omega_q.b"],
+                          kernels["theta_q.w"], kernels["theta_q.b"], pos_q, drop)
+    ang_k = ag.qra_angles(k, kernels["omega_k.w"], kernels["omega_k.b"],
+                          kernels["theta_k.w"], kernels["theta_k.b"], pos_k)
     # a size-1 period axis on the slots: one rotation per period angle
     q_slots = ag.reshape(q, q.shape[:-1] + (1, dh // 4, 4))
     phi = ag.quat_rotate(q_slots, ang_q, "i")    # (..., keep, periods, d/4, 4)

@@ -200,6 +200,10 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
     state = init_adam(weights)
     names = sorted(weights)
     for step in range(train_config.total_steps):
+        # the previous step's gradients are spent: free them before this
+        # step's forward rather than hold them through it
+        for name in names:
+            weights[name].zero_grad()
         motion, audio, target = sample_windows(dataset, model_config,
                                                train_config.batch_size, rng)
         pred = forward(weights, model_config, motion, audio)
@@ -207,13 +211,11 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
         loss = float(loss_t.data)
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at step {step}")
-        for name in names:
-            weights[name].zero_grad()
         loss_t.backward()
         # the tape holds every activation its VJPs saved; drop it now rather
         # than keep it alive through the next step's forward
         del pred, loss_t
-        grads ={name: (weights[name].grad if weights[name].grad is not None
+        grads = {name: (weights[name].grad if weights[name].grad is not None
                         else np.zeros_like(weights[name].data))
                  for name in names}
         if train_config.clip_norm > 0:
@@ -223,6 +225,9 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
                 grads = {name: g * scale for name, g in grads.items()}
         lr = lr_at(step, train_config)
         adam_step(weights, grads, state, lr, train_config)
+        # a clipped copy must not outlive the step; the leaves keep the raw
+        # gradient until the next step starts
+        del grads
         yield step, lr, loss
 
 

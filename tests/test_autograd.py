@@ -64,8 +64,9 @@ GRAD_CASES = [
      lambda x: (x.mean(axis=1, keepdims=True) * np.array([[2.0], [-1.0]])).sum()),
     ("relu", [_shifted(_R.standard_normal((3, 4)))],
      lambda x: (ag.relu(x) * W34).sum()),
-    ("pi_tanh", [_R.standard_normal((2, 3))],
-     lambda x: (ag.pi_tanh(x) * W23).sum()),
+]
+_R.standard_normal((2, 3))  # skipped, so the cases below keep their draws
+GRAD_CASES += [
     ("softmax_rows", [_R.standard_normal((2, 4))],
      lambda x: (ag.softmax_rows(x) * W24).sum()),
     ("conv1d", [_R.standard_normal((5, 2)), _R.standard_normal((3, 2, 3)),
@@ -124,6 +125,21 @@ GRAD_CASES += [
 ]
 
 
+# QRA's angle op as the decoder calls it: headed kernels (H=2, P=3) over
+# rows (H, T, d), two halo rows dropped, omega biases off the ReLU kink.
+# Drawn after every case above, so those keep their inputs.
+ZQA = _R.standard_normal((2, 7, 4))
+WQA_O = 0.5 * _R.standard_normal((2, 3, 4, 3))
+WQA_T = 0.5 * _R.standard_normal((2, 3, 4, 3))
+BQA_T = 0.5 * _R.standard_normal((2, 3))
+WQA = _R.standard_normal((2, 5, 3))
+POS_QA = 2.0 * np.pi * np.arange(2, 7) / 9
+GRAD_CASES += [
+    ("qra_angles", [ZQA, WQA_O, verification._omega_bias_off_kink(ZQA, WQA_O), WQA_T, BQA_T],
+     lambda z, wo, bo, wt, bt: (ag.qra_angles(z, wo, bo, wt, bt, POS_QA, drop=2) * WQA).sum()),
+]
+
+
 def _heads_2p_batched(x, w, b):
     # conv1d_heads_2p with a size-1 axis in front of the kernels' head
     # axis, so a leading probe axis lines up with the input's own
@@ -136,9 +152,9 @@ def _heads_2p_batched(x, w, b):
 GRAD_SUITE = verification._grad_cases()
 GRAD_SUITE_NAMES = [
     "quadratic_closed_form", "constant_zero", "matmul", "matmul_batched", "add_broadcast",
-    "mul_broadcast", "sub_neg", "relu", "pi_tanh", "softmax_rows", "conv1d", "conv1d_headed",
-    "layer_norm", "rope_apply", "quat_rotate_i", "quat_rotate_j", "quat_rotate_k",
-    "getitem_slice", "concat_reshape", "mean_axis",
+    "mul_broadcast", "sub_neg", "relu", "softmax_rows", "conv1d", "conv1d_headed", "layer_norm",
+    "rope_apply", "quat_rotate_i", "quat_rotate_j", "quat_rotate_k", "getitem_slice",
+    "concat_reshape", "mean_axis", "qra_angles",
 ]
 
 
@@ -259,7 +275,7 @@ class TestObjective:
             assert report.probes == [p.size for p in params]
             probes[name] = sum(report.probes)
         assert list(probes) == GRAD_SUITE_NAMES
-        assert sum(probes.values()) == 798
+        assert sum(probes.values()) == 935
 
     def test_grad_suite_keeps_its_checks_and_tolerances(self):
         checks = verification.grad_checks()
@@ -363,9 +379,15 @@ class TestForwardAgainstReference:
             ag.matmul(x, ag.Tensor(np.zeros((2, 4, 5))), ag.Tensor(np.zeros(5)))
 
     def test_pi_tanh_matches_numerics(self, rng):
+        # qra_angles' phase path: with a zero omega kernel and a centre-tap
+        # identity theta kernel the angles are pi*tanh of the rows, clamp
+        # of the saturated entries included
         x = rng.standard_normal((3, 3)) * 15
-        np.testing.assert_array_equal(ag.pi_tanh(ag.Tensor(x)).data,
-                                      num.pi_tanh(x))
+        eye = np.zeros((3, 3, 3))
+        eye[:, :, 1] = np.eye(3)
+        angles = ag.qra_angles(ag.Tensor(x), np.zeros((3, 3, 3)), np.zeros(3),
+                               eye, np.zeros(3), np.ones(3)).data
+        np.testing.assert_array_equal(angles, num.pi_tanh(x))
 
     def test_softmax_vjp_matches_dense_jacobian(self, rng):
         row = rng.standard_normal((1, 5))
@@ -458,18 +480,63 @@ class TestTapeMemory:
         for name, w in weights.items():
             assert w.grad.tobytes() == want[name].tobytes(), name
 
-    def test_no_vjp_captures_a_tensor(self, rng):
-        _, loss_of = self._desk_loss(rng)
-        stack, seen = [loss_of()._node], set()
+    @staticmethod
+    def _tape(loss) -> list:
+        nodes, stack, seen = [], [loss._node], set()
         while stack:
             node = stack.pop()
             if node is None or node in seen:
                 continue
             seen.add(node)
+            nodes.append(node)
+            stack.extend(node.parents)
+        return nodes
+
+    def test_no_vjp_captures_a_tensor(self, rng):
+        _, loss_of = self._desk_loss(rng)
+        tape = self._tape(loss_of())
+        for node in tape:
             for cell in getattr(node.vjp, "__closure__", None) or ():
                 assert not isinstance(cell.cell_contents, (ag.Tensor, ag._Node)), node.vjp
-            stack.extend(node.parents)
-        assert len(seen) > 100
+        assert len(tape) > 100
+
+    @staticmethod
+    def _saved_arrays(vjp) -> list:
+        """Every array a VJP closes over, through the closures it calls."""
+        arrays, fns, seen = [], [vjp], set()
+        while fns:
+            fn = fns.pop()
+            if id(fn) in seen:
+                continue
+            seen.add(id(fn))
+            for cell in getattr(fn, "__closure__", None) or ():
+                value = cell.cell_contents
+                if isinstance(value, np.ndarray):
+                    arrays.append(value)
+                elif callable(value):
+                    fns.append(value)
+        return arrays
+
+    def test_tape_keeps_no_conv_windows(self, rng):
+        # the QRA convolutions keep their input rows and rebuild the im2col
+        # windows (width times the rows' size) inside the VJP
+        _, loss_of = self._desk_loss(rng)
+        width = model.QRA_KERNEL_WIDTH * model.ModelConfig().d_head
+        saved = [a for node in self._tape(loss_of()) if node.vjp is not None
+                 for a in self._saved_arrays(node.vjp)]
+        assert len(saved) > 100
+        assert [a.shape for a in saved if a.shape[-1:] == (width,)] == []
+
+    def test_relu_keeps_the_array_its_matmul_keeps(self, rng):
+        weights, loss_of = self._desk_loss(rng)
+        fc2 = weights["dec.0.ff.fc2.w"]._node
+        tape = self._tape(loss_of())
+        matmul = next(node for node in tape if node.parents[1:2] == (fc2,))
+        relu_saved = self._saved_arrays(matmul.parents[0].vjp)
+        matmul_saved = self._saved_arrays(matmul.vjp)
+        # relu reads its mask off its output, the fc2 matmul's left operand
+        assert len(relu_saved) == 1
+        assert any(np.shares_memory(relu_saved[0], a) for a in matmul_saved)
 
 
 class TestTapeMechanics:

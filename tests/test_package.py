@@ -1,6 +1,8 @@
 """Package surface: exported names and the oracle's independence."""
 
 import ast
+import importlib
+import importlib.util
 import pathlib
 
 import quatmotion
@@ -22,4 +24,21 @@ def test_oracle_imports_only_math_and_numpy():
 
 def test_every_export_resolves():
     missing = [name for name in quatmotion.__all__ if not hasattr(quatmotion, name)]
+    assert missing == []
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # perfbench/tracer.py patches these names from outside the package, so
+    # a rename here would only show up as a traced benchmark run that
+    # fails; it imports only the standard library and loads by path
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = [("autograd", op) for op in tracer.AUTOGRAD_OPS]
+    hooks += [(mod, attr) for mod, attr, _ in tracer._FUNCTIONS]
+    hooks += [("model", "_encode"), ("model", "_decode"), ("verification", "run")]
+    missing = [f"{mod}.{attr}" for mod, attr in hooks
+               if not callable(getattr(importlib.import_module(f"quatmotion.{mod}"), attr, None))]
+    assert len(hooks) > 30
     assert missing == []

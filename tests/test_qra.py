@@ -58,12 +58,22 @@ class TestQRAParams:
         np.testing.assert_array_equal(a.omega_k.weights, b.omega_k.weights)
 
 
+def _angles(z, kernels, side, positions, drop=0):
+    """autograd.qra_angles on one side's kernels, as rotary_logits calls it."""
+    return ag.qra_angles(z, *(kernels[f"{name}_{side}.{part}"]
+                              for name in ("omega", "theta") for part in ("w", "b")),
+                         positions, drop)
+
+
 class TestGenFreqPhase:
     def test_ranges(self, rng):
         z = rng.standard_normal((9, 4)) * 5
         kernels = {name: rng.standard_normal((3, 4, 3) if name.endswith(".w") else 3)
                    for name in qra.KERNEL_NAMES}
-        omega, theta = (t.data for t in qra._freq_phase(Tensor(z), kernels, "q", 3))
+        # at position 0 the angle is the phase alone; the step to position
+        # 1 adds the frequency
+        theta = _angles(Tensor(z), kernels, "q", np.zeros(9)).data
+        omega = _angles(Tensor(z), kernels, "q", np.ones(9)).data - theta
         assert np.all(omega >= 0.0)
         assert np.all(np.abs(theta) < math.pi)
         assert omega.shape == theta.shape == (9, 3)
@@ -74,9 +84,33 @@ class TestGenFreqPhase:
         tk = ConvKernel(weights=rng.standard_normal((2, 4, 3)), bias=rng.standard_normal(2))
         kernels = {"omega_k.w": ok.weights, "omega_k.b": ok.bias,
                    "theta_k.w": tk.weights, "theta_k.b": tk.bias}
-        omega, theta = qra._freq_phase(Tensor(z), kernels, "k", 2)
-        np.testing.assert_array_equal(omega.data, numerics.relu(numerics.conv1d(z, ok)))
-        np.testing.assert_array_equal(theta.data, numerics.pi_tanh(numerics.conv1d(z, tk)))
+        pos = rng.standard_normal(6)
+        angles = _angles(Tensor(z), kernels, "k", pos)
+        np.testing.assert_array_equal(
+            angles.data, numerics.relu(numerics.conv1d(z, ok)) * pos[:, None]
+            + numerics.pi_tanh(numerics.conv1d(z, tk)))
+
+    def test_drop_form_is_the_last_rows(self, rng):
+        # dropped rows still feed the convolution windows of the rows after
+        # them; values and gradients match the full form bit for bit
+        kernels = {name: rng.standard_normal((2, 3, 8, 3) if name.endswith(".w") else (2, 3))
+                   for name in qra.KERNEL_NAMES}
+        z = rng.standard_normal((4, 2, 7, 8))
+        pos = rng.standard_normal(7)
+        seed = rng.standard_normal((4, 2, 7, 3))
+        seed[..., :2, :] = 0.0
+        rows, grads = [], []
+        for drop in (0, 2):
+            leaves = [Tensor(z, requires_grad=True)] + [
+                Tensor(kernels[n], requires_grad=True) for n in qra.KERNEL_NAMES[:4]]
+            out = _angles(leaves[0], dict(zip(qra.KERNEL_NAMES[:4], leaves[1:])), "q",
+                          pos[drop:], drop)
+            assert out.shape == (4, 2, 7 - drop, 3)
+            rows.append(out.data[..., 2 - drop:, :])
+            out.backward(seed[..., drop:, :])
+            grads.append([leaf.grad.tobytes() for leaf in leaves])
+        np.testing.assert_array_equal(rows[0], rows[1])
+        assert grads[0] == grads[1]
 
 
 class TestSeriesRotate:
@@ -152,9 +186,8 @@ class TestDegeneracy:
     def test_zero_angles_mean_no_rotation(self, rng):
         params = qra.QRAParams.random(rng, 6, 8, 1, scale=0.0)
         z = rng.standard_normal((4, 8))
-        omega, theta = qra._freq_phase(Tensor(z), params.kernels(), "q", 1)
-        np.testing.assert_array_equal(omega.data, 0.0)
-        np.testing.assert_array_equal(theta.data, 0.0)
+        angles = _angles(Tensor(z), params.kernels(), "q", np.arange(4.0))
+        np.testing.assert_array_equal(angles.data, 0.0)
 
 
 class TestAgainstOracle:

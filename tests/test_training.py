@@ -370,6 +370,29 @@ class TestTrainLoop:
         one, three = peak(1), peak(3)
         assert three <= 1.3 * one, (one, three)
 
+    def test_paused_step_holds_one_gradient(self):
+        # between steps the loop holds Adam's two moments and the leaves'
+        # raw gradient; the clipped copy dies with its step
+        config = ModelConfig(d_model=32, heads=2, encoder_layers=1, decoder_layers=1,
+                             periods=2, seed_motion_frames=6, audio_frames=9,
+                             future_frames=2)
+        weights = model.init_weights(config, np.random.default_rng(1))
+        size = sum(w.data.nbytes for w in weights.values())
+        dataset = _tiny_dataset()
+        # a norm this small clips every step
+        train_config = TrainConfig(batch_size=2, total_steps=2, clip_norm=1e-6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            steps = training.train_steps(weights, dataset, train_config, config)
+            next(steps)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert all(w.grad is not None for w in weights.values())
+        assert held < 3.5 * size, (held, size)
+        steps.close()
+
 
 class TestLossCsv:
     def test_write_format(self, tmp_path):
