@@ -44,7 +44,7 @@ def main():
           f"max gap {np.abs(spun - direct).max():.3e}")
 
     k = num.matmul(y, params.w_k)
-    logits = qra.rotary_logits(Tensor(q), Tensor(k), params.kernels(), periods).data
+    logits = qra.rotary_logits(Tensor(q), Tensor(k), params.kernels()).data
     print(f"\nrotary logits (queries x keys):\n{np.round(logits, 3)}")
 
     out = qra.qra_attention(x, y, params)

@@ -22,9 +22,9 @@ angles (both one call of quaternion.slot_rotate, the only rotation
 kernel), and the similarity of query slots with keys spun that way.
 
 objective() gives a tape-built loss the forms numerics.grad_check
-evaluates: one tracked value and gradient, and untracked loss probes,
-one loss per call or, for a build that takes a leading probe axis, a
-batch of them per call.
+evaluates: one tracked value and gradient, and untracked loss probes
+over a stack of probe rows, one forward per row or, for a build that
+takes a leading probe axis, one forward for the whole stack.
 """
 
 from __future__ import annotations
@@ -699,31 +699,33 @@ def rotated_scores(phi, k, angles, axis: str) -> Tensor:
 
 
 def objective(build, batched: bool = False) -> numerics.Objective:
-    """The forms numerics.grad_check evaluates of a loss built on the tape.
+    """The two forms numerics.grad_check evaluates of a loss built on the tape.
 
     build(*tensors) returns a scalar Tensor, one tensor per parameter
     array. value_and_grad wraps the arrays in tracked leaves and runs one
-    backward(); a leaf the loss does not reach gets a zero gradient. loss
-    wraps them untracked, so it builds no tape and runs no backward; the
-    ops compute the same forward either way, so both forms return the
-    same loss bit for bit.
+    backward(); a leaf the loss does not reach gets a zero gradient.
+    losses takes arrays that all carry one leading probe axis of size K
+    and returns the K losses. It wraps them untracked, so it builds no
+    tape and runs no backward; the ops compute the same forward either
+    way, so a probe row at the unperturbed arrays gives value_and_grad's
+    loss bit for bit.
 
-    batched=True also supplies losses, grad_check's batched probe form:
-    build runs once on untracked tensors that all carry one leading probe
-    axis of size K, and must return the K losses. So build has to treat
-    that axis as a batch axis throughout: every tensor it makes from the
-    parameters or combines with them keeps the leading axis, nothing
-    indexes, slices, concatenates or reshapes along it, and the loss is
-    reduced over the trailing axes only (mean_(x, axis=(-2, -1)) rather
-    than mean_(x)). Count axes from the right (x[..., 1:3],
-    concat(axis=-1), mean_(axis=-1)). Broadcasting lines operands up from
-    the right, so a parameter with fewer batch axes than the operand it
-    meets (a 1-d layer_norm gamma against (B, T, C) inputs, conv1d
-    kernels against batched inputs) would put its probe axis on one of
-    the other's batch axes: give it size-1 axes after the probe axis
-    when batched, as in w[:, None] (or w[:, None, None] for a gamma
-    against two batch axes). Every parameter has one axis more in the
-    batched form, so build can tell the forms apart by a parameter's ndim.
+    By default losses runs build once per probe row. batched=True runs
+    build once on the whole stack, which must then return the K losses.
+    So build has to treat that axis as a batch axis throughout: every
+    tensor it makes from the parameters or combines with them keeps the
+    leading axis, nothing indexes, slices, concatenates or reshapes along
+    it, and the loss is reduced over the trailing axes only (mean_(x,
+    axis=(-2, -1)) rather than mean_(x)). Count axes from the right
+    (x[..., 1:3], concat(axis=-1), mean_(axis=-1)). Broadcasting lines
+    operands up from the right, so a parameter with fewer batch axes than
+    the operand it meets (a 1-d layer_norm gamma against (B, T, C)
+    inputs, conv1d kernels against batched inputs) would put its probe
+    axis on one of the other's batch axes: give it size-1 axes after the
+    probe axis when batched, as in w[:, None] (or w[:, None, None] for a
+    gamma against two batch axes). Every parameter has one axis more in
+    the batched form, so build can tell the forms apart by a parameter's
+    ndim.
     """
     def value_and_grad(arrays):
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
@@ -732,10 +734,9 @@ def objective(build, batched: bool = False) -> numerics.Objective:
         return float(out.data), [leaf.grad if leaf.grad is not None
                                  else np.zeros_like(leaf.data) for leaf in leaves]
 
-    def loss(arrays):
-        return float(build(*(Tensor(a) for a in arrays)).data)
-
     def losses(arrays):
-        return build(*(Tensor(a) for a in arrays)).data
+        if batched:
+            return build(*(Tensor(a) for a in arrays)).data
+        return np.array([float(build(*map(Tensor, row)).data) for row in zip(*arrays)])
 
-    return numerics.Objective(value_and_grad, loss, losses if batched else None)
+    return numerics.Objective(value_and_grad, losses)

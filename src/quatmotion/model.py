@@ -264,7 +264,7 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
     if config.use_qra:
         kernels = {name: weights[f"{prefix}.{name}"] for name in qra.KERNEL_NAMES}
         key_axis = "i" if config.qra_keys_use_axis_i else "j"
-        logits = qra.rotary_logits(q, k, kernels, config.periods, key_axis, keep, window)
+        logits = qra.rotary_logits(q, k, kernels, key_axis, keep, window)
     else:
         drop = 0 if keep is None else q.shape[2] - keep
         if drop:

@@ -189,46 +189,30 @@ class GradReport:
 
 
 class Objective(NamedTuple):
-    """A scalar loss in the forms grad_check evaluates.
+    """A scalar loss in the two forms grad_check evaluates.
 
     value_and_grad(params) returns (loss, grads), grads matching params in
-    shape; loss(params) returns the same loss alone, without the work of
-    a gradient. losses, when given, is the batched probe form: every array
-    of params carries one leading probe axis of size K, and it returns
-    the K losses, each the same function as loss of that probe's arrays.
-    autograd.objective builds all three from one tape expression.
+    shape. losses(params) evaluates the loss alone, without the work of a
+    gradient, at K points at once: every array of params carries one
+    leading probe axis of size K, and it returns the K losses, each the
+    same function as value_and_grad's loss of that probe's arrays.
+    autograd.objective builds both from one tape expression.
     """
 
     value_and_grad: Callable
-    loss: Callable
-    losses: Callable | None = None
+    losses: Callable
 
 
-# Most elements one batched probe stack may hold: a parameter's 2k
-# perturbed copies are cut into chunks of at most this many elements
-# (two rows at the least), so no objective is handed 2n copies of an
-# n-element parameter at once.
+# Most elements one probe stack may hold: a parameter's 2k perturbed
+# copies are cut into chunks of at most this many elements (two rows at
+# the least), so no objective is handed 2n copies of an n-element
+# parameter at once.
 PROBE_STACK_ELEMENTS = 1 << 16
 
 
-def _looped_probes(objective: Objective, params: list, idx: int, coords, h: float):
-    """Losses at +h and -h on each coordinate, one loss call per probe."""
-    flat = params[idx].reshape(-1)
-    plus, minus = np.empty(len(coords)), np.empty(len(coords))
-    for j, c in enumerate(coords):
-        orig = flat[c]
-        flat[c] = orig + h
-        plus[j] = objective.loss(params)
-        flat[c] = orig - h
-        minus[j] = objective.loss(params)
-        flat[c] = orig
-        if not (np.isfinite(plus[j]) and np.isfinite(minus[j])):
-            raise NonFiniteLoss("objective returned a non-finite value under perturbation")
-    return plus, minus
-
-
-def _batched_probes(objective: Objective, params: list, idx: int, coords, h: float):
-    """The same losses from one objective.losses call per chunk of coordinates.
+def _probes(objective: Objective, params: list, idx: int, coords, h: float):
+    """Losses at +h and -h on each coordinate, one objective.losses call
+    per chunk of coordinates.
 
     A chunk of m coordinates is a stack of 2m copies of the parameter,
     the +h rows first and then the -h rows, each with one coordinate
@@ -272,32 +256,23 @@ def grad_check(
 
     Probe contract: objective.value_and_grad is called exactly once, at
     the unperturbed params, and supplies the analytic gradient and the
-    reference loss. The probes then evaluate the loss alone, in one of
-    two forms:
+    reference loss. The probes then evaluate the loss alone: per
+    parameter, the +h and -h copies of every probed coordinate are
+    stacked on a leading probe axis, +h rows first, and evaluated by one
+    objective.losses call, while the other parameters are passed as
+    read-only broadcast views of the same length. Stacks are cut into
+    chunks of at most PROBE_STACK_ELEMENTS elements (two rows at the
+    least), so an n-element parameter never costs 2n*n floats at once.
 
-    - looped (objective.losses is None): each probed coordinate is
-      perturbed by +-h in place (and restored), one objective.loss call
-      per probe, so a probe pays for a loss evaluation and nothing more;
-    - batched (objective.losses given): per parameter, the +h and -h
-      copies of every probed coordinate are stacked on a leading probe
-      axis, +h rows first, and evaluated by one objective.losses call,
-      while the other parameters are passed as read-only broadcast views
-      of the same length. Stacks are cut into chunks of at most
-      PROBE_STACK_ELEMENTS elements (two rows at the least), so an
-      n-element parameter never costs 2n*n floats at once.
-
-    Either form must compute the same function as value_and_grad's loss.
     The numeric derivative (f(x+h) - f(x-h)) / 2h is compared to the
     analytic one with relative error |a - n| / max(|a|, |n|, 1e-8); a
     NaN error (from a NaN analytic gradient) propagates into the report
-    and fails it. Both forms probe the same coordinates and give the
-    same errors from the same losses.
+    and fails it.
 
     For very large parameters, max_probes_per_param limits the sweep to a
     deterministic seeded coordinate subsample.
     """
-    # contiguous, so that the looped probes' flat views write through
-    params = [np.ascontiguousarray(p, dtype=np.float64) for p in params]
+    params = [np.asarray(p, dtype=np.float64) for p in params]
     if names is None:
         names = [f"param{i}" for i in range(len(params))]
 
@@ -305,7 +280,6 @@ def grad_check(
     if not np.isfinite(loss0):
         raise NonFiniteLoss(f"objective returned {loss0!r}")
     grads = [np.asarray(g, dtype=np.float64) for g in grads]
-    probe = _looped_probes if objective.losses is None else _batched_probes
 
     rng = np.random.default_rng(probe_seed)
     errors: list[float] = []
@@ -320,7 +294,7 @@ def grad_check(
             coords = np.sort(rng.choice(n, size=max_probes_per_param, replace=False))
         else:
             coords = np.arange(n)
-        plus, minus = probe(objective, params, idx, coords, h)
+        plus, minus = _probes(objective, params, idx, coords, h)
         numeric = (plus - minus) / (2.0 * h)
         analytic = g.reshape(-1)[coords]
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

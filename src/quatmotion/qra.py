@@ -94,14 +94,14 @@ class QRAParams:
         return out
 
 
-def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, periods: int,
-                  key_axis: str = "j", keep: int | None = None,
-                  window: int | None = None) -> Tensor:
+def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, key_axis: str = "j",
+                  keep: int | None = None, window: int | None = None) -> Tensor:
     """QRA logits (..., keep, M) of query rows over key rows, on the tape.
 
     q_all: (..., R, d) query rows, k: (..., M, d) key rows, with d
     divisible by 4; kernels maps KERNEL_NAMES to tensors whose leading
-    axes broadcast against the rows' (one kernel per head). q_all holds
+    axes broadcast against the rows' (one kernel per head), and the
+    weights' period axis (..., P, d, W) sets the period count. q_all holds
     the last rows of a `window`-row query window (by default all of it),
     and only its last `keep` rows (by default all) get logits. The rows
     before them are a halo that the query convolution reads; query
@@ -115,6 +115,7 @@ def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, periods: int,
     # the halo rows only feed the query convolution
     q = q_all[..., drop:, :] if drop else q_all
     m = k.shape[-2]
+    periods = kernels["omega_q.w"].shape[-3]
     pos_q = TWO_PI * np.arange(window - keep, window, dtype=np.float64) / window
     pos_k = TWO_PI * np.arange(m, dtype=np.float64) / m
     ang_q = ag.qra_angles(q_all, kernels["omega_q.w"], kernels["omega_q.b"],
@@ -139,5 +140,5 @@ def qra_attention(x, y, params: QRAParams, key_axis: str = "j") -> np.ndarray:
     q = numerics.matmul(x, params.w_q)
     k = numerics.matmul(y, params.w_k)
     v = numerics.matmul(y, params.w_v)
-    logits = rotary_logits(Tensor(q), Tensor(k), params.kernels(), params.periods, key_axis)
+    logits = rotary_logits(Tensor(q), Tensor(k), params.kernels(), key_axis)
     return numerics.matmul(numerics.softmax_rows(logits.data), v)

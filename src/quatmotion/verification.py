@@ -37,7 +37,7 @@ PUBLIC_SUITES = ("algebra", "spe", "qra", "grad", "metrics")
 INTERNAL_GROUPS = ("numerics", "model", "training", "features")
 
 EXPECTED_COUNTS = {
-    "algebra": 8, "spe": 5, "qra": 8, "grad": 20, "metrics": 11,
+    "algebra": 8, "spe": 5, "qra": 8, "grad": 28, "metrics": 11,
     "numerics": 11, "model": 8, "training": 9, "features": 9,
 }
 
@@ -190,10 +190,9 @@ def _canonical_attention(x, y, params: qra.QRAParams):
     return s @ v
 
 
-def _logits(x, y, p: qra.QRAParams, kernels=None, periods=None) -> np.ndarray:
-    """QRA logits of x's queries over y's keys, off the tape."""
-    return qra.rotary_logits(Tensor(x @ p.w_q), Tensor(y @ p.w_k), kernels or p.kernels(),
-                             periods or p.periods).data
+def _logits(x, y, p: qra.QRAParams, kernels: dict) -> np.ndarray:
+    """QRA logits of x's queries over y's keys with p's projections, off the tape."""
+    return qra.rotary_logits(Tensor(x @ p.w_q), Tensor(y @ p.w_k), kernels).data
 
 
 def qra_checks() -> list:
@@ -213,7 +212,7 @@ def qra_checks() -> list:
     x = rng.standard_normal((4, 6))
     y = rng.standard_normal((5, 6))
     q = x @ p.w_q
-    s = num.softmax_rows(_logits(x, y, p))
+    s = num.softmax_rows(_logits(x, y, p, p.kernels()))
     checks.append(_check("qra/attention_rows_sum_to_one",
                          float(np.abs(s.sum(axis=1) - 1.0).max()), 1e-12))
 
@@ -250,7 +249,7 @@ def qra_checks() -> list:
     p1 = qra.QRAParams.random(rng, 6, 8, 1, scale=0.0)
     x1 = rng.standard_normal((4, 6))
     y1 = rng.standard_normal((5, 6))
-    sim = _logits(x1, y1, p1)
+    sim = _logits(x1, y1, p1, p1.kernels())
     checks.append(_check("qra/similarity_matmul_identity",
                          float(np.abs(sim - (x1 @ p1.w_q) @ (y1 @ p1.w_k).T / np.sqrt(8)).max()),
                          1e-12))
@@ -259,7 +258,7 @@ def qra_checks() -> list:
     one = {name: a[:1] for name, a in p.kernels().items()}
     reps = {name: np.concatenate([a] * 3) for name, a in one.items()}
     checks.append(_check("qra/period_duplication_invariance",
-                         float(np.abs(_logits(x, y, p, reps, 3) - _logits(x, y, p, one, 1)).max()),
+                         float(np.abs(_logits(x, y, p, reps) - _logits(x, y, p, one)).max()),
                          1e-12))
     return checks
 
@@ -280,7 +279,7 @@ def _qra_grad_problem():
         q = ag.matmul(Tensor(x), wq)
         k = ag.matmul(Tensor(y), wk)
         v = ag.matmul(Tensor(y), wv)
-        logits = qra.rotary_logits(q, k, dict(zip(qra.KERNEL_NAMES, kernels)), 2)
+        logits = qra.rotary_logits(q, k, dict(zip(qra.KERNEL_NAMES, kernels)))
         h = ag.matmul(ag.softmax_rows(logits), v)
         # trailing axes only: with a leading probe axis, one loss per probe
         return ag.mean_(ag.mul(h, h), axis=(-2, -1))
@@ -334,9 +333,11 @@ def _omega_bias_off_kink(z: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _grad_cases() -> list:
-    """The grad suite's problems, (name, build, params, tol) each.
+    """Every tape op's gradient cases, (name, build, params, tol) each.
 
-    Every build takes its params with or without a leading probe axis:
+    The one list of them: the grad suite, the autograd tests and
+    acceptance criterion 5 all read it. Every build takes its params
+    with or without a leading probe axis:
     axes count from the right, operands with fewer batch axes get size-1
     axes after the probe axis (_after_probe), and the loss reduces over
     the trailing axes only (_sq_loss).
@@ -428,12 +429,58 @@ def _grad_cases() -> list:
             lambda z, wo, bo, wt, bt: ag.qra_angles(z, wo, bo, wt, bt, pos, drop=1),
             [za, wo, _omega_bias_off_kink(za, wo), wt, bt])
 
+    # weight the permuted entries: a bare sum of squares is blind to their order
+    xr = rng.standard_normal((2, 3, 4))
+    wr = rng.standard_normal((3, 8))
+
+    def reshape_transpose(x):
+        n = x.ndim - 3    # 1 with a probe axis, else 0
+        swapped = ag.transpose(x, tuple(range(n)) + (n + 1, n, n + 2))
+        return ag.mul(ag.reshape(swapped, swapped.shape[:n] + (3, 8)), Tensor(wr))
+
+    op_case("reshape_transpose", reshape_transpose, [xr])
+    op_case("matmul_4d_2d", lambda a, b: ag.matmul(a, _after_probe(b, 2, 2)),
+            [rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((4, 3))])
+
+    def matmul_bias(a, b, c):
+        if b.ndim == 2:
+            return ag.matmul(a, b, c)
+        # only a 2-D right operand takes a bias, so a probe stack adds it after
+        return ag.add(ag.matmul(a, _after_probe(b, 2)), _after_probe(c, 1, 2))
+
+    op_case("matmul_bias", matmul_bias,
+            [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)])
+    # the decoder's shapes: B=2 batches of H=2 heads, O=2P=4 outputs
+    op_case("conv1d_heads_2p", conv_headed,
+            [rng.standard_normal((2, 2, 5, 3)), rng.standard_normal((2, 4, 3, 3)),
+             rng.standard_normal((2, 4))])
+
+    xp = rng.standard_normal((2, 3, 1, 2, 4))
+    ap = rng.standard_normal((2, 3, 2))
+    wp = rng.standard_normal((2, 3, 2, 2, 4))
+    op_case("quat_rotate_periods", lambda x, a: ag.mul(ag.quat_rotate(x, a, "j"), Tensor(wp)),
+            [xp, ap])
+
+    # phi (..., Q, P, S, 4), keys (..., M, S, 4), angles (..., M, P)
+    op_case("rotated_scores_i", lambda p, k, a: ag.rotated_scores(p, k, a, "i"),
+            [rng.standard_normal((2, 1, 2, 4)), rng.standard_normal((3, 2, 4)),
+             rng.standard_normal((3, 1))])
+    # leading axes (2, 1), (1, 3) and (2, 1) broadcast to (2, 3)
+    op_case("rotated_scores_j_broadcast", lambda p, k, a: ag.rotated_scores(p, k, a, "j"),
+            [rng.standard_normal((2, 1, 2, 2, 2, 4)), rng.standard_normal((1, 3, 3, 2, 4)),
+             rng.standard_normal((2, 1, 3, 2))])
+    # the keys' leading axis (2,) broadcasts against phi and angles without one
+    op_case("rotated_scores_k_broadcast",
+            lambda p, k, a: ag.rotated_scores(_after_probe(p, 4), k, _after_probe(a, 2), "k"),
+            [rng.standard_normal((3, 2, 1, 4)), rng.standard_normal((2, 4, 1, 4)),
+             rng.standard_normal((4, 2))])
+
     return [(name, _sq_loss(build, params[0].ndim), params, tol)
             for name, build, params, tol in cases]
 
 
 def grad_checks() -> list:
-    """Every case through grad_check's batched probe form."""
+    """Every case, its probe stacks each run through one build call."""
     checks = []
     for name, build, params, tol in _grad_cases():
         r = num.grad_check(ag.objective(build, batched=True), params, tol=1e-4)
@@ -656,8 +703,8 @@ def _model_grad_report(probes: int = 2) -> num.GradReport:
     """Central-difference check through the full desk model.
 
     Every named tensor is probed at a seeded subset of coordinates; the
-    analytic gradient comes from one tape backward pass, and each probe
-    runs the forward off the tape.
+    analytic gradient comes from one tape backward pass, and the model,
+    which takes no probe axis, runs one forward off the tape per probe.
     """
     rng = np.random.default_rng(19)
     config = mod.ModelConfig()

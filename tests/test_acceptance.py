@@ -11,9 +11,6 @@ import time
 
 import numpy as np
 
-import test_autograd
-
-from quatmotion import autograd as ag
 from quatmotion import cli
 from quatmotion import features as feat
 from quatmotion import metrics as met
@@ -24,6 +21,7 @@ from quatmotion import qra
 from quatmotion import quaternion as quat
 from quatmotion import spe
 from quatmotion import training as trn
+from quatmotion import verification
 
 # sign/permutation structure of the full basis multiplication table
 _BASIS_PRODUCTS = [
@@ -190,31 +188,14 @@ def test_criterion_04_attention_oracle():
 
 def test_criterion_05_gradient_checks():
     t0 = time.perf_counter()
-    op_errors = {}
-    for name, params, build in test_autograd.GRAD_CASES:
-        report = num.grad_check(ag.objective(build), [p.copy() for p in params])
-        op_errors[name] = report.max_error
+    op_errors = {c.name: c.measured for c in verification.grad_checks()}
     worst_op = max(op_errors, key=op_errors.get)
-
-    config = mod.ModelConfig()
-    weights = mod.init_weights(config, np.random.default_rng(5))
-    names = sorted(weights)
-    rng = np.random.default_rng(505)
-    motion = rng.standard_normal((1, config.seed_motion_frames, feat.MOTION_DIMS))
-    audio = rng.standard_normal((1, config.audio_frames, feat.AUDIO_DIMS))
-    target = rng.standard_normal((1, config.future_frames, feat.MOTION_DIMS))
-
-    def build(*tensors):
-        return trn.l2_loss(mod.forward(dict(zip(names, tensors)), config, motion, audio),
-                           target)
-
-    model_report = num.grad_check(ag.objective(build), [weights[n].data for n in names],
-                                  names=names, max_probes_per_param=2)
+    model_report = verification._model_grad_report()
 
     dt = time.perf_counter() - t0
     print(f"criterion 5: {len(op_errors)} op cases, worst {worst_op} "
           f"{op_errors[worst_op]:.2e}; desk model max {model_report.max_error:.2e} "
-          f"over {len(names)} tensors (tol 1e-4) in {dt:.1f}s")
+          f"over {len(model_report.names)} tensors (tol 1e-4) in {dt:.1f}s")
     assert all(e < 1e-4 for e in op_errors.values()), op_errors
     assert model_report.max_error < 1e-4
     assert dt < 120.0

@@ -1,11 +1,9 @@
 """Tape autodiff: every op's gradient against central differences,
 plus tape mechanics (accumulation, scatter, broadcast reduction).
 
-Weighting constants for the losses are sampled once at import. Sampling
-them inside the closures would make grad_check probe a different
-function at every evaluation; worse, an unweighted sum of squares is
-exactly invariant under the rotation ops, so their angle gradients
-would be checked against pure roundoff.
+The gradient cases are verification._grad_cases(), the one list of them:
+`verify --suite grad` probes each case's stacks through one build call,
+and the tests here also probe them one forward per row.
 """
 
 import gc
@@ -18,162 +16,49 @@ from quatmotion import autograd as ag
 from quatmotion import numerics as num
 from quatmotion import features, model, quaternion, spe, training, verification
 
-_R = np.random.default_rng(7)
-
-
-def _shifted(x, margin=0.2):
-    # keep relu inputs away from the kink so +-h stays on one side
-    return x + np.sign(x) * margin
-
-
-W34 = _R.standard_normal((3, 4))
-W23 = _R.standard_normal((2, 3))
-W235 = _R.standard_normal((2, 3, 5))
-W38 = _R.standard_normal((3, 8))
-W63 = _R.standard_normal((6, 3))
-W32 = _R.standard_normal((3, 2))
-W24 = _R.standard_normal((2, 4))
-W253 = _R.standard_normal((2, 5, 3))
-WLN = _R.standard_normal((3, 4))
-WRP = _R.standard_normal((2, 4, 6))
-WQR = _R.standard_normal((3, 2, 4))
-# the decoder's shapes: B=2 batches of H=2 heads, O=2P=4 outputs, P=2 periods
-WCH = _R.standard_normal((2, 2, 5, 4))
-WMM = _R.standard_normal((2, 2, 3, 3))
-WQP = _R.standard_normal((2, 3, 2, 2, 4))
-COS_T, SIN_T = spe.angle_tables(4, spe.RotarySchedule(dim=6))
-
-GRAD_CASES = [
-    ("add_broadcast", [_R.standard_normal((3, 4)), _R.standard_normal(4)],
-     lambda a, b: ((a + b) * W34).sum()),
-    ("sub_neg", [_R.standard_normal((3, 4)), _R.standard_normal((1, 4))],
-     lambda a, b: ((a - b) * W34 + (-a) * 0.3).sum()),
-    ("mul_broadcast", [_R.standard_normal((2, 3)), _R.standard_normal(3)],
-     lambda a, b: ((a * b) * W23).sum()),
-    ("matmul_batched", [_R.standard_normal((2, 3, 4)), _R.standard_normal((4, 5))],
-     lambda a, b: ((a @ b) * W235).sum()),
-    ("reshape_transpose", [_R.standard_normal((2, 3, 4))],
-     lambda x: (x.transpose(1, 0, 2).reshape(3, 8) * W38).sum()),
-    ("concat", [_R.standard_normal((2, 3)), _R.standard_normal((4, 3))],
-     lambda a, b: (ag.concat([a, b], axis=0) * W63).sum()),
-    ("getitem_slice", [_R.standard_normal((5, 4))],
-     lambda x: (x[1:4, ::2] * W32).sum()),
-    ("sum_axes", [_R.standard_normal((2, 3, 4))],
-     lambda x: (x.sum(axis=(0, 2)) * np.array([1.0, -2.0, 0.5])).sum()),
-    ("mean_keepdims", [_R.standard_normal((2, 4))],
-     lambda x: (x.mean(axis=1, keepdims=True) * np.array([[2.0], [-1.0]])).sum()),
-    ("relu", [_shifted(_R.standard_normal((3, 4)))],
-     lambda x: (ag.relu(x) * W34).sum()),
-]
-_R.standard_normal((2, 3))  # skipped, so the cases below keep their draws
-GRAD_CASES += [
-    ("softmax_rows", [_R.standard_normal((2, 4))],
-     lambda x: (ag.softmax_rows(x) * W24).sum()),
-    ("conv1d", [_R.standard_normal((5, 2)), _R.standard_normal((3, 2, 3)),
-                _R.standard_normal(3)],
-     lambda x, w, b: (ag.conv1d(x, w, b) * W253[0]).sum()),
-    ("conv1d_headed", [_R.standard_normal((2, 5, 2)), _R.standard_normal((2, 3, 2, 3)),
-                       _R.standard_normal((2, 3))],
-     lambda x, w, b: (ag.conv1d(x, w, b) * W253).sum()),
-    ("layer_norm", [_R.standard_normal((3, 4)), _R.standard_normal(4),
-                    _R.standard_normal(4)],
-     lambda x, g, b: (ag.layer_norm(x, g, b) * WLN).sum()),
-    ("rope_apply", [_R.standard_normal((2, 4, 6))],
-     lambda x: (ag.rope_apply(x, COS_T, SIN_T) * WRP).sum()),
-    ("quat_rotate_i", [_R.standard_normal((3, 2, 4)), _R.standard_normal(3)],
-     lambda x, a: (ag.quat_rotate(x, a, "i") * WQR).sum()),
-    ("quat_rotate_j", [_R.standard_normal((3, 2, 4)), _R.standard_normal(3)],
-     lambda x, a: (ag.quat_rotate(x, a, "j") * WQR).sum()),
-    ("quat_rotate_k", [_R.standard_normal((3, 2, 4)), _R.standard_normal(3)],
-     lambda x, a: (ag.quat_rotate(x, a, "k") * WQR).sum()),
-    ("conv1d_heads_2p", [_R.standard_normal((2, 2, 5, 3)), _R.standard_normal((2, 4, 3, 3)),
-                         _R.standard_normal((2, 4))],
-     lambda x, w, b: (ag.conv1d(x, w, b) * WCH).sum()),
-    ("matmul_4d_2d", [_R.standard_normal((2, 2, 3, 4)), _R.standard_normal((4, 3))],
-     lambda a, b: ((a @ b) * WMM).sum()),
-    ("quat_rotate_periods", [_R.standard_normal((2, 3, 1, 2, 4)), _R.standard_normal((2, 3, 2))],
-     lambda x, a: (ag.quat_rotate(x, a, "j") * WQP).sum()),
-]
-
-# rotated_scores: phi (..., Q, P, S, 4), keys (..., M, S, 4), angles (..., M, P).
-# Drawn after every case above, so those keep their inputs.
-WRS1 = _R.standard_normal((2, 3))
-WRS2 = _R.standard_normal((2, 3, 2, 3))
-WRS3 = _R.standard_normal((2, 3, 4))
-GRAD_CASES += [
-    ("rotated_scores_i", [_R.standard_normal((2, 1, 2, 4)), _R.standard_normal((3, 2, 4)),
-                          _R.standard_normal((3, 1))],
-     lambda p, k, a: (ag.rotated_scores(p, k, a, "i") * WRS1).sum()),
-    # leading axes (2, 1), (1, 3) and (2, 1) broadcast to (2, 3)
-    ("rotated_scores_j_broadcast", [_R.standard_normal((2, 1, 2, 2, 2, 4)),
-                                    _R.standard_normal((1, 3, 3, 2, 4)),
-                                    _R.standard_normal((2, 1, 3, 2))],
-     lambda p, k, a: (ag.rotated_scores(p, k, a, "j") * WRS2).sum()),
-    ("rotated_scores_k_broadcast", [_R.standard_normal((3, 2, 1, 4)),
-                                    _R.standard_normal((2, 4, 1, 4)),
-                                    _R.standard_normal((4, 2))],
-     lambda p, k, a: (ag.rotated_scores(p, k, a, "k") * WRS3).sum()),
-]
-
-# matmul with its bias folded in, as a linear layer calls it. Drawn after
-# every case above, so those keep their inputs.
-WMB = _R.standard_normal((2, 3, 5))
-GRAD_CASES += [
-    ("matmul_bias", [_R.standard_normal((2, 3, 4)), _R.standard_normal((4, 5)),
-                     _R.standard_normal(5)],
-     lambda a, b, c: (ag.matmul(a, b, c) * WMB).sum()),
-]
-
-
-# QRA's angle op as the decoder calls it: headed kernels (H=2, P=3) over
-# rows (H, T, d), two halo rows dropped, omega biases off the ReLU kink.
-# Drawn after every case above, so those keep their inputs.
-ZQA = _R.standard_normal((2, 7, 4))
-WQA_O = 0.5 * _R.standard_normal((2, 3, 4, 3))
-WQA_T = 0.5 * _R.standard_normal((2, 3, 4, 3))
-BQA_T = 0.5 * _R.standard_normal((2, 3))
-WQA = _R.standard_normal((2, 5, 3))
-POS_QA = 2.0 * np.pi * np.arange(2, 7) / 9
-GRAD_CASES += [
-    ("qra_angles", [ZQA, WQA_O, verification._omega_bias_off_kink(ZQA, WQA_O), WQA_T, BQA_T],
-     lambda z, wo, bo, wt, bt: (ag.qra_angles(z, wo, bo, wt, bt, POS_QA, drop=2) * WQA).sum()),
-]
-
-
-def _heads_2p_batched(x, w, b):
-    # conv1d_heads_2p with a size-1 axis in front of the kernels' head
-    # axis, so a leading probe axis lines up with the input's own
-    w = ag.reshape(w, w.shape[:-4] + (1,) + w.shape[-4:])
-    b = ag.reshape(b, b.shape[:-2] + (1,) + b.shape[-2:])
-    return (ag.conv1d(x, w, b) * WCH).sum(axis=(-4, -3, -2, -1))
-
-
-# verify --suite grad: its 20 checks, in order, each probed in the batched form
-GRAD_SUITE = verification._grad_cases()
-GRAD_SUITE_NAMES = [
+CASES = verification._grad_cases()
+CASE_IDS = [c[0] for c in CASES]
+# verify --suite grad: its checks, in order
+CASE_NAMES = [
     "quadratic_closed_form", "constant_zero", "matmul", "matmul_batched", "add_broadcast",
     "mul_broadcast", "sub_neg", "relu", "softmax_rows", "conv1d", "conv1d_headed", "layer_norm",
     "rope_apply", "quat_rotate_i", "quat_rotate_j", "quat_rotate_k", "getitem_slice",
-    "concat_reshape", "mean_axis", "qra_angles",
+    "concat_reshape", "mean_axis", "qra_angles", "reshape_transpose", "matmul_4d_2d",
+    "matmul_bias", "conv1d_heads_2p", "quat_rotate_periods", "rotated_scores_i",
+    "rotated_scores_j_broadcast", "rotated_scores_k_broadcast",
 ]
 
 
 class TestGradients:
-    @pytest.mark.parametrize("name,params,build",
-                             GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
-    def test_matches_central_differences(self, name, params, build):
-        report = num.grad_check(ag.objective(build), [p.copy() for p in params])
+    @pytest.mark.parametrize("name,build,params,tol", CASES, ids=CASE_IDS)
+    def test_matches_central_differences(self, name, build, params, tol):
+        # one forward per probe row, where the grad suite runs one per stack
+        report = num.grad_check(ag.objective(build), params, tol=tol)
         assert report.passed, f"{name}: max rel err {report.max_error:.3e}"
 
-    def test_composite_graph(self):
+    def test_every_tape_op_has_a_case(self, monkeypatch):
+        ops = [name for name in ag.__all__ if name not in ("Tensor", "objective")]
+        called = set()
+        for name in ops:
+            def spy(*args, _op=getattr(ag, name), _name=name, **kwargs):
+                called.add(_name)
+                return _op(*args, **kwargs)
+
+            monkeypatch.setattr(ag, name, spy)
+        # built after the patch: a case may hold an op itself, as relu's does
+        for _, build, params, _ in verification._grad_cases():
+            ag.objective(build, batched=True).losses([p[None] for p in params])
+        assert sorted(set(ops) - called) == []
+
+    def test_composite_graph(self, rng):
         # a small pre-norm block: LN -> matmul -> softmax -> weighted sum
-        w_mix = _R.standard_normal((4, 4))
+        w_mix = rng.standard_normal((4, 4))
 
         def build(x, w, g, b):
             h = ag.layer_norm(x, g, b) @ w
             return (ag.softmax_rows(h) * w_mix).sum()
 
-        params = [_R.standard_normal((4, 4)), _R.standard_normal((4, 4)),
+        params = [rng.standard_normal((4, 4)), rng.standard_normal((4, 4)),
                   np.ones(4), np.zeros(4)]
         report = num.grad_check(ag.objective(build), params)
         assert report.passed, f"max rel err {report.max_error:.3e}"
@@ -182,12 +67,11 @@ class TestGradients:
 class TestObjective:
     """grad_check's probes evaluate the loss off the tape."""
 
-    @pytest.mark.parametrize("name,params,build",
-                             GRAD_CASES, ids=[c[0] for c in GRAD_CASES])
-    def test_probe_loss_equals_tracked_loss(self, name, params, build):
+    @pytest.mark.parametrize("name,build,params,tol", CASES, ids=CASE_IDS)
+    def test_probe_loss_equals_tracked_loss(self, name, build, params, tol):
         objective = ag.objective(build)
-        tracked, _ = objective.value_and_grad([p.copy() for p in params])
-        assert objective.loss([p.copy() for p in params]) == tracked
+        tracked, _ = objective.value_and_grad(params)
+        assert objective.losses([p[None] for p in params]).tolist() == [tracked]
 
     def test_desk_model_probe_loss_equals_tracked_loss(self, rng):
         config = model.ModelConfig()
@@ -200,16 +84,16 @@ class TestObjective:
             model.forward(dict(zip(names, ts)), config, motion, audio), target))
         arrays = [weights[n].data for n in names]
         tracked, _ = objective.value_and_grad(arrays)
-        assert objective.loss(arrays) == tracked
+        assert objective.losses([a[None] for a in arrays]).tolist() == [tracked]
 
     def test_grad_check_runs_one_backward_and_builds_no_probe_tape(self, monkeypatch):
-        self._one_backward_no_probe_tape(monkeypatch, "looped")
+        self._one_backward_no_probe_tape(monkeypatch, batched=False)
 
     def test_batched_grad_check_runs_one_backward_and_builds_no_probe_tape(self, monkeypatch):
-        self._one_backward_no_probe_tape(monkeypatch, "batched")
+        self._one_backward_no_probe_tape(monkeypatch, batched=True)
 
     @staticmethod
-    def _one_backward_no_probe_tape(monkeypatch, form):
+    def _one_backward_no_probe_tape(monkeypatch, batched):
         backward_calls = []
         original = ag.Tensor.backward
 
@@ -218,9 +102,7 @@ class TestObjective:
             return original(self, seed)
 
         monkeypatch.setattr(ag.Tensor, "backward", spy)
-        name, params, build = next(c for c in GRAD_CASES if c[0] == "conv1d_heads_2p")
-        if form == "batched":
-            build = _heads_2p_batched
+        _, build, params, _ = next(c for c in CASES if c[0] == "conv1d_heads_2p")
         losses = []
 
         def recording(*tensors):
@@ -228,71 +110,60 @@ class TestObjective:
             losses.append(out)
             return out
 
-        objective = ag.objective(recording, batched=form == "batched")
-        if form == "batched":
-            def no_loss(arrays):
-                raise AssertionError("a batched objective's probes never call loss")
-            objective = objective._replace(loss=no_loss)
-        report = num.grad_check(objective, [p.copy() for p in params])
+        report = num.grad_check(ag.objective(recording, batched=batched), params)
         assert report.passed
         assert len(backward_calls) == 1
         assert backward_calls[0] is losses[0]
-        if form == "looped":
-            assert len(losses) == 1 + 2 * sum(p.size for p in params)
-        else:
-            # every parameter's stack fits one chunk: one losses call each
+        if batched:
+            # every parameter's stack fits one chunk: one build call each
             assert all(2 * p.size * p.size <= num.PROBE_STACK_ELEMENTS for p in params)
             assert [out.shape for out in losses[1:]] == [(2 * p.size,) for p in params]
+        else:
+            assert len(losses) == 1 + 2 * sum(p.size for p in params)
         # an untracked probe loss has no node, so no tape behind it
         assert all(out._node is None for out in losses[1:])
 
     @staticmethod
     def _batched_losses_match_probe_loss(build, params, rng):
-        objective = ag.objective(build, batched=True)
         stacks = [p + 1e-3 * rng.standard_normal((5,) + p.shape) for p in params]
-        batched = objective.losses(stacks)
-        looped = [objective.loss([s[i] for s in stacks]) for i in range(5)]
+        batched = ag.objective(build, batched=True).losses(stacks)
         assert batched.shape == (5,)
-        np.testing.assert_allclose(batched, looped, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(batched, ag.objective(build).losses(stacks),
+                                   rtol=1e-13, atol=0)
 
     def test_batched_losses_match_probe_loss(self, rng):
         self._batched_losses_match_probe_loss(*verification._qra_grad_problem(), rng)
 
-    @pytest.mark.parametrize("case", GRAD_SUITE, ids=[c[0] for c in GRAD_SUITE])
+    @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
     def test_grad_suite_batched_losses_match_probe_loss(self, case, rng):
         _, build, params, _ = case
         self._batched_losses_match_probe_loss(build, params, rng)
 
     def test_grad_suite_probes_every_coordinate_batched(self):
-        def no_loss(arrays):
-            raise AssertionError("a batched objective's probes never call loss")
-
         probes = {}
-        for name, build, params, _ in GRAD_SUITE:
-            objective = ag.objective(build, batched=True)._replace(loss=no_loss)
-            report = num.grad_check(objective, [p.copy() for p in params], tol=1e-4)
+        for name, build, params, tol in CASES:
+            report = num.grad_check(ag.objective(build, batched=True), params, tol=tol)
             assert report.passed, f"{name}: max rel err {report.max_error:.3e}"
             assert report.probes == [p.size for p in params]
             probes[name] = sum(report.probes)
-        assert list(probes) == GRAD_SUITE_NAMES
-        assert sum(probes.values()) == 935
+        assert list(probes) == CASE_NAMES
+        assert sum(probes.values()) == 1523
 
     def test_grad_suite_keeps_its_checks_and_tolerances(self):
         checks = verification.grad_checks()
-        assert [c.name for c in checks] == [f"grad/{n}" for n in GRAD_SUITE_NAMES]
-        assert [c.tolerance for c in checks] == [1e-9, 1e-12] + [1e-4] * 18
+        assert [c.name for c in checks] == [f"grad/{n}" for n in CASE_NAMES]
+        assert [c.tolerance for c in checks] == [1e-9, 1e-12] + [1e-4] * 26
         assert all(c.passed for c in checks)
 
     def test_qra_grad_problem_same_report_in_both_forms(self):
         build, params = verification._qra_grad_problem()
-        looped = num.grad_check(ag.objective(build), [p.copy() for p in params], tol=1e-4)
-        batched = num.grad_check(ag.objective(build, batched=True),
-                                 [p.copy() for p in params], tol=1e-4)
+        per_row = num.grad_check(ag.objective(build), params, tol=1e-4)
+        batched = num.grad_check(ag.objective(build, batched=True), params, tol=1e-4)
         # qra/gradient_correctness probes every one of the 344 coordinates
-        assert looped.probes == batched.probes == [p.size for p in params]
+        assert per_row.probes == batched.probes == [p.size for p in params]
         assert sum(batched.probes) == 344
-        np.testing.assert_allclose(batched.errors, looped.errors, rtol=0, atol=1e-9)
-        assert looped.passed and batched.passed
+        np.testing.assert_allclose(batched.errors, per_row.errors, rtol=0, atol=1e-9)
+        assert per_row.passed and batched.passed
 
 
 class TestForwardAgainstReference:

@@ -199,11 +199,18 @@ class TestSymSqrt:
             num.sym_sqrt(m + np.eye(4) * 10)
 
 
+def _sq_losses(params):
+    """Sum of squares of each probe row of the first parameter."""
+    a = params[0]
+    return (a ** 2).reshape(len(a), -1).sum(axis=1)
+
+
 class TestGradCheck:
-    # plain-numpy objectives: the gradient form and the loss-only form
+    # plain-numpy objectives: the gradient at one point, and the losses
+    # of a stack of probe rows
     _quadratic = num.Objective(
         value_and_grad=lambda params: (float((params[0] ** 2).sum()), [2.0 * params[0]]),
-        loss=lambda params: float((params[0] ** 2).sum()))
+        losses=_sq_losses)
 
     def test_correct_gradient_passes(self):
         report = num.grad_check(self._quadratic, [np.array([1.0, -2.0, 3.0])])
@@ -211,25 +218,31 @@ class TestGradCheck:
         assert report.max_error < 1e-9
 
     def test_wrong_gradient_fails(self):
-        rigged = num.Objective(
-            value_and_grad=lambda params: (self._quadratic.loss(params),
-                                           [2.5 * params[0]]),  # 25% off
-            loss=self._quadratic.loss)
+        rigged = self._quadratic._replace(
+            value_and_grad=lambda params: (float((params[0] ** 2).sum()),
+                                           [2.5 * params[0]]))  # 25% off
 
         report = num.grad_check(rigged, [np.array([1.0, 2.0])])
         assert not report.passed
         assert report.max_error > 0.1
 
-    def test_per_param_reporting(self):
-        def loss(params):
+    @staticmethod
+    def _cubic(gx_error: float = 0.0) -> num.Objective:
+        """x^2 + y^3 summed; gx_error moves analytic coordinate 2 of x."""
+        def value_and_grad(params):
             x, y = params
-            return float((x ** 2).sum() + (y ** 3).sum())
+            gx = 2.0 * x
+            gx[2] += gx_error
+            return float((x ** 2).sum() + (y ** 3).sum()), [gx, 3.0 * y ** 2]
 
-        f = num.Objective(
-            value_and_grad=lambda params: (loss(params),
-                                           [2.0 * params[0], 3.0 * params[1] ** 2]),
-            loss=loss)
-        report = num.grad_check(f, [np.ones(3), np.ones(2)], names=["x", "y"])
+        def losses(params):
+            x, y = params
+            return (x ** 2).sum(axis=1) + (y ** 3).sum(axis=1)
+
+        return num.Objective(value_and_grad, losses)
+
+    def test_per_param_reporting(self):
+        report = num.grad_check(self._cubic(), [np.ones(3), np.ones(2)], names=["x", "y"])
         assert report.names == ["x", "y"]
         assert len(report.errors) == 2
         assert report.passed
@@ -241,111 +254,65 @@ class TestGradCheck:
             calls.append("value_and_grad")
             return self._quadratic.value_and_grad(params)
 
-        def loss(params):
-            calls.append("loss")
-            return self._quadratic.loss(params)
+        def losses(params):
+            calls.append(("losses", len(params[0])))
+            return _sq_losses(params)
 
-        f = num.Objective(value_and_grad, loss)
+        f = num.Objective(value_and_grad, losses)
         big = np.linspace(-1, 1, 200)
         r1 = num.grad_check(f, [big.copy()], max_probes_per_param=5)
-        n1 = len(calls)
         first = list(calls)
         calls.clear()
         r2 = num.grad_check(f, [big.copy()], max_probes_per_param=5)
         assert r1.errors == r2.errors
-        assert n1 == len(calls) == 1 + 2 * 5  # base eval + 2 per probed coord
-        # only the base evaluation computes a gradient; every probe is loss-only
-        assert first == calls == ["value_and_grad"] + ["loss"] * (2 * 5)
+        # only the base evaluation computes a gradient; the 2 x 5 probes
+        # are one loss-only call
+        assert first == calls == ["value_and_grad", ("losses", 2 * 5)]
         assert r1.probes == [5]
 
     def test_non_finite_loss_raises(self):
-        f = num.Objective(value_and_grad=lambda params: (float("nan"), [np.zeros(2)]),
-                          loss=lambda params: float("nan"))
+        f = self._quadratic._replace(value_and_grad=lambda params: (float("nan"), [np.zeros(2)]))
 
         with pytest.raises(NonFiniteLoss):
             num.grad_check(f, [np.zeros(2)])
 
     def test_non_finite_probe_loss_raises(self):
-        f = num.Objective(value_and_grad=self._quadratic.value_and_grad,
-                          loss=lambda params: float("inf"))
+        f = self._quadratic._replace(losses=lambda params: np.full(len(params[0]), np.inf))
 
         with pytest.raises(NonFiniteLoss):
             num.grad_check(f, [np.zeros(2)])
 
-    # the batched probe form: params carry a leading probe axis, one loss per row
-    @staticmethod
-    def _sq_losses(params):
-        a = params[0]
-        return (a ** 2).reshape(len(a), -1).sum(axis=1)
-
-    def _forms(self, objective, losses):
-        return {"looped": objective, "batched": objective._replace(losses=losses)}
-
-    def test_batched_correct_gradient_passes(self):
-        x = np.array([1.0, -2.0, 3.0])
-        reports = {form: num.grad_check(f, [x.copy()]) for form, f in
-                   self._forms(self._quadratic, self._sq_losses).items()}
-        assert reports["batched"].passed
-        assert reports["batched"].max_error < 1e-9
-        np.testing.assert_allclose(reports["batched"].errors, reports["looped"].errors,
-                                   rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("form", ["looped", "batched"])
-    def test_one_wrong_coordinate_fails(self, form):
-        def loss(params):
-            x, y = params
-            return float((x ** 2).sum() + (y ** 3).sum())
-
-        def value_and_grad(params):
-            x, y = params
-            gx = 2.0 * x
-            gx[2] += 0.5  # one analytic coordinate off
-            return loss(params), [gx, 3.0 * y ** 2]
-
-        def losses(params):
-            x, y = params
-            return (x ** 2).sum(axis=1) + (y ** 3).sum(axis=1)
-
-        f = self._forms(num.Objective(value_and_grad, loss), losses)[form]
-        report = num.grad_check(f, [np.linspace(-1.0, 1.0, 4), np.array([0.5, -1.5, 2.0])])
+    def test_one_wrong_coordinate_fails(self):
+        report = num.grad_check(self._cubic(gx_error=0.5),
+                                [np.linspace(-1.0, 1.0, 4), np.array([0.5, -1.5, 2.0])])
         assert not report.passed
         assert report.errors[0] > 0.1
         assert report.errors[1] < 1e-6
 
     def test_batched_probes_same_coordinates(self):
         big = np.linspace(-1, 1, 200)
-        moved = {"looped": [], "batched": []}
-
-        def loss(params):
-            delta = params[0] - big
-            (c,) = np.flatnonzero(delta)
-            moved["looped"].append((int(c), bool(delta[c] > 0)))
-            return self._quadratic.loss(params)
+        moved = []
 
         def losses(params):
             for row in params[0]:
                 delta = row - big
                 (c,) = np.flatnonzero(delta)
-                moved["batched"].append((int(c), bool(delta[c] > 0)))
-            return self._sq_losses(params)
+                moved.append((int(c), bool(delta[c] > 0)))
+            return _sq_losses(params)
 
-        forms = self._forms(num.Objective(self._quadratic.value_and_grad, loss), losses)
-        reports = {form: num.grad_check(f, [big.copy()], max_probes_per_param=5)
-                   for form, f in forms.items()}
-        assert reports["looped"].probes == reports["batched"].probes == [5]
-        assert reports["looped"].errors == reports["batched"].errors
-        assert len(moved["batched"]) == 10
-        assert sorted(moved["looped"]) == sorted(moved["batched"])
-        # +h rows first, then -h rows, over the same coordinates
-        coords = [c for c, _ in moved["batched"][:5]]
-        assert moved["batched"] == [(c, True) for c in coords] + [(c, False) for c in coords]
+        report = num.grad_check(self._quadratic._replace(losses=losses), [big.copy()],
+                                max_probes_per_param=5, probe_seed=3)
+        assert report.probes == [5]
+        # the seeded subsample, +h rows first, then -h rows
+        coords = np.sort(np.random.default_rng(3).choice(200, size=5, replace=False)).tolist()
+        assert moved == [(c, True) for c in coords] + [(c, False) for c in coords]
 
     def test_batched_chunks_under_element_bound(self, monkeypatch):
         calls = []
 
         def losses(params):
             calls.append(params[0].shape)
-            return self._sq_losses(params)
+            return _sq_losses(params)
 
         f = self._quadratic._replace(losses=losses)
         x = np.linspace(-1, 1, 30)
@@ -365,7 +332,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_batched_non_finite_probe_loss_raises(self, bad):
         def losses(params):
-            out = self._sq_losses(params)
+            out = _sq_losses(params)
             out[-1] = bad
             return out
 
@@ -373,36 +340,32 @@ class TestGradCheck:
             num.grad_check(self._quadratic._replace(losses=losses), [np.zeros(2)])
 
     def test_batched_losses_shape_checked(self):
-        f = self._quadratic._replace(losses=lambda params: self._sq_losses(params)[:1])
+        f = self._quadratic._replace(losses=lambda params: _sq_losses(params)[:1])
         with pytest.raises(DimensionMismatch):
             num.grad_check(f, [np.zeros(2)])
 
-    @pytest.mark.parametrize("form", ["looped", "batched"])
-    def test_nan_analytic_gradient_fails(self, form):
+    def test_nan_analytic_gradient_fails(self):
         def value_and_grad(params):
             loss, (g,) = self._quadratic.value_and_grad(params)
             g[1] = np.nan
             return loss, [g]
 
-        f = self._forms(self._quadratic._replace(value_and_grad=value_and_grad),
-                        self._sq_losses)[form]
-        report = num.grad_check(f, [np.array([1.0, 2.0, 3.0])])
+        report = num.grad_check(self._quadratic._replace(value_and_grad=value_and_grad),
+                                [np.array([1.0, 2.0, 3.0])])
         assert not report.passed
         assert np.isnan(report.max_error)
 
-    @pytest.mark.parametrize("form", ["looped", "batched"])
-    def test_non_contiguous_parameter_is_probed(self, form):
+    def test_non_contiguous_parameter_is_probed(self):
         # a transposed view: probes must move the array the objective reads
         x = np.arange(1.0, 7.0).reshape(2, 3).T
-        f = self._forms(self._quadratic, self._sq_losses)[form]
-        report = num.grad_check(f, [x])
+        report = num.grad_check(self._quadratic, [x])
         assert report.passed
         assert report.max_error < 1e-9
 
     def test_gradient_shape_mismatch(self):
         f = num.Objective(value_and_grad=lambda params: (float(params[0].sum()),
                                                          [np.zeros(5)]),
-                          loss=lambda params: float(params[0].sum()))
+                          losses=lambda params: params[0].sum(axis=1))
 
         with pytest.raises(DimensionMismatch):
             num.grad_check(f, [np.zeros(3)])

@@ -22,6 +22,27 @@ def test_oracle_imports_only_math_and_numpy():
     assert imported == {"math", "numpy"}
 
 
+def test_no_test_module_imports_another():
+    # a test module that imports another runs that module's collection-time
+    # code and shares its state, so each one must read only the package
+    tests = pathlib.Path(__file__).resolve().parent
+    paths = sorted(tests.glob("test_*.py"))
+    modules = {path.stem for path in paths}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            else:
+                continue
+            if modules & {part for name in names for part in name.split(".")}:
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(paths) > 10
+    assert found == []
+
+
 def test_every_export_resolves():
     missing = [name for name in quatmotion.__all__ if not hasattr(quatmotion, name)]
     assert missing == []
