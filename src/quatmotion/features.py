@@ -172,13 +172,13 @@ def synth_pair(rng_seed: int, seconds: float, fps: int = FPS, beat_period_frames
     return audio, motion
 
 
-def atomic_write_text(path: str, text: str):
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write(path: str, data):
+    """Write text or bytes via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -196,7 +196,7 @@ def save_stream(path: str, matrix, meta: StreamMeta):
             f"matrix shape {matrix.shape} disagrees with meta ({meta.frames}, {meta.dims})")
     row_format = ",".join(["%.17g"] * meta.dims)
     rows = [row_format % tuple(row) for row in matrix.tolist()]
-    atomic_write_text(path, "\n".join(rows) + ("\n" if rows else ""))
+    atomic_write(path, "\n".join(rows) + ("\n" if rows else ""))
     sidecar = (
         f"format: {STREAM_FORMAT}\n"
         f"kind: {meta.kind}\n"
@@ -204,7 +204,7 @@ def save_stream(path: str, matrix, meta: StreamMeta):
         f"frames: {meta.frames}\n"
         f"dims: {meta.dims}\n"
     )
-    atomic_write_text(path + ".meta", sidecar)
+    atomic_write(path + ".meta", sidecar)
 
 
 def _read_text(path: str, what: str) -> str:

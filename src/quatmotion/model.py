@@ -18,10 +18,12 @@ weights, so inference builds no tape.
 
 from __future__ import annotations
 
-import base64
 import functools
+import hashlib
+import itertools
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -31,11 +33,13 @@ from . import qra
 from .autograd import Tensor
 from .errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                      HeadDimNotQuaternion, MalformedFile, QuatMotionError)
-from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write_text
+from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write
 from .spe import RotarySchedule, angle_tables
 
-CHECKPOINT_FORMAT = "qean-ckpt-v2"
-# tensor payloads: row-major float64 bytes, little-endian on every host
+CHECKPOINT_FORMAT = "qean-ckpt-v3"
+# a checkpoint's tensors live in a payload file beside its JSON header,
+# as row-major float64 bytes, little-endian on every host
+PAYLOAD_SUFFIX = ".f64"
 _TENSOR_DTYPE = np.dtype("<f8")
 
 # width of QRA's frequency/phase convolutions over time
@@ -392,66 +396,45 @@ def config_from_dict(doc: dict) -> ModelConfig:
 
 
 def save_checkpoint(path: str, weights: dict, config: ModelConfig):
-    """Write the weights and config as one sorted-key JSON object.
+    """Write the weights and config as a JSON header plus a payload file.
 
-    Each tensor is {"shape": [...], "data": base64 of its row-major,
-    little-endian float64 bytes}, so every bit survives a round trip.
+    The payload, `payload_path(path)`, holds every tensor's row-major,
+    little-endian float64 bytes, concatenated in sorted-name order, so
+    every bit survives a round trip. The header at `path` is one
+    sorted-key JSON object: the format tag, the config, each tensor's
+    shape, and the payload's byte count and sha256. The payload is
+    written first and each file is replaced atomically, so a header never
+    names a payload that is not fully written.
     """
-    tensors = {}
-    for name in sorted(weights):
-        data = weights[name].data
-        payload = data.astype(_TENSOR_DTYPE, copy=False).tobytes()
-        tensors[name] = {"shape": list(data.shape),
-                         "data": base64.b64encode(payload).decode("ascii")}
+    names = sorted(weights)
+    payload = b"".join(weights[name].data.astype(_TENSOR_DTYPE, copy=False).tobytes()
+                       for name in names)
     doc = {"format": CHECKPOINT_FORMAT,
            "config": config_to_dict(config),
-           "tensors": tensors}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+           "tensors": {name: list(weights[name].data.shape) for name in names},
+           "payload": {"bytes": len(payload), "sha256": hashlib.sha256(payload).hexdigest()}}
+    atomic_write(payload_path(path), payload)
+    atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load_tensor(path: str, name: str, entry, shape: tuple) -> np.ndarray:
-    """Decode one tensor entry into an owned, writable float64 array."""
-    where = f"{path}: tensor {name}"
-    if not isinstance(entry, dict):
-        raise MalformedFile(f"{where} is not an object")
-    stored = entry.get("shape")
-    if not isinstance(stored, list) or any(type(n) is not int for n in stored):
-        raise MalformedFile(f"{where} has shape {stored!r}, which is not a list of integers")
-    if tuple(stored) != shape:
-        raise MalformedFile(f"{where} has shape {tuple(stored)}, expected {shape}")
-    text = entry.get("data")
-    if not isinstance(text, str):
-        raise MalformedFile(f"{where} has no base64 'data' string")
-    try:
-        payload = base64.b64decode(text, validate=True)
-    except ValueError as exc:    # binascii.Error, or a non-ASCII character
-        raise MalformedFile(f"{where} has invalid base64 data: {exc}") from exc
-    want = _TENSOR_DTYPE.itemsize * math.prod(shape)
-    if len(payload) != want:
-        raise MalformedFile(f"{where} holds {len(payload)} bytes of data, "
-                            f"expected {want} for shape {shape}")
-    # astype copies the read-only view of the payload into an owned array
-    arr = np.frombuffer(payload, dtype=_TENSOR_DTYPE).reshape(shape).astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise MalformedFile(f"{where} contains non-finite values")
-    return arr
+def payload_path(path: str) -> str:
+    """The tensor payload file beside the checkpoint header at `path`."""
+    return path + PAYLOAD_SUFFIX
 
 
-def load_checkpoint(path: str):
-    """Read a checkpoint back into (weights, config).
+def _read_header(path: str):
+    """Parse and check a checkpoint header.
 
-    The tensor names and shapes must be exactly those init_weights builds
-    for the stored config (weight_shapes), and each payload must hold
-    exactly that many finite float64 values; anything else, including a
-    file that is not UTF-8 JSON or carries another format tag, is a
-    MalformedFile naming the file (and the tensor, where there is one).
+    Returns the config, each tensor's shape, and the payload's byte count
+    and sha256 as the header states them.
     """
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise MalformedFile(f"checkpoint {path} is not valid UTF-8: {exc}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer literal too long to convert
         raise MalformedFile(f"cannot parse checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedFile(f"{path} is not a {CHECKPOINT_FORMAT} checkpoint")
@@ -468,15 +451,72 @@ def load_checkpoint(path: str):
     tensors = doc.get("tensors", {})
     if not isinstance(tensors, dict):
         raise MalformedFile(f"{path}: 'tensors' is not an object")
-    expected = weight_shapes(config)
+    # the layout is enumerated to at most twice the stored table's length,
+    # so a config with a huge layer count is rejected as cheaply as any other
+    limit = 2 * len(tensors) + 2
+    expected = {name: shape for name, shape, _ in
+                itertools.islice(_weight_layout(config), limit)}
     missing = sorted(set(expected) - set(tensors))
     if missing:
+        more = " or more" if len(expected) == limit else ""
         raise MalformedFile(f"{path}: tensor {missing[0]} is missing "
-                            f"({len(missing)} missing in all)")
+                            f"({len(missing)}{more} missing in all)")
     extra = sorted(set(tensors) - set(expected))
     if extra:
         raise MalformedFile(f"{path}: unexpected tensor {extra[0]} "
                             f"({len(extra)} unexpected in all)")
-    weights = {name: Tensor(_load_tensor(path, name, entry, expected[name]), requires_grad=True)
-               for name, entry in tensors.items()}
+    for name in sorted(tensors):
+        stored = tensors[name]
+        if not isinstance(stored, list) or any(type(n) is not int for n in stored):
+            raise MalformedFile(f"{path}: tensor {name} has shape {stored!r}, "
+                                f"which is not a list of integers")
+        if tuple(stored) != expected[name]:
+            raise MalformedFile(f"{path}: tensor {name} has shape {tuple(stored)}, "
+                                f"expected {expected[name]}")
+    payload = doc.get("payload")
+    if (not isinstance(payload, dict) or type(payload.get("bytes")) is not int
+            or not isinstance(payload.get("sha256"), str)
+            or not re.fullmatch(r"[0-9a-f]{64}", payload["sha256"])):
+        raise MalformedFile(f"{path}: 'payload' must be an object holding an integer "
+                            f"'bytes' and a 64-digit hex 'sha256', got {payload!r}")
+    want = _TENSOR_DTYPE.itemsize * sum(math.prod(shape) for shape in expected.values())
+    if payload["bytes"] != want:
+        raise MalformedFile(f"{path}: payload bytes is {payload['bytes']}, "
+                            f"but the tensor shapes need {want}")
+    return config, expected, want, payload["sha256"]
+
+
+def load_checkpoint(path: str):
+    """Read a checkpoint back into (weights, config).
+
+    The whole header is checked before the payload is opened: it must be
+    UTF-8 JSON with this format tag, a valid config, and exactly the
+    tensor names and shapes init_weights builds for that config
+    (weight_shapes). The payload must then hold exactly the bytes those
+    shapes imply, match the header's sha256, and be finite. Anything else
+    is a MalformedFile naming the file (and the tensor, where there is
+    one). Each weight is an owned, writable float64 array.
+    """
+    config, shapes, size, digest = _read_header(path)
+    source = payload_path(path)
+    try:
+        with open(source, "rb") as fh:
+            payload = fh.read()
+    except OSError as exc:
+        raise MalformedFile(f"cannot read the payload of checkpoint {path}: {exc}") from exc
+    if len(payload) != size:
+        raise MalformedFile(f"{source} holds {len(payload)} bytes, "
+                            f"expected {size} for the shapes in {path}")
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise MalformedFile(f"{source} does not match the sha256 in {path}")
+    weights, offset = {}, 0
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
+        # astype copies the read-only view of the payload into an owned array
+        arr = np.frombuffer(payload, _TENSOR_DTYPE, count, offset).reshape(shapes[name])
+        arr = arr.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise MalformedFile(f"{source}: tensor {name} contains non-finite values")
+        weights[name] = Tensor(arr, requires_grad=True)
+        offset += count * _TENSOR_DTYPE.itemsize
     return weights, config

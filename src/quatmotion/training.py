@@ -15,7 +15,7 @@ import numpy as np
 
 from .autograd import Tensor, mean_, mul, sub
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
-from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write_text
+from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write
 from .model import ModelConfig, forward, save_checkpoint
 
 
@@ -245,4 +245,4 @@ def train(weights: dict, dataset, train_config: TrainConfig, model_config: Model
 def write_loss_csv(path: str, trace):
     lines = ["step,lr,loss"]
     lines += [f"{step},{lr:.17g},{loss:.17g}" for step, lr, loss in trace]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")

@@ -353,7 +353,7 @@ def _tiny_project(base):
         "--frames", "6", "--out", str(base / "gen")]) == 0
     names = ["data/p0/audio.csv", "data/p0/motion.csv", "data/p1/audio.csv",
              "data/p1/motion.csv", "run/loss.csv", "run/checkpoint.json",
-             "gen/motion.csv"]
+             "run/checkpoint.json.f64", "gen/motion.csv"]
     return {name: (base / name).read_bytes() for name in names}
 
 

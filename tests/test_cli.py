@@ -6,10 +6,17 @@ rollout for each pair. Tests only read from it; anything that writes
 gets its own directory.
 """
 
+import base64
+import contextlib
+import io
 import json
+import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatmotion import cli
 from quatmotion import features as feat
@@ -67,6 +74,9 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "6/6 checks passed" in out
         assert "algebra/" not in out
+
+    def test_suite_choices_match_verification(self):
+        assert cli.VERIFY_SUITES == verification.PUBLIC_SUITES
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit) as info:
@@ -145,6 +155,7 @@ class TestTrain:
             assert float(lr) == trn.lr_at(int(step), schedule)
             assert np.isfinite(float(loss))
         assert (run / "checkpoint.json").is_file()
+        assert (run / "checkpoint.json.f64").is_file()
 
     def test_config_echo_parses_back(self, workspace):
         raw = cli._read_config_file(str(workspace / "run" / "config_used.cfg"))
@@ -228,6 +239,7 @@ class TestTrain:
         assert rc == 2
         assert bad.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "out" / "checkpoint.json").exists()
+        assert not (tmp_path / "out" / "checkpoint.json.f64").exists()
 
     def test_missing_data_dir_exits_two(self, tmp_path, capsys):
         rc = cli.entry(["train", "--data", str(tmp_path / "nowhere"),
@@ -339,7 +351,29 @@ class TestGenerate:
         ckpt.write_text(json.dumps(doc))
         assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "qean-ckpt-v1" in err and "qean-ckpt-v2" in err
+        assert str(ckpt) in err and "qean-ckpt-v1" in err and "qean-ckpt-v3" in err
+
+    def test_v2_checkpoint_exits_two(self, workspace, tmp_path, capsys):
+        # the previous format: one JSON file, each tensor's bytes in base64
+        weights, config = mod.load_checkpoint(str(workspace / "run" / "checkpoint.json"))
+        doc = {"format": "qean-ckpt-v2", "config": mod.config_to_dict(config),
+               "tensors": {name: {"shape": list(t.data.shape),
+                                  "data": base64.b64encode(t.data.tobytes()).decode()}
+                           for name, t in sorted(weights.items())}}
+        ckpt = tmp_path / "old.json"
+        ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "qean-ckpt-v2" in err and "qean-ckpt-v3" in err
+        assert "Traceback" not in err
+
+    def test_missing_payload_exits_two(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "header_only.json"
+        ckpt.write_bytes((workspace / "run" / "checkpoint.json").read_bytes())
+        assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) + ".f64" in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
 
     def test_wrong_stream_kind_exits_two(self, workspace, tmp_path, capsys):
         rc = cli.entry([
@@ -348,6 +382,112 @@ class TestGenerate:
             "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
             "--frames", "2", "--out", str(tmp_path / "g")])
         assert rc == 2
+
+
+_JUNK = st.one_of(st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2))
+# config fields for which every other integer changes a weight's shape or
+# the tensor set, so no integer edit leaves a loadable checkpoint
+_SHAPED = ("d_model", "heads", "encoder_layers", "decoder_layers", "periods",
+           "seed_motion_frames", "audio_frames", "future_frames", "ff_mult")
+
+
+def _bad_config_value(field, stored):
+    """Values of `field` that no loadable checkpoint holds beside these tensors."""
+    typo = st.one_of(_JUNK, st.booleans(), st.floats())
+    if field in _SHAPED:
+        return st.one_of(typo, st.integers().filter(lambda v: v != stored))
+    if field == "fps":
+        return st.one_of(typo, st.integers(max_value=0))
+    if field == "rotary_base":
+        return st.one_of(_JUNK, st.booleans(), st.floats(max_value=0.0),
+                         st.sampled_from([math.nan, math.inf]), st.integers(max_value=0))
+    # a boolean; dropping QRA or the position tables changes the tensor set
+    flip = st.just(not stored) if field in ("use_qra", "use_learned_abs_pos") else st.nothing()
+    return st.one_of(_JUNK, st.integers(), st.floats(), flip)
+
+
+def _malformed(data, header, payload):
+    """One edit of a good checkpoint's header text and payload bytes."""
+    doc = json.loads(header)
+    kind = data.draw(st.sampled_from(
+        ["format", "config", "config_key", "shape", "bytes", "sha256", "payload_key",
+         "drop_key", "junk_key", "cut_header", "truncate", "extend", "flip"]))
+    if kind == "format":
+        doc["format"] = data.draw(st.one_of(
+            _JUNK, st.sampled_from(["qean-ckpt-v1", "qean-ckpt-v2", "qean-ckpt-v4"]))
+            .filter(lambda v: v != mod.CHECKPOINT_FORMAT))
+    elif kind == "config":
+        field = data.draw(st.sampled_from(sorted(doc["config"])))
+        doc["config"][field] = data.draw(_bad_config_value(field, doc["config"][field]))
+    elif kind == "config_key":
+        doc["config"][data.draw(st.sampled_from(["mystery", "dmodel", ""]))] = 8
+    elif kind == "shape":
+        name = data.draw(st.sampled_from(sorted(doc["tensors"])))
+        shape = doc["tensors"][name]
+        edit = data.draw(st.sampled_from(["replace", "append", "drop"]))
+        if edit == "replace":
+            at = data.draw(st.integers(0, len(shape) - 1))
+            shape[at] = data.draw(st.one_of(_JUNK, st.booleans(), st.floats(),
+                                            st.integers().filter(lambda v: v != shape[at])))
+        elif edit == "append":
+            shape.append(data.draw(st.integers(0, 4)))
+        else:
+            shape.pop(data.draw(st.integers(0, len(shape) - 1)))
+    elif kind == "bytes":
+        doc["payload"]["bytes"] = data.draw(st.one_of(
+            _JUNK, st.booleans(), st.floats(),
+            st.integers().filter(lambda v: v != len(payload))))
+    elif kind == "sha256":
+        digest = doc["payload"]["sha256"]
+        doc["payload"]["sha256"] = data.draw(st.one_of(
+            _JUNK, st.integers(), st.text("0123456789abcdef", min_size=64, max_size=64))
+            .filter(lambda v: v != digest))
+    elif kind == "payload_key":
+        del doc["payload"][data.draw(st.sampled_from(["bytes", "sha256"]))]
+    elif kind == "drop_key":
+        del doc[data.draw(st.sampled_from(sorted(doc)))]
+    elif kind == "junk_key":
+        doc[data.draw(st.sampled_from(["config", "tensors", "payload"]))] = data.draw(
+            st.one_of(_JUNK, st.integers(), st.floats()))
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    if kind == "cut_header":
+        # anything short of the closing brace is not JSON
+        text = text[:data.draw(st.integers(0, len(text) - 3))]
+    elif kind == "truncate":
+        payload = payload[:data.draw(st.integers(0, len(payload) - 1))]
+    elif kind == "extend":
+        payload += data.draw(st.binary(min_size=1, max_size=16))
+    elif kind == "flip":
+        at = data.draw(st.integers(0, len(payload) - 1))
+        mask = data.draw(st.integers(1, 255))
+        payload = payload[:at] + bytes([payload[at] ^ mask]) + payload[at + 1:]
+    return text, payload
+
+
+class TestCheckpointFuzz:
+    """Every malformed checkpoint, header or payload, makes `generate`
+    exit 2 naming the checkpoint, with no traceback."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_checkpoint_exits_two(self, workspace, tmp_path_factory, data):
+        run = workspace / "run"
+        text, payload = _malformed(data, (run / "checkpoint.json").read_text(),
+                                   (run / "checkpoint.json.f64").read_bytes())
+        root = tmp_path_factory.mktemp("fuzz")
+        ckpt = root / "checkpoint.json"
+        ckpt.write_text(text)
+        pathlib.Path(str(ckpt) + ".f64").write_bytes(payload)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.entry([
+                "generate", "--ckpt", str(ckpt),
+                "--music", str(workspace / "data" / "p0" / "audio.csv"),
+                "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+                "--frames", "2", "--out", str(root / "g")])
+        assert rc == 2, err.getvalue()
+        assert str(ckpt) in err.getvalue() and "Traceback" not in err.getvalue()
+        assert not (root / "g").exists()
 
 
 def _copied_pair(workspace, root, audio_from="audio", fps=None):
@@ -387,6 +527,7 @@ class TestStreamContract:
         err = capsys.readouterr().err
         assert str(pair / "audio.csv") in err and "30 fps" in err and "60" in err
         assert not (tmp_path / "out" / "checkpoint.json").exists()
+        assert not (tmp_path / "out" / "checkpoint.json.f64").exists()
 
     def test_train_rejects_motion_in_audio_file(self, workspace, tmp_path, capsys):
         pair = _copied_pair(workspace, tmp_path, audio_from="motion")

@@ -334,8 +334,10 @@ class TestStreamIO:
 
     def test_atomic_write(self, tmp_path):
         target = tmp_path / "out.txt"
-        features.atomic_write_text(str(target), "hello\n")
+        features.atomic_write(str(target), "hello\n")
         assert target.read_text() == "hello\n"
-        features.atomic_write_text(str(target), "replaced\n")
+        features.atomic_write(str(target), "replaced\n")
         assert target.read_text() == "replaced\n"
+        features.atomic_write(str(target), b"\x00\xff raw\n")
+        assert target.read_bytes() == b"\x00\xff raw\n"
         assert list(tmp_path.iterdir()) == [target]

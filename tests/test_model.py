@@ -9,6 +9,7 @@ package's tape implementation.
 
 import base64
 import dataclasses
+import hashlib
 import json
 import math
 import struct
@@ -381,14 +382,13 @@ class TestAutoregressive:
             model.autoregressive_generate(motion, audio[:, :-1], 1, weights, config)
 
 
-def _packed(values) -> str:
-    """base64 of little-endian float64 values, packed one float() at a time."""
+def _packed(values) -> bytes:
+    """Little-endian float64 bytes, packed one float() at a time."""
     values = [float(v) for v in values]
-    return base64.b64encode(struct.pack("<%dd" % len(values), *values)).decode("ascii")
+    return struct.pack("<%dd" % len(values), *values)
 
 
-def _unpacked(text: str) -> list:
-    raw = base64.b64decode(text)
+def _unpacked(raw: bytes) -> list:
     return list(struct.unpack("<%dd" % (len(raw) // 8), raw))
 
 
@@ -407,6 +407,7 @@ class TestCheckpoint:
         weights = self._with_edges(weights)
         path = str(tmp_path / "model.json")
         model.save_checkpoint(path, weights, config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "model.json.f64"]
         loaded, loaded_config = model.load_checkpoint(path)
         assert loaded_config == config
         assert set(loaded) == set(weights)
@@ -418,19 +419,23 @@ class TestCheckpoint:
             assert data.flags.owndata and data.flags.writeable, name
         assert all(t.requires_grad for t in loaded.values())
 
-    def test_bytes_match_struct_packed_base64(self, tiny_setup, tmp_path):
+    def test_bytes_match_struct_packed_payload(self, tiny_setup, tmp_path):
         weights, config, _, _ = tiny_setup
         weights = self._with_edges(weights)
         path = tmp_path / "model.json"
         model.save_checkpoint(str(path), weights, config)
-        # the written-out construction: struct-packed float() values, base64
-        doc = {"format": "qean-ckpt-v2",
+        # the written-out construction: struct-packed float() values in
+        # sorted-name order, and a header holding their sha256
+        names = sorted(weights)
+        payload = _packed([v for name in names for v in weights[name].data.reshape(-1)])
+        doc = {"format": "qean-ckpt-v3",
                "config": model.config_to_dict(config),
-               "tensors": {name: {"shape": list(weights[name].data.shape),
-                                  "data": _packed(weights[name].data.reshape(-1))}
-                           for name in sorted(weights)}}
+               "tensors": {name: list(weights[name].data.shape) for name in names},
+               "payload": {"bytes": len(payload),
+                           "sha256": hashlib.sha256(payload).hexdigest()}}
         want = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_bytes() == want.encode()
+        assert (tmp_path / "model.json.f64").read_bytes() == payload
 
     def test_save_load_save_is_byte_identical(self, tiny_setup, tmp_path):
         weights, config, _, _ = tiny_setup
@@ -439,6 +444,8 @@ class TestCheckpoint:
         loaded, loaded_config = model.load_checkpoint(str(first))
         model.save_checkpoint(str(second), loaded, loaded_config)
         assert first.read_bytes() == second.read_bytes()
+        assert ((tmp_path / "first.json.f64").read_bytes()
+                == (tmp_path / "second.json.f64").read_bytes())
 
     def test_rejects_bad_json(self, tmp_path):
         path = tmp_path / "junk.json"
@@ -454,12 +461,12 @@ class TestCheckpoint:
 
     def test_rejects_wrong_format_tag(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "qean-ckpt-v3", "config": {}, "tensors": {}}))
-        with pytest.raises(MalformedFile, match=r"other\.json.*qean-ckpt-v3.*qean-ckpt-v2"):
+        path.write_text(json.dumps({"format": "qean-ckpt-v4", "config": {}, "tensors": {}}))
+        with pytest.raises(MalformedFile, match=r"other\.json.*qean-ckpt-v4.*qean-ckpt-v3"):
             model.load_checkpoint(str(path))
 
     def test_rejects_v1_checkpoint(self, tiny_setup, tmp_path):
-        # the previous format: the same envelope with a float list per tensor
+        # the first format: one JSON file with a float list per tensor
         weights, config, _, _ = tiny_setup
         doc = {"format": "qean-ckpt-v1",
                "config": model.config_to_dict(config),
@@ -467,7 +474,20 @@ class TestCheckpoint:
                            for name, t in weights.items()}}
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc, sort_keys=True))
-        with pytest.raises(MalformedFile, match=r"old\.json.*qean-ckpt-v1.*qean-ckpt-v2"):
+        with pytest.raises(MalformedFile, match=r"old\.json.*qean-ckpt-v1.*qean-ckpt-v3"):
+            model.load_checkpoint(str(path))
+
+    def test_rejects_v2_checkpoint(self, tiny_setup, tmp_path):
+        # the previous format: one JSON file with base64 float64 bytes per tensor
+        weights, config, _, _ = tiny_setup
+        doc = {"format": "qean-ckpt-v2",
+               "config": model.config_to_dict(config),
+               "tensors": {name: {"shape": list(t.shape),
+                                  "data": base64.b64encode(_packed(t.data.reshape(-1))).decode()}
+                           for name, t in weights.items()}}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        with pytest.raises(MalformedFile, match=r"old\.json.*qean-ckpt-v2.*qean-ckpt-v3"):
             model.load_checkpoint(str(path))
 
     def test_rejects_unknown_config_key(self, tmp_path):
@@ -493,79 +513,158 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile, match=rf"cfg\.json.*\b{field}\b"):
             model.load_checkpoint(str(path))
 
-    def _edited(self, tiny_setup, tmp_path, edit):
+    @pytest.mark.parametrize("text", [
+        '{"format": ' + "9" * 5000 + "}",     # a plain ValueError past the digit limit
+        "[" * 100000 + "]" * 100000,          # a RecursionError
+    ], ids=["overlong_integer", "deep_nesting"])
+    def test_rejects_json_the_parser_cannot_hold(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        with pytest.raises(MalformedFile, match=r"cannot parse checkpoint .*odd\.json"):
+            model.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("field", ["encoder_layers", "decoder_layers"])
+    def test_huge_layer_count_is_rejected_without_enumerating_it(self, tiny_setup, tmp_path,
+                                                                  field):
+        def grow(doc):
+            doc["config"][field] = 10 ** 15
+        path = self._header_edited(tiny_setup, tmp_path, grow)
+        with pytest.raises(MalformedFile, match=r"model\.json: tensor .* is missing "
+                                                r"\(\d+ or more missing in all\)"):
+            model.load_checkpoint(path)
+
+    def _saved(self, tiny_setup, tmp_path):
         weights, config, _, _ = tiny_setup
         path = tmp_path / "model.json"
         model.save_checkpoint(str(path), weights, config)
+        return path
+
+    def _header_edited(self, tiny_setup, tmp_path, edit):
+        """A saved tiny checkpoint whose header went through edit(doc)."""
+        path = self._saved(tiny_setup, tmp_path)
         doc = json.loads(path.read_text())
-        edit(doc["tensors"])
+        edit(doc)
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def _payload_edited(self, tiny_setup, tmp_path, name, edit):
-        """A saved tiny checkpoint whose tensor `name` holds edit(values)."""
-        def rewrite(tensors):
-            tensors[name]["data"] = _packed(edit(_unpacked(tensors[name]["data"])))
-        return self._edited(tiny_setup, tmp_path, rewrite)
+    def _edited(self, tiny_setup, tmp_path, edit):
+        """A saved tiny checkpoint whose tensor table went through edit."""
+        return self._header_edited(tiny_setup, tmp_path, lambda doc: edit(doc["tensors"]))
+
+    def _payload_edited(self, tiny_setup, tmp_path, edit, rehash=False):
+        """A saved tiny checkpoint whose payload holds edit(payload bytes);
+        with rehash the header's byte count and sha256 describe the new bytes."""
+        path = self._saved(tiny_setup, tmp_path)
+        source = tmp_path / "model.json.f64"
+        payload = edit(source.read_bytes())
+        source.write_bytes(payload)
+        if rehash:
+            doc = json.loads(path.read_text())
+            doc["payload"] = {"bytes": len(payload),
+                              "sha256": hashlib.sha256(payload).hexdigest()}
+            path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _value_planted(self, tiny_setup, tmp_path, name, index, value):
+        """A checkpoint with a correct digest whose tensor `name` holds
+        `value` at flat `index`."""
+        shapes = model.weight_shapes(tiny_setup[1])
+        start = 0
+        for other in sorted(shapes):
+            if other == name:
+                break
+            start += math.prod(shapes[other])
+        start += index % math.prod(shapes[name])
+
+        def plant(payload):
+            values = _unpacked(payload)
+            values[start] = value
+            return _packed(values)
+        return self._payload_edited(tiny_setup, tmp_path, plant, rehash=True)
 
     def test_rejects_shape_mismatch(self, tiny_setup, tmp_path):
-        # a payload one float short of the shape it declares
-        path = self._payload_edited(tiny_setup, tmp_path, "out.b", lambda v: v[:-1])
+        # a payload one float short of the shapes its header declares
+        path = self._payload_edited(tiny_setup, tmp_path, lambda raw: raw[:-8])
+        want = 8 * sum(math.prod(s) for s in model.weight_shapes(tiny_setup[1]).values())
         with pytest.raises(MalformedFile,
-                           match=r"model\.json: tensor out\.b holds 3496 bytes of data, "
-                                 r"expected 3504"):
+                           match=rf"model\.json\.f64 holds {want - 8} bytes, expected {want}"):
+            model.load_checkpoint(path)
+
+    def test_rejects_long_payload(self, tiny_setup, tmp_path):
+        path = self._payload_edited(tiny_setup, tmp_path, lambda raw: raw + _packed([0.0]))
+        with pytest.raises(MalformedFile, match=r"model\.json\.f64 holds \d+ bytes, expected"):
+            model.load_checkpoint(path)
+
+    def test_rejects_digest_mismatch(self, tiny_setup, tmp_path):
+        # same length, one flipped byte
+        def flip(raw):
+            return raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:]
+        path = self._payload_edited(tiny_setup, tmp_path, flip)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json\.f64 does not match the sha256 in .*model\.json"):
             model.load_checkpoint(path)
 
     def test_rejects_non_finite(self, tiny_setup, tmp_path):
-        def plant(values):
-            values[3] = math.nan
-            return values
-        path = self._payload_edited(tiny_setup, tmp_path, "dec.0.ff.fc1.w", plant)
+        path = self._value_planted(tiny_setup, tmp_path, "dec.0.ff.fc1.w", 3, math.nan)
         with pytest.raises(MalformedFile,
-                           match=r"model\.json: tensor dec\.0\.ff\.fc1\.w contains non-finite"):
+                           match=r"model\.json\.f64: tensor dec\.0\.ff\.fc1\.w contains non-finite"):
             model.load_checkpoint(path)
 
     def test_rejects_infinite(self, tiny_setup, tmp_path):
-        def plant(values):
-            values[-1] = math.inf
-            return values
-        path = self._payload_edited(tiny_setup, tmp_path, "embed.audio.b", plant)
+        path = self._value_planted(tiny_setup, tmp_path, "embed.audio.b", -1, math.inf)
         with pytest.raises(MalformedFile,
-                           match=r"model\.json: tensor embed\.audio\.b contains non-finite"):
-            model.load_checkpoint(path)
-
-    @pytest.mark.parametrize("corrupt", [
-        lambda text: "not base64!",
-        lambda text: text[:8] + "*" + text[8:],     # a lenient decoder skips the '*'
-        lambda text: text[:-4] + "AA=A",
-        lambda text: "\u00e9" + text,
-    ], ids=["junk", "stray_char", "inner_padding", "non_ascii"])
-    def test_rejects_invalid_base64(self, tiny_setup, tmp_path, corrupt):
-        def edit(tensors):
-            entry = tensors["pos.motion"]
-            entry["data"] = corrupt(entry["data"])
-        path = self._edited(tiny_setup, tmp_path, edit)
-        with pytest.raises(MalformedFile,
-                           match=r"model\.json: tensor pos\.motion has invalid base64"):
+                           match=r"model\.json\.f64: tensor embed\.audio\.b contains non-finite"):
             model.load_checkpoint(path)
 
     def test_rejects_missing_data(self, tiny_setup, tmp_path):
-        path = self._edited(tiny_setup, tmp_path, lambda t: t["out.w"].pop("data"))
+        # the header alone: its payload file is gone
+        path = self._saved(tiny_setup, tmp_path)
+        (tmp_path / "model.json.f64").unlink()
         with pytest.raises(MalformedFile,
-                           match=r"model\.json: tensor out\.w has no base64 'data'"):
+                           match=r"cannot read the payload of checkpoint .*model\.json: "
+                                 r".*model\.json\.f64"):
+            model.load_checkpoint(str(path))
+
+    def test_header_is_checked_before_the_payload(self, tiny_setup, tmp_path):
+        def reshape(tensors):
+            tensors["out.w"] = tensors["out.w"][::-1]
+        path = self._edited(tiny_setup, tmp_path, reshape)
+        (tmp_path / "model.json.f64").unlink()
+        with pytest.raises(MalformedFile, match=r"model\.json: tensor out\.w has shape"):
             model.load_checkpoint(path)
 
-    def test_rejects_entry_not_object(self, tiny_setup, tmp_path):
-        def flatten(tensors):
-            tensors["out.b"] = [0.0] * 438
-        path = self._edited(tiny_setup, tmp_path, flatten)
-        with pytest.raises(MalformedFile, match=r"model\.json: tensor out\.b is not an object"):
+    @pytest.mark.parametrize("payload", [
+        None, [], {"sha256": "0" * 64}, {"bytes": 8.0, "sha256": "0" * 64},
+        {"bytes": True, "sha256": "0" * 64}, {"bytes": 8}, {"bytes": 8, "sha256": 0},
+        {"bytes": 8, "sha256": "0" * 63}, {"bytes": 8, "sha256": "A" * 64},
+    ])
+    def test_rejects_malformed_payload_entry(self, tiny_setup, tmp_path, payload):
+        def replace(doc):
+            doc["payload"] = payload
+        path = self._header_edited(tiny_setup, tmp_path, replace)
+        with pytest.raises(MalformedFile, match=r"model\.json: 'payload' must be an object"):
+            model.load_checkpoint(path)
+
+    def test_rejects_payload_byte_count_against_shapes(self, tiny_setup, tmp_path):
+        def shrink(doc):
+            doc["payload"]["bytes"] -= 8
+        path = self._header_edited(tiny_setup, tmp_path, shrink)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: payload bytes is \d+, but the tensor shapes need"):
+            model.load_checkpoint(path)
+
+    def test_rejects_entry_not_a_list(self, tiny_setup, tmp_path):
+        def nest(tensors):
+            tensors["out.b"] = {"shape": tensors["out.b"]}
+        path = self._edited(tiny_setup, tmp_path, nest)
+        with pytest.raises(MalformedFile,
+                           match=r"model\.json: tensor out\.b has shape .* not a list of integers"):
             model.load_checkpoint(path)
 
     @pytest.mark.parametrize("entry", [438.9, 438.0, "438", True])
     def test_rejects_non_integer_shape(self, tiny_setup, tmp_path, entry):
         def retype(tensors):
-            tensors["out.b"]["shape"] = [entry]
+            tensors["out.b"] = [entry]
         path = self._edited(tiny_setup, tmp_path, retype)
         with pytest.raises(MalformedFile,
                            match=r"model\.json: tensor out\.b has shape .* not a list of integers"):
@@ -578,15 +677,14 @@ class TestCheckpoint:
 
     def test_rejects_extra_tensor(self, tiny_setup, tmp_path):
         def add(tensors):
-            tensors["dec.0.attn.spare"] = {"shape": [1], "data": _packed([0.0])}
+            tensors["dec.0.attn.spare"] = [1]
         path = self._edited(tiny_setup, tmp_path, add)
         with pytest.raises(MalformedFile, match=r"model\.json: unexpected tensor dec\.0\.attn\.spare"):
             model.load_checkpoint(path)
 
     def test_rejects_wrong_tensor_shape(self, tiny_setup, tmp_path):
         def reshape(tensors):
-            entry = tensors["embed.audio.w"]
-            entry["shape"] = entry["shape"][::-1]
+            tensors["embed.audio.w"] = tensors["embed.audio.w"][::-1]
         path = self._edited(tiny_setup, tmp_path, reshape)
         with pytest.raises(MalformedFile, match=r"model\.json: tensor embed\.audio\.w has shape"):
             model.load_checkpoint(path)

@@ -4,6 +4,8 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import quatmotion
 from quatmotion import oracle
@@ -63,3 +65,15 @@ def test_benchmark_tracer_hooks_resolve():
                if not callable(getattr(importlib.import_module(f"quatmotion.{mod}"), attr, None))]
     assert len(hooks) > 30
     assert missing == []
+
+
+def test_cli_import_leaves_the_suites_unloaded():
+    # only `verify` needs the suites and their oracle, so the other
+    # commands do not pay for importing them
+    src = pathlib.Path(quatmotion.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import quatmotion.cli; "
+             "print(sorted(m for m in ('quatmotion.verification', 'quatmotion.oracle') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

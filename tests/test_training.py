@@ -317,7 +317,8 @@ class TestTrainLoop:
             training.train(weights, _tiny_dataset(), quick_train_config,
                            tiny_model_config, loss_csv_path=str(csv),
                            checkpoint_path=str(ckpt))
-            blobs.append((csv.read_bytes(), ckpt.read_bytes()))
+            payload = tmp_path / f"{tag}.json.f64"
+            blobs.append((csv.read_bytes(), ckpt.read_bytes(), payload.read_bytes()))
         assert blobs[0] == blobs[1]
 
     def test_clip_gate_semantics(self, tiny_model_config):
