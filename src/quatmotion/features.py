@@ -9,12 +9,18 @@ The synthetic generator produces beat-locked music/dance pairs: the
 per-frame joint rotation increment is zero exactly on beat frames, so
 ground-truth motion beats (velocity minima) coincide with the music's
 one-hot beat channel by construction.
+
+A stream on disk is a `%.17g` CSV (the authority), a `.meta` sidecar
+holding the shape and the sha256 of the CSV and of a twin file, and the
+twin `<path>.f64`: the same matrix as raw little-endian float64 bytes.
+Loading reads the twin only when both digests match the files on disk,
+and parses the CSV otherwise; both give the same bits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +52,8 @@ JOINT_NAMES = (
 )
 
 STREAM_FORMAT = "qean-stream-v1"
+TWIN_SUFFIX = ".f64"
+_TWIN_DTYPE = np.dtype("<f8")
 
 _KIND_DIMS = {"audio": AUDIO_DIMS, "motion": MOTION_DIMS}
 
@@ -173,9 +181,14 @@ def synth_pair(rng_seed: int, seconds: float, fps: int = FPS, beat_period_frames
 
 
 def atomic_write(path: str, data):
-    """Write text or bytes via a temp file in the same directory, then rename."""
+    """Write text or bytes via a temp file in the same directory, then rename.
+
+    The temp file is created with mode 0o666, so the target gets the
+    permissions the process umask gives a plain open().
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
@@ -187,7 +200,13 @@ def atomic_write(path: str, data):
 
 
 def save_stream(path: str, matrix, meta: StreamMeta):
-    """Headerless CSV at full float precision + `.meta` sidecar."""
+    """Write a stream as a CSV, its float64 twin and a `.meta` sidecar.
+
+    The CSV is headerless, one `%.17g` row per frame. The twin holds the
+    matrix's row-major little-endian float64 bytes. The sidecar, written
+    last, records the shape and the sha256 of the CSV (`text_sha256`)
+    and of the twin (`payload_sha256`). Each file is replaced atomically.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DimensionMismatch(f"stream matrix must be 2-D, got shape {matrix.shape}")
@@ -196,13 +215,18 @@ def save_stream(path: str, matrix, meta: StreamMeta):
             f"matrix shape {matrix.shape} disagrees with meta ({meta.frames}, {meta.dims})")
     row_format = ",".join(["%.17g"] * meta.dims)
     rows = [row_format % tuple(row) for row in matrix.tolist()]
-    atomic_write(path, "\n".join(rows) + ("\n" if rows else ""))
+    text = ("\n".join(rows) + ("\n" if rows else "")).encode("ascii")
+    payload = matrix.astype(_TWIN_DTYPE, copy=False).tobytes()
+    atomic_write(path, text)
+    atomic_write(path + TWIN_SUFFIX, payload)
     sidecar = (
         f"format: {STREAM_FORMAT}\n"
         f"kind: {meta.kind}\n"
         f"fps: {meta.fps}\n"
         f"frames: {meta.frames}\n"
         f"dims: {meta.dims}\n"
+        f"text_sha256: {hashlib.sha256(text).hexdigest()}\n"
+        f"payload_sha256: {hashlib.sha256(payload).hexdigest()}\n"
     )
     atomic_write(path + ".meta", sidecar)
 
@@ -271,8 +295,36 @@ def _rejected_row(path: str, lines) -> MalformedFile:
     return MalformedFile(f"cannot parse the rows of {path}")
 
 
+def _read_twin(path: str, entries: dict, meta: StreamMeta):
+    """The matrix from the twin of the CSV at `path`, or None unless the
+    sidecar holds both digests, the twin has exactly frames*dims float64s,
+    the CSV has `frames` lines, and both files match their digests."""
+    try:
+        text_digest, payload_digest = entries["text_sha256"], entries["payload_sha256"]
+        with open(path + TWIN_SUFFIX, "rb") as fh:
+            payload = fh.read()
+        if len(payload) != meta.frames * meta.dims * _TWIN_DTYPE.itemsize:
+            return None
+        with open(path, "rb") as fh:
+            text = fh.read()
+    except (KeyError, OSError):
+        return None
+    # the line count binds the twin's row count to the CSV the digest names
+    if (text.count(b"\n") != meta.frames
+            or hashlib.sha256(text).hexdigest() != text_digest
+            or hashlib.sha256(payload).hexdigest() != payload_digest):
+        return None
+    return np.frombuffer(payload, _TWIN_DTYPE).reshape(meta.frames, meta.dims).astype(np.float64)
+
+
 def load_stream(path: str):
-    """Read a CSV + sidecar pair back into (matrix, StreamMeta)."""
+    """Read a stream back into (matrix, StreamMeta).
+
+    The twin is read when _read_twin vouches for it; otherwise, as for a
+    hand-written CSV or a stream copied without its twin, the CSV is
+    parsed. Either way the matrix must be finite and match the sidecar's
+    shape, and it is an owned float64 array.
+    """
     entries = _parse_meta(path + ".meta")
     for key in ("format", "kind", "fps", "frames", "dims"):
         if key not in entries:
@@ -285,16 +337,18 @@ def load_stream(path: str):
     except ValueError as exc:
         raise MalformedFile(f"non-numeric sidecar field in {path}.meta: {exc}") from exc
 
-    text = _read_text(path, "stream")
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        # loadtxt warns on empty input; an empty stream is a valid one
-        matrix = np.zeros((0, meta.dims))
-    else:
-        try:
-            matrix = _read_cells(lines)
-        except ValueError as exc:
-            raise _rejected_row(path, lines) from exc
+    matrix = _read_twin(path, entries, meta)
+    if matrix is None:
+        text = _read_text(path, "stream")
+        lines = [line for line in text.splitlines() if line.strip()]
+        if not lines:
+            # loadtxt warns on empty input; an empty stream is a valid one
+            matrix = np.zeros((0, meta.dims))
+        else:
+            try:
+                matrix = _read_cells(lines)
+            except ValueError as exc:
+                raise _rejected_row(path, lines) from exc
     bad_rows = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad_rows.size:
         raise MalformedFile(f"non-finite cell (nan or inf) in row {bad_rows[0]} of {path}")

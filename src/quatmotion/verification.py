@@ -871,9 +871,13 @@ def features_checks() -> list:
         path = os.path.join(tmp, "audio.csv")
         meta = feat.StreamMeta(kind="audio", fps=60, frames=audio.shape[0], dims=35)
         feat.save_stream(path, audio, meta)
-        loaded, meta2 = feat.load_stream(path)
+        from_twin, meta2 = feat.load_stream(path)
+        os.remove(path + feat.TWIN_SUFFIX)
+        parsed, meta3 = feat.load_stream(path)  # no twin: the CSV is parsed
         checks.append(_flag("features/file_round_trip",
-                            np.array_equal(loaded, audio) and meta2 == meta))
+                            np.array_equal(from_twin.view(np.int64), audio.view(np.int64))
+                            and np.array_equal(parsed.view(np.int64), audio.view(np.int64))
+                            and meta2 == meta3 == meta))
 
         try:
             feat.StreamMeta(kind="audio", fps=60, frames=3, dims=219)

@@ -351,9 +351,10 @@ def _tiny_project(base):
         "--music", str(data / "p0" / "audio.csv"),
         "--seed-motion", str(data / "p0" / "motion.csv"),
         "--frames", "6", "--out", str(base / "gen")]) == 0
-    names = ["data/p0/audio.csv", "data/p0/motion.csv", "data/p1/audio.csv",
-             "data/p1/motion.csv", "run/loss.csv", "run/checkpoint.json",
-             "run/checkpoint.json.f64", "gen/motion.csv"]
+    streams = ["data/p0/audio.csv", "data/p0/motion.csv", "data/p1/audio.csv",
+               "data/p1/motion.csv", "gen/motion.csv"]
+    names = [stream + ext for stream in streams for ext in ("", ".f64", ".meta")]
+    names += ["run/loss.csv", "run/checkpoint.json", "run/checkpoint.json.f64"]
     return {name: (base / name).read_bytes() for name in names}
 
 

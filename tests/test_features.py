@@ -1,12 +1,19 @@
 """Stream layout constants, motion codec, synthetic pairs, CSV round trips."""
 
+import hashlib
 import math
 import os
 import re
+import stat
+import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quatmotion import features, quaternion
 from quatmotion.errors import DimensionMismatch, MalformedFile, MetaMismatch
@@ -341,3 +348,189 @@ class TestStreamIO:
         features.atomic_write(str(target), b"\x00\xff raw\n")
         assert target.read_bytes() == b"\x00\xff raw\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_atomic_write_mode_follows_umask(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            features.atomic_write(str(tmp_path / "text.txt"), "x\n")
+            features.atomic_write(str(tmp_path / "raw.bin"), b"x")
+            with open(tmp_path / "plain.txt", "w") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["text.txt", "raw.bin", "plain.txt"], 0o666 & ~umask)
+
+
+_EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1e16, -1e16, 1.797e308, -1.797e308, 1.0 / 3.0]
+
+
+@st.composite
+def _streams(draw):
+    kind = draw(st.sampled_from(["audio", "motion"]))
+    dims = features.AUDIO_DIMS if kind == "audio" else features.MOTION_DIMS
+    frames = draw(st.integers(0, 5))
+    cells = st.one_of(st.sampled_from(_EDGE_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    matrix = draw(hnp.arrays(np.float64, (frames, dims), elements=cells, fill=cells))
+    return matrix, features.StreamMeta(kind, 60, frames, dims)
+
+
+def _load_parsing(path):
+    """load_stream(path), requiring that it parsed the CSV."""
+    with mock.patch.object(features, "_read_cells", wraps=features._read_cells) as spy:
+        out = features.load_stream(path)
+    assert spy.called
+    return out
+
+
+def _load_from_twin(path):
+    """load_stream(path), requiring that it read the twin."""
+    with mock.patch.object(features, "_read_cells", side_effect=AssertionError("parsed")):
+        return features.load_stream(path)
+
+
+class TestStreamTwin:
+    """The float64 twin is read only when the sidecar's digests vouch for
+    it and the CSV; in every other case the CSV is parsed as before."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        _, motion = features.synth_pair(6, seconds=0.2, beat_period_frames=4)
+        path = tmp_path / "motion.csv"
+        features.save_stream(str(path), motion, features.StreamMeta("motion", 60, 12, 219))
+        return path, motion
+
+    @staticmethod
+    def _edit_sidecar(path, old, new):
+        sidecar = path.parent / (path.name + ".meta")
+        text = sidecar.read_text()
+        assert old in text
+        sidecar.write_text(text.replace(old, new))
+
+    def test_twin_holds_the_raw_bytes_the_sidecar_names(self, tmp_path):
+        path, motion = self._saved(tmp_path)
+        twin = tmp_path / "motion.csv.f64"
+        assert twin.read_bytes() == motion.astype("<f8").tobytes()
+        sidecar = (tmp_path / "motion.csv.meta").read_text().splitlines()
+        assert sidecar[5:] == [
+            f"text_sha256: {hashlib.sha256(path.read_bytes()).hexdigest()}",
+            f"payload_sha256: {hashlib.sha256(twin.read_bytes()).hexdigest()}"]
+        back, _ = _load_from_twin(str(path))
+        assert back.flags.owndata and back.flags.writeable
+        np.testing.assert_array_equal(back.view(np.int64), motion.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_streams())
+    def test_twin_matches_parse_bit_for_bit(self, stream):
+        matrix, meta = stream
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"{meta.kind}.csv")
+            features.save_stream(path, matrix, meta)
+            from_twin, twin_meta = _load_from_twin(path)
+            os.remove(path + features.TWIN_SUFFIX)
+            parsed, parsed_meta = (_load_parsing(path) if meta.frames
+                                   else features.load_stream(path))
+        assert from_twin.view(np.int64).tolist() == parsed.view(np.int64).tolist()
+        assert from_twin.view(np.int64).tolist() == matrix.view(np.int64).tolist()
+        assert twin_meta == parsed_meta == meta
+
+    def test_edited_csv_is_parsed(self, tmp_path):
+        path, motion = self._saved(tmp_path)
+        rows = path.read_text().splitlines()
+        cells = rows[7].split(",")
+        cells[3] = "0.25"
+        rows[7] = ",".join(cells)
+        path.write_text("\n".join(rows) + "\n")
+        back, _ = _load_parsing(str(path))
+        want = motion.copy()
+        want[7, 3] = 0.25
+        np.testing.assert_array_equal(back, want)
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw: raw[:-8],
+        lambda raw: raw[:-1],
+        lambda raw: raw + raw[:8],
+        lambda raw: raw[:100] + bytes([raw[100] ^ 0x01]) + raw[101:],
+        lambda raw: raw[8:] + raw[:8],
+    ], ids=["truncated_row_cell", "truncated_byte", "extended", "byte_flipped", "rotated"])
+    def test_damaged_twin_falls_back_to_the_csv(self, tmp_path, damage):
+        path, motion = self._saved(tmp_path)
+        twin = tmp_path / "motion.csv.f64"
+        twin.write_bytes(damage(twin.read_bytes()))
+        back, _ = _load_parsing(str(path))
+        np.testing.assert_array_equal(back, motion)
+
+    def test_missing_twin_falls_back_to_the_csv(self, tmp_path):
+        path, motion = self._saved(tmp_path)
+        os.remove(tmp_path / "motion.csv.f64")
+        back, _ = _load_parsing(str(path))
+        np.testing.assert_array_equal(back, motion)
+
+    def test_stale_twin_falls_back_to_the_csv(self, tmp_path):
+        path, motion = self._saved(tmp_path)
+        twin = tmp_path / "motion.csv.f64"
+        stale = twin.read_bytes()
+        features.save_stream(str(path), motion[::-1], features.StreamMeta("motion", 60, 12, 219))
+        twin.write_bytes(stale)
+        back, _ = _load_parsing(str(path))
+        np.testing.assert_array_equal(back, motion[::-1])
+
+    @pytest.mark.parametrize("key", ["text_sha256", "payload_sha256"])
+    @pytest.mark.parametrize("bad", [
+        lambda digest: "z" * 64,
+        lambda digest: digest.upper(),
+        lambda digest: digest[:-1],
+        lambda digest: digest + "0",
+        lambda digest: "",
+        None,
+    ], ids=["not_hex", "upper_case", "short", "long", "empty", "missing"])
+    def test_malformed_digest_falls_back_to_the_csv(self, tmp_path, key, bad):
+        path, motion = self._saved(tmp_path)
+        sidecar = tmp_path / "motion.csv.meta"
+        lines = sidecar.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(key + ":"))
+        if bad is None:
+            del lines[at]
+        else:
+            lines[at] = f"{key}: {bad(lines[at].partition(': ')[2])}"
+        sidecar.write_text("\n".join(lines) + "\n")
+        back, _ = _load_parsing(str(path))
+        np.testing.assert_array_equal(back, motion)
+
+    @pytest.mark.parametrize("frames", [11, 13, 0])
+    def test_edited_frame_count_raises_the_parse_error(self, tmp_path, frames):
+        path, _ = self._saved(tmp_path)
+        self._edit_sidecar(path, "frames: 12", f"frames: {frames}")
+        with mock.patch.object(features, "_read_cells", wraps=features._read_cells) as spy:
+            with pytest.raises(MetaMismatch) as info:
+                features.load_stream(str(path))
+        assert spy.called
+        assert str(info.value) == (f"{path} holds shape (12, 219) "
+                                   f"but sidecar says ({frames}, 219)")
+
+    @pytest.mark.parametrize("frames,relabel", [(12, 12), (219, 35)],
+                             ids=["same_frames", "same_cell_count"])
+    def test_relabelled_audio_raises_the_parse_error(self, tmp_path, frames, relabel):
+        # 219 audio frames hold as many cells as 35 motion frames, so the
+        # twin's size alone cannot tell that relabelled sidecar apart
+        audio = np.arange(frames * 35, dtype=np.float64).reshape(frames, 35)
+        path = tmp_path / "audio.csv"
+        features.save_stream(str(path), audio, features.StreamMeta("audio", 60, frames, 35))
+        self._edit_sidecar(path, f"kind: audio\nfps: 60\nframes: {frames}\ndims: 35",
+                           f"kind: motion\nfps: 60\nframes: {relabel}\ndims: 219")
+        with pytest.raises(MetaMismatch) as info:
+            _load_parsing(str(path))
+        assert str(info.value) == (f"{path} holds shape ({frames}, 35) "
+                                   f"but sidecar says ({relabel}, 219)")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_twin_is_rejected(self, tmp_path, value):
+        _, motion = features.synth_pair(6, seconds=0.2, beat_period_frames=4)
+        motion[5, 17] = value
+        path = str(tmp_path / "motion.csv")
+        features.save_stream(path, motion, features.StreamMeta("motion", 60, 12, 219))
+        with pytest.raises(MalformedFile) as info:
+            _load_from_twin(path)
+        assert str(info.value) == f"non-finite cell (nan or inf) in row 5 of {path}"
