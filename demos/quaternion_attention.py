@@ -26,8 +26,8 @@ def main():
 
     params = qra.QRAParams.random(rng, d_model, d_attn, periods)
     q = num.matmul(x, params.w_q)
-    omega = num.relu(num.conv1d(q, params.omega_q))
-    theta = num.pi_tanh(num.conv1d(q, params.theta_q))
+    omega = num.relu(num.conv1d_im2col(q, params.omega_q.weights, params.omega_q.bias)[0])
+    theta = num.pi_tanh(num.conv1d_im2col(q, params.theta_q.weights, params.theta_q.bias)[0])
     print(f"latent frequencies (step x period), all >= 0:\n{np.round(omega, 3)}")
     print(f"latent phases, all inside (-pi, pi):\n{np.round(theta, 3)}")
 

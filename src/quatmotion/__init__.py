@@ -13,16 +13,14 @@ from .errors import QuatMotionError
 from .quaternion import (
     Quaternion,
     hamilton,
-    q_add,
     q_conj,
     q_norm,
-    q_scale,
     quat_to_rotmat,
     quaternionize,
     rotmat_to_quat,
     unit_exp,
 )
-from .spe import RotarySchedule, rope_logits, rope_rotate, theta_schedule
+from .spe import RotarySchedule, theta_schedule
 from .qra import QRAParams, qra_attention, rotary_logits
 from .model import ModelConfig, autoregressive_generate, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -33,10 +31,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuatMotionError",
-    "Quaternion", "hamilton", "q_add", "q_conj",
-    "q_norm", "q_scale", "quat_to_rotmat", "quaternionize", "rotmat_to_quat",
-    "unit_exp",
-    "RotarySchedule", "rope_logits", "rope_rotate", "theta_schedule",
+    "Quaternion", "hamilton", "q_conj", "q_norm",
+    "quat_to_rotmat", "quaternionize", "rotmat_to_quat", "unit_exp",
+    "RotarySchedule", "theta_schedule",
     "QRAParams", "qra_attention", "rotary_logits",
     "ModelConfig", "autoregressive_generate", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "train",

@@ -46,6 +46,11 @@ _TENSOR_DTYPE = np.dtype("<f8")
 QRA_KERNEL_WIDTH = 3
 
 
+# smallest value of each count field; a zero-depth encoder is allowed
+_COUNT_FLOORS = {"encoder_layers": 0, "decoder_layers": 1, "periods": 1, "future_frames": 1,
+                 "seed_motion_frames": 1, "fps": 1, "ff_mult": 1}
+
+
 @dataclass
 class ModelConfig:
     """Architecture and window geometry. Defaults are the desk scale."""
@@ -91,10 +96,9 @@ class ModelConfig:
             raise DimensionMismatch(f"head dim {dh} must be even for pair rotation")
         if self.audio_frames < self.seed_motion_frames:
             raise ValueError("audio window must be at least as long as the motion window")
-        if min(self.encoder_layers, self.decoder_layers - 1, self.periods - 1,
-               self.future_frames - 1, self.seed_motion_frames - 1, self.fps - 1,
-               self.ff_mult - 1) < 0:
-            raise ValueError("config counts out of range")
+        for name, floor in _COUNT_FLOORS.items():
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be >= {floor}, got {getattr(self, name)}")
 
     @property
     def d_head(self) -> int:
@@ -164,11 +168,6 @@ def _weight_layout(config: ModelConfig):
         yield from linear(prefix + ".ff.fc2", ff, d)
 
     yield from linear("out", d, config.future_frames * MOTION_DIMS)
-
-
-def weight_shapes(config: ModelConfig) -> dict:
-    """Name -> shape of every tensor init_weights builds, without drawing."""
-    return {name: shape for name, shape, _ in _weight_layout(config)}
 
 
 def init_weights(config: ModelConfig, rng: np.random.Generator) -> dict:
@@ -328,20 +327,6 @@ def _untracked(weights: dict) -> dict:
     return {name: Tensor(w.data) for name, w in weights.items()}
 
 
-def embed_stream(frames, which: str, weights: dict, config: ModelConfig) -> np.ndarray:
-    """Per-frame linear embedding (+ learned position table) of one sequence."""
-    if which not in _STREAM_DIMS:
-        raise ValueError(f"which must be 'audio' or 'motion', got {which!r}")
-    frames = np.asarray(frames, dtype=np.float64)
-    return _embed(Tensor(frames[None]), which, _untracked(weights), config).data[0]
-
-
-def encode(hidden, which: str, weights: dict, config: ModelConfig) -> np.ndarray:
-    """Self-attention encoder stack over one embedded sequence."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    return _encode(Tensor(hidden[None]), which, _untracked(weights), config).data[0]
-
-
 def predict_future(weights: dict, config: ModelConfig, seed_motion, audio_window) -> np.ndarray:
     """Full pipeline on one (seed window, audio window) pair -> (N, 219)."""
     seed_motion = np.asarray(seed_motion, dtype=np.float64)
@@ -492,7 +477,7 @@ def load_checkpoint(path: str):
     The whole header is checked before the payload is opened: it must be
     UTF-8 JSON with this format tag, a valid config, and exactly the
     tensor names and shapes init_weights builds for that config
-    (weight_shapes). The payload must then hold exactly the bytes those
+    (_weight_layout). The payload must then hold exactly the bytes those
     shapes imply, match the header's sha256, and be finite. Anything else
     is a MalformedFile naming the file (and the tensor, where there is
     one). Each weight is an owned, writable float64 array.

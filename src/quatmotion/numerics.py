@@ -98,24 +98,6 @@ class ConvKernel:
     def in_channels(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def width(self) -> int:
-        return self.weights.shape[2]
-
-
-def conv1d(x: Array, kernel: ConvKernel) -> Array:
-    """Cross-correlate x (time, in_ch) with the kernel, zero-padded.
-
-    out[t, o] = bias[o] + sum_{c,w} x[t - pad + w, c] * weights[o, c, w]
-    with pad = (width-1)//2, so output time length equals input length.
-    """
-    x = as_matrix(x)
-    if x.shape[1] != kernel.in_channels:
-        raise DimensionMismatch(
-            f"conv1d: input has {x.shape[1]} channels, kernel expects {kernel.in_channels}"
-        )
-    return conv1d_im2col(x, kernel.weights, kernel.bias)[0]
-
 
 def conv_windows(x: Array, width: int) -> Array:
     """im2col windows (..., T, C*W) of x (..., T, C) for an odd width W.
@@ -137,7 +119,7 @@ def conv_windows(x: Array, width: int) -> Array:
 
 
 def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
-    """conv1d core on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible.
+    """Same-padded conv1d on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible.
 
     The convolution is one matmul of the conv_windows against the kernel
     viewed as (..., O, C*W). Returns the output (..., T, O) and the

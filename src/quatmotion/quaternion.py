@@ -44,14 +44,6 @@ UNIT_J = Quaternion(0.0, 0.0, 1.0, 0.0)
 UNIT_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def q_add(q: Quaternion, r: Quaternion) -> Quaternion:
-    return Quaternion(q.e + r.e, q.f + r.f, q.g + r.g, q.h + r.h)
-
-
-def q_scale(gamma: float, q: Quaternion) -> Quaternion:
-    return Quaternion(gamma * q.e, gamma * q.f, gamma * q.g, gamma * q.h)
-
-
 def q_conj(q: Quaternion) -> Quaternion:
     return Quaternion(q.e, -q.f, -q.g, -q.h)
 

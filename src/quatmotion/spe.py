@@ -7,10 +7,11 @@ transpose of a rotation by angle t is a rotation by s - t, so logits
 between spun queries and keys depend on positions only through their
 offset. Values are left unrotated.
 
-rope_rotate runs the pairs through the shared slot kernel
-(quaternion.slot_rotate with its 2-wide plane turn); rope_rotate_complex
-is the independent formulation by complex multiplication. They agree to
-a few ulps and the verification suite cross-checks them.
+The model spins its query and key rows with autograd.rope_apply over
+angle_tables, which runs the pairs through the shared slot kernel
+(quaternion.slot_rotate with its 2-wide plane turn). rope_rotate_complex
+is the independent formulation by complex multiplication; the spe
+verification suite checks the model's path against it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .quaternion import slot_rotate
 
 DEFAULT_BASE = 10000.0
 
@@ -64,41 +64,17 @@ def _check_vector(x, sched: RotarySchedule) -> np.ndarray:
     return x
 
 
-def rope_rotate(x, pos, sched: RotarySchedule) -> np.ndarray:
-    """Spin each pair (x[2t], x[2t+1]) by pos * angles[t]; norm preserved."""
-    x = _check_vector(x, sched)
-    ang = float(pos) * sched.angles
-    return slot_rotate(x.reshape(-1, 2), np.cos(ang), np.sin(ang), "plane").reshape(-1)
-
-
 def rope_rotate_complex(x, pos, sched: RotarySchedule) -> np.ndarray:
-    """Same map with pairs read as complex numbers times e^(i*pos*theta)."""
+    """Spin vector x's pairs to position pos as complex numbers times e^(i*pos*theta).
+
+    The independent formulation of autograd.rope_apply over angle_tables.
+    """
     x = _check_vector(x, sched)
     z = (x[0::2] + 1j * x[1::2]) * np.exp(1j * float(pos) * sched.angles)
     out = np.empty_like(x)
     out[0::2] = z.real
     out[1::2] = z.imag
     return out
-
-
-def rope_logits(q, k, sched: RotarySchedule, q_offset: float = 0.0, k_offset: float = 0.0) -> np.ndarray:
-    """Unscaled attention logits between spun queries and keys.
-
-    Entry (s, t) is the dot product of Q[s] spun at s + q_offset with
-    K[t] spun at t + k_offset. No 1/sqrt(d) here; callers apply their
-    own similarity scale.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    if q.ndim != 2 or k.ndim != 2 or not q.shape[1] == k.shape[1] == sched.dim:
-        raise DimensionMismatch(f"query/key shapes {q.shape} and {k.shape} do not both "
-                                f"have {sched.dim} columns")
-
-    def spun(rows, offset):
-        co, si = angle_tables(rows.shape[0], sched, offset)
-        return slot_rotate(rows.reshape(rows.shape[0], -1, 2), co, si, "plane").reshape(rows.shape)
-
-    return spun(q, q_offset) @ spun(k, k_offset).T
 
 
 def angle_tables(steps: int, sched: RotarySchedule, offset: float = 0.0):

@@ -136,6 +136,11 @@ def algebra_checks() -> list:
 
 # -------------------------------------------------------------------- spe
 
+def _spun(rows, sched: spe.RotarySchedule, offset: float = 0.0) -> np.ndarray:
+    """Rows (T, dim) spun at positions offset .. offset+T-1 by the model's kernel."""
+    return ag.rope_apply(Tensor(rows), *spe.angle_tables(len(rows), sched, offset)).data
+
+
 def spe_checks() -> list:
     rng = np.random.default_rng(12)
     checks = []
@@ -145,9 +150,9 @@ def spe_checks() -> list:
         sched = spe.RotarySchedule(d)
         q = rng.standard_normal((n, d))
         k = rng.standard_normal((m, d))
-        base = spe.rope_logits(q, k, sched)
+        base = _spun(q, sched) @ _spun(k, sched).T
         for delta in (0, 7, 1000):
-            shifted = spe.rope_logits(q, k, sched, q_offset=delta, k_offset=delta)
+            shifted = _spun(q, sched, delta) @ _spun(k, sched, delta).T
             worst = max(worst, float(np.abs(shifted - base).max()))
     checks.append(_check("spe/relative_shift_invariance", worst, 1e-10))
 
@@ -156,15 +161,14 @@ def spe_checks() -> list:
     for _ in range(20):
         x = rng.standard_normal(16)
         pos = int(rng.integers(0, 500))
-        worst = max(worst, abs(np.linalg.norm(spe.rope_rotate(x, pos, sched))
-                               - np.linalg.norm(x)))
+        worst = max(worst, abs(np.linalg.norm(_spun(x[None], sched, pos)) - np.linalg.norm(x)))
     checks.append(_check("spe/isometry", worst, 1e-12))
 
     worst = 0.0
     for _ in range(20):
         x = rng.standard_normal(16)
         pos = int(rng.integers(0, 500))
-        worst = max(worst, float(np.abs(spe.rope_rotate(x, pos, sched)
+        worst = max(worst, float(np.abs(_spun(x[None], sched, pos)[0]
                                         - spe.rope_rotate_complex(x, pos, sched)).max()))
     checks.append(_check("spe/formulation_agreement", worst, 1e-14))
 
@@ -172,7 +176,7 @@ def spe_checks() -> list:
     q = rng.standard_normal((5, 8))
     k = rng.standard_normal((6, 8))
     checks.append(_check("spe/zero_angle_degeneracy",
-                         float(np.abs(spe.rope_logits(q, k, zero) - q @ k.T).max()), 0.0))
+                         float(np.abs(_spun(q, zero) @ _spun(k, zero).T - q @ k.T).max()), 0.0))
 
     ladder = spe.theta_schedule(32)
     ok = bool(np.all(ladder > 0) and np.all(np.diff(ladder) < 0))
@@ -584,22 +588,22 @@ def numerics_checks() -> list:
     checks.append(_check("numerics/softmax_closed_form",
                          float(np.abs(two - np.array([[0.25, 0.75]])).max()), 1e-12))
 
-    kern = num.ConvKernel(weights=rng.standard_normal((3, 2, 5)), bias=np.zeros(3))
+    w = rng.standard_normal((3, 2, 5))
+    b = np.zeros(3)
     x1 = rng.standard_normal((9, 2))
     x2 = rng.standard_normal((9, 2))
-    lin = num.conv1d(2.5 * x1 - 1.5 * x2, kern)
-    combo = 2.5 * num.conv1d(x1, kern) - 1.5 * num.conv1d(x2, kern)
+    lin = num.conv1d_im2col(2.5 * x1 - 1.5 * x2, w, b)[0]
+    combo = 2.5 * num.conv1d_im2col(x1, w, b)[0] - 1.5 * num.conv1d_im2col(x2, w, b)[0]
     checks.append(_check("numerics/conv1d_linearity", float(np.abs(lin - combo).max()), 1e-12))
 
-    slide = num.conv1d(np.array([[1.0], [2.0], [3.0]]),
-                       num.ConvKernel(weights=np.array([[[1.0, 0.0, -1.0]]]), bias=np.zeros(1)))
+    slide = num.conv1d_im2col(np.array([[1.0], [2.0], [3.0]]),
+                              np.array([[[1.0, 0.0, -1.0]]]), np.zeros(1))[0]
     checks.append(_check("numerics/conv1d_hand_case",
                          float(np.abs(slide - np.array([[-2.0], [-2.0], [2.0]])).max()), 0.0))
 
-    ident = num.conv1d(x1, num.ConvKernel(
-        weights=np.stack([np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
-                          np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])]),
-        bias=np.zeros(2)))
+    centre_tap = np.stack([np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+                           np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
+    ident = num.conv1d_im2col(x1, centre_tap, np.zeros(2))[0]
     checks.append(_check("numerics/conv1d_identity_kernel", float(np.abs(ident - x1).max()), 0.0))
 
     base = rng.standard_normal((6, 6))
@@ -625,6 +629,16 @@ def _tiny_config(**kw) -> mod.ModelConfig:
     return mod.ModelConfig(**base)
 
 
+def _embedded(frames, which: str, weights: dict, config: mod.ModelConfig) -> np.ndarray:
+    """One (T, channels) stream through the model's embedding, off the tape."""
+    return mod._embed(Tensor(frames[None]), which, mod._untracked(weights), config).data[0]
+
+
+def _encoded(hidden, which: str, weights: dict, config: mod.ModelConfig) -> np.ndarray:
+    """One (T, d_model) embedded stream through the model's encoder, off the tape."""
+    return mod._encode(Tensor(hidden[None]), which, mod._untracked(weights), config).data[0]
+
+
 def model_checks() -> list:
     rng = np.random.default_rng(18)
     checks = []
@@ -643,8 +657,8 @@ def model_checks() -> list:
     desk_w = mod.init_weights(desk, np.random.default_rng(1))
     dm = rng.standard_normal((desk.seed_motion_frames, feat.MOTION_DIMS))
     da = rng.standard_normal((desk.audio_frames, feat.AUDIO_DIMS))
-    emb = mod.embed_stream(dm, "motion", desk_w, desk)
-    enc = mod.encode(emb, "motion", desk_w, desk)
+    emb = _embedded(dm, "motion", desk_w, desk)
+    enc = _encoded(emb, "motion", desk_w, desk)
     dec = mod.predict_future(desk_w, desk, dm, da)
     ok_shapes = (ok_shapes and emb.shape == (30, 64) and enc.shape == (30, 64)
                  and dec.shape == (5, feat.MOTION_DIMS))
@@ -656,7 +670,7 @@ def model_checks() -> list:
     full_w = mod.init_weights(full, np.random.default_rng(2))
     pm = rng.standard_normal((120, feat.MOTION_DIMS))
     pa = rng.standard_normal((240, feat.AUDIO_DIMS))
-    p_emb = mod.embed_stream(pa, "audio", full_w, full)
+    p_emb = _embedded(pa, "audio", full_w, full)
     p_out = mod.predict_future(full_w, full, pm, pa)
     checks.append(_flag("model/full_scale_shape_contract",
                         p_emb.shape == (240, 800) and p_out.shape == (20, feat.MOTION_DIMS)))
@@ -671,14 +685,13 @@ def model_checks() -> list:
     zd_w = mod.init_weights(zero_depth, np.random.default_rng(4))
     hidden = rng.standard_normal((6, 8))
     checks.append(_check("model/zero_depth_encoder_identity",
-                         float(np.abs(mod.encode(hidden, "motion", zd_w, zero_depth) - hidden).max()),
+                         float(np.abs(_encoded(hidden, "motion", zd_w, zero_depth) - hidden).max()),
                          0.0))
 
-    spe_on = mod.encode(mod.embed_stream(motion, "motion", weights, config), "motion",
-                        weights, config)
+    spe_on = _encoded(_embedded(motion, "motion", weights, config), "motion", weights, config)
     config_off = _tiny_config(use_spe=False)
-    spe_off = mod.encode(mod.embed_stream(motion, "motion", weights, config_off), "motion",
-                         weights, config_off)
+    spe_off = _encoded(_embedded(motion, "motion", weights, config_off), "motion",
+                       weights, config_off)
     checks.append(_flag("model/spe_toggle_changes_encoding",
                         float(np.abs(spe_on - spe_off).max()) > 1e-8))
 

@@ -7,6 +7,7 @@ gets its own directory.
 """
 
 import base64
+import collections
 import contextlib
 import io
 import json
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatmotion import cli
+from quatmotion import autograd, cli, numerics, spe
 from quatmotion import features as feat
 from quatmotion import metrics as met
 from quatmotion import model as mod
@@ -97,6 +98,28 @@ class TestVerify:
         failed = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
         assert failed
         assert any("algebra/basis_table" in ln for ln in failed)
+
+    def test_checks_reach_the_shipping_kernels(self, monkeypatch):
+        # the rotary and conv properties are checked on the code the model
+        # runs, not on a wrapper beside it
+        calls = collections.Counter()
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        spy(autograd, "rope_apply")
+        spy(spe, "angle_tables")
+        spy(numerics, "conv1d_im2col")
+        assert verification.all_passed(verification.run("spe"))
+        assert calls["rope_apply"] > 0 and calls["angle_tables"] > 0
+        conv = [c for c in verification.numerics_checks() if c.name.startswith("numerics/conv1d")]
+        assert len(conv) == 3 and all(c.passed for c in conv)
+        assert calls["conv1d_im2col"] > 0
 
 
 class TestSynth:
@@ -233,7 +256,8 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(cfg) in err and "batch_size" in err and "'abc'" in err
 
-    @pytest.mark.parametrize("bad", ["beta2=1.5", "lr_init=nan", "clip_norm=-1", "eps=0"])
+    @pytest.mark.parametrize("bad", ["beta2=1.5", "lr_init=nan", "clip_norm=-1", "eps=0",
+                                     "periods=0"])
     def test_out_of_range_train_setting_exits_two(self, workspace, tmp_path, bad, capsys):
         rc = cli.entry(_train_args(workspace / "data", tmp_path / "out", extra=(bad,)))
         assert rc == 2

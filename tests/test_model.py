@@ -81,10 +81,10 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("decoder_layers", 0), ("periods", 0), ("future_frames", 0),
-        ("seed_motion_frames", 0), ("ff_mult", 0),
+        ("seed_motion_frames", 0), ("ff_mult", 0), ("fps", 0), ("encoder_layers", -1),
     ])
     def test_count_gates(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             ModelConfig(**{field: value})
 
     def test_zero_depth_encoder_allowed(self):
@@ -307,18 +307,13 @@ class TestPrunedDecoder:
 
 
 class TestWrappers:
-    def test_embed_stream(self, tiny_setup):
+    def test_embed_adds_position_table(self, tiny_setup):
         weights, config, motion, _ = tiny_setup
-        got = model.embed_stream(motion, "motion", weights, config)
+        got = model._embed(Tensor(motion[None]), "motion", weights, config).data[0]
         want = (motion @ weights["embed.motion.w"].data
                 + weights["embed.motion.b"].data
                 + weights["pos.motion"].data[:motion.shape[0]])
         np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_embed_stream_which_gate(self, tiny_setup):
-        weights, config, motion, _ = tiny_setup
-        with pytest.raises(ValueError):
-            model.embed_stream(motion, "video", weights, config)
 
     def test_zero_depth_encoder_is_identity(self, rng):
         config = ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
@@ -327,7 +322,7 @@ class TestWrappers:
         weights = model.init_weights(config, np.random.default_rng(2))
         hidden = rng.standard_normal((4, 8))
         np.testing.assert_array_equal(
-            model.encode(hidden, "motion", weights, config), hidden)
+            model._encode(Tensor(hidden[None]), "motion", weights, config).data[0], hidden)
 
     def test_predict_future_shape(self, tiny_setup):
         weights, config, motion, audio = tiny_setup
@@ -568,7 +563,7 @@ class TestCheckpoint:
     def _value_planted(self, tiny_setup, tmp_path, name, index, value):
         """A checkpoint with a correct digest whose tensor `name` holds
         `value` at flat `index`."""
-        shapes = model.weight_shapes(tiny_setup[1])
+        shapes = {n: t.shape for n, t in tiny_setup[0].items()}
         start = 0
         for other in sorted(shapes):
             if other == name:
@@ -585,7 +580,7 @@ class TestCheckpoint:
     def test_rejects_shape_mismatch(self, tiny_setup, tmp_path):
         # a payload one float short of the shapes its header declares
         path = self._payload_edited(tiny_setup, tmp_path, lambda raw: raw[:-8])
-        want = 8 * sum(math.prod(s) for s in model.weight_shapes(tiny_setup[1]).values())
+        want = 8 * sum(t.data.size for t in tiny_setup[0].values())
         with pytest.raises(MalformedFile,
                            match=rf"model\.json\.f64 holds {want - 8} bytes, expected {want}"):
             model.load_checkpoint(path)
@@ -689,9 +684,11 @@ class TestCheckpoint:
         with pytest.raises(MalformedFile, match=r"model\.json: tensor embed\.audio\.w has shape"):
             model.load_checkpoint(path)
 
-    def test_weight_shapes_match_init(self, tiny_setup):
+    def test_weight_layout_matches_init(self, tiny_setup):
+        # the layout load_checkpoint checks a header against, drawn or not
         weights, config, _, _ = tiny_setup
-        assert model.weight_shapes(config) == {n: t.shape for n, t in weights.items()}
+        assert ({name: shape for name, shape, _ in model._weight_layout(config)}
+                == {n: t.shape for n, t in weights.items()})
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedFile, match=r"nowhere\.json"):

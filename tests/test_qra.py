@@ -87,8 +87,9 @@ class TestGenFreqPhase:
         pos = rng.standard_normal(6)
         angles = _angles(Tensor(z), kernels, "k", pos)
         np.testing.assert_array_equal(
-            angles.data, numerics.relu(numerics.conv1d(z, ok)) * pos[:, None]
-            + numerics.pi_tanh(numerics.conv1d(z, tk)))
+            angles.data,
+            numerics.relu(numerics.conv1d_im2col(z, ok.weights, ok.bias)[0]) * pos[:, None]
+            + numerics.pi_tanh(numerics.conv1d_im2col(z, tk.weights, tk.bias)[0]))
 
     def test_drop_form_is_the_last_rows(self, rng):
         # dropped rows still feed the convolution windows of the rows after

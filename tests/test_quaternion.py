@@ -71,11 +71,8 @@ class TestHamilton:
 
 
 class TestArithmetic:
-    def test_add_scale_conj(self):
-        a, b = Q(1, -2, 3, -4), Q(0.5, 0.5, 0.5, 0.5)
-        assert quat.q_add(a, b) == Q(1.5, -1.5, 3.5, -3.5)
-        assert quat.q_scale(2.0, a) == Q(2, -4, 6, -8)
-        assert quat.q_conj(a) == Q(1, 2, -3, 4)
+    def test_conj_negates_imaginary_parts(self):
+        assert quat.q_conj(Q(1, -2, 3, -4)) == Q(1, 2, -3, 4)
 
     def test_norm(self):
         assert quat.q_norm(Q(1, 2, 2, 0)) == 3.0

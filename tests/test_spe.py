@@ -1,4 +1,8 @@
-"""Rotary position embedding: frequency ladder, pair rotation, offset logits."""
+"""Rotary position embedding: frequency ladder, pair rotation, offset logits.
+
+Rotations run through the model's kernel, autograd.rope_apply over
+spe.angle_tables; spe.rope_rotate_complex is the independent reference.
+"""
 
 import math
 
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatmotion import spe
+from quatmotion.autograd import Tensor, rope_apply
 from quatmotion.errors import DimensionMismatch
 
 finite = st.floats(min_value=-3, max_value=3, allow_nan=False)
@@ -64,43 +69,51 @@ class TestRotarySchedule:
             spe.RotarySchedule(dim=5)
 
 
+def _spun(rows, sched, offset=0.0):
+    """Rows (T, dim) spun from position `offset` on by the model's kernel."""
+    return rope_apply(Tensor(rows), *spe.angle_tables(len(rows), sched, offset)).data
+
+
+def _rotate(x, pos, sched):
+    """One vector spun to position pos through the model's kernel."""
+    return _spun(np.asarray(x, dtype=np.float64)[None], sched, pos)[0]
+
+
 class TestRopeRotate:
+    """Pair rotation as the model runs it: rope_apply over angle_tables."""
+
     def test_plane_hand_case(self):
         # dim 2 has the single unit frequency, so pos is the angle itself
-        out = spe.rope_rotate([1.0, 0.0], 1.0, spe.RotarySchedule(dim=2))
+        out = _rotate([1.0, 0.0], 1.0, spe.RotarySchedule(dim=2))
         np.testing.assert_allclose(out, [math.cos(1.0), math.sin(1.0)], atol=1e-15)
 
     def test_position_zero_is_identity(self, rng):
         sched = spe.RotarySchedule(dim=10)
         x = rng.standard_normal(10)
-        np.testing.assert_array_equal(spe.rope_rotate(x, 0.0, sched), x)
+        np.testing.assert_array_equal(_rotate(x, 0.0, sched), x)
 
     @given(vecs6, posf)
     @settings(max_examples=40, deadline=None)
     def test_isometry(self, x, pos):
         sched = spe.RotarySchedule(dim=6)
-        out = spe.rope_rotate(x, pos, sched)
+        out = _rotate(x, pos, sched)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
     @given(vecs6, posf, posf)
     @settings(max_examples=40, deadline=None)
     def test_composition_adds_angles(self, x, s, t):
         sched = spe.RotarySchedule(dim=6)
-        twice = spe.rope_rotate(spe.rope_rotate(x, s, sched), t, sched)
-        once = spe.rope_rotate(x, s + t, sched)
+        twice = _rotate(_rotate(x, s, sched), t, sched)
+        once = _rotate(x, s + t, sched)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
     def test_matrix_and_complex_routes_agree(self, rng):
         sched = spe.RotarySchedule(dim=16)
         for pos in (-11.0, 0.5, 3.0, 1000.0):
             x = rng.standard_normal(16)
-            np.testing.assert_allclose(spe.rope_rotate(x, pos, sched),
+            np.testing.assert_allclose(_rotate(x, pos, sched),
                                        spe.rope_rotate_complex(x, pos, sched),
                                        atol=1e-14)
-
-    def test_length_gate(self):
-        with pytest.raises(DimensionMismatch):
-            spe.rope_rotate(np.zeros(5), 1.0, spe.RotarySchedule(dim=6))
 
 
 class TestShiftInvariance:
@@ -108,28 +121,31 @@ class TestShiftInvariance:
     @settings(max_examples=50, deadline=None)
     def test_logit_depends_only_on_offset(self, q, k, s, t, delta):
         sched = spe.RotarySchedule(dim=6)
-        base = spe.rope_rotate(q, s, sched) @ spe.rope_rotate(k, t, sched)
-        moved = spe.rope_rotate(q, s + delta, sched) @ spe.rope_rotate(k, t + delta, sched)
+        base = _rotate(q, s, sched) @ _rotate(k, t, sched)
+        moved = _rotate(q, s + delta, sched) @ _rotate(k, t + delta, sched)
         assert moved == pytest.approx(base, abs=1e-8)
 
     def test_shared_table_offset_cancels(self, rng):
         sched = spe.RotarySchedule(dim=8)
         q = rng.standard_normal((4, 8))
         k = rng.standard_normal((5, 8))
-        base = spe.rope_logits(q, k, sched)
-        shifted = spe.rope_logits(q, k, sched, q_offset=13.0, k_offset=13.0)
+        base = _spun(q, sched) @ _spun(k, sched).T
+        shifted = _spun(q, sched, 13.0) @ _spun(k, sched, 13.0).T
         np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
 class TestRopeLogits:
+    """Logits between rows spun over whole tables, as the encoder scores them."""
+
     def test_matches_manual_rotate_then_dot(self, rng):
+        # whole-table rows against each row spun alone by the complex oracle
         sched = spe.RotarySchedule(dim=6)
         q = rng.standard_normal((3, 6))
         k = rng.standard_normal((4, 6))
-        logits = spe.rope_logits(q, k, sched, q_offset=2.0, k_offset=-1.0)
+        logits = _spun(q, sched, 2.0) @ _spun(k, sched, -1.0).T
         for s in range(3):
             for t in range(4):
-                want = spe.rope_rotate(q[s], s + 2.0, sched) @ spe.rope_rotate(
+                want = spe.rope_rotate_complex(q[s], s + 2.0, sched) @ spe.rope_rotate_complex(
                     k[t], t - 1.0, sched)
                 assert logits[s, t] == pytest.approx(want, abs=1e-12)
 
@@ -137,13 +153,7 @@ class TestRopeLogits:
         sched = spe.RotarySchedule(dim=6, angles=np.zeros(3))
         q = rng.standard_normal((4, 6))
         k = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(spe.rope_logits(q, k, sched), q @ k.T)
-
-    def test_shape_gate(self, rng):
-        sched = spe.RotarySchedule(dim=6)
-        with pytest.raises(DimensionMismatch):
-            spe.rope_logits(rng.standard_normal((3, 6)),
-                            rng.standard_normal((3, 4)), sched)
+        np.testing.assert_array_equal(_spun(q, sched) @ _spun(k, sched).T, q @ k.T)
 
 
 class TestRowHelpers:
