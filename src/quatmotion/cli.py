@@ -50,9 +50,12 @@ def _env_seed(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise MalformedFile(f"QEAN_SEED must be an integer, got {raw!r}")
+        seed = None
+    if seed is None or seed < 0:
+        raise MalformedFile(f"QEAN_SEED must be a nonnegative integer, got {raw!r}")
+    return seed
 
 
 # ---------------------------------------------------------------- configs
@@ -119,7 +122,8 @@ def _read_config_file(path: str) -> dict:
 
 def _build_configs(pairs: dict, origins: dict | None = None):
     """ModelConfig and TrainConfig from raw key -> value strings; origins
-    maps a key to where its value came from (default "--set")."""
+    maps a key to where its value came from (default "--set"). A config
+    that rejects its values names where every one of them came from."""
     origins = origins or {}
     model_kw, train_kw = {}, {}
     for key, raw in pairs.items():
@@ -128,7 +132,14 @@ def _build_configs(pairs: dict, origins: dict | None = None):
             model_kw[key] = value
         else:
             train_kw[key] = value
-    return mod.ModelConfig(**model_kw), trn.TrainConfig(**train_kw)
+    configs = []
+    for cls, kwargs in ((mod.ModelConfig, model_kw), (trn.TrainConfig, train_kw)):
+        try:
+            configs.append(cls(**kwargs))
+        except (QuatMotionError, ValueError) as exc:
+            named = ", ".join(dict.fromkeys(origins.get(key, "--set") for key in kwargs))
+            raise type(exc)(f"{named}: {exc}") from None
+    return tuple(configs)
 
 
 def _format_value(value) -> str:
@@ -221,7 +232,7 @@ def cmd_train(args) -> int:
             raise MalformedFile(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         pairs[key.strip()] = raw.strip()
-        origins.pop(key.strip(), None)
+        origins[key.strip()] = f"--set {item}"
     model_config, train_config = _build_configs(pairs, origins)
     if "QEAN_SEED" in os.environ:
         train_config = dataclasses.replace(train_config, rng_seed=_env_seed(0))

@@ -4,17 +4,32 @@ The sampler draws (pair, offset) windows with a seeded generator, so a
 fixed rng_seed fixes the minibatch sequence, the loss trace, and the
 final checkpoint bytes. Loss is averaged over all entries, keeping the
 learning rate scale-free across desk and full-size configurations.
+
+Each step splits its batch into two fixed shards (synchronous data
+parallelism): rows [0, ceil(B/2)) and [ceil(B/2), B), each with its
+l2_loss weighted by its share of the batch, so the shard losses sum to
+the mean over all entries and shard 1's leaf gradients are added to
+shard 0's. Where a second core is free, a forked worker runs shard 1
+beside the parent's shard 0 (see _worker_may_run and _ShardWorker);
+otherwise the parent runs both. The numbers are the same either way.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import select
+import signal
+import struct
+import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autograd import Tensor, mean_, mul, sub
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss, QuatMotionError
 from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write
 from .model import ModelConfig, forward, save_checkpoint
 
@@ -34,7 +49,7 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "total_steps"):
+        for name in ("batch_size", "total_steps", "rng_seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be int, got {type(value).__name__} {value!r}")
@@ -61,6 +76,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @staticmethod
     def full_scale() -> "TrainConfig":
@@ -190,45 +207,236 @@ def sample_windows(dataset, config: ModelConfig, batch_size: int, rng: np.random
     return motion, audio, target
 
 
+# A worker pays for its fork from this many steps on. Worker time over
+# in-process time at batch 8, alternating raw runs on 2 vCPUs: 1 step
+# 1.38 (the worker lost 10 of 10), 2 steps 0.93, 3 steps 1.02, 5 steps
+# 0.83, 10 steps 0.71 (the worker won 9 of 10).
+_WORKER_MIN_STEPS = 4
+# how long close() waits for a worker to leave on EOF before killing it
+_WORKER_GRACE_S = 2.0
+
+
+def _worker_may_run(total_steps: int) -> bool:
+    """Whether shard 1 of each step may run in a forked worker.
+
+    Fork, not spawn: a spawned worker pays a fresh interpreter plus the
+    package imports (`import quatmotion.cli` takes about 0.16 s), while a
+    10-step desk call saves only about 100 ms. Fork is safe here because it
+    only happens while the process runs a single OS thread, which also
+    rules out a BLAS thread pool: unpinned OpenBLAS threads spin on the
+    core the worker needs (desk batch 8, raw: 144 and 215 ms/step with
+    the worker against 109 and 59 ms in-process). Set
+    OPENBLAS_NUM_THREADS=1, as the tests and perfbench do, to get it.
+    """
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")
+            and total_steps >= _WORKER_MIN_STEPS
+            and len(os.sched_getaffinity(0)) >= 2):
+        return False
+    try:
+        # every OS thread, Python's and native ones alike
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _shards(batch_size: int) -> list:
+    """(rows, loss weight) of each shard: rows [0, ceil(B/2)) and
+    [ceil(B/2), B), weighted n_i/B; a batch of one has one shard."""
+    cut = (batch_size + 1) // 2
+    bounds = [(0, cut), (cut, batch_size)] if batch_size > 1 else [(0, 1)]
+    return [(slice(lo, hi), (hi - lo) / batch_size) for lo, hi in bounds]
+
+
+def _shard_pass(weights: dict, config: ModelConfig, motion, audio, target,
+                scale: float) -> float:
+    """Forward and backward of one shard; returns its weighted loss.
+
+    The gradients accumulate into the leaves. A non-finite loss is
+    returned without a backward, for the caller to reject. The tape dies
+    on return, before the next shard's forward.
+    """
+    loss_t = mul(l2_loss(forward(weights, config, motion, audio), target), scale)
+    loss = float(loss_t.data)
+    if np.isfinite(loss):
+        loss_t.backward()
+    return loss
+
+
+class _ShardWorker:
+    """A forked process that runs shard 1 of every step on the idle core.
+
+    One anonymous shared mmap, made before the fork, holds the weights,
+    the worker's gradients with one reached-flag per leaf, and shard 1's
+    motion, audio and target rows. Per step the parent copies its
+    weights and the rows in and sends one byte; the worker answers with
+    its 8-byte shard loss. Nothing is pickled. On EOF the worker leaves
+    through os._exit, so it never outlives the parent's end of the pipe.
+    """
+
+    def __init__(self, weights: dict, names: list, config: ModelConfig, rows: slice,
+                 scale: float):
+        n = rows.stop - rows.start
+        shapes = [weights[name].data.shape for name in names] * 2 + [
+            (n, config.seed_motion_frames, MOTION_DIMS), (n, config.audio_frames, AUDIO_DIMS),
+            (n, config.future_frames, MOTION_DIMS)]
+        sizes = [math.prod(shape) for shape in shapes]
+        self._arena = mmap.mmap(-1, 8 * sum(sizes) + len(names))
+        floats = np.frombuffer(self._arena, dtype=np.float64, count=sum(sizes))
+        views, offset = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(floats[offset:offset + size].reshape(shape))
+            offset += size
+        count = len(names)
+        self._weights = dict(zip(names, views[:count]))
+        self._grads = dict(zip(names, views[count:2 * count]))
+        self._rows = views[2 * count:]
+        self._reached = np.frombuffer(self._arena, dtype=np.uint8, count=count,
+                                      offset=8 * offset)
+        to_worker, self._send = os.pipe()
+        self._recv, to_parent = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (to_worker, self._send, self._recv, to_parent):
+                os.close(fd)
+            self._release()
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._send)
+                os.close(self._recv)
+                self._serve(to_worker, to_parent, config, scale)
+                code = 0
+            except Exception:
+                os.write(2, traceback.format_exc().encode(errors="replace"))
+            finally:
+                os._exit(code)
+        os.close(to_worker)
+        os.close(to_parent)
+
+    def _serve(self, recv: int, send: int, config: ModelConfig, scale: float):
+        leaves = {name: Tensor(view, requires_grad=True)
+                  for name, view in self._weights.items()}
+        while os.read(recv, 1):
+            for leaf in leaves.values():
+                leaf.zero_grad()
+            loss = _shard_pass(leaves, config, *self._rows, scale)
+            for i, (name, leaf) in enumerate(leaves.items()):
+                self._reached[i] = leaf.grad is not None
+                if leaf.grad is not None:
+                    self._grads[name][...] = leaf.grad
+            try:
+                os.write(send, struct.pack("d", loss))
+            except BrokenPipeError:  # the parent has closed its end
+                return
+
+    def start(self, weights: dict, motion, audio, target):
+        """Hand the worker this step's weights and shard 1's rows."""
+        for name, view in self._weights.items():
+            view[...] = weights[name].data
+        for view, rows in zip(self._rows, (motion, audio, target)):
+            view[...] = rows
+        try:
+            os.write(self._send, b"s")
+        except BrokenPipeError:  # the worker died; finish() names its status
+            pass
+
+    def finish(self, weights: dict) -> float:
+        """Wait for shard 1, add its gradients after the leaves' own
+        (g0 + g1, as a second tape walk would) and return its loss."""
+        reply = os.read(self._recv, 8)
+        if len(reply) != 8:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise QuatMotionError(f"the training worker for shard 1 {how}")
+        for reached, (name, grad) in zip(self._reached, self._grads.items()):
+            if reached:
+                leaf = weights[name]
+                leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
+        return struct.unpack("d", reply)[0]
+
+    def close(self):
+        """EOF to the worker and reap it; a worker that has not left
+        within the grace period (a process forked since holds a copy of
+        the pipe's write end) is killed."""
+        os.close(self._send)
+        if self.pid is not None:
+            ready, _, _ = select.select([self._recv], [], [], _WORKER_GRACE_S)
+            if not ready:
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self._recv)
+        self._release()
+
+    def _release(self):
+        # the arena cannot close while numpy views export its buffer
+        del self._weights, self._grads, self._rows, self._reached
+        self._arena.close()
+
+
 def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig):
     """The training loop one step at a time: yields (step, lr, loss) after each
-    Adam update, so a caller can stop as soon as it has seen what it needs."""
+    Adam update, so a caller can stop as soon as it has seen what it needs.
+
+    Each step runs the batch as two shards (see _shards); the step's loss
+    is L0 + L1 and the leaves hold g0 + g1. When _worker_may_run allows
+    it, a forked worker that this generator owns runs shard 1 beside the
+    parent's shard 0, and is closed when the generator ends, is closed
+    or raises; otherwise the parent runs shard 1 itself. Clipping, the
+    finiteness checks and Adam see the same numbers on either path, and
+    after the last step each leaf's grad holds that step's raw gradient.
+    """
     check_dataset(dataset, model_config)
     dataset = [(np.asarray(a, dtype=np.float64), np.asarray(m, dtype=np.float64))
                for a, m in dataset]
     rng = np.random.default_rng(train_config.rng_seed)
     state = init_adam(weights)
     names = sorted(weights)
-    for step in range(train_config.total_steps):
-        # the previous step's gradients are spent: free them before this
-        # step's forward rather than hold them through it
-        for name in names:
-            weights[name].zero_grad()
-        motion, audio, target = sample_windows(dataset, model_config,
-                                               train_config.batch_size, rng)
-        pred = forward(weights, model_config, motion, audio)
-        loss_t = l2_loss(pred, target)
-        loss = float(loss_t.data)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss became non-finite at step {step}")
-        loss_t.backward()
-        # the tape holds every activation its VJPs saved; drop it now rather
-        # than keep it alive through the next step's forward
-        del pred, loss_t
-        grads = {name: (weights[name].grad if weights[name].grad is not None
-                        else np.zeros_like(weights[name].data))
-                 for name in names}
-        if train_config.clip_norm > 0:
-            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > train_config.clip_norm:
-                scale = train_config.clip_norm / total
-                grads = {name: g * scale for name, g in grads.items()}
-        lr = lr_at(step, train_config)
-        adam_step(weights, grads, state, lr, train_config)
-        # a clipped copy must not outlive the step; the leaves keep the raw
-        # gradient until the next step starts
-        del grads
-        yield step, lr, loss
+    shards = _shards(train_config.batch_size)
+    worker = None
+    if len(shards) == 2 and _worker_may_run(train_config.total_steps):
+        worker = _ShardWorker(weights, names, model_config, *shards[1])
+    try:
+        for step in range(train_config.total_steps):
+            # the previous step's gradients are spent: free them before this
+            # step's forward rather than hold them through it
+            for name in names:
+                weights[name].zero_grad()
+            motion, audio, target = sample_windows(dataset, model_config,
+                                                   train_config.batch_size, rng)
+            parts = [(motion[rows], audio[rows], target[rows], scale)
+                     for rows, scale in shards]
+            if worker is not None:
+                motion, audio, target, _ = parts.pop()
+                worker.start(weights, motion, audio, target)
+            loss = 0.0
+            for part in parts:
+                loss += _shard_pass(weights, model_config, *part)
+            if worker is not None:
+                loss += worker.finish(weights)
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss became non-finite at step {step}")
+            grads = {name: (weights[name].grad if weights[name].grad is not None
+                            else np.zeros_like(weights[name].data))
+                     for name in names}
+            if train_config.clip_norm > 0:
+                total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+                if total > train_config.clip_norm:
+                    scale = train_config.clip_norm / total
+                    grads = {name: g * scale for name, g in grads.items()}
+            lr = lr_at(step, train_config)
+            adam_step(weights, grads, state, lr, train_config)
+            # a clipped copy must not outlive the step; the leaves keep the raw
+            # gradient until the next step starts
+            del grads
+            yield step, lr, loss
+    finally:
+        if worker is not None:
+            worker.close()
 
 
 def train(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig,

@@ -163,6 +163,11 @@ class TestSynth:
         assert cli.entry(["synth", "--out", str(tmp_path / "x")]) == 2
         assert "QEAN_SEED" in capsys.readouterr().err
 
+    def test_env_seed_must_be_nonnegative(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QEAN_SEED", "-1")
+        assert cli.entry(["synth", "--out", str(tmp_path / "x")]) == 2
+        assert "QEAN_SEED" in capsys.readouterr().err
+
 
 class TestTrain:
 
@@ -257,11 +262,12 @@ class TestTrain:
         assert str(cfg) in err and "batch_size" in err and "'abc'" in err
 
     @pytest.mark.parametrize("bad", ["beta2=1.5", "lr_init=nan", "clip_norm=-1", "eps=0",
-                                     "periods=0"])
+                                     "periods=0", "rng_seed=-1"])
     def test_out_of_range_train_setting_exits_two(self, workspace, tmp_path, bad, capsys):
         rc = cli.entry(_train_args(workspace / "data", tmp_path / "out", extra=(bad,)))
         assert rc == 2
-        assert bad.split("=")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert bad.split("=")[0] in err and f"--set {bad}" in err
         assert not (tmp_path / "out" / "checkpoint.json").exists()
         assert not (tmp_path / "out" / "checkpoint.json.f64").exists()
 
@@ -512,6 +518,82 @@ class TestCheckpointFuzz:
         assert rc == 2, err.getvalue()
         assert str(ckpt) in err.getvalue() and "Traceback" not in err.getvalue()
         assert not (root / "g").exists()
+
+
+_JUNK = st.one_of(st.text(max_size=8),
+                  st.sampled_from(["", " ", "2.0", "1e3", "0x10", "nan", "-inf", "\udcff"]))
+
+
+def _config_value(key):
+    """A value for key: often well-formed, often not."""
+    kind = cli._MODEL_FIELDS.get(key) or cli._TRAIN_FIELDS.get(key)
+    if key == "decay_steps":
+        entry = st.tuples(st.one_of(st.integers(-2, 9).map(str), _JUNK),
+                          st.sampled_from([":", "", "::", "="]),
+                          st.one_of(st.floats().map(repr), _JUNK)).map("".join)
+        entries = st.tuples(st.sampled_from([",", ";", ", ", ",,"]),
+                            st.lists(entry, max_size=3))
+        return st.one_of(entries.map(lambda t: t[0].join(t[1])), _JUNK)
+    if kind == "bool":
+        return st.one_of(st.sampled_from(["true", "false", "yes", "no", "1", "0", "on"]),
+                         _JUNK)
+    if kind == "int" and key in cli._MODEL_FIELDS:
+        # model sizes stay small: a well-formed one really is built
+        return st.one_of(st.integers(-2, 12).map(str), _JUNK)
+    if kind == "int":
+        return st.one_of(st.integers().map(str), _JUNK)
+    return st.one_of(st.floats().map(repr), _JUNK)
+
+
+_KEYS = st.one_of(st.sampled_from(sorted({**cli._MODEL_FIELDS, **cli._TRAIN_FIELDS})),
+                  st.text(max_size=10))
+
+
+@st.composite
+def _config_item(draw, seps):
+    key = draw(_KEYS)
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    return f"{pad}{key}{pad}{draw(st.sampled_from(seps))}{draw(_config_value(key.strip()))}"
+
+
+class TestConfigFuzz:
+    """Every malformed `--config` file or `--set` pair makes `train` exit 2
+    or 3 naming the file or the pair, never with a traceback or exit 1."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_config_exits_two_or_three(self, workspace, tmp_path_factory, data):
+        root = tmp_path_factory.mktemp("cfgfuzz")
+        argv = ["train", "--data", str(workspace / "data"), "--out", str(root / "run")]
+        cfg = root / "run.cfg"
+        target = data.draw(st.sampled_from(["none", "file", "file", "file", "dir", "missing"]))
+        if target == "file":
+            lines = data.draw(st.lists(st.one_of(
+                _config_item(["=", " = ", "", "=="]),
+                st.sampled_from(["", "# comment", "  ", "key = 1 # trailing"])), max_size=6))
+            newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+            cfg.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
+        elif target == "dir":
+            cfg.mkdir()
+        if target != "none":
+            argv += ["--config", str(cfg)]
+        sets = data.draw(st.lists(_config_item(["=", " = ", ""]), max_size=4))
+        argv += [f"--set={item}" for item in sets]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            # a well-formed config is only built, not trained
+            mp.setattr(trn, "train", lambda *args, **kwargs: [])
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.entry(argv)
+        message = err.getvalue()
+        assert rc in (0, 2, 3), message
+        assert "Traceback" not in message
+        if rc:
+            # a model config that fits no stream names the stream instead
+            named = [str(workspace / "data")]
+            named += [str(cfg)] if target != "none" else []
+            named += ["--set"] if sets else []
+            assert any(name in message for name in named), (argv, message)
 
 
 def _copied_pair(workspace, root, audio_from="audio", fps=None):

@@ -1,5 +1,10 @@
 """Optimizer math, window sampling, the training loop, trace files."""
 
+import contextlib
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +12,8 @@ import pytest
 
 from quatmotion import model, training
 from quatmotion.autograd import Tensor
-from quatmotion.errors import (DimensionMismatch, NonFiniteGradient, NonFiniteLoss)
+from quatmotion.errors import (DimensionMismatch, NonFiniteGradient, NonFiniteLoss,
+                               QuatMotionError)
 from quatmotion.features import synth_pair
 from quatmotion.model import ModelConfig, load_checkpoint
 from quatmotion.training import AdamState, TrainConfig
@@ -393,6 +399,200 @@ class TestTrainLoop:
         assert all(w.grad is not None for w in weights.values())
         assert held < 3.5 * size, (held, size)
         steps.close()
+
+
+class _Deadline(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise _Deadline in the main thread if the block runs too long."""
+    def fire(signum, frame):
+        raise _Deadline(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def fork_spy(monkeypatch):
+    """The pids of the workers forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _force_worker(monkeypatch, may):
+    monkeypatch.setattr(training, "_worker_may_run", lambda total_steps: may)
+
+
+def _run(config, train_config, out=None):
+    """Trace rows, weight bytes and grad bytes of one run; with out, also
+    the bytes of the loss.csv, checkpoint and payload it writes there."""
+    weights = model.init_weights(config, np.random.default_rng(1))
+    names = ("loss.csv", "ckpt.json", "ckpt.json.f64") if out else ()
+    files = {"loss_csv_path": str(out / names[0]),
+             "checkpoint_path": str(out / names[1])} if out else {}
+    trace = training.train(weights, _tiny_dataset(), train_config, config, **files)
+    return (trace, {n: w.data.tobytes() for n, w in weights.items()},
+            {n: w.grad.tobytes() for n, w in weights.items()},
+            [(out / name).read_bytes() for name in names])
+
+
+class TestShardedStep:
+    @pytest.mark.parametrize("batch", [2, 3, 8])
+    def test_worker_and_in_process_paths_agree_bit_for_bit(self, tiny_model_config,
+                                                           monkeypatch, fork_spy, batch,
+                                                           tmp_path):
+        train_config = TrainConfig(batch_size=batch, total_steps=6, rng_seed=3,
+                                   decay_steps=((3, 1e-5), (5, 1e-6)))
+        results = []
+        for may in (True, False):
+            _force_worker(monkeypatch, may)
+            out = tmp_path / str(may)
+            out.mkdir()
+            with _deadline(60):
+                results.append(_run(tiny_model_config, train_config, out))
+        assert len(fork_spy) == 1
+        assert results[0] == results[1]
+        _assert_no_children()
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_shard_losses_sum_to_the_full_batch_loss(self, tiny_model_config, batch):
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        motion, audio, target = training.sample_windows(
+            _tiny_dataset(), tiny_model_config, batch, np.random.default_rng(5))
+        full = training.l2_loss(model.forward(weights, tiny_model_config, motion, audio),
+                                target)
+        shards = training._shards(batch)
+        assert len(shards) == (1 if batch == 1 else 2)
+        assert sum(rows.stop - rows.start for rows, _ in shards) == batch
+        total = 0.0
+        for rows, scale in shards:
+            pred = model.forward(weights, tiny_model_config, motion[rows], audio[rows])
+            total += float(training.l2_loss(pred, target[rows]).data) * scale
+        assert total == pytest.approx(float(full.data), rel=1e-14, abs=0)
+
+    def test_no_worker_left_after_a_completed_run(self, tiny_model_config,
+                                                  quick_train_config, monkeypatch,
+                                                  fork_spy):
+        _force_worker(monkeypatch, True)
+        with _deadline(60):
+            _run(tiny_model_config, quick_train_config)
+        assert len(fork_spy) == 1
+        _assert_no_children()
+
+    def test_no_worker_left_after_the_caller_closes_early(self, tiny_model_config,
+                                                          quick_train_config,
+                                                          monkeypatch, fork_spy):
+        _force_worker(monkeypatch, True)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        with _deadline(60):
+            steps = training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                         tiny_model_config)
+            next(steps)
+            steps.close()
+        assert len(fork_spy) == 1
+        _assert_no_children()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_no_worker_left_after_a_non_finite_loss(self, tiny_model_config,
+                                                    quick_train_config, monkeypatch,
+                                                    fork_spy):
+        _force_worker(monkeypatch, True)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        with _deadline(60):
+            steps = training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                         tiny_model_config)
+            next(steps)
+            weights["out.b"].data[:] = 1e308  # squaring this overflows in both shards
+            with pytest.raises(NonFiniteLoss, match="step 1"):
+                next(steps)
+        assert len(fork_spy) == 1
+        _assert_no_children()
+
+    def test_interleaved_runs_close_without_hanging(self, tiny_model_config,
+                                                    quick_train_config, monkeypatch,
+                                                    fork_spy):
+        # the second run's worker inherits the first's pipe, so the first
+        # worker sees no EOF and is killed once the grace period is over
+        _force_worker(monkeypatch, True)
+        monkeypatch.setattr(training, "_WORKER_GRACE_S", 0.2)
+        runs = []
+        with _deadline(60):
+            for _ in range(2):
+                weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+                runs.append(training.train_steps(weights, _tiny_dataset(),
+                                                 quick_train_config, tiny_model_config))
+                next(runs[-1])
+            runs[0].close()
+            assert len(list(runs[1])) == quick_train_config.total_steps - 1
+        assert len(fork_spy) == 2
+        _assert_no_children()
+
+    def test_a_killed_worker_is_a_named_error(self, tiny_model_config,
+                                              quick_train_config, monkeypatch, fork_spy):
+        _force_worker(monkeypatch, True)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        with _deadline(60):
+            steps = training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                         tiny_model_config)
+            next(steps)
+            os.kill(fork_spy[0], signal.SIGKILL)
+            with pytest.raises(QuatMotionError, match="killed by signal 9"):
+                next(steps)
+        _assert_no_children()
+
+    def test_no_fork_while_another_thread_runs(self, tiny_model_config,
+                                               quick_train_config, monkeypatch, fork_spy):
+        may_run = training._worker_may_run
+        _force_worker(monkeypatch, True)
+        forked = _run(tiny_model_config, quick_train_config)
+        assert len(fork_spy) == 1
+        monkeypatch.setattr(training, "_worker_may_run", may_run)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert not may_run(quick_train_config.total_steps)
+            with _deadline(60):
+                alone = _run(tiny_model_config, quick_train_config)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert len(fork_spy) == 1
+        assert alone == forked
+
+    def test_back_to_back_runs_stress(self, tiny_model_config, monkeypatch, fork_spy):
+        _force_worker(monkeypatch, True)
+        train_config = TrainConfig(batch_size=3, total_steps=4, rng_seed=3)
+        t0 = time.monotonic()
+        with _deadline(120):
+            runs = [_run(tiny_model_config, train_config) for _ in range(20)]
+        assert len(fork_spy) == 20
+        assert all(run == runs[0] for run in runs)
+        assert time.monotonic() - t0 < 120
+        _assert_no_children()
 
 
 class TestLossCsv:
