@@ -196,6 +196,13 @@ def _load_pair(path: str, fps: int | None = None):
     return audio, motion
 
 
+def _make_out_dir(path: str):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise MalformedFile(f"--out {path} cannot be made a directory: {exc.strerror}")
+
+
 # ------------------------------------------------------------ subcommands
 
 def cmd_verify(args) -> int:
@@ -210,7 +217,7 @@ def cmd_synth(args) -> int:
     seed = _env_seed(args.seed)
     audio, motion = feat.synth_pair(seed, args.seconds,
                                     beat_period_frames=args.beat_period)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     frames = audio.shape[0]
     feat.save_stream(os.path.join(args.out, "audio.csv"), audio,
                      feat.StreamMeta("audio", feat.FPS, frames, feat.AUDIO_DIMS))
@@ -240,7 +247,7 @@ def cmd_train(args) -> int:
     dataset = [_load_pair(path, model_config.fps) for _, path in _discover_pairs(args.data)]
     weights = mod.init_weights(model_config, np.random.default_rng(train_config.rng_seed))
 
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     _echo_config(os.path.join(args.out, "config_used.cfg"), model_config, train_config)
     trace = trn.train(weights, dataset, train_config, model_config,
                       loss_csv_path=os.path.join(args.out, "loss.csv"),
@@ -265,10 +272,10 @@ def cmd_generate(args) -> int:
         raise AudioTooShort(
             f"{args.music} has {len(audio)} frames, but {args.frames} frames with a "
             f"{config.audio_frames}-frame window need {needed}")
+    _make_out_dir(args.out)
 
     generated = mod.autoregressive_generate(
         seed_motion[:config.seed_motion_frames], audio, args.frames, weights, config)
-    os.makedirs(args.out, exist_ok=True)
     feat.save_stream(os.path.join(args.out, "motion.csv"), generated,
                      feat.StreamMeta("motion", config.fps, generated.shape[0],
                                      feat.MOTION_DIMS))
@@ -368,7 +375,10 @@ def cmd_eval(args) -> int:
 
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        feat.atomic_write(args.out, text + "\n")
+        try:
+            feat.atomic_write(args.out, text + "\n")
+        except OSError as exc:
+            raise MalformedFile(f"--out {args.out} cannot be written: {exc.strerror}")
     print(text)
     return 0
 

@@ -10,12 +10,15 @@ parallelism): rows [0, ceil(B/2)) and [ceil(B/2), B), each with its
 l2_loss weighted by its share of the batch, so the shard losses sum to
 the mean over all entries and shard 1's leaf gradients are added to
 shard 0's. Where a second core is free, a forked worker runs shard 1
-beside the parent's shard 0 (see _worker_may_run and _ShardWorker);
-otherwise the parent runs both. The numbers are the same either way.
+beside the parent's shard 0, and then the sum, clip and Adam update of
+one half of the weights beside the parent's half (see _worker_may_run
+and _ShardWorker); otherwise the parent runs all of it. The numbers are
+the same either way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -23,6 +26,7 @@ import select
 import signal
 import struct
 import sys
+import time
 import traceback
 from dataclasses import dataclass, field
 
@@ -208,12 +212,17 @@ def sample_windows(dataset, config: ModelConfig, batch_size: int, rng: np.random
 
 
 # A worker pays for its fork from this many steps on. Worker time over
-# in-process time at batch 8, alternating raw runs on 2 vCPUs: 1 step
-# 1.38 (the worker lost 10 of 10), 2 steps 0.93, 3 steps 1.02, 5 steps
-# 0.83, 10 steps 0.71 (the worker won 9 of 10).
-_WORKER_MIN_STEPS = 4
+# in-process time of whole calls at desk batch 8, 10 alternating raw
+# pairs each on 2 vCPUs: 1 step 0.98 (the worker won 7 of 10), 2 steps
+# 0.93 (10 of 10), 3 steps 0.68 (10 of 10), 5 steps 0.73, 10 steps 0.62.
+# One- and two-step calls stay in-process: their gain is a few percent
+# at desk scale, and a smaller model's short step does not cover the
+# fork and the reaping (about 3 and 5 ms).
+_WORKER_MIN_STEPS = 3
 # how long close() waits for a worker to leave on EOF before killing it
 _WORKER_GRACE_S = 2.0
+# the update message: whether the step is clipped, the clip scale, the rate
+_UPDATE = struct.Struct("=?dd")
 
 
 def _worker_may_run(total_steps: int) -> bool:
@@ -262,36 +271,115 @@ def _shard_pass(weights: dict, config: ModelConfig, motion, audio, target,
     return loss
 
 
-class _ShardWorker:
-    """A forked process that runs shard 1 of every step on the idle core.
+def _reduce(leaves: dict, names) -> tuple:
+    """The clip norm's square sums float((g * g).sum()) and the finiteness
+    flags of the leaves' gradients over `names`, in their order. A leaf
+    that no shard reached has no gradient and counts as zeros."""
+    squares, finite = [], []
+    for name in names:
+        g = leaves[name].grad
+        if g is None:
+            squares.append(0.0)
+            finite.append(True)
+            continue
+        sq = float((g * g).sum())
+        squares.append(sq)
+        # a finite sum of squares has only finite terms
+        finite.append(math.isfinite(sq) or bool(np.isfinite(g).all()))
+    return squares, finite
 
-    One anonymous shared mmap, made before the fork, holds the weights,
-    the worker's gradients with one reached-flag per leaf, and shard 1's
-    motion, audio and target rows. Per step the parent copies its
-    weights and the rows in and sends one byte; the worker answers with
-    its 8-byte shard loss. Nothing is pickled. On EOF the worker leaves
-    through os._exit, so it never outlives the parent's end of the pipe.
+
+def _clip_scale(squares: list, config: TrainConfig):
+    """The factor that brings the global norm down to clip_norm, or None
+    when the norm is within it. The per-name squares are summed in sorted
+    name order, whichever process computed them."""
+    if config.clip_norm > 0:
+        total = np.sqrt(sum(squares))
+        if total > config.clip_norm:
+            return config.clip_norm / total
+    return None
+
+
+def _update(leaves: dict, names, scale, state: AdamState, lr: float, config: TrainConfig):
+    """Adam over `names` on the leaves' gradients, times `scale` unless it
+    is None. Adam is elementwise, so an update split over name subsets
+    gives the bits of one over all names; a clipped copy dies on return,
+    and the leaves keep the raw gradient until the next step starts."""
+    grads = {name: leaves[name].grad if scale is None else leaves[name].grad * scale
+             for name in names if leaves[name].grad is not None}
+    adam_step({name: leaves[name] for name in names}, grads, state, lr, config)
+
+
+def _split_point(sizes: list) -> int:
+    """Where a list of leaf sizes splits into a prefix and a rest of about
+    equal element count."""
+    prefix = list(itertools.accumulate(sizes, initial=0))
+    return min(range(len(prefix)), key=lambda k: abs(2 * prefix[k] - prefix[-1]))
+
+
+class _ShardWorker:
+    """A forked process that runs shard 1 of every step on the idle core,
+    and then half of the step's gradient sum, clip and Adam update.
+
+    One anonymous shared mmap, made before the fork, is the run's
+    parameter arena: the weights, both Adam moments, one gradient slot
+    per leaf, shard 1's motion, audio and target rows, and per leaf the
+    worker's square sum and the shards' reached and finiteness flags.
+    For the run, the caller's leaves hold views of the arena's weights.
+    The sorted names split into two halves of about equal element count
+    (see _split_point): the parent, which runs shard 0, owns the prefix,
+    and the worker the rest. Each process sums, clips and updates the
+    weights and moments of its own half. A step is four messages over
+    two pipes; nothing is pickled:
+
+    1. step (1 byte, parent to worker): shard 1's rows are in the arena.
+    2. hand-over, both ways: each process has written its shard's
+       gradients of the other's half into their slots. The worker's
+       message is its 8-byte shard loss, the parent's 1 byte. Each then
+       sums g0 + g1 of its own half into its slots.
+    3. reduce (1 byte, worker to parent): the square sums and finiteness
+       flags of the worker's half are in the arena.
+    4. update (17 bytes, parent to worker): whether the step is clipped,
+       the clip scale and the learning rate. The worker answers with 1
+       byte once its half is updated.
+
+    On EOF the worker leaves through os._exit, so it never outlives the
+    parent's end of the pipe.
     """
 
-    def __init__(self, weights: dict, names: list, config: ModelConfig, rows: slice,
-                 scale: float):
+    def __init__(self, weights: dict, names: list, model_config: ModelConfig,
+                 train_config: TrainConfig, rows: slice, scale: float):
         n = rows.stop - rows.start
-        shapes = [weights[name].data.shape for name in names] * 2 + [
-            (n, config.seed_motion_frames, MOTION_DIMS), (n, config.audio_frames, AUDIO_DIMS),
-            (n, config.future_frames, MOTION_DIMS)]
+        count = len(names)
+        shapes = [weights[name].data.shape for name in names] * 4 + [
+            (count,), (n, model_config.seed_motion_frames, MOTION_DIMS),
+            (n, model_config.audio_frames, AUDIO_DIMS),
+            (n, model_config.future_frames, MOTION_DIMS)]
         sizes = [math.prod(shape) for shape in shapes]
-        self._arena = mmap.mmap(-1, 8 * sum(sizes) + len(names))
+        self._arena = mmap.mmap(-1, 8 * sum(sizes) + 3 * count)
         floats = np.frombuffer(self._arena, dtype=np.float64, count=sum(sizes))
         views, offset = [], 0
         for shape, size in zip(shapes, sizes):
             views.append(floats[offset:offset + size].reshape(shape))
             offset += size
-        count = len(names)
-        self._weights = dict(zip(names, views[:count]))
-        self._grads = dict(zip(names, views[count:2 * count]))
-        self._rows = views[2 * count:]
-        self._reached = np.frombuffer(self._arena, dtype=np.uint8, count=count,
-                                      offset=8 * offset)
+        self._names = names
+        self._weights, self._m, self._v, self._grads = (
+            dict(zip(names, views[i * count:(i + 1) * count])) for i in range(4))
+        self._squares = views[4 * count]
+        self._rows = views[4 * count + 1:]
+        flags = np.frombuffer(self._arena, dtype=np.uint8, count=3 * count,
+                              offset=8 * offset).reshape(3, count)
+        # [shard] whether that shard's tape reached the leaf; [2] whether
+        # the worker's half of the summed gradient is finite
+        self._reached, self._finite = flags[:2], flags[2]
+        cut = _split_point(sizes[:count])
+        # the names each shard's process owns, as indices into `names`
+        self._halves = (range(cut), range(cut, count))
+        # the parent's half: its names and Adam state
+        self.names = names[:cut]
+        self.state = self._adam_state(self.names)
+        for name, view in self._weights.items():
+            view[...] = weights[name].data
         to_worker, self._send = os.pipe()
         self._recv, to_parent = os.pipe()
         try:
@@ -306,7 +394,7 @@ class _ShardWorker:
             try:
                 os.close(self._send)
                 os.close(self._recv)
-                self._serve(to_worker, to_parent, config, scale)
+                self._serve(to_worker, to_parent, model_config, train_config, scale)
                 code = 0
             except Exception:
                 os.write(2, traceback.format_exc().encode(errors="replace"))
@@ -314,68 +402,171 @@ class _ShardWorker:
                 os._exit(code)
         os.close(to_worker)
         os.close(to_parent)
+        self._originals = {name: weights[name].data for name in names}
+        for name, view in self._weights.items():
+            weights[name].data = view
 
-    def _serve(self, recv: int, send: int, config: ModelConfig, scale: float):
+    def _adam_state(self, names) -> AdamState:
+        return AdamState({name: self._m[name] for name in names},
+                         {name: self._v[name] for name in names})
+
+    def _serve(self, recv: int, send: int, model_config: ModelConfig,
+               train_config: TrainConfig, scale: float):
         leaves = {name: Tensor(view, requires_grad=True)
                   for name, view in self._weights.items()}
-        while os.read(recv, 1):
-            for leaf in leaves.values():
-                leaf.zero_grad()
-            loss = _shard_pass(leaves, config, *self._rows, scale)
-            for i, (name, leaf) in enumerate(leaves.items()):
-                self._reached[i] = leaf.grad is not None
-                if leaf.grad is not None:
-                    self._grads[name][...] = leaf.grad
-            try:
-                os.write(send, struct.pack("d", loss))
-            except BrokenPipeError:  # the parent has closed its end
-                return
-
-    def start(self, weights: dict, motion, audio, target):
-        """Hand the worker this step's weights and shard 1's rows."""
-        for name, view in self._weights.items():
-            view[...] = weights[name].data
-        for view, rows in zip(self._rows, (motion, audio, target)):
-            view[...] = rows
+        half = self._halves[1]
+        mine = [self._names[i] for i in half]
+        state = self._adam_state(mine)
         try:
-            os.write(self._send, b"s")
-        except BrokenPipeError:  # the worker died; finish() names its status
-            pass
+            while os.read(recv, 1):
+                for leaf in leaves.values():
+                    leaf.zero_grad()
+                loss = _shard_pass(leaves, model_config, *self._rows, scale)
+                self._give(leaves, 1)
+                os.write(send, struct.pack("d", loss))
+                if not os.read(recv, 1):
+                    return
+                self._take(leaves, 1)
+                squares, finite = _reduce(leaves, mine)
+                self._squares[half.start:] = squares
+                self._finite[half.start:] = finite
+                os.write(send, b"r")
+                update = os.read(recv, _UPDATE.size)
+                if len(update) != _UPDATE.size:
+                    return
+                clipped, clip, lr = _UPDATE.unpack(update)
+                _update(leaves, mine, clip if clipped else None, state, lr, train_config)
+                os.write(send, b"a")
+        except BrokenPipeError:  # the parent has closed its end
+            return
 
-    def finish(self, weights: dict) -> float:
-        """Wait for shard 1, add its gradients after the leaves' own
-        (g0 + g1, as a second tape walk would) and return its loss."""
-        reply = os.read(self._recv, 8)
-        if len(reply) != 8:
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-            code = os.waitstatus_to_exitcode(status)
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise QuatMotionError(f"the training worker for shard 1 {how}")
-        for reached, (name, grad) in zip(self._reached, self._grads.items()):
-            if reached:
+    def _give(self, leaves: dict, shard: int):
+        """Flag which leaves this shard reached, and write its gradients of
+        the other process's half into their slots."""
+        for i, name in enumerate(self._names):
+            self._reached[shard, i] = leaves[name].grad is not None
+        for i in self._halves[1 - shard]:
+            name = self._names[i]
+            if leaves[name].grad is not None:
+                self._grads[name][...] = leaves[name].grad
+
+    def _take(self, leaves: dict, shard: int):
+        """Add the other shard's gradients of this shard's half to the
+        leaves' own in their slots, and point the leaves' grads at the
+        sums. IEEE addition commutes, so these are the bits of g0 + g1."""
+        for i in self._halves[shard]:
+            name = self._names[i]
+            leaf, slot = leaves[name], self._grads[name]
+            if self._reached[1 - shard, i]:
+                if leaf.grad is not None:
+                    np.add(slot, leaf.grad, out=slot)
+            elif leaf.grad is not None:
+                slot[...] = leaf.grad
+            else:
+                continue
+            leaf.grad = slot
+
+    def _tell(self, message: bytes):
+        try:
+            os.write(self._send, message)
+        except BrokenPipeError:
+            self._died()
+
+    def _hear(self, size: int) -> bytes:
+        reply = os.read(self._recv, size)
+        if len(reply) != size:
+            self._died()
+        return reply
+
+    def _died(self):
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise QuatMotionError(f"the training worker for shard 1 {how}")
+
+    def start(self, motion, audio, target):
+        """Message 1: hand the worker shard 1's rows of this step."""
+        for i, rows in enumerate((motion, audio, target)):
+            self._rows[i][...] = rows
+        self._tell(b"s")
+
+    def hand_over(self, weights: dict) -> float:
+        """Message 2: trade the halves' shard gradients, then sum the
+        parent's half; returns shard 1's loss."""
+        self._give(weights, 0)
+        self._tell(b"g")
+        loss = struct.unpack("d", self._hear(8))[0]
+        self._take(weights, 0)
+        return loss
+
+    def reduced(self, weights: dict) -> tuple:
+        """Message 3: the worker's half of the square sums and finiteness
+        flags. The leaves of its half now hold its sums as their grads."""
+        self._hear(1)
+        half = self._halves[1]
+        for i in half:
+            leaf = weights[self._names[i]]
+            if leaf.grad is not None or self._reached[1, i]:
+                leaf.grad = self._grads[self._names[i]]
+        cut = half.start
+        return self._squares[cut:].tolist(), [bool(f) for f in self._finite[cut:]]
+
+    def update(self, scale, lr: float):
+        """Message 4: the clip scale (None when unclipped) and the rate."""
+        self._tell(_UPDATE.pack(scale is not None, 0.0 if scale is None else scale, lr))
+
+    def updated(self):
+        """Wait until the worker has updated its half."""
+        self._hear(1)
+
+    def close(self, weights: dict):
+        """Stop the worker, then give the caller's leaves back their own
+        arrays, holding the arena's values, and private copies of the
+        gradients the arena holds."""
+        try:
+            self._stop()
+        finally:
+            for name, original in self._originals.items():
                 leaf = weights[name]
-                leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
-        return struct.unpack("d", reply)[0]
+                original[...] = self._weights[name]
+                leaf.data = original
+                if leaf.grad is self._grads[name]:
+                    leaf.grad = leaf.grad.copy()
+            self._release()
 
-    def close(self):
-        """EOF to the worker and reap it; a worker that has not left
-        within the grace period (a process forked since holds a copy of
-        the pipe's write end) is killed."""
+    def _stop(self):
+        """EOF to the worker and reap it. A reply still in the pipe is
+        dropped; a worker that has not left within the grace period (a
+        process forked since holds a copy of the pipe's write end) is
+        killed."""
         os.close(self._send)
         if self.pid is not None:
-            ready, _, _ = select.select([self._recv], [], [], _WORKER_GRACE_S)
-            if not ready:
-                os.kill(self.pid, signal.SIGKILL)
+            deadline = time.monotonic() + _WORKER_GRACE_S
+            while True:
+                ready, _, _ = select.select([self._recv], [], [],
+                                            max(0.0, deadline - time.monotonic()))
+                if not ready:
+                    os.kill(self.pid, signal.SIGKILL)
+                    break
+                if not os.read(self._recv, 64):  # EOF: the worker has left
+                    break
             os.waitpid(self.pid, 0)
             self.pid = None
         os.close(self._recv)
-        self._release()
 
     def _release(self):
         # the arena cannot close while numpy views export its buffer
-        del self._weights, self._grads, self._rows, self._reached
-        self._arena.close()
+        del self._weights, self._m, self._v, self._grads, self._squares, self._rows
+        del self._reached, self._finite
+        self.state.m.clear()
+        self.state.v.clear()
+        try:
+            self._arena.close()
+        except BufferError:
+            # a caller kept a view it read at a yield: the mapping then
+            # lives until that view dies
+            pass
 
 
 def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig):
@@ -385,21 +576,26 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
     Each step runs the batch as two shards (see _shards); the step's loss
     is L0 + L1 and the leaves hold g0 + g1. When _worker_may_run allows
     it, a forked worker that this generator owns runs shard 1 beside the
-    parent's shard 0, and is closed when the generator ends, is closed
-    or raises; otherwise the parent runs shard 1 itself. Clipping, the
-    finiteness checks and Adam see the same numbers on either path, and
-    after the last step each leaf's grad holds that step's raw gradient.
+    parent's shard 0 and then half of the epilogue (see _ShardWorker); it
+    is closed when the generator ends, is closed or raises. Otherwise the
+    parent runs shard 1 and the whole epilogue itself. Either way the
+    epilogue is _reduce, the checks in sorted name order, _clip_scale and
+    _update, with the same numbers. At each yield the leaves' data hold
+    the current weights; after the run each leaf's data is the array it
+    held before the call, and its grad holds the last step's raw gradient.
     """
     check_dataset(dataset, model_config)
     dataset = [(np.asarray(a, dtype=np.float64), np.asarray(m, dtype=np.float64))
                for a, m in dataset]
     rng = np.random.default_rng(train_config.rng_seed)
-    state = init_adam(weights)
     names = sorted(weights)
     shards = _shards(train_config.batch_size)
     worker = None
     if len(shards) == 2 and _worker_may_run(train_config.total_steps):
-        worker = _ShardWorker(weights, names, model_config, *shards[1])
+        worker = _ShardWorker(weights, names, model_config, train_config, *shards[1])
+        mine, state = worker.names, worker.state
+    else:
+        mine, state = names, init_adam(weights)
     try:
         for step in range(train_config.total_steps):
             # the previous step's gradients are spent: free them before this
@@ -411,32 +607,33 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
             parts = [(motion[rows], audio[rows], target[rows], scale)
                      for rows, scale in shards]
             if worker is not None:
-                motion, audio, target, _ = parts.pop()
-                worker.start(weights, motion, audio, target)
+                worker.start(*parts.pop()[:3])
             loss = 0.0
             for part in parts:
                 loss += _shard_pass(weights, model_config, *part)
             if worker is not None:
-                loss += worker.finish(weights)
+                loss += worker.hand_over(weights)
+            squares, finite = _reduce(weights, mine)
+            if worker is not None:
+                their_squares, their_finite = worker.reduced(weights)
+                squares += their_squares
+                finite += their_finite
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"loss became non-finite at step {step}")
-            grads = {name: (weights[name].grad if weights[name].grad is not None
-                            else np.zeros_like(weights[name].data))
-                     for name in names}
-            if train_config.clip_norm > 0:
-                total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-                if total > train_config.clip_norm:
-                    scale = train_config.clip_norm / total
-                    grads = {name: g * scale for name, g in grads.items()}
+            for name, ok in zip(names, finite):
+                if not ok:
+                    raise NonFiniteGradient(f"gradient of {name} is not finite")
+            scale = _clip_scale(squares, train_config)
             lr = lr_at(step, train_config)
-            adam_step(weights, grads, state, lr, train_config)
-            # a clipped copy must not outlive the step; the leaves keep the raw
-            # gradient until the next step starts
-            del grads
+            if worker is not None:
+                worker.update(scale, lr)
+            _update(weights, mine, scale, state, lr, train_config)
+            if worker is not None:
+                worker.updated()
             yield step, lr, loss
     finally:
         if worker is not None:
-            worker.close()
+            worker.close(weights)
 
 
 def train(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig,

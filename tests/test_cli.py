@@ -42,6 +42,11 @@ def _train_args(data, out, extra=()):
     return argv
 
 
+def _assert_names_the_path(capsys, path):
+    err = capsys.readouterr().err
+    assert f"--out {path}" in err and "Traceback" not in err
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_ws")
@@ -168,6 +173,12 @@ class TestSynth:
         assert cli.entry(["synth", "--out", str(tmp_path / "x")]) == 2
         assert "QEAN_SEED" in capsys.readouterr().err
 
+    def test_out_under_a_regular_file_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "afile" / "x"
+        (tmp_path / "afile").write_text("")
+        assert cli.entry(["synth", "--out", str(out), "--seconds", "0.3"]) == 2
+        _assert_names_the_path(capsys, out)
+
 
 class TestTrain:
 
@@ -276,6 +287,12 @@ class TestTrain:
                         "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_out_under_a_regular_file_exits_two(self, workspace, tmp_path, capsys):
+        out = tmp_path / "afile" / "x"
+        (tmp_path / "afile").write_text("")
+        assert cli.entry(_train_args(workspace / "data", out)) == 2
+        _assert_names_the_path(capsys, out)
+
 
 class TestGenerate:
 
@@ -339,6 +356,17 @@ class TestGenerate:
         assert rc == 3
         assert str(short) in err and "3 frames" in err and "Traceback" not in err
         assert not (tmp_path / "g").exists()
+
+    def test_out_under_a_regular_file_exits_two_before_the_rollout(self, workspace, tmp_path,
+                                                                   monkeypatch, capsys):
+        out = tmp_path / "afile" / "x"
+        (tmp_path / "afile").write_text("")
+        rollouts = []
+        monkeypatch.setattr(mod, "autoregressive_generate",
+                            lambda *args: rollouts.append(args))
+        assert self._generate_from(workspace, workspace / "run" / "checkpoint.json", out) == 2
+        _assert_names_the_path(capsys, out)
+        assert rollouts == []
 
     def _generate_from(self, workspace, ckpt, out):
         return cli.entry([
@@ -761,6 +789,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(missing) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["under a regular file", "an existing directory"])
+    def test_unwritable_out_exits_two(self, workspace, tmp_path, capsys, where):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x.json" if where.startswith("under") else tmp_path
+        rc = cli.entry(["eval", "--ref", str(workspace / "data"),
+                        "--gen", str(workspace / "gen"), "--metrics", "diversity",
+                        "--out", str(out)])
+        assert rc == 2
+        _assert_names_the_path(capsys, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
 
     def test_identical_sets_score_zero_fid(self, workspace, capsys):
         rc = cli.entry(["eval", "--ref", str(workspace / "data"),

@@ -1,6 +1,7 @@
 """Optimizer math, window sampling, the training loop, trace files."""
 
 import contextlib
+import mmap
 import os
 import signal
 import threading
@@ -358,9 +359,12 @@ class TestTrainLoop:
         assert trace[-1][2] < 0.5 * trace[0][2]
 
 
-    def test_steps_do_not_hold_the_previous_tape(self, tiny_model_config):
+    def test_steps_do_not_hold_the_previous_tape(self, tiny_model_config, monkeypatch):
         # each step drops its tape after backward(), so the allocation peak
-        # of three steps stays near that of one instead of adding a tape
+        # of three steps stays near that of one instead of adding a tape;
+        # both run in-process, so that both peaks hold the same work
+        monkeypatch.setattr(training, "_worker_may_run", lambda total_steps: False)
+
         def peak(steps):
             weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
             config = TrainConfig(batch_size=16, total_steps=steps)
@@ -439,6 +443,37 @@ def fork_spy(monkeypatch):
 
     monkeypatch.setattr(os, "fork", spy)
     return pids
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The training workers made while the test runs."""
+    made = []
+
+    class Spy(training._ShardWorker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(training, "_ShardWorker", Spy)
+    return made
+
+
+def _owner(array):
+    """The object that owns an array's memory."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def _assert_arena_released(weights, arrays, workers):
+    """The leaves hold their own arrays again, nothing they hold lives in
+    the arena, and the arena closed, which a view left anywhere prevents."""
+    assert len(workers) == 1 and workers[0]._arena.closed
+    for name, leaf in weights.items():
+        assert leaf.data is arrays[name]
+        for array in (leaf.data, leaf.grad):
+            assert array is None or not isinstance(_owner(array), mmap.mmap)
 
 
 def _force_worker(monkeypatch, may):
@@ -558,8 +593,62 @@ class TestShardedStep:
                                          tiny_model_config)
             next(steps)
             os.kill(fork_spy[0], signal.SIGKILL)
+            # wait for the death without reaping, so that the next step's
+            # first write meets a closed pipe
+            os.waitid(os.P_PID, fork_spy[0], os.WEXITED | os.WNOWAIT)
             with pytest.raises(QuatMotionError, match="killed by signal 9"):
                 next(steps)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("phase", ["_shard_pass", "_reduce", "adam_step"])
+    def test_a_worker_killed_in_each_phase_is_a_named_error(self, tiny_model_config,
+                                                            quick_train_config, monkeypatch,
+                                                            fork_spy, workers, phase):
+        # the worker dies in its shard, in the reduce of its half or in
+        # the Adam update of its half
+        _force_worker(monkeypatch, True)
+        parent = os.getpid()
+        real = getattr(training, phase)
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, phase, dying)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        arrays = {name: leaf.data for name, leaf in weights.items()}
+        with _deadline(60):
+            with pytest.raises(QuatMotionError, match="killed by signal 9"):
+                list(training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                          tiny_model_config))
+        assert len(fork_spy) == 1
+        _assert_arena_released(weights, arrays, workers)
+        _assert_no_children()
+
+    @pytest.mark.parametrize("may", [True, False])
+    def test_a_leaf_no_shard_reaches_keeps_no_gradient(self, tiny_model_config,
+                                                       quick_train_config, monkeypatch,
+                                                       fork_spy, may):
+        # one unused leaf sorts first (the parent's half), one last (the
+        # worker's half); the others train as they do without them
+        _force_worker(monkeypatch, may)
+        runs = []
+        for unused in ((), ("a.unused", "z.unused")):
+            weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+            for i, name in enumerate(unused):
+                weights[name] = Tensor(np.arange(3.0 + i), requires_grad=True)
+            with _deadline(60):
+                trace = training.train(weights, _tiny_dataset(), quick_train_config,
+                                       tiny_model_config)
+            for i, name in enumerate(unused):
+                assert weights[name].grad is None
+                assert weights[name].data.tobytes() == np.arange(3.0 + i).tobytes()
+                del weights[name]
+            runs.append((trace, {n: (w.data.tobytes(), w.grad.tobytes())
+                                 for n, w in weights.items()}))
+        assert runs[0] == runs[1]
+        assert len(fork_spy) == (2 if may else 0)
         _assert_no_children()
 
     def test_no_fork_while_another_thread_runs(self, tiny_model_config,
@@ -593,6 +682,132 @@ class TestShardedStep:
         assert all(run == runs[0] for run in runs)
         assert time.monotonic() - t0 < 120
         _assert_no_children()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("ending", ["completed", "closed", "non-finite loss", "killed"])
+    def test_the_arena_does_not_leak(self, tiny_model_config, quick_train_config,
+                                     monkeypatch, fork_spy, workers, ending):
+        _force_worker(monkeypatch, True)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        arrays = {name: leaf.data for name, leaf in weights.items()}
+        with _deadline(60):
+            steps = training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                         tiny_model_config)
+            if ending == "completed":
+                assert len(list(steps)) == quick_train_config.total_steps
+            else:
+                next(steps)
+                if ending == "closed":
+                    steps.close()
+                else:
+                    if ending == "non-finite loss":
+                        weights["out.b"].data[:] = 1e308
+                        raised = NonFiniteLoss
+                    else:
+                        os.kill(fork_spy[0], signal.SIGKILL)
+                        os.waitid(os.P_PID, fork_spy[0], os.WEXITED | os.WNOWAIT)
+                        raised = QuatMotionError
+                    with pytest.raises(raised):
+                        next(steps)
+        _assert_arena_released(weights, arrays, workers)
+        if ending in ("completed", "closed"):
+            assert all(leaf.grad is not None for leaf in weights.values())
+        _assert_no_children()
+
+    @pytest.mark.parametrize("may", [True, False])
+    @pytest.mark.parametrize("bad", [(0, -1), (-1,)])
+    def test_a_non_finite_gradient_names_the_first_bad_weight(self, tiny_model_config,
+                                                              quick_train_config,
+                                                              monkeypatch, may, bad):
+        # the first name sorts into the parent's half, the last into the
+        # worker's; no weight moves
+        _force_worker(monkeypatch, may)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        before = {n: w.data.copy() for n, w in weights.items()}
+        poisoned = [sorted(weights)[i] for i in bad]
+        real = training._shard_pass
+
+        def poisoning(leaves, *args):
+            loss = real(leaves, *args)
+            for name in poisoned:
+                leaves[name].grad = np.full_like(leaves[name].data, np.nan)
+            return loss
+
+        monkeypatch.setattr(training, "_shard_pass", poisoning)
+        with _deadline(60):
+            with pytest.raises(NonFiniteGradient, match=f"gradient of {poisoned[0]} is"):
+                list(training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                          tiny_model_config))
+        for name, leaf in weights.items():
+            assert leaf.data.tobytes() == before[name].tobytes()
+        _assert_no_children()
+
+    @pytest.mark.parametrize("only", [0, 1])
+    def test_a_leaf_one_shard_reaches_agrees_on_both_paths(self, tiny_model_config,
+                                                          monkeypatch, only):
+        # at batch 3, shard 0 has two rows and shard 1 one; the other
+        # shard's pass leaves the first and last leaves' gradients as it
+        # found them, one leaf in each process's half
+        train_config = TrainConfig(batch_size=3, total_steps=4, rng_seed=3)
+        real = training._shard_pass
+
+        def dropping(leaves, config, motion, *args):
+            names = (min(leaves), max(leaves))
+            before = [leaves[name].grad for name in names]
+            loss = real(leaves, config, motion, *args)
+            if motion.shape[0] == (1 if only == 0 else 2):
+                for name, grad in zip(names, before):
+                    leaves[name].grad = grad
+            return loss
+
+        monkeypatch.setattr(training, "_shard_pass", dropping)
+        results = []
+        for may in (True, False):
+            _force_worker(monkeypatch, may)
+            with _deadline(60):
+                results.append(_run(tiny_model_config, train_config))
+        assert results[0] == results[1]
+        _assert_no_children()
+
+    def test_the_split_point_halves_the_element_count(self):
+        assert training._split_point([1, 1, 1, 1]) == 2
+        assert training._split_point([5, 1, 1, 1, 1, 1]) == 1
+        assert training._split_point([1, 1, 1, 1, 1, 5]) == 5
+        assert training._split_point([]) == 0
+
+    def test_a_view_kept_from_a_yield_outlives_the_run(self, tiny_model_config,
+                                                       quick_train_config, monkeypatch,
+                                                       fork_spy):
+        # the arena then stays mapped until the view dies, and the run
+        # ends without an error
+        _force_worker(monkeypatch, True)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        with _deadline(60):
+            steps = training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                         tiny_model_config)
+            next(steps)
+            kept = weights["out.w"].data
+            assert len(list(steps)) == quick_train_config.total_steps - 1
+        assert weights["out.w"].data is not kept
+        assert kept.tobytes() == weights["out.w"].data.tobytes()
+        _assert_no_children()
+
+    def test_yields_and_the_end_hold_the_current_weights(self, tiny_model_config,
+                                                          quick_train_config, monkeypatch):
+        # the worker path's leaves read, row by row and after the run, what
+        # the in-process path's read
+        seen = {}
+        for may in (True, False):
+            _force_worker(monkeypatch, may)
+            weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+            rows = []
+            with _deadline(60):
+                for _ in training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                              tiny_model_config):
+                    rows.append({n: w.data.tobytes() for n, w in weights.items()})
+            rows.append({n: (w.data.tobytes(), w.grad.tobytes()) for n, w in weights.items()})
+            seen[may] = rows
+        assert seen[True] == seen[False]
 
 
 class TestLossCsv:
