@@ -9,11 +9,12 @@ Each step splits its batch into two fixed shards (synchronous data
 parallelism): rows [0, ceil(B/2)) and [ceil(B/2), B), each with its
 l2_loss weighted by its share of the batch, so the shard losses sum to
 the mean over all entries and shard 1's leaf gradients are added to
-shard 0's. Where a second core is free, a forked worker runs shard 1
-beside the parent's shard 0, and then the sum, clip and Adam update of
-one half of the weights beside the parent's half (see _worker_may_run
-and _ShardWorker); otherwise the parent runs all of it. The numbers are
-the same either way.
+shard 0's. One step body, _steps, runs every step. Where a second core
+is free, the parent and a forked worker both run it: each runs one
+shard, and then the sum, check, clip and Adam update of its half of the
+weights, trading only what the other lacks (see _worker_may_run and
+_ShardWorker). Otherwise the parent runs it alone, with both shards and
+every weight (_Alone). The numbers are the same either way.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import mmap
 import os
 import select
 import signal
-import struct
 import sys
 import time
 import traceback
@@ -141,11 +141,10 @@ def adam_step(weights: dict, grads: dict, state: AdamState, lr: float, config: T
     The moments, the step and the weights are updated in place with the
     operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     w -= lr*(m/c1) / (sqrt(v/c2) + eps) in their written order, so the
-    result is bit-identical to evaluating those expressions.
+    result is bit-identical to evaluating those expressions. The
+    gradients must be finite: a training step checks them before its
+    update (see _check).
     """
-    for name in sorted(grads):
-        if not np.all(np.isfinite(grads[name])):
-            raise NonFiniteGradient(f"gradient of {name} is not finite")
     state.step += 1
     c1 = 1.0 - config.beta1 ** state.step
     c2 = 1.0 - config.beta2 ** state.step
@@ -221,8 +220,6 @@ def sample_windows(dataset, config: ModelConfig, batch_size: int, rng: np.random
 _WORKER_MIN_STEPS = 3
 # how long close() waits for a worker to leave on EOF before killing it
 _WORKER_GRACE_S = 2.0
-# the update message: whether the step is clipped, the clip scale, the rate
-_UPDATE = struct.Struct("=?dd")
 
 
 def _worker_may_run(total_steps: int) -> bool:
@@ -289,6 +286,16 @@ def _reduce(leaves: dict, names) -> tuple:
     return squares, finite
 
 
+def _check(step: int, loss: float, names, finite):
+    """The step's one finiteness check: the loss, then the gradients'
+    flags from _reduce in sorted name order, naming the first bad one."""
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"loss became non-finite at step {step}")
+    for name, ok in zip(names, finite):
+        if not ok:
+            raise NonFiniteGradient(f"gradient of {name} is not finite")
+
+
 def _clip_scale(squares: list, config: TrainConfig):
     """The factor that brings the global norm down to clip_norm, or None
     when the norm is within it. The per-name squares are summed in sorted
@@ -317,44 +324,65 @@ def _split_point(sizes: list) -> int:
     return min(range(len(prefix)), key=lambda k: abs(2 * prefix[k] - prefix[-1]))
 
 
+class _Alone:
+    """The peer of an in-process run: the one process runs both shards
+    and owns every name, so no exchange has anything to move."""
+
+    def __init__(self, weights: dict, names: list, shards: list):
+        self.shards, self.names, self.state = shards, names, init_adam(weights)
+
+    def begin(self):
+        pass
+
+    def trade(self, leaves: dict, losses: list) -> list:
+        return losses
+
+    def gather(self, squares: list, finite: list) -> tuple:
+        return squares, finite
+
+    def end(self):
+        pass
+
+    def close(self, weights: dict):
+        pass
+
+
 class _ShardWorker:
-    """A forked process that runs shard 1 of every step on the idle core,
-    and then half of the step's gradient sum, clip and Adam update.
+    """The peer of a worker run: a forked process runs shard 1 of every
+    step on the idle core, and each process sums and updates half of the
+    weights.
 
     One anonymous shared mmap, made before the fork, is the run's
-    parameter arena: the weights, both Adam moments, one gradient slot
-    per leaf, shard 1's motion, audio and target rows, and per leaf the
-    worker's square sum and the shards' reached and finiteness flags.
-    For the run, the caller's leaves hold views of the arena's weights.
-    The sorted names split into two halves of about equal element count
-    (see _split_point): the parent, which runs shard 0, owns the prefix,
-    and the worker the rest. Each process sums, clips and updates the
-    weights and moments of its own half. A step is four messages over
-    two pipes; nothing is pickled:
+    parameter arena: the weights, both Adam moments and one gradient slot
+    per leaf; per leaf the square sum of its summed gradient; both shard
+    losses; and per leaf the shards' reached flags and a finiteness flag.
+    For the run, the leaves hold views of the arena's weights in both
+    processes. The sorted names split into two halves of about equal
+    element count (see _split_point). Rank 0, the parent, runs shard 0
+    and owns the prefix; rank 1, the worker, runs shard 1 and owns the
+    rest. Both run _steps from the same state of the seeded generator,
+    so each draws the whole batch and keeps its own shard's rows. A step
+    is four one-byte exchanges over two pipes; nothing is pickled:
 
-    1. step (1 byte, parent to worker): shard 1's rows are in the arena.
-    2. hand-over, both ways: each process has written its shard's
-       gradients of the other's half into their slots. The worker's
-       message is its 8-byte shard loss, the parent's 1 byte. Each then
+    1. begin (parent to worker), sent once the caller has resumed the
+       parent, so the worker's shard reads the weights the caller left.
+    2. trade (both ways): each process has written its shard's loss and
+       its shard's gradients of the other's half into the arena. Each then
        sums g0 + g1 of its own half into its slots.
-    3. reduce (1 byte, worker to parent): the square sums and finiteness
-       flags of the worker's half are in the arena.
-    4. update (17 bytes, parent to worker): whether the step is clipped,
-       the clip scale and the learning rate. The worker answers with 1
-       byte once its half is updated.
+    3. gather (both ways): each process has written the square sums and
+       finiteness flags of its half. Both now hold every loss, square sum
+       and flag, so each reaches the same check and clip decision itself.
+    4. end (worker to parent): the worker's half is updated.
 
-    On EOF the worker leaves through os._exit, so it never outlives the
-    parent's end of the pipe.
+    The worker leaves through os._exit: quietly on EOF, which it meets
+    once the parent has closed its end of the pipe, and on a failed
+    check, which the parent raises as well; with a traceback on any other
+    error.
     """
 
-    def __init__(self, weights: dict, names: list, model_config: ModelConfig,
-                 train_config: TrainConfig, rows: slice, scale: float):
-        n = rows.stop - rows.start
+    def __init__(self, weights: dict, names: list, shards: list, steps):
         count = len(names)
-        shapes = [weights[name].data.shape for name in names] * 4 + [
-            (count,), (n, model_config.seed_motion_frames, MOTION_DIMS),
-            (n, model_config.audio_frames, AUDIO_DIMS),
-            (n, model_config.future_frames, MOTION_DIMS)]
+        shapes = [weights[name].data.shape for name in names] * 4 + [(count,), (2,)]
         sizes = [math.prod(shape) for shape in shapes]
         self._arena = mmap.mmap(-1, 8 * sum(sizes) + 3 * count)
         floats = np.frombuffer(self._arena, dtype=np.float64, count=sum(sizes))
@@ -365,19 +393,15 @@ class _ShardWorker:
         self._names = names
         self._weights, self._m, self._v, self._grads = (
             dict(zip(names, views[i * count:(i + 1) * count])) for i in range(4))
-        self._squares = views[4 * count]
-        self._rows = views[4 * count + 1:]
+        self._squares, self._losses = views[4 * count:]
         flags = np.frombuffer(self._arena, dtype=np.uint8, count=3 * count,
                               offset=8 * offset).reshape(3, count)
         # [shard] whether that shard's tape reached the leaf; [2] whether
-        # the worker's half of the summed gradient is finite
+        # the leaf's summed gradient is finite
         self._reached, self._finite = flags[:2], flags[2]
         cut = _split_point(sizes[:count])
-        # the names each shard's process owns, as indices into `names`
+        # the names each rank owns, as indices into `names`
         self._halves = (range(cut), range(cut, count))
-        # the parent's half: its names and Adam state
-        self.names = names[:cut]
-        self.state = self._adam_state(self.names)
         for name, view in self._weights.items():
             view[...] = weights[name].data
         to_worker, self._send = os.pipe()
@@ -389,136 +413,111 @@ class _ShardWorker:
                 os.close(fd)
             self._release()
             raise
-        if self.pid == 0:
+        self.rank = int(self.pid == 0)
+        half = self._halves[self.rank]
+        self.shards = shards[self.rank:self.rank + 1]
+        self.names = names[half.start:half.stop]
+        self.state = AdamState({name: self._m[name] for name in self.names},
+                               {name: self._v[name] for name in self.names})
+        self._originals = {name: weights[name].data for name in names}
+        for name, view in self._weights.items():
+            weights[name].data = view
+        if self.rank:
             code = 1
             try:
                 os.close(self._send)
                 os.close(self._recv)
-                self._serve(to_worker, to_parent, model_config, train_config, scale)
+                self._send, self._recv = to_parent, to_worker
+                for _ in steps(self):
+                    pass
                 code = 0
+            except (NonFiniteLoss, NonFiniteGradient):
+                code = 0  # the parent reaches the same check and raises it
             except Exception:
                 os.write(2, traceback.format_exc().encode(errors="replace"))
             finally:
                 os._exit(code)
         os.close(to_worker)
         os.close(to_parent)
-        self._originals = {name: weights[name].data for name in names}
-        for name, view in self._weights.items():
-            weights[name].data = view
 
-    def _adam_state(self, names) -> AdamState:
-        return AdamState({name: self._m[name] for name in names},
-                         {name: self._v[name] for name in names})
+    def begin(self):
+        """Exchange 1: the caller has resumed the parent."""
+        if self.rank:
+            self._hear()
+        else:
+            self._tell()
 
-    def _serve(self, recv: int, send: int, model_config: ModelConfig,
-               train_config: TrainConfig, scale: float):
-        leaves = {name: Tensor(view, requires_grad=True)
-                  for name, view in self._weights.items()}
-        half = self._halves[1]
-        mine = [self._names[i] for i in half]
-        state = self._adam_state(mine)
-        try:
-            while os.read(recv, 1):
-                for leaf in leaves.values():
-                    leaf.zero_grad()
-                loss = _shard_pass(leaves, model_config, *self._rows, scale)
-                self._give(leaves, 1)
-                os.write(send, struct.pack("d", loss))
-                if not os.read(recv, 1):
-                    return
-                self._take(leaves, 1)
-                squares, finite = _reduce(leaves, mine)
-                self._squares[half.start:] = squares
-                self._finite[half.start:] = finite
-                os.write(send, b"r")
-                update = os.read(recv, _UPDATE.size)
-                if len(update) != _UPDATE.size:
-                    return
-                clipped, clip, lr = _UPDATE.unpack(update)
-                _update(leaves, mine, clip if clipped else None, state, lr, train_config)
-                os.write(send, b"a")
-        except BrokenPipeError:  # the parent has closed its end
-            return
-
-    def _give(self, leaves: dict, shard: int):
-        """Flag which leaves this shard reached, and write its gradients of
-        the other process's half into their slots."""
+    def trade(self, leaves: dict, losses: list) -> list:
+        """Exchange 2: trade the shards' losses and the halves' shard
+        gradients, then sum this rank's half; returns both shard losses."""
+        self._losses[self.rank] = losses[0]
         for i, name in enumerate(self._names):
-            self._reached[shard, i] = leaves[name].grad is not None
-        for i in self._halves[1 - shard]:
+            self._reached[self.rank, i] = leaves[name].grad is not None
+        for i in self._halves[1 - self.rank]:
             name = self._names[i]
             if leaves[name].grad is not None:
                 self._grads[name][...] = leaves[name].grad
+        self._tell()
+        self._hear()
+        self._take(leaves)
+        return self._losses.tolist()
 
-    def _take(self, leaves: dict, shard: int):
-        """Add the other shard's gradients of this shard's half to the
-        leaves' own in their slots, and point the leaves' grads at the
-        sums. IEEE addition commutes, so these are the bits of g0 + g1."""
-        for i in self._halves[shard]:
-            name = self._names[i]
+    def _take(self, leaves: dict):
+        """Point the leaves that either shard reached at their slots. In
+        this rank's half, first add the other shard's gradients in the
+        slots to the leaves' own: IEEE addition commutes, so these are the
+        bits of g0 + g1. The other rank sums the other half."""
+        mine = self._halves[self.rank]
+        for i, name in enumerate(self._names):
             leaf, slot = leaves[name], self._grads[name]
-            if self._reached[1 - shard, i]:
-                if leaf.grad is not None:
+            reached = self._reached[1 - self.rank, i]
+            if i in mine and leaf.grad is not None:
+                if reached:
                     np.add(slot, leaf.grad, out=slot)
-            elif leaf.grad is not None:
-                slot[...] = leaf.grad
-            else:
+                else:
+                    slot[...] = leaf.grad
+            elif leaf.grad is None and not reached:
                 continue
             leaf.grad = slot
 
-    def _tell(self, message: bytes):
+    def gather(self, squares: list, finite: list) -> tuple:
+        """Exchange 3: both halves' square sums and finiteness flags, in
+        sorted name order, from this rank's own."""
+        half = self._halves[self.rank]
+        self._squares[half.start:half.stop] = squares
+        self._finite[half.start:half.stop] = finite
+        self._tell()
+        self._hear()
+        # plain lists: a view held in a frame would keep the arena open
+        return self._squares.tolist(), self._finite.tolist()
+
+    def end(self):
+        """Exchange 4: the worker's half is updated."""
+        if self.rank:
+            self._tell()
+        else:
+            self._hear()
+
+    def _tell(self):
         try:
-            os.write(self._send, message)
+            os.write(self._send, b"x")
         except BrokenPipeError:
-            self._died()
+            self._lost()
 
-    def _hear(self, size: int) -> bytes:
-        reply = os.read(self._recv, size)
-        if len(reply) != size:
-            self._died()
-        return reply
+    def _hear(self):
+        if not os.read(self._recv, 1):
+            self._lost()
 
-    def _died(self):
+    def _lost(self):
+        """The other process has gone. The worker follows the parent out;
+        the parent names how the worker died."""
+        if self.rank:
+            os._exit(0)
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
         code = os.waitstatus_to_exitcode(status)
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
         raise QuatMotionError(f"the training worker for shard 1 {how}")
-
-    def start(self, motion, audio, target):
-        """Message 1: hand the worker shard 1's rows of this step."""
-        for i, rows in enumerate((motion, audio, target)):
-            self._rows[i][...] = rows
-        self._tell(b"s")
-
-    def hand_over(self, weights: dict) -> float:
-        """Message 2: trade the halves' shard gradients, then sum the
-        parent's half; returns shard 1's loss."""
-        self._give(weights, 0)
-        self._tell(b"g")
-        loss = struct.unpack("d", self._hear(8))[0]
-        self._take(weights, 0)
-        return loss
-
-    def reduced(self, weights: dict) -> tuple:
-        """Message 3: the worker's half of the square sums and finiteness
-        flags. The leaves of its half now hold its sums as their grads."""
-        self._hear(1)
-        half = self._halves[1]
-        for i in half:
-            leaf = weights[self._names[i]]
-            if leaf.grad is not None or self._reached[1, i]:
-                leaf.grad = self._grads[self._names[i]]
-        cut = half.start
-        return self._squares[cut:].tolist(), [bool(f) for f in self._finite[cut:]]
-
-    def update(self, scale, lr: float):
-        """Message 4: the clip scale (None when unclipped) and the rate."""
-        self._tell(_UPDATE.pack(scale is not None, 0.0 if scale is None else scale, lr))
-
-    def updated(self):
-        """Wait until the worker has updated its half."""
-        self._hear(1)
 
     def close(self, weights: dict):
         """Stop the worker, then give the caller's leaves back their own
@@ -557,10 +556,9 @@ class _ShardWorker:
 
     def _release(self):
         # the arena cannot close while numpy views export its buffer
-        del self._weights, self._m, self._v, self._grads, self._squares, self._rows
+        del self._weights, self._m, self._v, self._grads, self._squares, self._losses
         del self._reached, self._finite
-        self.state.m.clear()
-        self.state.v.clear()
+        self.state = None
         try:
             self._arena.close()
         except BufferError:
@@ -569,20 +567,48 @@ class _ShardWorker:
             pass
 
 
+def _steps(peer, weights: dict, names: list, dataset, rng, train_config: TrainConfig,
+           model_config: ModelConfig):
+    """The step body both processes of a worker run, and an in-process
+    run, execute; yields (step, lr, loss) after each update. The peer
+    (_Alone or _ShardWorker) holds this process's shards, names and Adam
+    state, and moves between the processes what each lacks."""
+    for step in range(train_config.total_steps):
+        peer.begin()
+        # the previous step's gradients are spent: free them before this
+        # step's forward rather than hold them through it
+        for name in names:
+            weights[name].zero_grad()
+        motion, audio, target = sample_windows(dataset, model_config,
+                                               train_config.batch_size, rng)
+        losses = [_shard_pass(weights, model_config, motion[rows], audio[rows],
+                              target[rows], scale) for rows, scale in peer.shards]
+        loss = sum(peer.trade(weights, losses))
+        squares, finite = peer.gather(*_reduce(weights, peer.names))
+        _check(step, loss, names, finite)
+        scale = _clip_scale(squares, train_config)
+        lr = lr_at(step, train_config)
+        _update(weights, peer.names, scale, peer.state, lr, train_config)
+        peer.end()
+        yield step, lr, loss
+
+
 def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig):
     """The training loop one step at a time: yields (step, lr, loss) after each
     Adam update, so a caller can stop as soon as it has seen what it needs.
 
     Each step runs the batch as two shards (see _shards); the step's loss
-    is L0 + L1 and the leaves hold g0 + g1. When _worker_may_run allows
-    it, a forked worker that this generator owns runs shard 1 beside the
-    parent's shard 0 and then half of the epilogue (see _ShardWorker); it
-    is closed when the generator ends, is closed or raises. Otherwise the
-    parent runs shard 1 and the whole epilogue itself. Either way the
-    epilogue is _reduce, the checks in sorted name order, _clip_scale and
-    _update, with the same numbers. At each yield the leaves' data hold
-    the current weights; after the run each leaf's data is the array it
-    held before the call, and its grad holds the last step's raw gradient.
+    is L0 + L1 and the leaves hold g0 + g1. The step body is _steps: it
+    draws the batch, runs the shards, sums their gradients, runs _reduce,
+    checks the loss and the gradients in sorted name order (_check), then
+    _clip_scale and _update. When _worker_may_run allows it, the parent
+    and a forked worker that this generator owns both run it, each with
+    one shard and half of the names (see _ShardWorker); the worker is
+    closed when the generator ends, is closed or raises. Otherwise the
+    parent runs it alone. The numbers are the same either way. At each
+    yield the leaves' data hold the current weights; after the run each
+    leaf's data is the array it held before the call, and its grad holds
+    the last step's raw gradient.
     """
     check_dataset(dataset, model_config)
     dataset = [(np.asarray(a, dtype=np.float64), np.asarray(m, dtype=np.float64))
@@ -590,50 +616,18 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
     rng = np.random.default_rng(train_config.rng_seed)
     names = sorted(weights)
     shards = _shards(train_config.batch_size)
-    worker = None
+
+    def steps(peer):
+        return _steps(peer, weights, names, dataset, rng, train_config, model_config)
+
     if len(shards) == 2 and _worker_may_run(train_config.total_steps):
-        worker = _ShardWorker(weights, names, model_config, train_config, *shards[1])
-        mine, state = worker.names, worker.state
+        peer = _ShardWorker(weights, names, shards, steps)
     else:
-        mine, state = names, init_adam(weights)
+        peer = _Alone(weights, names, shards)
     try:
-        for step in range(train_config.total_steps):
-            # the previous step's gradients are spent: free them before this
-            # step's forward rather than hold them through it
-            for name in names:
-                weights[name].zero_grad()
-            motion, audio, target = sample_windows(dataset, model_config,
-                                                   train_config.batch_size, rng)
-            parts = [(motion[rows], audio[rows], target[rows], scale)
-                     for rows, scale in shards]
-            if worker is not None:
-                worker.start(*parts.pop()[:3])
-            loss = 0.0
-            for part in parts:
-                loss += _shard_pass(weights, model_config, *part)
-            if worker is not None:
-                loss += worker.hand_over(weights)
-            squares, finite = _reduce(weights, mine)
-            if worker is not None:
-                their_squares, their_finite = worker.reduced(weights)
-                squares += their_squares
-                finite += their_finite
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss became non-finite at step {step}")
-            for name, ok in zip(names, finite):
-                if not ok:
-                    raise NonFiniteGradient(f"gradient of {name} is not finite")
-            scale = _clip_scale(squares, train_config)
-            lr = lr_at(step, train_config)
-            if worker is not None:
-                worker.update(scale, lr)
-            _update(weights, mine, scale, state, lr, train_config)
-            if worker is not None:
-                worker.updated()
-            yield step, lr, loss
+        yield from steps(peer)
     finally:
-        if worker is not None:
-            worker.close(weights)
+        peer.close(weights)
 
 
 def train(weights: dict, dataset, train_config: TrainConfig, model_config: ModelConfig,

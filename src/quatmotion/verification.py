@@ -769,8 +769,9 @@ def training_checks() -> list:
           and float(state.v["x"][0]) == 0.25 * cfg.beta2)
     checks.append(_flag("training/adam_zero_grad_decay", ok))
 
+    w["x"].grad = np.array([np.nan, 1.0])
     try:
-        trn.adam_step(w, {"x": np.array([np.nan, 1.0])}, state, 0.1, cfg)
+        trn._check(0, 1.0, ["x"], trn._reduce(w, ["x"])[1])
         ok = False
     except NonFiniteGradient:
         ok = True

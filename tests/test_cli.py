@@ -835,3 +835,80 @@ class TestEval:
                         "--gen", str(workspace / "data" / "p0"),
                         "--metrics", "beat"])
         assert rc == 2
+
+
+# one params.cfg line: text holds no comment mark or line break, so each
+# drawn line stays one line with its own key and value
+_LINE_TEXT = st.text(st.characters(blacklist_characters="#\n\r",
+                                   blacklist_categories=("Cs",)), max_size=8)
+_PAD = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def _params_line(draw):
+    """(line, effect): effect is None for a line that leaves start_frame
+    alone, ("bad", 2) for a line the reader must reject, and (start, rc)
+    for a start_frame line: the exit code its value alone leads to."""
+    kind = draw(st.sampled_from(["other", "comment", "bad", "start", "start", "junk",
+                                 "negative"]))
+    pad = draw(_PAD)
+    if kind == "other":
+        key = draw(st.sampled_from(["frames", "ckpt", "music", "start_frames",
+                                    "start_frame_x"]))
+        return f"{key}{pad}={pad}{draw(_LINE_TEXT)}", None
+    if kind == "comment":
+        return draw(st.sampled_from(["", "  ", "# start_frame = x", "\t# note"])), None
+    if kind == "bad":
+        # a line with text and no '=' is not key = value
+        return draw(_LINE_TEXT.filter(lambda t: "=" not in t and t.strip())), ("bad", 2)
+    if kind == "junk":
+        # a letter or a point makes no base-10 integer
+        value = (draw(_LINE_TEXT) + draw(st.sampled_from("aexXZ.")) + draw(_LINE_TEXT))
+        return f"start_frame{pad}={pad}{value}", ("start", 2)
+    if kind == "negative":
+        return f"start_frame{pad}={pad}{draw(st.integers(max_value=-1))}", ("start", 2)
+    start = draw(st.one_of(st.integers(0, 40), st.integers(0, 10 ** 30)))
+    text = draw(st.sampled_from(["", "+", "0", "00"])) + str(start)
+    # the clip's 60 frames fit the reference's 91 from start 31 down
+    return f"start_frame{pad}={pad}{text}{draw(_PAD)}", ("start", 0 if start <= 31 else 3)
+
+
+@pytest.fixture(scope="module")
+def continuation(tmp_path_factory):
+    root = tmp_path_factory.mktemp("params")
+    _continuation(root)
+    return root
+
+
+class TestParamsFuzz:
+    """A generated clip's params.cfg that the reader must reject makes
+    `eval --metrics beat` exit 2, or 3 for a start_frame past the music,
+    naming the file, never with a traceback; any other is scored."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_malformed_params_exit_two_or_three(self, continuation, data):
+        lines = data.draw(st.lists(_params_line(), max_size=5))
+        body = data.draw(st.sampled_from(["\n", "\r\n"])).join(line for line, _ in lines)
+        raw = body.encode("utf-8")
+        undecodable = data.draw(st.booleans())
+        if undecodable:
+            at = data.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + b"\xff" + raw[at:]
+        params = continuation / "gen" / "c" / "params.cfg"
+        params.write_bytes(raw)
+        effects = [effect for _, effect in lines if effect is not None]
+        starts = [rc for kind, rc in effects if kind == "start"]
+        if undecodable or ("bad", 2) in effects:
+            want = 2
+        else:
+            # the last start_frame line wins; none scores from frame 0
+            want = starts[-1] if starts else 0
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = _beat_eval(continuation)
+        message = err.getvalue()
+        assert rc == want, (raw, message)
+        assert "Traceback" not in message
+        if want:
+            assert str(params) in message, (raw, message)

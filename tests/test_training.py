@@ -162,12 +162,6 @@ class TestAdam:
         assert weights["a"].data[0] != 1.0
         assert weights["b"].data[0] == 2.0
 
-    def test_non_finite_gradient_rejected(self):
-        weights = {"p": Tensor(np.array([0.0]), requires_grad=True)}
-        with pytest.raises(NonFiniteGradient):
-            training.adam_step(weights, {"p": np.array([np.nan])},
-                               training.init_adam(weights), 0.1, TrainConfig())
-
     def test_updates_in_place(self):
         t = Tensor(np.array([0.0]), requires_grad=True)
         weights = {"p": t}
@@ -347,6 +341,24 @@ class TestTrainLoop:
         with pytest.raises(NonFiniteLoss):
             training.train(weights, _tiny_dataset(), quick_train_config,
                            tiny_model_config)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_gradient_rejected(self):
+        # the step's one check reads _reduce's flags in sorted name order
+        # and names the first bad gradient; a leaf without one counts as
+        # zeros, and an overflowing square sum alone is not a failure
+        leaves = {name: Tensor(np.zeros(2), requires_grad=True) for name in "abcd"}
+        leaves["b"].grad = np.array([1e200, 1.0])
+        leaves["c"].grad = np.array([1.0, np.nan])
+        leaves["d"].grad = np.array([np.inf, 0.0])
+        names = sorted(leaves)
+        squares, finite = training._reduce(leaves, names)
+        assert finite == [True, True, False, False] and squares[1] == np.inf
+        with pytest.raises(NonFiniteGradient, match="gradient of c is"):
+            training._check(0, 1.0, names, finite)
+        with pytest.raises(NonFiniteLoss, match="step 4"):
+            training._check(4, np.nan, names, finite)
+        training._check(0, 1.0, names[:2], finite[:2])
 
     def test_training_reduces_loss_on_one_window(self, tiny_model_config):
         # single repeated window: 60 steps must cut the loss substantially
@@ -552,7 +564,8 @@ class TestShardedStep:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_no_worker_left_after_a_non_finite_loss(self, tiny_model_config,
                                                     quick_train_config, monkeypatch,
-                                                    fork_spy):
+                                                    fork_spy, capfd):
+        # the worker reaches the same check and leaves quietly
         _force_worker(monkeypatch, True)
         weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
         with _deadline(60):
@@ -564,6 +577,7 @@ class TestShardedStep:
                 next(steps)
         assert len(fork_spy) == 1
         _assert_no_children()
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_interleaved_runs_close_without_hanging(self, tiny_model_config,
                                                     quick_train_config, monkeypatch,
@@ -718,9 +732,10 @@ class TestShardedStep:
     @pytest.mark.parametrize("bad", [(0, -1), (-1,)])
     def test_a_non_finite_gradient_names_the_first_bad_weight(self, tiny_model_config,
                                                               quick_train_config,
-                                                              monkeypatch, may, bad):
+                                                              monkeypatch, capfd, may,
+                                                              bad):
         # the first name sorts into the parent's half, the last into the
-        # worker's; no weight moves
+        # worker's; no weight moves, and the worker leaves quietly
         _force_worker(monkeypatch, may)
         weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
         before = {n: w.data.copy() for n, w in weights.items()}
@@ -741,6 +756,7 @@ class TestShardedStep:
         for name, leaf in weights.items():
             assert leaf.data.tobytes() == before[name].tobytes()
         _assert_no_children()
+        assert "Traceback" not in capfd.readouterr().err
 
     @pytest.mark.parametrize("only", [0, 1])
     def test_a_leaf_one_shard_reaches_agrees_on_both_paths(self, tiny_model_config,
@@ -790,6 +806,32 @@ class TestShardedStep:
             assert len(list(steps)) == quick_train_config.total_steps - 1
         assert weights["out.w"].data is not kept
         assert kept.tobytes() == weights["out.w"].data.tobytes()
+        _assert_no_children()
+
+    def test_a_weight_changed_at_a_yield_reaches_both_shards(self, tiny_model_config,
+                                                             quick_train_config,
+                                                             monkeypatch, fork_spy):
+        # the worker starts a step only once the caller has resumed the
+        # parent: a change made after a pause at the first yield reaches
+        # both shards of the next step, on both paths alike
+        runs = {}
+        for may in (True, False, None):
+            _force_worker(monkeypatch, bool(may))
+            weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+            with _deadline(60):
+                steps = training.train_steps(weights, _tiny_dataset(), quick_train_config,
+                                             tiny_model_config)
+                rows = [next(steps)]
+                if may is not None:
+                    time.sleep(0.05)
+                    weights["out.b"].data += 0.5
+                rows += list(steps)
+            runs[may] = rows, {n: (w.data.tobytes(), w.grad.tobytes())
+                               for n, w in weights.items()}
+        assert len(fork_spy) == 1
+        assert runs[True] == runs[False]
+        assert runs[True][0][0] == runs[None][0][0]
+        assert all(a != b for a, b in zip(runs[True][0][1:], runs[None][0][1:]))
         _assert_no_children()
 
     def test_yields_and_the_end_hold_the_current_weights(self, tiny_model_config,
