@@ -102,14 +102,9 @@ def _parse_value(key: str, raw: str, origin: str):
 def _read_config_file(path: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment."""
     out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise MalformedFile(f"cannot read config {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"config {path} is not valid UTF-8: {exc}")
-    for lineno, line in enumerate(lines, 1):
+    # only "\n" ends a line; str.splitlines() would also break at \x0b,
+    # \x0c, \x85 and other characters a value may hold
+    for lineno, line in enumerate(feat.read_text(path, "config").split("\n"), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -152,30 +147,30 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _echo_config(path: str, *configs):
-    lines = []
-    for config in configs:
-        for f in dataclasses.fields(config):
-            lines.append(f"{f.name} = {_format_value(getattr(config, f.name))}")
-    feat.atomic_write(path, "\n".join(lines) + "\n")
+def _write_config(path: str, values: dict):
+    """Write values as the flat `key = value` lines _read_config_file reads."""
+    feat.atomic_write(path, "".join(f"{key} = {_format_value(value)}\n"
+                                    for key, value in values.items()))
 
 
 # ------------------------------------------------------------ pair layout
 
-def _discover_pairs(root: str) -> list:
-    """A pair directory holds audio.csv + motion.csv. The data root is
-    either one pair or a directory of pair subdirectories (sorted)."""
-    if os.path.isfile(os.path.join(root, "audio.csv")):
+def _find_clips(root: str, stream: str, flag: str) -> list:
+    """(name, directory) of each clip under the `flag` path root: root
+    itself when it holds the stream file, else its subdirectories that do,
+    sorted. A directory holding only the stream's sidecar counts too, so
+    a clip that lost its stream is loaded, and the error names the file."""
+    def holds(directory):
+        return any(os.path.isfile(os.path.join(directory, stream + suffix))
+                   for suffix in ("", feat.META_SUFFIX))
+    if holds(root):
         return [("", root)]
     if not os.path.isdir(root):
-        raise MalformedFile(f"data directory {root} does not exist")
-    found = []
-    for name in sorted(os.listdir(root)):
-        sub = os.path.join(root, name)
-        if os.path.isfile(os.path.join(sub, "audio.csv")):
-            found.append((name, sub))
+        raise MalformedFile(f"{flag} {root} is not a directory")
+    found = [(name, os.path.join(root, name)) for name in sorted(os.listdir(root))
+             if holds(os.path.join(root, name))]
     if not found:
-        raise MalformedFile(f"no audio.csv found under {root}")
+        raise MalformedFile(f"no {stream} found under {flag} {root}")
     return found
 
 
@@ -223,10 +218,9 @@ def cmd_synth(args) -> int:
                      feat.StreamMeta("audio", feat.FPS, frames, feat.AUDIO_DIMS))
     feat.save_stream(os.path.join(args.out, "motion.csv"), motion,
                      feat.StreamMeta("motion", feat.FPS, frames, feat.MOTION_DIMS))
-    feat.atomic_write(
-        os.path.join(args.out, "params.cfg"),
-        f"seed = {seed}\nseconds = {args.seconds:.17g}\n"
-        f"beat_period_frames = {args.beat_period}\nfps = {feat.FPS}\n")
+    _write_config(os.path.join(args.out, "params.cfg"),
+                  {"seed": seed, "seconds": args.seconds,
+                   "beat_period_frames": args.beat_period, "fps": feat.FPS})
     print(f"wrote {frames}-frame pair to {args.out}")
     return 0
 
@@ -244,11 +238,13 @@ def cmd_train(args) -> int:
     if "QEAN_SEED" in os.environ:
         train_config = dataclasses.replace(train_config, rng_seed=_env_seed(0))
 
-    dataset = [_load_pair(path, model_config.fps) for _, path in _discover_pairs(args.data)]
+    dataset = [_load_pair(path, model_config.fps)
+               for _, path in _find_clips(args.data, "audio.csv", "--data")]
     weights = mod.init_weights(model_config, np.random.default_rng(train_config.rng_seed))
 
     _make_out_dir(args.out)
-    _echo_config(os.path.join(args.out, "config_used.cfg"), model_config, train_config)
+    _write_config(os.path.join(args.out, "config_used.cfg"),
+                  {**dataclasses.asdict(model_config), **dataclasses.asdict(train_config)})
     trace = trn.train(weights, dataset, train_config, model_config,
                       loss_csv_path=os.path.join(args.out, "loss.csv"),
                       checkpoint_path=os.path.join(args.out, "checkpoint.json"))
@@ -279,11 +275,9 @@ def cmd_generate(args) -> int:
     feat.save_stream(os.path.join(args.out, "motion.csv"), generated,
                      feat.StreamMeta("motion", config.fps, generated.shape[0],
                                      feat.MOTION_DIMS))
-    feat.atomic_write(
-        os.path.join(args.out, "params.cfg"),
-        f"ckpt = {args.ckpt}\nmusic = {args.music}\n"
-        f"seed_motion = {args.seed_motion}\nframes = {args.frames}\n"
-        f"start_frame = {config.seed_motion_frames}\n")
+    _write_config(os.path.join(args.out, "params.cfg"),
+                  {"ckpt": args.ckpt, "music": args.music, "seed_motion": args.seed_motion,
+                   "frames": args.frames, "start_frame": config.seed_motion_frames})
     print(f"wrote {generated.shape[0]} generated frames to {args.out}")
     return 0
 
@@ -327,27 +321,15 @@ def cmd_eval(args) -> int:
     if unknown:
         raise MalformedFile(f"unknown metrics: {sorted(unknown)}")
 
-    ref_pairs = _discover_pairs(args.ref)
     ref_motions = []
     ref_audio = {}
-    for name, path in ref_pairs:
+    for name, path in _find_clips(args.ref, "audio.csv", "--ref"):
         audio, motion = _load_pair(path)
         ref_motions.append(motion)
         ref_audio[name] = (audio, os.path.join(path, "audio.csv"))
 
     gen_motions, gen_names, gen_paths = [], [], []
-    gen_root = args.gen
-    if os.path.isfile(os.path.join(gen_root, "motion.csv")):
-        found = [("", gen_root)]
-    elif not os.path.isdir(gen_root):
-        raise MalformedFile(f"--gen {gen_root} is not a directory")
-    else:
-        found = [(name, os.path.join(gen_root, name))
-                 for name in sorted(os.listdir(gen_root))
-                 if os.path.isfile(os.path.join(gen_root, name, "motion.csv"))]
-        if not found:
-            raise MalformedFile(f"no motion.csv found under {gen_root}")
-    for name, path in found:
+    for name, path in _find_clips(args.gen, "motion.csv", "--gen"):
         motion = _load_checked(os.path.join(path, "motion.csv"), "motion")
         gen_motions.append(motion)
         gen_names.append(name)

@@ -20,6 +20,7 @@ and parses the CSV otherwise; both give the same bits.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -52,10 +53,15 @@ JOINT_NAMES = (
 )
 
 STREAM_FORMAT = "qean-stream-v1"
-TWIN_SUFFIX = ".f64"
-_TWIN_DTYPE = np.dtype("<f8")
+# a stream's twin and a checkpoint's payload: the file beside its owner
+# that holds row-major float64 bytes, little-endian on every host
+PAYLOAD_SUFFIX = ".f64"
+PAYLOAD_DTYPE = np.dtype("<f8")
+# a stream's sidecar, beside its CSV
+META_SUFFIX = ".meta"
 
-_KIND_DIMS = {"audio": AUDIO_DIMS, "motion": MOTION_DIMS}
+# channels per frame of each stream kind
+STREAM_DIMS = {"audio": AUDIO_DIMS, "motion": MOTION_DIMS}
 
 
 @dataclass
@@ -66,11 +72,11 @@ class StreamMeta:
     dims: int
 
     def __post_init__(self):
-        if self.kind not in _KIND_DIMS:
+        if self.kind not in STREAM_DIMS:
             raise MetaMismatch(f"unknown stream kind {self.kind!r}")
-        if self.dims != _KIND_DIMS[self.kind]:
+        if self.dims != STREAM_DIMS[self.kind]:
             raise MetaMismatch(
-                f"kind {self.kind!r} implies {_KIND_DIMS[self.kind]} dims, got {self.dims}")
+                f"kind {self.kind!r} implies {STREAM_DIMS[self.kind]} dims, got {self.dims}")
 
 
 def encode_motion_frame(rotations, translation) -> np.ndarray:
@@ -112,6 +118,9 @@ def decode_motion_frame(v) -> tuple:
     return rotations, v[TRANSLATION_CHANNELS].copy()
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _smooth_noise(rng: np.random.Generator, frames: int, channels: int) -> np.ndarray:
     """Seeded noise lowpassed with a moving-average window."""
     width = 9
@@ -136,10 +145,16 @@ def synth_pair(rng_seed: int, seconds: float, fps: int = FPS, beat_period_frames
     whose per-frame chord is constant. Frame-to-frame velocity therefore
     has strict local minima exactly on the beats.
     """
-    if seconds <= 0:
-        raise ValueError(f"seconds must be positive, got {seconds}")
-    if beat_period_frames < 2:
-        raise ValueError(f"beat_period_frames must be >= 2, got {beat_period_frames}")
+    # nan fails both comparisons; a count rounding to 0 frames or to an
+    # infinite one has no clip
+    if not 0.5 < seconds * fps < math.inf:
+        raise ValueError(f"seconds must be finite and span at least one frame at {fps} fps, "
+                         f"got {seconds}")
+    if not 2 <= beat_period_frames <= _INT64_MAX:
+        raise ValueError(f"beat_period_frames must be between 2 and {_INT64_MAX}, "
+                         f"got {beat_period_frames}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be nonnegative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     frames = int(round(seconds * fps))
     period = int(beat_period_frames)
@@ -199,6 +214,14 @@ def atomic_write(path: str, data):
         raise
 
 
+def write_payload(path: str, arrays) -> tuple:
+    """Write the arrays' row-major PAYLOAD_DTYPE bytes, concatenated, to
+    `path + PAYLOAD_SUFFIX` atomically; returns their count and sha256."""
+    payload = b"".join(a.astype(PAYLOAD_DTYPE, copy=False).tobytes() for a in arrays)
+    atomic_write(path + PAYLOAD_SUFFIX, payload)
+    return len(payload), hashlib.sha256(payload).hexdigest()
+
+
 def save_stream(path: str, matrix, meta: StreamMeta):
     """Write a stream as a CSV, its float64 twin and a `.meta` sidecar.
 
@@ -216,9 +239,8 @@ def save_stream(path: str, matrix, meta: StreamMeta):
     row_format = ",".join(["%.17g"] * meta.dims)
     rows = [row_format % tuple(row) for row in matrix.tolist()]
     text = ("\n".join(rows) + ("\n" if rows else "")).encode("ascii")
-    payload = matrix.astype(_TWIN_DTYPE, copy=False).tobytes()
     atomic_write(path, text)
-    atomic_write(path + TWIN_SUFFIX, payload)
+    _, payload_digest = write_payload(path, [matrix])
     sidecar = (
         f"format: {STREAM_FORMAT}\n"
         f"kind: {meta.kind}\n"
@@ -226,14 +248,15 @@ def save_stream(path: str, matrix, meta: StreamMeta):
         f"frames: {meta.frames}\n"
         f"dims: {meta.dims}\n"
         f"text_sha256: {hashlib.sha256(text).hexdigest()}\n"
-        f"payload_sha256: {hashlib.sha256(payload).hexdigest()}\n"
+        f"payload_sha256: {payload_digest}\n"
     )
-    atomic_write(path + ".meta", sidecar)
+    atomic_write(path + META_SUFFIX, sidecar)
 
 
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of a file; an unreadable or undecodable file is a
-    MalformedFile naming it."""
+def read_text(path: str, what: str) -> str:
+    """The UTF-8 text of a file, with universal newlines; an unreadable or
+    undecodable file is a MalformedFile naming it as `what`. Every text
+    file the package reads comes through here."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -245,7 +268,7 @@ def _read_text(path: str, what: str) -> str:
 
 def _parse_meta(path: str) -> dict:
     entries = {}
-    text = _read_text(path, "sidecar")
+    text = read_text(path, "sidecar")
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -301,9 +324,9 @@ def _read_twin(path: str, entries: dict, meta: StreamMeta):
     the CSV has `frames` lines, and both files match their digests."""
     try:
         text_digest, payload_digest = entries["text_sha256"], entries["payload_sha256"]
-        with open(path + TWIN_SUFFIX, "rb") as fh:
+        with open(path + PAYLOAD_SUFFIX, "rb") as fh:
             payload = fh.read()
-        if len(payload) != meta.frames * meta.dims * _TWIN_DTYPE.itemsize:
+        if len(payload) != meta.frames * meta.dims * PAYLOAD_DTYPE.itemsize:
             return None
         with open(path, "rb") as fh:
             text = fh.read()
@@ -314,7 +337,7 @@ def _read_twin(path: str, entries: dict, meta: StreamMeta):
             or hashlib.sha256(text).hexdigest() != text_digest
             or hashlib.sha256(payload).hexdigest() != payload_digest):
         return None
-    return np.frombuffer(payload, _TWIN_DTYPE).reshape(meta.frames, meta.dims).astype(np.float64)
+    return np.frombuffer(payload, PAYLOAD_DTYPE).reshape(meta.frames, meta.dims).astype(np.float64)
 
 
 def load_stream(path: str):
@@ -325,21 +348,24 @@ def load_stream(path: str):
     parsed. Either way the matrix must be finite and match the sidecar's
     shape, and it is an owned float64 array.
     """
-    entries = _parse_meta(path + ".meta")
+    sidecar = path + META_SUFFIX
+    entries = _parse_meta(sidecar)
     for key in ("format", "kind", "fps", "frames", "dims"):
         if key not in entries:
-            raise MalformedFile(f"sidecar {path}.meta is missing key {key!r}")
+            raise MalformedFile(f"sidecar {sidecar} is missing key {key!r}")
     if entries["format"] != STREAM_FORMAT:
-        raise MalformedFile(f"unsupported stream format {entries['format']!r}")
+        raise MalformedFile(f"unsupported stream format {entries['format']!r} in {sidecar}")
     try:
         meta = StreamMeta(kind=entries["kind"], fps=int(entries["fps"]),
                           frames=int(entries["frames"]), dims=int(entries["dims"]))
     except ValueError as exc:
-        raise MalformedFile(f"non-numeric sidecar field in {path}.meta: {exc}") from exc
+        raise MalformedFile(f"non-numeric sidecar field in {sidecar}: {exc}") from exc
+    except MetaMismatch as exc:
+        raise MetaMismatch(f"{sidecar}: {exc}") from None
 
     matrix = _read_twin(path, entries, meta)
     if matrix is None:
-        text = _read_text(path, "stream")
+        text = read_text(path, "stream")
         lines = [line for line in text.splitlines() if line.strip()]
         if not lines:
             # loadtxt warns on empty input; an empty stream is a valid one

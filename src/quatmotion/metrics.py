@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ChannelMismatch, DimensionMismatch, EmptyMotionBeats,
                      EmptyMusicBeats, TooFewFrames, TooFewItems)
-from .features import AUDIO_DIMS, BEAT_CHANNEL, FPS, MOTION_DIMS
+from .features import AUDIO_DIMS, BEAT_CHANNEL, MOTION_DIMS
 from .numerics import sym_sqrt
 
 DEFAULT_ALPHA = 3.0
@@ -51,7 +51,6 @@ class BeatTimeline:
     """Strictly increasing frame indices of detected beats."""
 
     frames: np.ndarray
-    fps: int = FPS
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.int64).reshape(-1)
@@ -175,7 +174,7 @@ def velocity_profile(motion) -> np.ndarray:
     return np.linalg.norm(np.diff(motion, axis=0), axis=1)
 
 
-def motion_beats(motion, fps: int = FPS) -> BeatTimeline:
+def motion_beats(motion) -> BeatTimeline:
     """Strict local minima of the velocity profile (interior only)."""
     motion = np.asarray(motion, dtype=np.float64)
     if motion.ndim != 2:
@@ -184,15 +183,15 @@ def motion_beats(motion, fps: int = FPS) -> BeatTimeline:
         raise TooFewFrames(f"motion beats need >= 3 frames, got {motion.shape[0]}")
     v = velocity_profile(motion)
     hits = np.where((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:]))[0] + 1
-    return BeatTimeline(frames=hits, fps=fps)
+    return BeatTimeline(frames=hits)
 
 
-def music_beats(audio, fps: int = FPS) -> BeatTimeline:
+def music_beats(audio) -> BeatTimeline:
     """Frames whose one-hot beat channel exceeds 0.5."""
     audio = np.asarray(audio, dtype=np.float64)
     if audio.ndim != 2 or audio.shape[1] != AUDIO_DIMS:
         raise ChannelMismatch(f"audio must have {AUDIO_DIMS} channels, got shape {audio.shape}")
-    return BeatTimeline(frames=np.where(audio[:, BEAT_CHANNEL] > 0.5)[0], fps=fps)
+    return BeatTimeline(frames=np.where(audio[:, BEAT_CHANNEL] > 0.5)[0])
 
 
 def beat_align(motion_b: BeatTimeline, music_b: BeatTimeline, alpha: float = DEFAULT_ALPHA) -> float:

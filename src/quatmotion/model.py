@@ -33,14 +33,11 @@ from . import qra
 from .autograd import Tensor
 from .errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                      HeadDimNotQuaternion, MalformedFile, QuatMotionError)
-from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write
+from .features import (AUDIO_DIMS, MOTION_DIMS, PAYLOAD_DTYPE, PAYLOAD_SUFFIX, STREAM_DIMS,
+                       atomic_write, read_text, write_payload)
 from .spe import RotarySchedule, angle_tables
 
 CHECKPOINT_FORMAT = "qean-ckpt-v3"
-# a checkpoint's tensors live in a payload file beside its JSON header,
-# as row-major float64 bytes, little-endian on every host
-PAYLOAD_SUFFIX = ".f64"
-_TENSOR_DTYPE = np.dtype("<f8")
 
 # width of QRA's frequency/phase convolutions over time
 QRA_KERNEL_WIDTH = 3
@@ -111,9 +108,6 @@ class ModelConfig:
         # cross-attention fallback.
         return ModelConfig(d_model=800, heads=16, seed_motion_frames=120,
                            audio_frames=240, future_frames=20, use_qra=False)
-
-
-_STREAM_DIMS = {"audio": AUDIO_DIMS, "motion": MOTION_DIMS}
 
 
 def _weight_layout(config: ModelConfig):
@@ -199,9 +193,9 @@ def _feed_forward(x: Tensor, prefix: str, weights: dict) -> Tensor:
 
 
 def _embed(x: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
-    if x.shape[-1] != _STREAM_DIMS[which]:
+    if x.shape[-1] != STREAM_DIMS[which]:
         raise ChannelMismatch(
-            f"{which} stream must have {_STREAM_DIMS[which]} channels, got {x.shape[-1]}")
+            f"{which} stream must have {STREAM_DIMS[which]} channels, got {x.shape[-1]}")
     h = ag.matmul(x, weights[f"embed.{which}.w"], weights[f"embed.{which}.b"])
     if config.use_learned_abs_pos:
         table = weights[f"pos.{which}"]
@@ -257,7 +251,8 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
 
     m_norm holds the last rows of a `window`-row query window (by default
     all of it), and only its last `keep` rows (by default all) come out;
-    qra.rotary_logits describes the halo rows before them.
+    qra.rotary_logits describes the halo rows before them. Without QRA
+    there is no halo, so every row comes out.
     """
     heads, dh = config.heads, config.d_head
     q = _heads_split(ag.matmul(m_norm, weights[prefix + ".wq"]), heads)
@@ -269,9 +264,6 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
         key_axis = "i" if config.qra_keys_use_axis_i else "j"
         logits = qra.rotary_logits(q, k, kernels, key_axis, keep, window)
     else:
-        drop = 0 if keep is None else q.shape[2] - keep
-        if drop:
-            q = q[:, :, drop:, :]
         logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
 
     mixed = _heads_merge(ag.matmul(ag.softmax_rows(logits), v))
@@ -383,7 +375,7 @@ def config_from_dict(doc: dict) -> ModelConfig:
 def save_checkpoint(path: str, weights: dict, config: ModelConfig):
     """Write the weights and config as a JSON header plus a payload file.
 
-    The payload, `payload_path(path)`, holds every tensor's row-major,
+    The payload, `path + PAYLOAD_SUFFIX`, holds every tensor's row-major,
     little-endian float64 bytes, concatenated in sorted-name order, so
     every bit survives a round trip. The header at `path` is one
     sorted-key JSON object: the format tag, the config, each tensor's
@@ -392,19 +384,12 @@ def save_checkpoint(path: str, weights: dict, config: ModelConfig):
     names a payload that is not fully written.
     """
     names = sorted(weights)
-    payload = b"".join(weights[name].data.astype(_TENSOR_DTYPE, copy=False).tobytes()
-                       for name in names)
+    size, digest = write_payload(path, [weights[name].data for name in names])
     doc = {"format": CHECKPOINT_FORMAT,
            "config": config_to_dict(config),
            "tensors": {name: list(weights[name].data.shape) for name in names},
-           "payload": {"bytes": len(payload), "sha256": hashlib.sha256(payload).hexdigest()}}
-    atomic_write(payload_path(path), payload)
+           "payload": {"bytes": size, "sha256": digest}}
     atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def payload_path(path: str) -> str:
-    """The tensor payload file beside the checkpoint header at `path`."""
-    return path + PAYLOAD_SUFFIX
 
 
 def _read_header(path: str):
@@ -413,12 +398,10 @@ def _read_header(path: str):
     Returns the config, each tensor's shape, and the payload's byte count
     and sha256 as the header states them.
     """
+    text = read_text(path, "checkpoint")
     try:
-        with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"checkpoint {path} is not valid UTF-8: {exc}") from exc
-    except (OSError, ValueError, RecursionError) as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and an integer literal too long to convert
         raise MalformedFile(f"cannot parse checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -464,7 +447,7 @@ def _read_header(path: str):
             or not re.fullmatch(r"[0-9a-f]{64}", payload["sha256"])):
         raise MalformedFile(f"{path}: 'payload' must be an object holding an integer "
                             f"'bytes' and a 64-digit hex 'sha256', got {payload!r}")
-    want = _TENSOR_DTYPE.itemsize * sum(math.prod(shape) for shape in expected.values())
+    want = PAYLOAD_DTYPE.itemsize * sum(math.prod(shape) for shape in expected.values())
     if payload["bytes"] != want:
         raise MalformedFile(f"{path}: payload bytes is {payload['bytes']}, "
                             f"but the tensor shapes need {want}")
@@ -483,7 +466,7 @@ def load_checkpoint(path: str):
     one). Each weight is an owned, writable float64 array.
     """
     config, shapes, size, digest = _read_header(path)
-    source = payload_path(path)
+    source = path + PAYLOAD_SUFFIX
     try:
         with open(source, "rb") as fh:
             payload = fh.read()
@@ -498,10 +481,10 @@ def load_checkpoint(path: str):
     for name in sorted(shapes):
         count = math.prod(shapes[name])
         # astype copies the read-only view of the payload into an owned array
-        arr = np.frombuffer(payload, _TENSOR_DTYPE, count, offset).reshape(shapes[name])
+        arr = np.frombuffer(payload, PAYLOAD_DTYPE, count, offset).reshape(shapes[name])
         arr = arr.astype(np.float64)
         if not np.isfinite(arr).all():
             raise MalformedFile(f"{source}: tensor {name} contains non-finite values")
         weights[name] = Tensor(arr, requires_grad=True)
-        offset += count * _TENSOR_DTYPE.itemsize
+        offset += count * PAYLOAD_DTYPE.itemsize
     return weights, config

@@ -886,7 +886,7 @@ def features_checks() -> list:
         meta = feat.StreamMeta(kind="audio", fps=60, frames=audio.shape[0], dims=35)
         feat.save_stream(path, audio, meta)
         from_twin, meta2 = feat.load_stream(path)
-        os.remove(path + feat.TWIN_SUFFIX)
+        os.remove(path + feat.PAYLOAD_SUFFIX)
         parsed, meta3 = feat.load_stream(path)  # no twin: the CSV is parsed
         checks.append(_flag("features/file_round_trip",
                             np.array_equal(from_twin.view(np.int64), audio.view(np.int64))

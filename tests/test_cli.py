@@ -9,6 +9,7 @@ gets its own directory.
 import base64
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -127,6 +128,18 @@ class TestVerify:
         assert calls["conv1d_im2col"] > 0
 
 
+# the files `synth` writes with every flag at its default
+_DEFAULT_SYNTH_SHA256 = {
+    "audio.csv": "adc0f2226915ea1b0fc3dac6fa27c157098deeb2d0859cb07fee3b423d9a8c02",
+    "audio.csv.f64": "c747717cfd01e24efa082c150757ae3f7d937ef3de7d88e3129989567f175e6c",
+    "audio.csv.meta": "6ce47692972b34112136dba96db04d129716007bf213f1f281285e5ca010c3f3",
+    "motion.csv": "56568d0ddc07d61bade52f415881c0c63c6d7fe645412f3a5186b9204ff6370c",
+    "motion.csv.f64": "7d245159f5f59a24912be0b4ed1090e9f79598e2a7def18f26956b8bf5e686ec",
+    "motion.csv.meta": "5001748d380ce507b6d1f510217160b6bacf368aa03cdddf75631847f7d0662f",
+    "params.cfg": "b6229a93e8ece99e51e99b7db1a40ca0ce9c4a57086d5caf6a6672f5103f3e4c",
+}
+
+
 class TestSynth:
 
     def test_writes_streams_with_sidecars(self, workspace):
@@ -178,6 +191,46 @@ class TestSynth:
         (tmp_path / "afile").write_text("")
         assert cli.entry(["synth", "--out", str(out), "--seconds", "0.3"]) == 2
         _assert_names_the_path(capsys, out)
+
+    def test_default_outputs_are_pinned(self, tmp_path, capsys):
+        assert cli.entry(["synth", "--out", str(tmp_path)]) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.iterdir()}
+        assert digests == _DEFAULT_SYNTH_SHA256
+
+
+_INT64_MAX = 2 ** 63 - 1
+
+
+class TestSynthFuzz:
+    """`synth` exits 0 or 2 for any duration, beat period and seed; a value
+    it rejects is named in the message, never with a traceback."""
+
+    @given(seconds=st.one_of(
+               st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1e-300,
+                                1 / 120, math.nextafter(1 / 120, 1)]),
+               st.floats(-1, 1), st.floats(1, 10)),
+           period=st.one_of(st.integers(-3, 100), st.integers(),
+                            st.sampled_from([_INT64_MAX, _INT64_MAX + 1, 10 ** 20])),
+           seed=st.one_of(st.integers(-3, 100), st.integers(-2 ** 70, 2 ** 70)))
+    @settings(max_examples=60, deadline=None)
+    def test_any_flag_values_exit_zero_or_two(self, tmp_path_factory, seconds, period, seed):
+        out = tmp_path_factory.mktemp("synthfuzz")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.entry(["synth", "--out", str(out), f"--seconds={seconds!r}",
+                            f"--beat-period={period}", f"--seed={seed}"])
+        message = err.getvalue()
+        assert "Traceback" not in message
+        rejected = [value for value, ok in ((seconds, 0.5 < seconds * feat.FPS < math.inf),
+                                            (period, 2 <= period <= _INT64_MAX),
+                                            (seed, seed >= 0)) if not ok]
+        if rejected:
+            assert rc == 2 and str(rejected[0]) in message, message
+        else:
+            assert rc == 0, message
+            audio, _ = feat.load_stream(str(out / "audio.csv"))
+            assert len(audio) == round(seconds * feat.FPS)
 
 
 class TestTrain:
@@ -790,6 +843,16 @@ class TestEval:
         assert rc == 2
         assert str(missing) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--ref", "--gen"])
+    def test_missing_clip_root_names_the_flag(self, workspace, tmp_path, capsys, flag):
+        missing = tmp_path / "nowhere"
+        roots = {"--ref": str(workspace / "data"), "--gen": str(workspace / "gen"),
+                 flag: str(missing)}
+        rc = cli.entry(["eval", *(arg for pair in roots.items() for arg in pair),
+                        "--metrics", "fid"])
+        assert rc == 2
+        assert f"{flag} {missing} is not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["under a regular file", "an existing directory"])
     def test_unwritable_out_exits_two(self, workspace, tmp_path, capsys, where):
         (tmp_path / "afile").write_text("")
@@ -912,3 +975,54 @@ class TestParamsFuzz:
         assert "Traceback" not in message
         if want:
             assert str(params) in message, (raw, message)
+
+
+@pytest.fixture(scope="module")
+def clip_sets(tmp_path_factory):
+    """Two reference pairs and, as their generated clips, the true frames
+    [30, 90) with start_frame 30 in each clip's params.cfg."""
+    root = tmp_path_factory.mktemp("clips")
+    for idx in range(2):
+        ref, gen = root / "ref" / f"c{idx}", root / "gen" / f"c{idx}"
+        assert cli.entry(["synth", "--out", str(ref), "--seconds", str(91 / 60),
+                          "--seed", str(30 + idx), "--beat-period", "24"]) == 0
+        _, motion = cli._load_pair(str(ref))
+        gen.mkdir(parents=True)
+        feat.save_stream(str(gen / "motion.csv"), motion[30:90],
+                         feat.StreamMeta("motion", feat.FPS, 60, feat.MOTION_DIMS))
+        (gen / "params.cfg").write_text("frames = 60\nstart_frame = 30\n")
+    return root
+
+
+# a file whose loss eval must report; the twin and params.cfg may go
+_VITAL = ("motion.csv", "motion.csv.meta", "audio.csv", "audio.csv.meta")
+_DROPPABLE = ([f"gen/c{i}/{name}" for i in range(2)
+               for name in ("motion.csv", "motion.csv.meta", "motion.csv.f64", "params.cfg")]
+              + [f"ref/c{i}/{name}" for i in range(2)
+                 for name in ("audio.csv", "audio.csv.meta", "audio.csv.f64")])
+
+
+class TestEvalMissingFiles:
+    """`eval` over clip directories that lost a file: losing a stream or
+    its sidecar exits 2 naming the file, never 1 or with a traceback;
+    losing a twin or a params.cfg still scores."""
+
+    @given(name=st.sampled_from(_DROPPABLE),
+           metric=st.sampled_from(["fid", "diversity", "beat"]))
+    @settings(max_examples=60, deadline=None)
+    def test_missing_file_is_named_or_scored(self, clip_sets, name, metric):
+        path = clip_sets / name
+        gone = path.rename(str(path) + ".gone")
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.entry(["eval", "--ref", str(clip_sets / "ref"),
+                                "--gen", str(clip_sets / "gen"), "--metrics", metric])
+        finally:
+            gone.rename(path)
+        message = err.getvalue()
+        assert "Traceback" not in message
+        if path.name in _VITAL:
+            assert rc == 2 and str(path) in message, message
+        else:
+            assert rc == 0, message

@@ -429,7 +429,7 @@ class TestStreamTwin:
             path = os.path.join(tmp, f"{meta.kind}.csv")
             features.save_stream(path, matrix, meta)
             from_twin, twin_meta = _load_from_twin(path)
-            os.remove(path + features.TWIN_SUFFIX)
+            os.remove(path + features.PAYLOAD_SUFFIX)
             parsed, parsed_meta = (_load_parsing(path) if meta.frames
                                    else features.load_stream(path))
         assert from_twin.view(np.int64).tolist() == parsed.view(np.int64).tolist()
@@ -534,3 +534,72 @@ class TestStreamTwin:
         with pytest.raises(MalformedFile) as info:
             _load_from_twin(path)
         assert str(info.value) == f"non-finite cell (nan or inf) in row 5 of {path}"
+
+
+def _csv_floats(path):
+    """The CSV at path read with Python's float, one row per non-blank
+    line; None when the rows hold no float matrix."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    try:
+        return np.array([[float(cell) for cell in line.split(",")] for line in lines])
+    except ValueError:
+        return None
+
+
+_FUZZ_META = features.StreamMeta("audio", 60, 4, 35)
+_FUZZ_AUDIO = [features.synth_pair(seed, 4 / 60, beat_period_frames=2)[0] for seed in (5, 6)]
+
+
+class TestStreamFuzz:
+    """A stream whose CSV, sidecar or twin is truncated, flipped, deleted,
+    reshaped or swapped for another stream's either loads exactly the
+    CSV's bits or raises MalformedFile or MetaMismatch naming the stream;
+    so a twin that disagrees with its CSV is never read."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_stream_loads_its_csv_or_is_named(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, other = os.path.join(tmp, "audio.csv"), os.path.join(tmp, "other.csv")
+            features.save_stream(path, _FUZZ_AUDIO[0], _FUZZ_META)
+            features.save_stream(other, _FUZZ_AUDIO[1], _FUZZ_META)
+            for _ in range(data.draw(st.integers(1, 3))):
+                damage = data.draw(st.sampled_from(["truncate", "flip", "delete", "shape",
+                                                    "swap"]))
+                # a shape lives in the sidecar
+                suffix = features.META_SUFFIX if damage == "shape" else data.draw(
+                    st.sampled_from(["", features.PAYLOAD_SUFFIX, features.META_SUFFIX]))
+                target = path + suffix
+                if damage == "swap":
+                    with open(other + suffix, "rb") as src, open(target, "wb") as dst:
+                        dst.write(src.read())
+                    continue
+                if not os.path.exists(target):
+                    continue
+                with open(target, "rb") as fh:
+                    raw = fh.read()
+                if damage == "delete":
+                    os.remove(target)
+                    continue
+                if damage == "truncate":
+                    raw = raw[:data.draw(st.integers(0, max(len(raw) - 1, 0)))]
+                elif damage == "flip" and raw:
+                    at = data.draw(st.integers(0, len(raw) - 1))
+                    flipped = raw[at] ^ data.draw(st.integers(1, 255))
+                    raw = raw[:at] + bytes([flipped]) + raw[at + 1:]
+                elif damage == "shape":
+                    key = data.draw(st.sampled_from([b"frames", b"dims"]))
+                    value = str(data.draw(st.integers(-2, 300))).encode()
+                    raw = re.sub(rb"(?m)^(" + key + rb": ).*$", rb"\g<1>" + value, raw)
+                with open(target, "wb") as fh:
+                    fh.write(raw)
+            try:
+                matrix, meta = features.load_stream(path)
+            except (MalformedFile, MetaMismatch) as exc:
+                assert path in str(exc), str(exc)
+                return
+            want = _csv_floats(path)
+        assert want is not None and want.size == matrix.size
+        assert want.tobytes() == matrix.tobytes()
+        assert matrix.shape == (meta.frames, meta.dims)

@@ -77,3 +77,27 @@ def test_cli_import_leaves_the_suites_unloaded():
     out = subprocess.run([sys.executable, "-c", probe, str(src)],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_features_owns_text_reading():
+    # features.read_text reads every text file, so an unreadable or
+    # undecodable one is reported, naming it, in one place; no other
+    # module opens a file in text mode or decodes bytes itself
+    package = pathlib.Path(quatmotion.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "features.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                binary = [m for m in modes if isinstance(m, ast.Constant) and "b" in m.value]
+                if not binary:
+                    found.append(f"{path.name}:{node.lineno}")
+            elif name == "decode":
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(package.glob("*.py"))) > 10
+    assert found == []
