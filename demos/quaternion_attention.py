@@ -24,10 +24,11 @@ def main():
     x = rng.standard_normal((5, d_model))   # queries come from here
     y = rng.standard_normal((7, d_model))   # keys and values from here
 
-    params = qra.QRAParams.random(rng, d_model, d_attn, periods)
-    q = num.matmul(x, params.w_q)
-    omega = num.relu(num.conv1d_im2col(q, params.omega_q.weights, params.omega_q.bias)[0])
-    theta = num.pi_tanh(num.conv1d_im2col(q, params.theta_q.weights, params.theta_q.bias)[0])
+    # one head: the wq, wk, wv projections and the omega/theta kernels
+    head = qra.random_head(rng, d_model, d_attn, periods)
+    q = x @ head["wq"]
+    omega = num.relu(num.conv1d_im2col(q, head["omega_q.w"], head["omega_q.b"])[0])
+    theta = num.pi_tanh(num.conv1d_im2col(q, head["theta_q.w"], head["theta_q.b"])[0])
     print(f"latent frequencies (step x period), all >= 0:\n{np.round(omega, 3)}")
     print(f"latent phases, all inside (-pi, pi):\n{np.round(theta, 3)}")
 
@@ -43,25 +44,22 @@ def main():
     print(f"slot 0 of step 1 spun by kernel vs Hamilton product: "
           f"max gap {np.abs(spun - direct).max():.3e}")
 
-    k = num.matmul(y, params.w_k)
-    logits = qra.rotary_logits(Tensor(q), Tensor(k), params.kernels()).data
+    k = y @ head["wk"]
+    logits = qra.rotary_logits(Tensor(q), Tensor(k), head).data
     print(f"\nrotary logits (queries x keys):\n{np.round(logits, 3)}")
 
-    out = qra.qra_attention(x, y, params)
+    out = qra.qra_attention(x, y, head)
     print(f"\nattention output shape {out.shape}, first row:\n{np.round(out[0], 4)}")
 
     # silence the kernels, keep one period: plain attention must reappear
-    quiet = num.ConvKernel(weights=np.zeros((1, d_attn, 3)), bias=np.zeros(1))
-    collapsed = qra.QRAParams(
-        d_model=d_model, d_attn=d_attn, periods=1,
-        w_q=params.w_q, w_k=params.w_k, w_v=params.w_v,
-        omega_q=quiet, theta_q=quiet, omega_k=quiet, theta_k=quiet)
-    got = qra.qra_attention(x, y, collapsed)
+    quiet = {name: np.zeros((1, d_attn, 3) if name.endswith(".w") else 1)
+             for name in qra.KERNEL_NAMES}
+    got = qra.qra_attention(x, y, {**head, **quiet})
 
-    logits = (x @ params.w_q) @ (y @ params.w_k).T / math.sqrt(d_attn)
+    logits = (x @ head["wq"]) @ (y @ head["wk"]).T / math.sqrt(d_attn)
     weights = np.exp(logits - logits.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
-    want = weights @ (y @ params.w_v)
+    want = weights @ (y @ head["wv"])
     print(f"\ndegenerate case vs canonical attention: "
           f"max gap {np.abs(got - want).max():.3e}")
 

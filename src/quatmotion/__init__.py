@@ -21,7 +21,7 @@ from .quaternion import (
     unit_exp,
 )
 from .spe import RotarySchedule, theta_schedule
-from .qra import QRAParams, qra_attention, rotary_logits
+from .qra import qra_attention, random_head, rotary_logits
 from .model import ModelConfig, autoregressive_generate, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 from .features import StreamMeta, load_stream, save_stream, synth_pair
@@ -34,7 +34,7 @@ __all__ = [
     "Quaternion", "hamilton", "q_conj", "q_norm",
     "quat_to_rotmat", "quaternionize", "rotmat_to_quat", "unit_exp",
     "RotarySchedule", "theta_schedule",
-    "QRAParams", "qra_attention", "rotary_logits",
+    "qra_attention", "random_head", "rotary_logits",
     "ModelConfig", "autoregressive_generate", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "train",
     "StreamMeta", "load_stream", "save_stream", "synth_pair",

@@ -147,9 +147,21 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _recordable(text: str, origin: str) -> str:
+    """text, if _read_config_file reads it back unchanged as a value: it
+    holds no '#', no line break, no leading or trailing whitespace and
+    nothing UTF-8 cannot encode; otherwise a MalformedFile naming origin."""
+    # lone surrogates are the only characters UTF-8 cannot encode
+    if text != text.strip() or any(c in "#\n\r" or "\ud800" <= c <= "\udfff" for c in text):
+        raise MalformedFile(f"{origin} {text!r} cannot be recorded in a config file: it "
+                            "holds '#', a line break, leading or trailing whitespace, "
+                            "or a character UTF-8 cannot encode")
+    return text
+
+
 def _write_config(path: str, values: dict):
     """Write values as the flat `key = value` lines _read_config_file reads."""
-    feat.atomic_write(path, "".join(f"{key} = {_format_value(value)}\n"
+    feat.atomic_write(path, "".join(f"{key} = {_recordable(_format_value(value), key)}\n"
                                     for key, value in values.items()))
 
 
@@ -256,6 +268,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # params.cfg records these, so they are checked before anything is written
+    for flag, value in (("--ckpt", args.ckpt), ("--music", args.music),
+                        ("--seed-motion", args.seed_motion)):
+        _recordable(value, flag)
+    if args.frames < 0:
+        raise MalformedFile(f"--frames must be nonnegative, got {args.frames}")
     weights, config = mod.load_checkpoint(args.ckpt)
     audio = _load_checked(args.music, "audio", config.fps)
     seed_motion = _load_checked(args.seed_motion, "motion", config.fps)

@@ -20,7 +20,6 @@ and parses the CSV otherwise; both give the same bits.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 from dataclasses import dataclass
 
@@ -31,6 +30,8 @@ from .quaternion import quat_to_rotmat, rotmat_to_quat
 from .numerics import sym_sqrt
 
 FPS = 60
+# longest clip synth_pair makes, one hour at FPS: 216000 frames, 378 MB of motion
+SYNTH_MAX_FRAMES = 3600 * FPS
 
 AUDIO_DIMS = 35
 ENVELOPE_CHANNEL = 0
@@ -145,11 +146,12 @@ def synth_pair(rng_seed: int, seconds: float, fps: int = FPS, beat_period_frames
     whose per-frame chord is constant. Frame-to-frame velocity therefore
     has strict local minima exactly on the beats.
     """
-    # nan fails both comparisons; a count rounding to 0 frames or to an
-    # infinite one has no clip
-    if not 0.5 < seconds * fps < math.inf:
-        raise ValueError(f"seconds must be finite and span at least one frame at {fps} fps, "
-                         f"got {seconds}")
+    # nan fails both comparisons; a count rounding to 0 frames has no
+    # clip, and the cap turns a huge or infinite one away before any
+    # allocation
+    if not 0.5 < seconds * fps < SYNTH_MAX_FRAMES + 0.5:
+        raise ValueError(f"seconds must span 1 to {SYNTH_MAX_FRAMES} frames (one hour at "
+                         f"{FPS} fps) at {fps} fps, got {seconds}")
     if not 2 <= beat_period_frames <= _INT64_MAX:
         raise ValueError(f"beat_period_frames must be between 2 and {_INT64_MAX}, "
                          f"got {beat_period_frames}")

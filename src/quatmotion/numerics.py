@@ -1,8 +1,8 @@
 """Dense float64 kernels underpinning every other module.
 
-Everything here is a pure function over numpy arrays: matrix product,
-row-wise softmax, same-padded 1D cross-correlation, the activations used by
-the frequency/phase generator, a symmetric matrix square root for the
+Everything here is a pure function over numpy arrays: row-wise softmax,
+same-padded 1D cross-correlation, the activations used by the
+frequency/phase generator, a symmetric matrix square root for the
 Fréchet metric, and a central-difference gradient checker.
 
 All computation is 64-bit. Reductions use numpy's fixed evaluation order,
@@ -23,25 +23,6 @@ Array = np.ndarray
 # Largest double strictly below pi; pi_tanh clamps into the open interval
 # (-pi, pi) because float64 tanh saturates to exactly 1.0 for |x| > ~19.1.
 _PI_OPEN = np.nextafter(np.pi, 0.0)
-
-
-def as_matrix(a) -> Array:
-    """Coerce to a 2-D float64 array (the library's Matrix type)."""
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product A @ B with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"matmul: A is {a.shape[0]}x{a.shape[1]}, B is {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
 
 
 def softmax_rows(m: Array) -> Array:
@@ -65,38 +46,6 @@ def pi_tanh(x: Array) -> Array:
     """
     y = np.pi * np.tanh(np.asarray(x, dtype=np.float64))
     return np.clip(y, -_PI_OPEN, _PI_OPEN)
-
-
-@dataclass
-class ConvKernel:
-    """Weights of a same-padded 1D convolution along the time axis.
-
-    weights has shape (out_channels, in_channels, width) with odd width;
-    index w of the width axis corresponds to time offset w - (width-1)//2.
-    """
-
-    weights: Array
-    bias: Array
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 3:
-            raise DimensionMismatch("ConvKernel weights must be (out, in, width)")
-        if self.weights.shape[2] % 2 == 0:
-            raise DimensionMismatch("ConvKernel width must be odd")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise DimensionMismatch("ConvKernel bias must have one entry per out channel")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("ConvKernel weights must be finite")
-
-    @property
-    def out_channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weights.shape[1]
 
 
 def conv_windows(x: Array, width: int) -> Array:
@@ -138,7 +87,9 @@ def sym_sqrt(s: Array, eps: float = 0.0) -> Array:
     Eigendecomposition-based; negative eigenvalues (numerical noise in
     nearly-PSD inputs) are clamped to zero. Result is symmetric PSD.
     """
-    s = as_matrix(s)
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 2:
+        raise DimensionMismatch(f"sym_sqrt: expected a 2-D matrix, got ndim={s.ndim}")
     if s.shape[0] != s.shape[1]:
         raise NotSymmetric(f"sym_sqrt: matrix is {s.shape[0]}x{s.shape[1]}, not square")
     asym = np.abs(s - s.T).max() if s.size else 0.0

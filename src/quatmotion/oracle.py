@@ -1,11 +1,15 @@
 """Independent references for the `verify` suites, unit tests and criteria.
 
-reference_qra is quaternion rotary attention in plain Python floats and
-index loops (its own Hamilton product, padded convolution and softmax);
-canonical_forward is the model with canonical cross-attention in plain
-numpy, with einsum heads and rotary pairs read as complex numbers. The
-module imports only math and numpy, never the package, so agreement with
-it pins the package to a separate derivation rather than to itself.
+reference_qra is quaternion rotary attention of one head in plain Python
+floats and index loops (its own Hamilton product, padded convolution and
+softmax); it reads a head as the dict qra documents, "wq", "wk", "wv"
+and the eight omega/theta kernel arrays. reference_forward is the whole
+model, with or without QRA, in plain numpy: einsum heads with rotary
+pairs read as complex numbers in the encoders, and a decoder run on
+every motion row whose attention is reference_qra per head (or einsum
+heads without QRA). The module imports only math and numpy, never the
+package, so agreement with it pins the package to a separate derivation
+rather than to itself.
 """
 
 import math
@@ -104,20 +108,21 @@ def _listify(a):
         return float(a)
 
 
-def reference_qra(x, y, w_q, w_k, w_v, kernels, periods, key_axis="j"):
+def reference_qra(x, y, head, key_axis="j"):
     """Full pipeline: project, generate freq/phase, rotate, score, mix.
 
-    kernels maps "omega_q", "theta_q", "omega_k" and "theta_k" to (weights
-    (P, d_attn, width), bias (P,)) pairs. Returns the (N, d_attn) rows.
+    head maps "wq", "wk" and "wv" to (d_model, d_attn) projections and
+    "omega_q.w", "omega_q.b", "theta_q.w", ... "theta_k.b" to the kernels'
+    weights (P, d_attn, width) and biases (P,). Returns the (N, d_attn) rows.
     """
     x, y = _listify(x), _listify(y)
-    q_rows = project_rows(x, _listify(w_q))
-    k_rows = project_rows(y, _listify(w_k))
-    v_rows = project_rows(y, _listify(w_v))
+    q_rows = project_rows(x, _listify(head["wq"]))
+    k_rows = project_rows(y, _listify(head["wk"]))
+    v_rows = project_rows(y, _listify(head["wv"]))
+    periods = len(head["omega_q.b"])
 
     def conv(rows, name):
-        weights, bias = kernels[name]
-        return conv_same(rows, _listify(weights), _listify(bias))
+        return conv_same(rows, _listify(head[name + ".w"]), _listify(head[name + ".b"]))
 
     def spun(rows, side, axis):
         omega = [[max(0.0, v) for v in row] for row in conv(rows, "omega_" + side)]
@@ -132,14 +137,6 @@ def reference_qra(x, y, w_q, w_k, w_v, kernels, periods, key_axis="j"):
         out.append([sum(weights[m] * v_rows[m][c] for m in range(len(k_rows)))
                     for c in range(len(q_rows[0]))])
     return np.array(out)
-
-
-def reference_from_params(x, y, params, key_axis="j"):
-    """Unpack a QRAParams-shaped object without importing its class."""
-    kernels = {name: (getattr(params, name).weights, getattr(params, name).bias)
-               for name in ("omega_q", "theta_q", "omega_k", "theta_k")}
-    return reference_qra(x, y, params.w_q, params.w_k, params.w_v, kernels,
-                         params.periods, key_axis=key_axis)
 
 
 # ------------------------------------------------------ canonical transformer
@@ -178,14 +175,30 @@ def _attention(x_q, x_kv, w, prefix, heads, rope_base=None):
     return mix.reshape(steps, d) @ w[prefix + ".wo"]
 
 
-def canonical_forward(weights, config, motion, audio):
-    """Predicted (N, motion dims) frames of one sequence, use_qra=False only.
+def _qra_attention(x_q, x_kv, w, prefix, heads, key_axis):
+    """reference_qra on each head's slice of the layer, concatenated and
+    projected by wo."""
+    dh = x_q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        head = {name: w[f"{prefix}.{name}"][:, cols] for name in ("wq", "wk", "wv")}
+        head.update({f"{kern}.{part}": w[f"{prefix}.{kern}.{part}"][h]
+                     for kern in ("omega_q", "theta_q", "omega_k", "theta_k") for part in "wb"})
+        outs.append(reference_qra(x_q, x_kv, head, key_axis))
+    return np.concatenate(outs, axis=1) @ w[prefix + ".wo"]
+
+
+def reference_forward(weights, config, motion, audio):
+    """Predicted (N, motion dims) frames of one sequence, with or without QRA.
 
     weights maps names to objects holding a `.data` array (the model's
-    tensors); config is read by attribute.
+    tensors); config is read by attribute. The decoder runs on every
+    motion row, and its attention is reference_qra per head with QRA,
+    einsum heads without.
     """
-    assert not config.use_qra
     w = {name: t.data for name, t in weights.items()}
+    key_axis = "i" if config.qra_keys_use_axis_i else "j"
     rope = config.rotary_base if config.use_spe else None
 
     def norm(x, name):
@@ -212,8 +225,11 @@ def canonical_forward(weights, config, motion, audio):
     state = streams["motion"]
     for layer in range(config.decoder_layers):
         p = f"dec.{layer}"
-        state = state + _attention(norm(state, p + ".ln1"), memory, w, p + ".attn",
-                                   config.heads)
+        x_q = norm(state, p + ".ln1")
+        if config.use_qra:
+            state = state + _qra_attention(x_q, memory, w, p + ".attn", config.heads, key_axis)
+        else:
+            state = state + _attention(x_q, memory, w, p + ".attn", config.heads)
         state = state + ff(norm(state, p + ".ln2"), p + ".ff")
     flat = state[-1] @ w["out.w"] + w["out.b"]
     return flat.reshape(config.future_frames, -1)

@@ -14,12 +14,19 @@ rotary_logits is the one implementation, on the autodiff tape: the
 model's decoder calls it with all heads at once, and qra_attention runs
 it on untracked single-head tensors. quatmotion.oracle re-derives the
 whole pipeline in scalar loops.
+
+A head is a dict of arrays, the one form of a QRA head everywhere: the
+projections "wq", "wk" and "wv", each (d_model, d_attn), and the eight
+KERNEL_NAMES kernels, weights (P, d_attn, W) with an odd width W and
+biases (P,). It is a decoder layer's `dec.{l}.attn.*` weights sliced to
+one head: columns h*d_attn .. (h+1)*d_attn of the projections and entry
+h of each kernel. random_head draws one; qra_attention and
+oracle.reference_qra read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +34,6 @@ from . import autograd as ag
 from . import numerics
 from .autograd import Tensor
 from .errors import DimensionMismatch, HeadDimNotQuaternion
-from .numerics import ConvKernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,63 +41,8 @@ TWO_PI = 2.0 * math.pi
 # and biases (..., P) of the omega and theta convolutions of either side
 KERNEL_NAMES = ("omega_q.w", "omega_q.b", "theta_q.w", "theta_q.b",
                 "omega_k.w", "omega_k.b", "theta_k.w", "theta_k.b")
-
-
-@dataclass
-class QRAParams:
-    """Projections and freq/phase kernels of one attention head."""
-
-    d_model: int
-    d_attn: int
-    periods: int
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-    omega_q: ConvKernel
-    theta_q: ConvKernel
-    omega_k: ConvKernel
-    theta_k: ConvKernel
-
-    def __post_init__(self):
-        if self.d_attn % 4 != 0:
-            raise HeadDimNotQuaternion(f"d_attn={self.d_attn} is not divisible by 4")
-        if self.periods < 1:
-            raise ValueError(f"periods must be >= 1, got {self.periods}")
-        for name in ("w_q", "w_k", "w_v"):
-            w = np.asarray(getattr(self, name), dtype=np.float64)
-            if w.shape != (self.d_model, self.d_attn):
-                raise DimensionMismatch(
-                    f"{name} has shape {w.shape}, expected {(self.d_model, self.d_attn)}")
-            setattr(self, name, w)
-        for name in ("omega_q", "theta_q", "omega_k", "theta_k"):
-            kern = getattr(self, name)
-            if kern.in_channels != self.d_attn or kern.out_channels != self.periods:
-                raise DimensionMismatch(
-                    f"{name} maps {kern.in_channels}->{kern.out_channels}, "
-                    f"expected {self.d_attn}->{self.periods}")
-
-    @staticmethod
-    def random(rng: np.random.Generator, d_model: int, d_attn: int, periods: int,
-               width: int = 3, scale: float = 0.5) -> "QRAParams":
-        def kern():
-            return ConvKernel(
-                weights=scale * rng.standard_normal((periods, d_attn, width)),
-                bias=scale * rng.standard_normal(periods))
-
-        return QRAParams(
-            d_model=d_model, d_attn=d_attn, periods=periods,
-            w_q=rng.standard_normal((d_model, d_attn)) / np.sqrt(d_model),
-            w_k=rng.standard_normal((d_model, d_attn)) / np.sqrt(d_model),
-            w_v=rng.standard_normal((d_model, d_attn)) / np.sqrt(d_model),
-            omega_q=kern(), theta_q=kern(), omega_k=kern(), theta_k=kern())
-
-    def kernels(self) -> dict:
-        """The kernel arrays, under the names rotary_logits reads."""
-        out = {}
-        for name in ("omega_q", "theta_q", "omega_k", "theta_k"):
-            out[name + ".w"] = getattr(self, name).weights
-            out[name + ".b"] = getattr(self, name).bias
-        return out
+# a head's query, key and value projections, each (d_model, d_attn)
+PROJECTIONS = ("wq", "wk", "wv")
 
 
 def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, key_axis: str = "j",
@@ -131,14 +82,53 @@ def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, key_axis: str = "j",
     return ag.mul(total, 1.0 / (periods * math.sqrt(dh)))
 
 
-def qra_attention(x, y, params: QRAParams, key_axis: str = "j") -> np.ndarray:
+
+
+def random_head(rng: np.random.Generator, d_model: int, d_attn: int, periods: int,
+                width: int = 3, scale: float = 0.5) -> dict:
+    """A random head, drawn in the order wq, wk, wv, then KERNEL_NAMES."""
+    head = {name: rng.standard_normal((d_model, d_attn)) / np.sqrt(d_model)
+            for name in PROJECTIONS}
+    for name in KERNEL_NAMES:
+        shape = (periods, d_attn, width) if name.endswith(".w") else (periods,)
+        head[name] = scale * rng.standard_normal(shape)
+    return head
+
+
+def _checked_head(head: dict, d_model: int) -> dict:
+    """head's arrays as float64, once their shapes fit d_model-wide rows."""
+    head = {name: np.asarray(head[name], dtype=np.float64) for name in PROJECTIONS + KERNEL_NAMES}
+    if head["wq"].ndim != 2 or head["omega_q.w"].ndim != 3:
+        raise DimensionMismatch("wq must be (d_model, d_attn), omega_q.w (periods, d_attn, width)")
+    d_attn = head["wq"].shape[1]
+    periods, _, width = head["omega_q.w"].shape
+    if d_attn % 4 != 0:
+        raise HeadDimNotQuaternion(f"d_attn={d_attn} is not divisible by 4")
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
+    if width % 2 == 0:
+        raise DimensionMismatch(f"kernel width must be odd, got {width}")
+    for name, a in head.items():
+        want = ((d_model, d_attn) if name in PROJECTIONS
+                else (periods, d_attn, width) if name.endswith(".w") else (periods,))
+        if a.shape != want:
+            raise DimensionMismatch(f"{name} has shape {a.shape}, expected {want}")
+    if not all(np.isfinite(head[name]).all() for name in KERNEL_NAMES):
+        raise ValueError("QRA kernels must be finite")
+    return head
+
+
+def qra_attention(x, y, head: dict, key_axis: str = "j") -> np.ndarray:
     """Single-head quaternion rotary attention from x (N rows) onto y (M rows).
 
-    Queries rotate about axis i, keys about key_axis (j unless the
-    same-axis variant is requested). Runs rotary_logits off the tape.
+    head maps PROJECTIONS and KERNEL_NAMES to arrays; see the module
+    docstring. Queries rotate about axis i, keys about key_axis (j unless
+    the same-axis variant is requested). Runs rotary_logits off the tape.
     """
-    q = numerics.matmul(x, params.w_q)
-    k = numerics.matmul(y, params.w_k)
-    v = numerics.matmul(y, params.w_v)
-    logits = rotary_logits(Tensor(q), Tensor(k), params.kernels(), key_axis)
-    return numerics.matmul(numerics.softmax_rows(logits.data), v)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+        raise DimensionMismatch(f"x {x.shape} and y {y.shape} must be rows of one width")
+    head = _checked_head(head, x.shape[1])
+    logits = rotary_logits(Tensor(x @ head["wq"]), Tensor(y @ head["wk"]), head, key_axis)
+    return numerics.softmax_rows(logits.data) @ (y @ head["wv"])

@@ -16,7 +16,6 @@ from quatmotion import cli
 from quatmotion import features as feat
 from quatmotion import metrics as met
 from quatmotion import model as mod
-from quatmotion import numerics as num
 from quatmotion import oracle
 from quatmotion import qra
 from quatmotion import quaternion as quat
@@ -141,22 +140,16 @@ def test_criterion_03_attention_degeneracy():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 7))
         axis = "ij"[trial % 2]
-        zero_kern = num.ConvKernel(weights=np.zeros((1, d_attn, 3)),
-                                   bias=np.zeros(1))
-        params = qra.QRAParams(
-            d_model=d_model, d_attn=d_attn, periods=1,
-            w_q=rng.standard_normal((d_model, d_attn)),
-            w_k=rng.standard_normal((d_model, d_attn)),
-            w_v=rng.standard_normal((d_model, d_attn)),
-            omega_q=zero_kern, theta_q=zero_kern,
-            omega_k=zero_kern, theta_k=zero_kern)
+        head = {name: rng.standard_normal((d_model, d_attn)) for name in qra.PROJECTIONS}
+        head.update({name: np.zeros((1, d_attn, 3) if name.endswith(".w") else 1)
+                     for name in qra.KERNEL_NAMES})
         x = rng.standard_normal((n, d_model))
         y = rng.standard_normal((m, d_model))
-        got = qra.qra_attention(x, y, params, key_axis=axis)
+        got = qra.qra_attention(x, y, head, key_axis=axis)
 
-        logits = (x @ params.w_q) @ (y @ params.w_k).T / math.sqrt(d_attn)
+        logits = (x @ head["wq"]) @ (y @ head["wk"]).T / math.sqrt(d_attn)
         shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        want = (shifted / shifted.sum(axis=1, keepdims=True)) @ (y @ params.w_v)
+        want = (shifted / shifted.sum(axis=1, keepdims=True)) @ (y @ head["wv"])
         worst = max(worst, float(np.abs(got - want).max()))
         cases += 1
 
@@ -179,11 +172,11 @@ def test_criterion_04_attention_oracle():
                 for periods in range(1, 4):
                     for axis in ("j", "i"):
                         d_model = int(rng.integers(2, 9))
-                        params = qra.QRAParams.random(rng, d_model, d_attn, periods)
+                        head = qra.random_head(rng, d_model, d_attn, periods)
                         x = rng.standard_normal((n, d_model))
                         y = rng.standard_normal((m, d_model))
-                        got = qra.qra_attention(x, y, params, key_axis=axis)
-                        want = oracle.reference_from_params(x, y, params, key_axis=axis)
+                        got = qra.qra_attention(x, y, head, key_axis=axis)
+                        want = oracle.reference_qra(x, y, head, key_axis=axis)
                         worst = max(worst, float(np.abs(got - want).max()))
                         cases += 1
     dt = time.perf_counter() - t0
@@ -328,7 +321,7 @@ def test_criterion_09_ablation_reference():
         config = mod.ModelConfig(use_spe=use_spe, use_qra=False)
         weights = mod.init_weights(config, np.random.default_rng(9))
         got = mod.predict_future(weights, config, motion, audio)
-        want = oracle.canonical_forward(weights, config, motion, audio)
+        want = oracle.reference_forward(weights, config, motion, audio)
         gaps[f"use_spe={use_spe}"] = float(np.abs(got - want).max())
 
     print(f"criterion 9: canonical-reference gaps {gaps} (tol 1e-10)")

@@ -27,6 +27,7 @@ from quatmotion import model as mod
 from quatmotion import quaternion
 from quatmotion import training as trn
 from quatmotion import verification
+from quatmotion.errors import MalformedFile
 
 # overrides shrinking the model/run enough for sub-second training
 TINY = [
@@ -198,6 +199,17 @@ class TestSynth:
                    for path in tmp_path.iterdir()}
         assert digests == _DEFAULT_SYNTH_SHA256
 
+    @pytest.mark.parametrize("seconds", ["1e6", "1e300", "3600.01"])
+    def test_seconds_past_the_frame_cap_exit_two(self, tmp_path, capsys, seconds):
+        # the cap is checked before any allocation: 1e6 s would ask for
+        # 105 GB of motion
+        out = tmp_path / "long"
+        assert cli.entry(["synth", "--out", str(out), "--seconds", seconds]) == 2
+        err = capsys.readouterr().err
+        assert repr(float(seconds)) in err and str(feat.SYNTH_MAX_FRAMES) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -222,7 +234,8 @@ class TestSynthFuzz:
                             f"--beat-period={period}", f"--seed={seed}"])
         message = err.getvalue()
         assert "Traceback" not in message
-        rejected = [value for value, ok in ((seconds, 0.5 < seconds * feat.FPS < math.inf),
+        rejected = [value for value, ok in ((seconds, 0.5 < seconds * feat.FPS
+                                             < feat.SYNTH_MAX_FRAMES + 0.5),
                                             (period, 2 <= period <= _INT64_MAX),
                                             (seed, seed >= 0)) if not ok]
         if rejected:
@@ -427,6 +440,47 @@ class TestGenerate:
             "--music", str(workspace / "data" / "p0" / "audio.csv"),
             "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
             "--frames", "2", "--out", str(out)])
+
+    def test_negative_frames_exit_two_before_out(self, workspace, tmp_path, capsys):
+        out = tmp_path / "g"
+        rc = cli.entry([
+            "generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
+            "--music", str(workspace / "data" / "p0" / "audio.csv"),
+            "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+            "--frames", "-3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--frames" in err and "-3" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,pattern", [
+        ("--ckpt", "r#1/{}"), ("--music", "a\nstart_frame = 7/{}"), ("--seed-motion", "m\r/{}"),
+        ("--ckpt", "d/{} "), ("--music", " d/{}")])
+    def test_unrecordable_path_exits_two_naming_the_flag(self, workspace, tmp_path, capsys,
+                                                         monkeypatch, flag, pattern):
+        # params.cfg records the three paths; one that would not read back
+        # as given is refused before anything is written, here for real
+        # copies of the files that would otherwise generate (relative to
+        # the working directory, so a path can start with a space)
+        sources = {"--ckpt": workspace / "run" / "checkpoint.json",
+                   "--music": workspace / "data" / "p0" / "audio.csv",
+                   "--seed-motion": workspace / "data" / "p0" / "motion.csv"}
+        monkeypatch.chdir(tmp_path)
+        paths = dict(sources)
+        paths[flag] = pathlib.Path(pattern.format(sources[flag].name))
+        paths[flag].parent.mkdir()
+        for suffix in ("", feat.PAYLOAD_SUFFIX, feat.META_SUFFIX):
+            src = pathlib.Path(str(sources[flag]) + suffix)
+            if src.exists():
+                pathlib.Path(str(paths[flag]) + suffix).write_bytes(src.read_bytes())
+        out = tmp_path / "g"
+        argv = ["generate", "--frames", "2", "--out", str(out)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert cli.entry(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} " in err and "cannot be recorded" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_checkpoint_missing_tensor_exits_two(self, workspace, tmp_path, capsys):
         doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
@@ -975,6 +1029,37 @@ class TestParamsFuzz:
         assert "Traceback" not in message
         if want:
             assert str(params) in message, (raw, message)
+
+
+# any character, lone surrogates included, and the ones the reader treats
+# specially: comments, line breaks, whitespace it strips, the separator
+_VALUE_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                                st.sampled_from("#\n\r \t\x0b\x0c\x1c\x85\xa0\u2028=")),
+                      max_size=10)
+
+
+class TestConfigValueRoundTrip:
+    """_write_config records a value exactly as _read_config_file reads it
+    back, or refuses it; a refused value, written anyway, would not read
+    back as given."""
+
+    @given(value=_VALUE_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_values_read_back_or_are_refused(self, tmp_path_factory, value):
+        path = tmp_path_factory.mktemp("roundtrip") / "params.cfg"
+        try:
+            cli._write_config(str(path), {"music": value, "frames": 6})
+        except MalformedFile as exc:
+            assert "music" in str(exc)
+            assert not path.exists()
+            path.write_bytes(f"music = {value}\nframes = 6\n".encode("utf-8", "surrogatepass"))
+            try:
+                back = cli._read_config_file(str(path))
+            except MalformedFile:
+                return
+            assert back != {"music": value, "frames": "6"}
+            return
+        assert cli._read_config_file(str(path)) == {"music": value, "frames": "6"}
 
 
 @pytest.fixture(scope="module")

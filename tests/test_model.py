@@ -1,10 +1,10 @@
 """Model stack: config gates, weight inventory, forward equivalences,
 autoregressive windowing, checkpoint format.
 
-With quaternion attention disabled the model must agree with
-quatmotion.oracle.canonical_forward, a from-scratch canonical transformer
-(einsum heads, complex-number rotary) kept deliberately unlike the
-package's tape implementation.
+The model must agree with quatmotion.oracle.reference_forward, with and
+without quaternion attention: a from-scratch derivation (scalar-loop QRA
+per head, einsum heads, complex-number rotary, every decoder row) kept
+deliberately unlike the package's tape implementation.
 """
 
 import base64
@@ -16,6 +16,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatmotion import autograd as ag
 from quatmotion import model, oracle, spe
@@ -23,6 +25,7 @@ from quatmotion.autograd import Tensor
 from quatmotion.errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                                HeadDimNotQuaternion, MalformedFile)
 from quatmotion.model import ModelConfig
+from quatmotion.qra import KERNEL_NAMES, PROJECTIONS
 
 
 def _expected_names(config):
@@ -172,6 +175,46 @@ class TestForward:
             model.forward(weights, config, too_long[None], audio[None])
 
 
+@st.composite
+def _small_configs(draw):
+    """Tiny configurations over every switch the reference reads. With QRA
+    the pruned decoder starts from the last 1 + decoder_layers motion
+    rows, and the window is drawn both shorter and longer than that."""
+    heads = draw(st.integers(1, 2))
+    decoder_layers = draw(st.integers(1, 3))
+    seed_frames = draw(st.integers(1, decoder_layers + 3))
+    return ModelConfig(
+        d_model=heads * draw(st.sampled_from([4, 8])), heads=heads,
+        encoder_layers=draw(st.integers(0, 2)), decoder_layers=decoder_layers,
+        periods=draw(st.integers(1, 3)), seed_motion_frames=seed_frames,
+        audio_frames=seed_frames + draw(st.integers(0, 4)),
+        future_frames=draw(st.integers(1, 2)), use_qra=draw(st.booleans()),
+        qra_keys_use_axis_i=draw(st.booleans()), use_spe=draw(st.booleans()),
+        use_learned_abs_pos=draw(st.booleans()))
+
+
+class TestReferenceForward:
+    """model.forward against oracle.reference_forward, the whole model
+    derived apart from the package: scalar-loop QRA per head in a decoder
+    that runs every row, einsum heads and complex-number rotary pairs."""
+
+    @given(config=_small_configs(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(config=ModelConfig(), seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_forward_matches_reference(self, config, seed):
+        rng = np.random.default_rng(seed)
+        # init leaves every bias, beta and kernel bias at zero; moving
+        # every weight off its initial value exercises each of them
+        weights = {name: Tensor(w.data + 0.1 * rng.standard_normal(w.shape))
+                   for name, w in model.init_weights(config, rng).items()}
+        motion = rng.standard_normal((2, config.seed_motion_frames, 219))
+        audio = rng.standard_normal((2, config.audio_frames, 35))
+        got = model.forward(weights, config, motion, audio).data
+        for row in range(2):
+            want = oracle.reference_forward(weights, config, motion[row], audio[row])
+            np.testing.assert_allclose(got[row], want, rtol=0, atol=1e-10)
+
+
 class TestCanonicalEquivalence:
     def test_tiny_ablation_matches_reference(self, tiny_model_config, rng):
         config = dataclasses.replace(tiny_model_config, use_qra=False)
@@ -179,7 +222,7 @@ class TestCanonicalEquivalence:
         motion = rng.standard_normal((config.seed_motion_frames, 219)) * 0.2
         audio = rng.standard_normal((config.audio_frames, 35)) * 0.2
         got = model.predict_future(weights, config, motion, audio)
-        want = oracle.canonical_forward(weights, config, motion, audio)
+        want = oracle.reference_forward(weights, config, motion, audio)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_desk_scale_ablation_matches_reference(self, rng):
@@ -188,7 +231,7 @@ class TestCanonicalEquivalence:
         motion = rng.standard_normal((30, 219)) * 0.1
         audio = rng.standard_normal((60, 35)) * 0.1
         got = model.predict_future(weights, config, motion, audio)
-        want = oracle.canonical_forward(weights, config, motion, audio)
+        want = oracle.reference_forward(weights, config, motion, audio)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_zeroed_kernels_single_period_is_canonical(self, rng):
@@ -213,13 +256,14 @@ class TestCanonicalEquivalence:
 class TestCrossAttentionVsArrayPath:
     @pytest.mark.parametrize("key_axis_i", [False, True])
     def test_matches_multi_head_qra(self, rng, key_axis_i):
-        # multi-head QRA as the scalar oracle computes it: one head at a
-        # time, concatenated and projected by wo
+        # one decoder layer's cross-attention against the scalar oracle run
+        # one head at a time, concatenated and projected by wo
         config = ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
                              periods=2, seed_motion_frames=5, audio_frames=7,
                              future_frames=1, qra_keys_use_axis_i=key_axis_i)
         weights = model.init_weights(config, np.random.default_rng(8))
-        w = {name: t.data for name, t in weights.items() if name.startswith("dec.0.attn.")}
+        w = {name[len("dec.0.attn."):]: t.data for name, t in weights.items()
+             if name.startswith("dec.0.attn.")}
         n, m, d, dh = 5, 12, config.d_model, config.d_head
         m_norm = rng.standard_normal((n, d))
         memory = rng.standard_normal((m, d))
@@ -228,13 +272,11 @@ class TestCrossAttentionVsArrayPath:
         heads = []
         for h in range(config.heads):
             cols = slice(h * dh, (h + 1) * dh)
-            kernels = {kern: (w[f"dec.0.attn.{kern}.w"][h], w[f"dec.0.attn.{kern}.b"][h])
-                       for kern in ("omega_q", "theta_q", "omega_k", "theta_k")}
-            heads.append(oracle.reference_qra(
-                m_norm, memory, w["dec.0.attn.wq"][:, cols], w["dec.0.attn.wk"][:, cols],
-                w["dec.0.attn.wv"][:, cols], kernels, config.periods,
-                key_axis="i" if key_axis_i else "j"))
-        want = np.concatenate(heads, axis=1) @ w["dec.0.attn.wo"]
+            head = {name: w[name][:, cols] for name in PROJECTIONS}
+            head.update({name: w[name][h] for name in KERNEL_NAMES})
+            heads.append(oracle.reference_qra(m_norm, memory, head,
+                                              key_axis="i" if key_axis_i else "j"))
+        want = np.concatenate(heads, axis=1) @ w["wo"]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 

@@ -4,11 +4,12 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 import subprocess
 import sys
 
 import quatmotion
-from quatmotion import oracle
+from quatmotion import oracle, verification
 
 
 def test_oracle_imports_only_math_and_numpy():
@@ -101,3 +102,16 @@ def test_features_owns_text_reading():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(list(package.glob("*.py"))) > 10
     assert found == []
+
+
+def test_readme_verify_counts_match_the_suites():
+    # the README's "Verification checklist" gives each suite's check count
+    # and the `--suite all` total; every group then adds one check_count
+    # line of its own
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Verification checklist", 1)[1].split("\n## ", 1)[0]
+    counts = {name: int(n) for name, n in re.findall(r"`(\w+)` \((\d+)(?: checks)?\)", section)}
+    assert counts == verification.EXPECTED_COUNTS
+    totals = re.findall(r"`(\d+)/(\d+) checks passed`", section)
+    expected = sum(counts.values()) + len(counts)
+    assert totals == [(str(expected), str(expected))]

@@ -17,7 +17,6 @@ from quatmotion import autograd as ag
 from quatmotion import model, numerics, oracle, qra, quaternion
 from quatmotion.autograd import Tensor
 from quatmotion.errors import DimensionMismatch, HeadDimNotQuaternion
-from quatmotion.numerics import ConvKernel
 
 
 def _hamilton(x, axis, angle):
@@ -26,36 +25,68 @@ def _hamilton(x, axis, angle):
                                quaternion.unit_exp(axis, float(angle))).as_array()
 
 
-class TestQRAParams:
+class TestHeadGates:
+    """qra_attention rejects a head whose arrays do not fit its rows."""
+
+    def _run(self, rng, head, d_model=8):
+        qra.qra_attention(rng.standard_normal((3, d_model)),
+                          rng.standard_normal((4, d_model)), head)
+
     def test_head_dim_must_be_quaternion(self, rng):
         with pytest.raises(HeadDimNotQuaternion):
-            qra.QRAParams.random(rng, d_model=8, d_attn=6, periods=1)
+            self._run(rng, qra.random_head(rng, d_model=8, d_attn=6, periods=1))
 
     def test_projection_shape_gate(self, rng):
-        p = qra.QRAParams.random(rng, d_model=8, d_attn=4, periods=2)
+        head = qra.random_head(rng, d_model=8, d_attn=4, periods=2)
         with pytest.raises(DimensionMismatch):
-            qra.QRAParams(d_model=8, d_attn=4, periods=2,
-                          w_q=np.zeros((4, 8)), w_k=p.w_k, w_v=p.w_v,
-                          omega_q=p.omega_q, theta_q=p.theta_q,
-                          omega_k=p.omega_k, theta_k=p.theta_k)
+            self._run(rng, {**head, "wq": np.zeros((4, 8))})
 
     def test_kernel_channel_gate(self, rng):
-        p = qra.QRAParams.random(rng, d_model=8, d_attn=4, periods=2)
+        head = qra.random_head(rng, d_model=8, d_attn=4, periods=2)
         with pytest.raises(DimensionMismatch):
-            qra.QRAParams(d_model=8, d_attn=4, periods=2,
-                          w_q=p.w_q, w_k=p.w_k, w_v=p.w_v,
-                          omega_q=ConvKernel(np.zeros((3, 4, 3)), np.zeros(3)), theta_q=p.theta_q,
-                          omega_k=p.omega_k, theta_k=p.theta_k)
+            self._run(rng, {**head, "omega_q.w": np.zeros((3, 4, 3)), "omega_q.b": np.zeros(3)})
+
+    def test_bias_shape_checked(self, rng):
+        head = qra.random_head(rng, d_model=8, d_attn=4, periods=2)
+        with pytest.raises(DimensionMismatch):
+            self._run(rng, {**head, "theta_k.b": np.zeros(3)})
+
+    def test_even_width_rejected(self, rng):
+        with pytest.raises(DimensionMismatch):
+            self._run(rng, qra.random_head(rng, d_model=8, d_attn=4, periods=1, width=4))
+
+    def test_row_width_gate(self, rng):
+        head = qra.random_head(rng, d_model=8, d_attn=4, periods=1)
+        with pytest.raises(DimensionMismatch):
+            qra.qra_attention(rng.standard_normal((3, 8)), rng.standard_normal((4, 7)), head)
 
     def test_periods_positive(self, rng):
         with pytest.raises(ValueError):
-            qra.QRAParams.random(rng, d_model=8, d_attn=4, periods=0)
+            self._run(rng, qra.random_head(rng, d_model=8, d_attn=4, periods=0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_kernels_must_be_finite(self, rng, bad):
+        head = qra.random_head(rng, d_model=8, d_attn=4, periods=2)
+        head["omega_k.w"][1, 2, 0] = bad
+        with pytest.raises(ValueError):
+            self._run(rng, head)
 
     def test_random_is_seed_deterministic(self):
-        a = qra.QRAParams.random(np.random.default_rng(5), 8, 4, 2)
-        b = qra.QRAParams.random(np.random.default_rng(5), 8, 4, 2)
-        np.testing.assert_array_equal(a.w_q, b.w_q)
-        np.testing.assert_array_equal(a.omega_k.weights, b.omega_k.weights)
+        a = qra.random_head(np.random.default_rng(5), 8, 4, 2)
+        b = qra.random_head(np.random.default_rng(5), 8, 4, 2)
+        assert a.keys() == b.keys() == set(qra.PROJECTIONS + qra.KERNEL_NAMES)
+        for name in a:
+            np.testing.assert_array_equal(a[name], b[name])
+
+    def test_random_head_draw_order(self):
+        # wq, wk, wv, then each kernel's weights and bias in KERNEL_NAMES order
+        head = qra.random_head(np.random.default_rng(9), 5, 4, 3, width=3, scale=0.5)
+        rng = np.random.default_rng(9)
+        for name in qra.PROJECTIONS:
+            np.testing.assert_array_equal(head[name], rng.standard_normal((5, 4)) / np.sqrt(5))
+        for name in qra.KERNEL_NAMES:
+            shape = (3, 4, 3) if name.endswith(".w") else (3,)
+            np.testing.assert_array_equal(head[name], 0.5 * rng.standard_normal(shape))
 
 
 def _angles(z, kernels, side, positions, drop=0):
@@ -80,16 +111,14 @@ class TestGenFreqPhase:
 
     def test_matches_component_ops(self, rng):
         z = rng.standard_normal((6, 4))
-        ok = ConvKernel(weights=rng.standard_normal((2, 4, 3)), bias=rng.standard_normal(2))
-        tk = ConvKernel(weights=rng.standard_normal((2, 4, 3)), bias=rng.standard_normal(2))
-        kernels = {"omega_k.w": ok.weights, "omega_k.b": ok.bias,
-                   "theta_k.w": tk.weights, "theta_k.b": tk.bias}
+        kernels = {name: rng.standard_normal((2, 4, 3) if name.endswith(".w") else 2)
+                   for name in ("omega_k.w", "omega_k.b", "theta_k.w", "theta_k.b")}
         pos = rng.standard_normal(6)
         angles = _angles(Tensor(z), kernels, "k", pos)
+        omega = numerics.conv1d_im2col(z, kernels["omega_k.w"], kernels["omega_k.b"])[0]
+        theta = numerics.conv1d_im2col(z, kernels["theta_k.w"], kernels["theta_k.b"])[0]
         np.testing.assert_array_equal(
-            angles.data,
-            numerics.relu(numerics.conv1d_im2col(z, ok.weights, ok.bias)[0]) * pos[:, None]
-            + numerics.pi_tanh(numerics.conv1d_im2col(z, tk.weights, tk.bias)[0]))
+            angles.data, numerics.relu(omega) * pos[:, None] + numerics.pi_tanh(theta))
 
     def test_drop_form_is_the_last_rows(self, rng):
         # dropped rows still feed the convolution windows of the rows after
@@ -176,18 +205,18 @@ class TestDegeneracy:
     def test_collapses_to_canonical(self, seed, key_axis):
         rng = np.random.default_rng(seed)
         n, m, d_model, d_attn = rng.integers(1, 6), rng.integers(1, 6), 6, 8
-        params = qra.QRAParams.random(rng, d_model, d_attn, 1, scale=0.0)
+        head = qra.random_head(rng, d_model, d_attn, 1, scale=0.0)
         x = rng.standard_normal((int(n), d_model))
         y = rng.standard_normal((int(m), d_model))
-        got = qra.qra_attention(x, y, params, key_axis=key_axis)
-        q, k, v = x @ params.w_q, y @ params.w_k, y @ params.w_v
+        got = qra.qra_attention(x, y, head, key_axis=key_axis)
+        q, k, v = x @ head["wq"], y @ head["wk"], y @ head["wv"]
         want = numerics.softmax_rows(q @ k.T / math.sqrt(d_attn)) @ v
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_zero_angles_mean_no_rotation(self, rng):
-        params = qra.QRAParams.random(rng, 6, 8, 1, scale=0.0)
+        head = qra.random_head(rng, 6, 8, 1, scale=0.0)
         z = rng.standard_normal((4, 8))
-        angles = _angles(Tensor(z), params.kernels(), "q", np.arange(4.0))
+        angles = _angles(Tensor(z), head, "q", np.arange(4.0))
         np.testing.assert_array_equal(angles.data, 0.0)
 
 
@@ -201,11 +230,11 @@ class TestAgainstOracle:
         d_attn = int(rng.integers(1, 3)) * 4  # 4 or 8
         periods = int(rng.integers(1, 4))
         d_model = int(rng.integers(2, 9))
-        params = qra.QRAParams.random(rng, d_model, d_attn, periods)
+        head = qra.random_head(rng, d_model, d_attn, periods)
         x = rng.standard_normal((n, d_model))
         y = rng.standard_normal((m, d_model))
-        got = qra.qra_attention(x, y, params, key_axis=key_axis)
-        want = oracle.reference_from_params(x, y, params, key_axis=key_axis)
+        got = qra.qra_attention(x, y, head, key_axis=key_axis)
+        want = oracle.reference_qra(x, y, head, key_axis=key_axis)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_oracle_hamilton_self_check(self):
@@ -230,11 +259,11 @@ class TestMultiHead:
 class TestHullBound:
     def test_rows_stay_in_value_hull(self, rng):
         # softmax rows are convex weights, so outputs are bounded per column
-        params = qra.QRAParams.random(rng, 10, 8, 2)
+        head = qra.random_head(rng, 10, 8, 2)
         x = rng.standard_normal((6, 10))
         y = rng.standard_normal((5, 10))
-        out = qra.qra_attention(x, y, params)
-        v = y @ params.w_v
+        out = qra.qra_attention(x, y, head)
+        v = y @ head["wv"]
         lo, hi = v.min(axis=0), v.max(axis=0)
         assert np.all(out >= lo - 1e-12)
         assert np.all(out <= hi + 1e-12)
