@@ -39,8 +39,7 @@ def main():
     # the rotation kernel spins a slot exactly as the Hamilton product does
     slot, angle = q[1, :4], angles[1, 0]
     spun = quaternion.slot_rotate(slot, math.cos(angle), math.sin(angle), "i")
-    direct = quaternion.hamilton(quaternion.Quaternion.from_array(slot),
-                                 quaternion.unit_exp("i", angle)).as_array()
+    direct = quaternion.hamilton(slot, quaternion.unit_exp("i", angle))
     print(f"slot 0 of step 1 spun by kernel vs Hamilton product: "
           f"max gap {np.abs(spun - direct).max():.3e}")
 

@@ -1,5 +1,7 @@
 """Tour of the quaternion primitives: products, rotations, norms.
 
+A quaternion e + f*i + g*j + h*k is a float64 array (e, f, g, h).
+
 Run: python3 demos/quaternion_playground.py
 """
 
@@ -15,14 +17,14 @@ def main():
         row = []
         for b in "ijk":
             p = quat.hamilton(names[a], names[b])
-            row.append(f"{a}*{b} = {p.as_array()}")
+            row.append(f"{a}*{b} = {p}")
         print("  " + "   ".join(row))
 
     print("\nnon-commutativity")
-    q = quat.Quaternion(1.0, 2.0, 3.0, 4.0)
-    r = quat.Quaternion(5.0, 6.0, 7.0, 8.0)
-    print(f"  q*r = {quat.hamilton(q, r).as_array()}")
-    print(f"  r*q = {quat.hamilton(r, q).as_array()}")
+    q = np.array([1.0, 2.0, 3.0, 4.0])
+    r = np.array([5.0, 6.0, 7.0, 8.0])
+    print(f"  q*r = {quat.hamilton(q, r)}")
+    print(f"  r*q = {quat.hamilton(r, q)}")
 
     print("\nnorms multiply")
     print(f"  |q| |r|   = {quat.q_norm(q) * quat.q_norm(r):.12f}")
@@ -40,10 +42,9 @@ def main():
     rng = np.random.default_rng(0)
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
-    q = quat.Quaternion(*v)
-    back = quat.rotmat_to_quat(quat.quat_to_rotmat(q))
-    print(f"  q    = {q.as_array()}")
-    print(f"  back = {back.as_array()}  (sign may flip; same rotation)")
+    back = quat.rotmat_to_quat(quat.quat_to_rotmat(v))
+    print(f"  q    = {v}")
+    print(f"  back = {back}  (sign may flip; same rotation)")
 
 
 if __name__ == "__main__":

@@ -10,17 +10,8 @@ suites (verification) behind the `quatmotion` command line.
 """
 
 from .errors import QuatMotionError
-from .quaternion import (
-    Quaternion,
-    hamilton,
-    q_conj,
-    q_norm,
-    quat_to_rotmat,
-    quaternionize,
-    rotmat_to_quat,
-    unit_exp,
-)
-from .spe import RotarySchedule, theta_schedule
+from .quaternion import hamilton, q_conj, q_norm, quat_to_rotmat, rotmat_to_quat, unit_exp
+from .spe import angle_tables, theta_schedule
 from .qra import qra_attention, random_head, rotary_logits
 from .model import ModelConfig, autoregressive_generate, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
@@ -31,9 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuatMotionError",
-    "Quaternion", "hamilton", "q_conj", "q_norm",
-    "quat_to_rotmat", "quaternionize", "rotmat_to_quat", "unit_exp",
-    "RotarySchedule", "theta_schedule",
+    "hamilton", "q_conj", "q_norm", "quat_to_rotmat", "rotmat_to_quat", "unit_exp",
+    "angle_tables", "theta_schedule",
     "qra_attention", "random_head", "rotary_logits",
     "ModelConfig", "autoregressive_generate", "load_checkpoint", "save_checkpoint",
     "TrainConfig", "train",

@@ -26,10 +26,6 @@ class NonFiniteGradient(QuatMotionError):
     """A gradient handed to the optimizer contains NaN or infinity."""
 
 
-class InsufficientDims(QuatMotionError):
-    """Vector too short to form even one quaternion."""
-
-
 class NotUnit(QuatMotionError):
     """Quaternion expected to have unit norm does not."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedFile, MetaMismatch
+from .errors import DimensionMismatch, MalformedFile, MetaMismatch, NotRotation
 from .quaternion import quat_to_rotmat, rotmat_to_quat
 from .numerics import sym_sqrt
 
@@ -81,9 +81,11 @@ class StreamMeta:
 
 
 def encode_motion_frame(rotations, translation) -> np.ndarray:
-    """Pack 24 unit quaternions + translation into one 219-dim frame."""
-    if len(rotations) != JOINT_COUNT:
-        raise DimensionMismatch(f"expected {JOINT_COUNT} joint rotations, got {len(rotations)}")
+    """Pack 24 unit quaternions, a (24, 4) array, + translation into one 219-dim frame."""
+    rotations = np.asarray(rotations, dtype=np.float64)
+    if rotations.shape != (JOINT_COUNT, 4):
+        raise DimensionMismatch(
+            f"expected ({JOINT_COUNT}, 4) joint rotations, got shape {rotations.shape}")
     translation = np.asarray(translation, dtype=np.float64).reshape(-1)
     if translation.size != 3:
         raise DimensionMismatch(f"translation must have 3 entries, got {translation.size}")
@@ -97,25 +99,34 @@ def encode_motion_frame(rotations, translation) -> np.ndarray:
 def nearest_rotation(m: np.ndarray) -> np.ndarray:
     """Polar factor of a near-rotation 3x3 block: m times (m^T m)^(-1/2)."""
     m = np.asarray(m, dtype=np.float64)
+    if not np.isfinite(m).all():
+        raise NotRotation("block has non-finite entries")
     gram = m.T @ m
     gram = 0.5 * (gram + gram.T)
     root = sym_sqrt(gram)
-    return np.linalg.solve(root.T, m.T).T
+    try:
+        return np.linalg.solve(root.T, m.T).T
+    except np.linalg.LinAlgError:
+        raise NotRotation("block is singular, so no rotation is nearest") from None
 
 
 def decode_motion_frame(v) -> tuple:
-    """Unpack a 219-dim frame into 24 unit quaternions + translation.
+    """Unpack a 219-dim frame into 24 unit quaternions, a (24, 4) array, + translation.
 
     Each 3x3 block is projected to its nearest rotation first, so mildly
-    invalid model outputs decode cleanly.
+    invalid model outputs decode cleanly; a block with no nearest rotation
+    raises NotRotation naming its joint.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size != MOTION_DIMS:
         raise DimensionMismatch(f"motion frame must have {MOTION_DIMS} entries, got {v.size}")
-    rotations = []
+    rotations = np.empty((JOINT_COUNT, 4))
     for j in range(JOINT_COUNT):
         block = v[9 * j:9 * j + 9].reshape(3, 3)
-        rotations.append(rotmat_to_quat(nearest_rotation(block)))
+        try:
+            rotations[j] = rotmat_to_quat(nearest_rotation(block))
+        except NotRotation as err:
+            raise NotRotation(f"joint {j} ({JOINT_NAMES[j]}): {err}") from None
     return rotations, v[TRANSLATION_CHANNELS].copy()
 
 

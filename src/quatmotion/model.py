@@ -35,7 +35,7 @@ from .errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
                      HeadDimNotQuaternion, MalformedFile, QuatMotionError)
 from .features import (AUDIO_DIMS, MOTION_DIMS, PAYLOAD_DTYPE, PAYLOAD_SUFFIX, STREAM_DIMS,
                        atomic_write, read_text, write_payload)
-from .spe import RotarySchedule, angle_tables
+from .spe import angle_tables
 
 CHECKPOINT_FORMAT = "qean-ckpt-v3"
 
@@ -210,7 +210,7 @@ def _embed(x: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
 @functools.lru_cache(maxsize=64)
 def _rotary_tables(steps: int, dim: int, base: float):
     """Read-only (cos, sin) rotary tables, built once per window geometry."""
-    tables = angle_tables(steps, RotarySchedule(dim, base))
+    tables = angle_tables(steps, dim, base)
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -1,15 +1,18 @@
 """Independent references for the `verify` suites, unit tests and criteria.
 
+hamilton4 is the written-out Hamilton product of two quaternions given
+as 4-tuples, the reference for quaternion.hamilton and the slot turns
+the model runs. rope spins rows' feature pairs, read as complex numbers,
+to explicit positions: the one reference for the model's rotary kernel.
 reference_qra is quaternion rotary attention of one head in plain Python
-floats and index loops (its own Hamilton product, padded convolution and
-softmax); it reads a head as the dict qra documents, "wq", "wk", "wv"
-and the eight omega/theta kernel arrays. reference_forward is the whole
-model, with or without QRA, in plain numpy: einsum heads with rotary
-pairs read as complex numbers in the encoders, and a decoder run on
-every motion row whose attention is reference_qra per head (or einsum
-heads without QRA). The module imports only math and numpy, never the
-package, so agreement with it pins the package to a separate derivation
-rather than to itself.
+floats and index loops (hamilton4, padded convolution and softmax); it
+reads a head as the dict qra documents, "wq", "wk", "wv" and the eight
+omega/theta kernel arrays. reference_forward is the whole model, with or
+without QRA, in plain numpy: einsum heads spun by rope in the encoders,
+and a decoder run on every motion row whose attention is reference_qra
+per head (or einsum heads without QRA). The module imports only math and
+numpy, never the package, so agreement with it pins the package to a
+separate derivation rather than to itself.
 """
 
 import math
@@ -146,12 +149,14 @@ def _layer_norm(x, gamma, beta, eps=1e-5):
     return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps) * gamma + beta
 
 
-def _rope(x, base):
-    # x: (T, H, dh); pairs as complex numbers spun by pos * base**(-2i/dh)
-    steps, _, dh = x.shape
-    freqs = base ** (-2.0 * np.arange(dh // 2) / dh)
-    z = (x[..., 0::2] + 1j * x[..., 1::2]) * np.exp(
-        1j * np.arange(steps)[:, None, None] * freqs[None, None, :])
+def rope(x, positions, base):
+    """Rows x (T, ..., d) with row t's pairs (x[2i], x[2i+1]) read as complex
+    numbers and spun by positions[t] * base**(-2i/d)."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    freqs = base ** (-2.0 * np.arange(d // 2) / d)
+    pos = np.asarray(positions, dtype=np.float64).reshape((-1,) + (1,) * (x.ndim - 1))
+    z = (x[..., 0::2] + 1j * x[..., 1::2]) * np.exp(1j * pos * freqs)
     out = np.empty_like(x)
     out[..., 0::2] = z.real
     out[..., 1::2] = z.imag
@@ -169,7 +174,8 @@ def _attention(x_q, x_kv, w, prefix, heads, rope_base=None):
     k = (x_kv @ w[prefix + ".wk"]).reshape(x_kv.shape[0], heads, d // heads)
     v = (x_kv @ w[prefix + ".wv"]).reshape(x_kv.shape[0], heads, d // heads)
     if rope_base is not None:
-        q, k = _rope(q, rope_base), _rope(k, rope_base)
+        q = rope(q, np.arange(steps), rope_base)
+        k = rope(k, np.arange(x_kv.shape[0]), rope_base)
     logits = np.einsum("thd,shd->hts", q, k) / math.sqrt(d // heads)
     mix = np.einsum("hts,shd->thd", _softmax(logits), v)
     return mix.reshape(steps, d) @ w[prefix + ".wo"]
@@ -199,7 +205,7 @@ def reference_forward(weights, config, motion, audio):
     """
     w = {name: t.data for name, t in weights.items()}
     key_axis = "i" if config.qra_keys_use_axis_i else "j"
-    rope = config.rotary_base if config.use_spe else None
+    rope_base = config.rotary_base if config.use_spe else None
 
     def norm(x, name):
         return _layer_norm(x, w[name + ".gamma"], w[name + ".beta"])
@@ -216,7 +222,7 @@ def reference_forward(weights, config, motion, audio):
         for layer in range(config.encoder_layers):
             p = f"enc.{name}.{layer}"
             hn = norm(h, p + ".ln1")
-            h = h + _attention(hn, hn, w, p + ".attn", config.heads, rope_base=rope)
+            h = h + _attention(hn, hn, w, p + ".attn", config.heads, rope_base=rope_base)
             h = h + ff(norm(h, p + ".ln2"), p + ".ff")
         if config.encoder_layers > 0:
             h = norm(h, f"enc.{name}.norm")

@@ -1,91 +1,45 @@
-"""Quaternion algebra and the quaternion view of real feature vectors.
+"""Quaternion algebra on arrays, the one slot rotation kernel, and rotation conversions.
 
-Quaternions are rank-4 hypercomplex numbers q = e + f*i + g*j + h*k with
-the non-commutative Hamilton product. This module provides the scalar
-algebra, unit-axis exponentials, the grouping of real vectors into
-quaternion slots, the one slot rotation kernel that QRA and RoPE share,
-and conversions to and from rotation matrices for the 219-dim motion
-layout.
+A quaternion q = e + f*i + g*j + h*k is a float64 array whose last axis
+holds (e, f, g, h); the algebra broadcasts over any leading axes. The
+package keeps one multiplication table, _TURNS: a quarter turn of a slot
+about an axis is its right product with that unit, so the Hamilton
+product q (x) r is q * r_e plus the three turns of q weighted by r_f,
+r_g and r_h. The algebra laws that `verify --suite algebra` checks
+therefore check the rows that QRA's rotation and its VJP run, and
+oracle.hamilton4, the written-out product, is the reference they are
+held to. The rotation-matrix conversions serve the 219-dim motion layout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDims, NotRotation, NotUnit
+from .errors import DimensionMismatch, NotRotation, NotUnit
 
 _AXES = ("i", "j", "k")
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """q = e + f*i + g*j + h*k with float64 components."""
-
-    e: float
-    f: float
-    g: float
-    h: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e, self.f, self.g, self.h], dtype=np.float64)
-
-    @staticmethod
-    def from_array(a) -> "Quaternion":
-        e, f, g, h = (float(v) for v in a)
-        return Quaternion(e, f, g, h)
+def _constant(*components) -> np.ndarray:
+    q = np.array(components, dtype=np.float64)
+    q.flags.writeable = False
+    return q
 
 
-ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
-UNIT_I = Quaternion(0.0, 1.0, 0.0, 0.0)
-UNIT_J = Quaternion(0.0, 0.0, 1.0, 0.0)
-UNIT_K = Quaternion(0.0, 0.0, 0.0, 1.0)
+ONE = _constant(1.0, 0.0, 0.0, 0.0)
+UNIT_I = _constant(0.0, 1.0, 0.0, 0.0)
+UNIT_J = _constant(0.0, 0.0, 1.0, 0.0)
+UNIT_K = _constant(0.0, 0.0, 0.0, 1.0)
+_CONJ = _constant(1.0, -1.0, -1.0, -1.0)
 
 
-def q_conj(q: Quaternion) -> Quaternion:
-    return Quaternion(q.e, -q.f, -q.g, -q.h)
-
-
-def hamilton(q: Quaternion, r: Quaternion) -> Quaternion:
-    """Hamilton product q (x) r (non-commutative)."""
-    return Quaternion(
-        q.e * r.e - q.f * r.f - q.g * r.g - q.h * r.h,
-        q.e * r.f + q.f * r.e + q.g * r.h - q.h * r.g,
-        q.e * r.g - q.f * r.h + q.g * r.e + q.h * r.f,
-        q.e * r.h + q.f * r.g - q.g * r.f + q.h * r.e,
-    )
-
-
-def q_norm(q: Quaternion) -> float:
-    return math.sqrt(q.e * q.e + q.f * q.f + q.g * q.g + q.h * q.h)
-
-
-def unit_exp(axis: str, angle: float) -> Quaternion:
-    """cos(angle) + sin(angle) on the chosen imaginary axis ('i', 'j' or 'k')."""
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
-    c, s = math.cos(angle), math.sin(angle)
-    if axis == "i":
-        return Quaternion(c, s, 0.0, 0.0)
-    if axis == "j":
-        return Quaternion(c, 0.0, s, 0.0)
-    return Quaternion(c, 0.0, 0.0, s)
-
-
-def quaternionize(v) -> list[Quaternion]:
-    """Group consecutive 4-tuples of a real vector into quaternions.
-
-    A trailing remainder of 1-3 entries is discarded, so a 254-dim vector
-    becomes 63 quaternions.
-    """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size < 4:
-        raise InsufficientDims(f"need at least 4 entries to form a quaternion, got {v.size}")
-    n = v.size // 4
-    blocks = v[: 4 * n].reshape(n, 4)
-    return [Quaternion(*row) for row in blocks]
+def _quats(q) -> np.ndarray:
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape[-1:] != (4,):
+        raise DimensionMismatch(f"quaternions need a last axis of 4, got shape {q.shape}")
+    return q
 
 
 # Turning a slot by a quarter turn permutes its components and flips
@@ -126,7 +80,7 @@ def slot_rotate(x: np.ndarray, co, si, axis: str) -> np.ndarray:
     it spins rotary pairs (x0, x1) as RoPE does. co and si broadcast
     against x[..., 0], and so may add leading axes. Each turned component
     is added with its sign folded into si, so no turned copy of x is made;
-    the sums are bit-identical to the written-out pair and Hamilton forms.
+    the sums equal co * x + si * quarter_turn(x, axis) bit for bit.
     """
     table = _turn_table(axis)
     co = np.asarray(co)
@@ -139,12 +93,49 @@ def slot_rotate(x: np.ndarray, co, si, axis: str) -> np.ndarray:
     return out
 
 
-def quat_to_rotmat(q: Quaternion) -> np.ndarray:
-    """3x3 rotation matrix of a unit quaternion."""
-    n = q_norm(q)
-    if abs(n - 1.0) >= 1e-6:
+def q_conj(q) -> np.ndarray:
+    """Conjugates e - f*i - g*j - h*k of quaternions q (..., 4)."""
+    return _quats(q) * _CONJ
+
+
+def q_norm(q) -> np.ndarray:
+    """Norms (...) of quaternions q (..., 4)."""
+    e, f, g, h = np.moveaxis(_quats(q), -1, 0)
+    return np.sqrt(e * e + f * f + g * g + h * h)
+
+
+def hamilton(q, r) -> np.ndarray:
+    """Hamilton products q (x) r (non-commutative) of broadcasting (..., 4) arrays.
+
+    r = r_e + r_f*i + r_g*j + r_h*k, so q (x) r is q*r_e plus q's quarter
+    turns about i, j and k times r_f, r_g and r_h.
+    """
+    q, r = _quats(q), _quats(r)
+    out = q * r[..., 0, None]
+    for c, axis in enumerate(_AXES, start=1):
+        out += quarter_turn(q, axis) * r[..., c, None]
+    return out
+
+
+def unit_exp(axis: str, angle) -> np.ndarray:
+    """cos(angle) + sin(angle) on imaginary axis 'i', 'j' or 'k', shape angle.shape + (4,).
+
+    The identity quaternion spun by slot_rotate.
+    """
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+    return slot_rotate(ONE, np.cos(angle), np.sin(angle), axis)
+
+
+def quat_to_rotmat(q) -> np.ndarray:
+    """3x3 rotation matrix of a unit quaternion q (4,)."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (4,):
+        raise DimensionMismatch(f"expected one quaternion of shape (4,), got {q.shape}")
+    n = float(q_norm(q))
+    if not abs(n - 1.0) < 1e-6:
         raise NotUnit(f"|q| = {n!r} is not within 1e-6 of 1")
-    e, f, g, h = q.e, q.f, q.g, q.h
+    e, f, g, h = q
     return np.array(
         [
             [1 - 2 * (g * g + h * h), 2 * (f * g - e * h), 2 * (f * h + e * g)],
@@ -155,8 +146,8 @@ def quat_to_rotmat(q: Quaternion) -> np.ndarray:
     )
 
 
-def rotmat_to_quat(r: np.ndarray) -> Quaternion:
-    """Unit quaternion of a proper rotation matrix; real part made nonnegative.
+def rotmat_to_quat(r) -> np.ndarray:
+    """Unit quaternion (4,) of a proper rotation matrix; real part made nonnegative.
 
     The double cover q <-> -q is resolved by the nonnegative-real-part
     convention, so round trips recover the input up to sign.
@@ -164,6 +155,8 @@ def rotmat_to_quat(r: np.ndarray) -> Quaternion:
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (3, 3):
         raise NotRotation(f"expected a 3x3 matrix, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise NotRotation("matrix has non-finite entries")
     if np.abs(r.T @ r - np.eye(3)).max() > 1e-6 or abs(np.linalg.det(r) - 1.0) > 1e-6:
         raise NotRotation("matrix is not orthonormal with determinant +1 (within 1e-6)")
 
@@ -187,4 +180,4 @@ def rotmat_to_quat(r: np.ndarray) -> Quaternion:
     e, f, g, h = e / norm, f / norm, g / norm, h / norm
     if e < 0.0:
         e, f, g, h = -e, -f, -g, -h
-    return Quaternion(e, f, g, h)
+    return np.array([e, f, g, h])

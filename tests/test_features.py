@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quatmotion import features, quaternion
-from quatmotion.errors import DimensionMismatch, MalformedFile, MetaMismatch
+from quatmotion.errors import DimensionMismatch, MalformedFile, MetaMismatch, NotRotation
 
 
 def _random_unit_quats(rng, n):
@@ -26,8 +26,8 @@ def _random_unit_quats(rng, n):
         v /= np.linalg.norm(v)
         if v[0] < 0:
             v = -v  # decode normalizes to nonnegative real part
-        out.append(quaternion.Quaternion.from_array(v))
-    return out
+        out.append(v)
+    return np.array(out)
 
 
 class TestLayout:
@@ -57,7 +57,7 @@ class TestLayout:
 
 class TestMotionCodec:
     def test_quarter_turn_hand_case(self):
-        rots = [quaternion.ONE] * 24
+        rots = np.tile(quaternion.ONE, (24, 1))
         rots[0] = quaternion.unit_exp("i", math.pi / 4)  # 90 degrees about x
         frame = features.encode_motion_frame(rots, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(frame[:9], [1, 0, 0, 0, 0, -1, 0, 1, 0], atol=1e-15)
@@ -70,27 +70,44 @@ class TestMotionCodec:
         frame = features.encode_motion_frame(rots, trans)
         back_rots, back_trans = features.decode_motion_frame(frame)
         np.testing.assert_allclose(back_trans, trans, atol=1e-15)
-        for q, b in zip(rots, back_rots):
-            np.testing.assert_allclose(b.as_array(), q.as_array(), atol=1e-10)
+        assert back_rots.shape == (24, 4)
+        np.testing.assert_allclose(back_rots, rots, atol=1e-10)
 
     def test_decode_projects_noisy_blocks(self, rng):
         rots = _random_unit_quats(rng, 24)
         frame = features.encode_motion_frame(rots, np.zeros(3))
         noisy = frame + rng.standard_normal(219) * 1e-3
         back_rots, _ = features.decode_motion_frame(noisy)
-        for q, b in zip(rots, back_rots):
-            assert quaternion.q_norm(b) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(b.as_array(), q.as_array(), atol=5e-3)
+        np.testing.assert_allclose(quaternion.q_norm(back_rots), 1.0, atol=1e-12)
+        np.testing.assert_allclose(back_rots, rots, atol=5e-3)
 
     def test_encode_gates(self):
         with pytest.raises(DimensionMismatch):
-            features.encode_motion_frame([quaternion.ONE] * 23, np.zeros(3))
+            features.encode_motion_frame(np.tile(quaternion.ONE, (23, 1)), np.zeros(3))
         with pytest.raises(DimensionMismatch):
-            features.encode_motion_frame([quaternion.ONE] * 24, np.zeros(4))
+            features.encode_motion_frame(np.tile(quaternion.ONE, (24, 1)), np.zeros(4))
+        with pytest.raises(DimensionMismatch):
+            features.encode_motion_frame(np.ones((24, 3)), np.zeros(3))
 
     def test_decode_gate(self):
         with pytest.raises(DimensionMismatch):
             features.decode_motion_frame(np.zeros(218))
+
+    @pytest.mark.parametrize("joint,fill", [(None, 0.0), (None, math.nan), (5, math.inf)],
+                             ids=["zero_frame", "nan_frame", "inf_block"])
+    def test_block_without_a_rotation_names_its_joint(self, rng, joint, fill):
+        # a zero block is singular and a non-finite one has no polar
+        # factor; either is a package error naming the first such joint,
+        # not a numpy LinAlgError or warning
+        if joint is None:
+            frame, joint = np.full(219, fill), 0
+        else:
+            frame = features.encode_motion_frame(_random_unit_quats(rng, 24), np.zeros(3))
+            frame[9 * joint:9 * joint + 9] = fill
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotRotation, match=rf"joint {joint} \({features.JOINT_NAMES[joint]}\)"):
+                features.decode_motion_frame(frame)
 
     def test_nearest_rotation(self, rng):
         r = quaternion.quat_to_rotmat(_random_unit_quats(rng, 1)[0])

@@ -163,7 +163,7 @@ class TestForward:
     def test_rotary_tables_are_cached_read_only(self):
         co, si = model._rotary_tables(5, 8, 10000.0)
         assert model._rotary_tables(5, 8, 10000.0)[0] is co
-        want_co, want_si = spe.angle_tables(5, spe.RotarySchedule(8, 10000.0))
+        want_co, want_si = spe.angle_tables(5, 8, 10000.0)
         np.testing.assert_array_equal(co, want_co)
         np.testing.assert_array_equal(si, want_si)
         assert not (co.flags.writeable or si.flags.writeable)

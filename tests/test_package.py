@@ -115,3 +115,17 @@ def test_readme_verify_counts_match_the_suites():
     totals = re.findall(r"`(\d+)/(\d+) checks passed`", section)
     expected = sum(counts.values()) + len(counts)
     assert totals == [(str(expected), str(expected))]
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` in the README names something a
+    # reader finds in that module, so a rename or deletion moves the docs
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    package = pathlib.Path(quatmotion.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    named = {(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)[`(]", readme)
+             if mod in modules}
+    missing = [f"{mod}.{name}" for mod, name in sorted(named)
+               if not hasattr(importlib.import_module(f"quatmotion.{mod}"), name)]
+    assert len(named) > 15
+    assert missing == []

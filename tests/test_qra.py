@@ -21,8 +21,7 @@ from quatmotion.errors import DimensionMismatch, HeadDimNotQuaternion
 
 def _hamilton(x, axis, angle):
     """Scalar right product of one 4-slot with unit_exp(axis, angle)."""
-    return quaternion.hamilton(quaternion.Quaternion.from_array(x),
-                               quaternion.unit_exp(axis, float(angle))).as_array()
+    return quaternion.hamilton(x, quaternion.unit_exp(axis, float(angle)))
 
 
 class TestHeadGates:
@@ -185,9 +184,8 @@ class TestRotarySimilarity:
                 acc = 0.0
                 for p in range(2):
                     for s in range(2):
-                        a = quaternion.Quaternion.from_array(phi[n, p, s])
-                        b = quaternion.Quaternion.from_array(_hamilton(keys[m, s], "j", angles[m, p]))
-                        acc += quaternion.hamilton(a, quaternion.q_conj(b)).e
+                        b = _hamilton(keys[m, s], "j", angles[m, p])
+                        acc += quaternion.hamilton(phi[n, p, s], quaternion.q_conj(b))[0]
                 assert sim[n, m] == pytest.approx(acc, abs=1e-12)
 
     def test_period_count_gate(self):

@@ -1,7 +1,7 @@
 """Rotary position embedding: frequency ladder, pair rotation, offset logits.
 
 Rotations run through the model's kernel, autograd.rope_apply over
-spe.angle_tables; spe.rope_rotate_complex is the independent reference.
+spe.angle_tables; oracle.rope is the independent reference.
 """
 
 import math
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatmotion import spe
+from quatmotion import oracle, spe
 from quatmotion.autograd import Tensor, rope_apply
 from quatmotion.errors import DimensionMismatch
 
@@ -52,31 +52,45 @@ class TestThetaSchedule:
 
 
 class TestRotarySchedule:
+    """The per-pair angles: angle_tables' ladder, or tables passed to rope_apply."""
+
     def test_default_ladder(self):
-        sched = spe.RotarySchedule(dim=8)
-        np.testing.assert_array_equal(sched.angles, spe.theta_schedule(8))
+        # position 1 of the tables turns each pair by its ladder angle
+        cos, sin = spe.angle_tables(1, 8, offset=1.0)
+        np.testing.assert_array_equal(cos[0], np.cos(spe.theta_schedule(8)))
+        np.testing.assert_array_equal(sin[0], np.sin(spe.theta_schedule(8)))
 
     def test_custom_angles(self):
-        sched = spe.RotarySchedule(dim=4, angles=[0.0, math.pi / 2])
-        np.testing.assert_array_equal(sched.angles, [0.0, math.pi / 2])
+        # rope_apply spins pair t by whatever angle row t of the tables holds
+        angles = np.array([[0.0, math.pi / 2]])
+        got = rope_apply(Tensor(np.array([[1.0, 2.0, 3.0, 4.0]])),
+                         np.cos(angles), np.sin(angles)).data
+        np.testing.assert_allclose(got, [[1.0, 2.0, -4.0, 3.0]], rtol=0, atol=1e-15)
 
     def test_angle_count_checked(self):
-        with pytest.raises(DimensionMismatch):
-            spe.RotarySchedule(dim=4, angles=[1.0, 2.0, 3.0])
+        # one angle per pair at every position
+        cos, sin = spe.angle_tables(3, 10)
+        assert cos.shape == sin.shape == (3, 5)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(DimensionMismatch):
-            spe.RotarySchedule(dim=5)
+            spe.angle_tables(3, 5)
 
 
-def _spun(rows, sched, offset=0.0):
+def _spun(rows, offset=0.0):
     """Rows (T, dim) spun from position `offset` on by the model's kernel."""
-    return rope_apply(Tensor(rows), *spe.angle_tables(len(rows), sched, offset)).data
+    steps, dim = rows.shape
+    return rope_apply(Tensor(rows), *spe.angle_tables(steps, dim, offset=offset)).data
 
 
-def _rotate(x, pos, sched):
+def _rotate(x, pos):
     """One vector spun to position pos through the model's kernel."""
-    return _spun(np.asarray(x, dtype=np.float64)[None], sched, pos)[0]
+    return _spun(np.asarray(x, dtype=np.float64)[None], pos)[0]
+
+
+def _reference(x, pos):
+    """One vector spun to position pos by the oracle's complex numbers."""
+    return oracle.rope(np.asarray(x)[None], [pos], spe.DEFAULT_BASE)[0]
 
 
 class TestRopeRotate:
@@ -84,53 +98,45 @@ class TestRopeRotate:
 
     def test_plane_hand_case(self):
         # dim 2 has the single unit frequency, so pos is the angle itself
-        out = _rotate([1.0, 0.0], 1.0, spe.RotarySchedule(dim=2))
+        out = _rotate([1.0, 0.0], 1.0)
         np.testing.assert_allclose(out, [math.cos(1.0), math.sin(1.0)], atol=1e-15)
 
     def test_position_zero_is_identity(self, rng):
-        sched = spe.RotarySchedule(dim=10)
         x = rng.standard_normal(10)
-        np.testing.assert_array_equal(_rotate(x, 0.0, sched), x)
+        np.testing.assert_array_equal(_rotate(x, 0.0), x)
 
     @given(vecs6, posf)
     @settings(max_examples=40, deadline=None)
     def test_isometry(self, x, pos):
-        sched = spe.RotarySchedule(dim=6)
-        out = _rotate(x, pos, sched)
+        out = _rotate(x, pos)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
     @given(vecs6, posf, posf)
     @settings(max_examples=40, deadline=None)
     def test_composition_adds_angles(self, x, s, t):
-        sched = spe.RotarySchedule(dim=6)
-        twice = _rotate(_rotate(x, s, sched), t, sched)
-        once = _rotate(x, s + t, sched)
+        twice = _rotate(_rotate(x, s), t)
+        once = _rotate(x, s + t)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
     def test_matrix_and_complex_routes_agree(self, rng):
-        sched = spe.RotarySchedule(dim=16)
         for pos in (-11.0, 0.5, 3.0, 1000.0):
             x = rng.standard_normal(16)
-            np.testing.assert_allclose(_rotate(x, pos, sched),
-                                       spe.rope_rotate_complex(x, pos, sched),
-                                       atol=1e-14)
+            np.testing.assert_allclose(_rotate(x, pos), _reference(x, pos), atol=1e-14)
 
 
 class TestShiftInvariance:
     @given(vecs6, vecs6, posf, posf, posf)
     @settings(max_examples=50, deadline=None)
     def test_logit_depends_only_on_offset(self, q, k, s, t, delta):
-        sched = spe.RotarySchedule(dim=6)
-        base = _rotate(q, s, sched) @ _rotate(k, t, sched)
-        moved = _rotate(q, s + delta, sched) @ _rotate(k, t + delta, sched)
+        base = _rotate(q, s) @ _rotate(k, t)
+        moved = _rotate(q, s + delta) @ _rotate(k, t + delta)
         assert moved == pytest.approx(base, abs=1e-8)
 
     def test_shared_table_offset_cancels(self, rng):
-        sched = spe.RotarySchedule(dim=8)
         q = rng.standard_normal((4, 8))
         k = rng.standard_normal((5, 8))
-        base = _spun(q, sched) @ _spun(k, sched).T
-        shifted = _spun(q, sched, 13.0) @ _spun(k, sched, 13.0).T
+        base = _spun(q) @ _spun(k).T
+        shifted = _spun(q, 13.0) @ _spun(k, 13.0).T
         np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
@@ -139,29 +145,29 @@ class TestRopeLogits:
 
     def test_matches_manual_rotate_then_dot(self, rng):
         # whole-table rows against each row spun alone by the complex oracle
-        sched = spe.RotarySchedule(dim=6)
         q = rng.standard_normal((3, 6))
         k = rng.standard_normal((4, 6))
-        logits = _spun(q, sched, 2.0) @ _spun(k, sched, -1.0).T
+        logits = _spun(q, 2.0) @ _spun(k, -1.0).T
         for s in range(3):
             for t in range(4):
-                want = spe.rope_rotate_complex(q[s], s + 2.0, sched) @ spe.rope_rotate_complex(
-                    k[t], t - 1.0, sched)
+                want = _reference(q[s], s + 2.0) @ _reference(k[t], t - 1.0)
                 assert logits[s, t] == pytest.approx(want, abs=1e-12)
 
     def test_zero_schedule_gives_plain_dot(self, rng):
-        sched = spe.RotarySchedule(dim=6, angles=np.zeros(3))
+        # zero angles: cos 1 and sin 0 at every position
         q = rng.standard_normal((4, 6))
         k = rng.standard_normal((4, 6))
-        np.testing.assert_array_equal(_spun(q, sched) @ _spun(k, sched).T, q @ k.T)
+        ones, zeros = np.ones((4, 3)), np.zeros((4, 3))
+        still_q = rope_apply(Tensor(q), ones, zeros).data
+        still_k = rope_apply(Tensor(k), ones, zeros).data
+        np.testing.assert_array_equal(still_q @ still_k.T, q @ k.T)
 
 
 class TestRowHelpers:
     def test_angle_tables(self):
-        sched = spe.RotarySchedule(dim=4)
-        cos, sin = spe.angle_tables(3, sched, offset=1.0)
+        cos, sin = spe.angle_tables(3, 4, offset=1.0)
         pos = np.array([1.0, 2.0, 3.0])
-        want = pos[:, None] * sched.angles[None, :]
+        want = pos[:, None] * spe.theta_schedule(4)[None, :]
         np.testing.assert_array_equal(cos, np.cos(want))
         np.testing.assert_array_equal(sin, np.sin(want))
         assert cos.shape == (3, 2)
