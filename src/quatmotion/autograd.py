@@ -34,6 +34,7 @@ import math
 import numpy as np
 
 from . import numerics, quaternion
+from .errors import DimensionMismatch
 
 __all__ = [
     "Tensor",
@@ -581,15 +582,22 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 def rope_apply(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate interleaved feature pairs by constant per-position angles.
 
-    x: (..., T, d) with even d; cos, sin: (T, d/2) angle tables. The tables
-    are positional constants, so no gradient flows into them. The pairs go
-    through quaternion.slot_rotate's plane turn; the map is orthogonal, so
-    its VJP is the same call with -sin and keeps only the tables.
+    x: (..., T, d) with even d; cos, sin: (T, d/2) angle tables, exactly,
+    else DimensionMismatch: a table that would broadcast spins every row or
+    every pair alike. The tables are positional constants, so no gradient
+    flows into them. The pairs go through quaternion.slot_rotate's plane
+    turn; the map is orthogonal, so its VJP is the same call with -sin and
+    keeps only the tables.
     """
     x = _wrap(x)
     cos = np.asarray(cos, dtype=np.float64)
     sin = np.asarray(sin, dtype=np.float64)
     shape = x.data.shape
+    if (len(shape) < 2 or shape[-1] % 2
+            or not cos.shape == sin.shape == (shape[-2], shape[-1] // 2)):
+        raise DimensionMismatch(f"rope_apply needs rows (..., T, d) with an even d and "
+                                f"(T, d/2) cos and sin tables; got rows {shape}, "
+                                f"cos {cos.shape}, sin {sin.shape}")
     pairs = shape[:-1] + (shape[-1] // 2, 2)
     out = quaternion.slot_rotate(x.data.reshape(pairs), cos, sin, "plane").reshape(shape)
 

@@ -22,18 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 import mmap
-import os
-import select
-import signal
-import sys
-import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forked
 from .autograd import Tensor, mean_, mul, sub
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss, QuatMotionError
+from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
 from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write
 from .model import ModelConfig, forward, save_checkpoint
 
@@ -218,31 +213,12 @@ def sample_windows(dataset, config: ModelConfig, batch_size: int, rng: np.random
 # at desk scale, and a smaller model's short step does not cover the
 # fork and the reaping (about 3 and 5 ms).
 _WORKER_MIN_STEPS = 3
-# how long close() waits for a worker to leave on EOF before killing it
-_WORKER_GRACE_S = 2.0
 
 
 def _worker_may_run(total_steps: int) -> bool:
-    """Whether shard 1 of each step may run in a forked worker.
-
-    Fork, not spawn: a spawned worker pays a fresh interpreter plus the
-    package imports (`import quatmotion.cli` takes about 0.16 s), while a
-    10-step desk call saves only about 100 ms. Fork is safe here because it
-    only happens while the process runs a single OS thread, which also
-    rules out a BLAS thread pool: unpinned OpenBLAS threads spin on the
-    core the worker needs (desk batch 8, raw: 144 and 215 ms/step with
-    the worker against 109 and 59 ms in-process). Set
-    OPENBLAS_NUM_THREADS=1, as the tests and perfbench do, to get it.
-    """
-    if not (sys.platform.startswith("linux") and hasattr(os, "fork")
-            and total_steps >= _WORKER_MIN_STEPS
-            and len(os.sched_getaffinity(0)) >= 2):
-        return False
-    try:
-        # every OS thread, Python's and native ones alike
-        return len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+    """Whether shard 1 of each step may run in a forked worker: a run of
+    at least _WORKER_MIN_STEPS steps, where forked.may_fork allows it."""
+    return total_steps >= _WORKER_MIN_STEPS and forked.may_fork()
 
 
 def _shards(batch_size: int) -> list:
@@ -374,10 +350,10 @@ class _ShardWorker:
        and flag, so each reaches the same check and clip decision itself.
     4. end (worker to parent): the worker's half is updated.
 
-    The worker leaves through os._exit: quietly on EOF, which it meets
-    once the parent has closed its end of the pipe, and on a failed
-    check, which the parent raises as well; with a traceback on any other
-    error.
+    The worker leaves through os._exit (see forked.Link): quietly on EOF,
+    which it meets once the parent has closed its end of the pipe, and on
+    a failed check, which the parent raises as well; with a traceback on
+    any other error.
     """
 
     def __init__(self, weights: dict, names: list, shards: list, steps):
@@ -404,16 +380,12 @@ class _ShardWorker:
         self._halves = (range(cut), range(cut, count))
         for name, view in self._weights.items():
             view[...] = weights[name].data
-        to_worker, self._send = os.pipe()
-        self._recv, to_parent = os.pipe()
         try:
-            self.pid = os.fork()
+            self._link = forked.Link("the training worker for shard 1")
         except OSError:
-            for fd in (to_worker, self._send, self._recv, to_parent):
-                os.close(fd)
             self._release()
             raise
-        self.rank = int(self.pid == 0)
+        self.rank = int(self._link.worker)
         half = self._halves[self.rank]
         self.shards = shards[self.rank:self.rank + 1]
         self.names = names[half.start:half.stop]
@@ -423,29 +395,18 @@ class _ShardWorker:
         for name, view in self._weights.items():
             weights[name].data = view
         if self.rank:
-            code = 1
-            try:
-                os.close(self._send)
-                os.close(self._recv)
-                self._send, self._recv = to_parent, to_worker
+            def run():
                 for _ in steps(self):
                     pass
-                code = 0
-            except (NonFiniteLoss, NonFiniteGradient):
-                code = 0  # the parent reaches the same check and raises it
-            except Exception:
-                os.write(2, traceback.format_exc().encode(errors="replace"))
-            finally:
-                os._exit(code)
-        os.close(to_worker)
-        os.close(to_parent)
+            # the parent reaches the same failed check and raises it
+            self._link.serve(run, quiet=(NonFiniteLoss, NonFiniteGradient))
 
     def begin(self):
         """Exchange 1: the caller has resumed the parent."""
         if self.rank:
-            self._hear()
+            self._link.hear()
         else:
-            self._tell()
+            self._link.tell()
 
     def trade(self, leaves: dict, losses: list) -> list:
         """Exchange 2: trade the shards' losses and the halves' shard
@@ -457,8 +418,8 @@ class _ShardWorker:
             name = self._names[i]
             if leaves[name].grad is not None:
                 self._grads[name][...] = leaves[name].grad
-        self._tell()
-        self._hear()
+        self._link.tell()
+        self._link.hear()
         self._take(leaves)
         return self._losses.tolist()
 
@@ -486,45 +447,24 @@ class _ShardWorker:
         half = self._halves[self.rank]
         self._squares[half.start:half.stop] = squares
         self._finite[half.start:half.stop] = finite
-        self._tell()
-        self._hear()
+        self._link.tell()
+        self._link.hear()
         # plain lists: a view held in a frame would keep the arena open
         return self._squares.tolist(), self._finite.tolist()
 
     def end(self):
         """Exchange 4: the worker's half is updated."""
         if self.rank:
-            self._tell()
+            self._link.tell()
         else:
-            self._hear()
-
-    def _tell(self):
-        try:
-            os.write(self._send, b"x")
-        except BrokenPipeError:
-            self._lost()
-
-    def _hear(self):
-        if not os.read(self._recv, 1):
-            self._lost()
-
-    def _lost(self):
-        """The other process has gone. The worker follows the parent out;
-        the parent names how the worker died."""
-        if self.rank:
-            os._exit(0)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise QuatMotionError(f"the training worker for shard 1 {how}")
+            self._link.hear()
 
     def close(self, weights: dict):
         """Stop the worker, then give the caller's leaves back their own
         arrays, holding the arena's values, and private copies of the
         gradients the arena holds."""
         try:
-            self._stop()
+            self._link.close()
         finally:
             for name, original in self._originals.items():
                 leaf = weights[name]
@@ -533,26 +473,6 @@ class _ShardWorker:
                 if leaf.grad is self._grads[name]:
                     leaf.grad = leaf.grad.copy()
             self._release()
-
-    def _stop(self):
-        """EOF to the worker and reap it. A reply still in the pipe is
-        dropped; a worker that has not left within the grace period (a
-        process forked since holds a copy of the pipe's write end) is
-        killed."""
-        os.close(self._send)
-        if self.pid is not None:
-            deadline = time.monotonic() + _WORKER_GRACE_S
-            while True:
-                ready, _, _ = select.select([self._recv], [], [],
-                                            max(0.0, deadline - time.monotonic()))
-                if not ready:
-                    os.kill(self.pid, signal.SIGKILL)
-                    break
-                if not os.read(self._recv, 64):  # EOF: the worker has left
-                    break
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        os.close(self._recv)
 
     def _release(self):
         # the arena cannot close while numpy views export its buffer

@@ -540,49 +540,80 @@ def metrics_checks() -> list:
 
 # --------------------------------------------------------------- numerics
 
-def numerics_checks() -> list:
-    rng = np.random.default_rng(17)
-    checks = []
+def _softmax_rows_sum(rng) -> Check:
+    s = num.softmax_rows(rng.standard_normal((6, 9)))
+    return _check("numerics/softmax_rows_sum", float(np.abs(s.sum(axis=1) - 1).max()), 1e-12)
 
+
+def _softmax_shift_invariance(rng) -> Check:
     m = rng.standard_normal((6, 9))
-    s = num.softmax_rows(m)
-    checks.append(_check("numerics/softmax_rows_sum", float(np.abs(s.sum(axis=1) - 1).max()), 1e-12))
     shifted = num.softmax_rows(m + rng.standard_normal((6, 1)))
-    checks.append(_check("numerics/softmax_shift_invariance", float(np.abs(shifted - s).max()), 1e-12))
-    two = num.softmax_rows(np.array([[4.2, 4.2 + math.log(3.0)]]))
-    checks.append(_check("numerics/softmax_closed_form",
-                         float(np.abs(two - np.array([[0.25, 0.75]])).max()), 1e-12))
+    return _check("numerics/softmax_shift_invariance",
+                  float(np.abs(shifted - num.softmax_rows(m)).max()), 1e-12)
 
+
+def _softmax_closed_form(rng) -> Check:
+    two = num.softmax_rows(np.array([[4.2, 4.2 + math.log(3.0)]]))
+    return _check("numerics/softmax_closed_form",
+                  float(np.abs(two - np.array([[0.25, 0.75]])).max()), 1e-12)
+
+
+def _conv1d_linearity(rng) -> Check:
     w = rng.standard_normal((3, 2, 5))
     b = np.zeros(3)
     x1 = rng.standard_normal((9, 2))
     x2 = rng.standard_normal((9, 2))
     lin = num.conv1d_im2col(2.5 * x1 - 1.5 * x2, w, b)[0]
     combo = 2.5 * num.conv1d_im2col(x1, w, b)[0] - 1.5 * num.conv1d_im2col(x2, w, b)[0]
-    checks.append(_check("numerics/conv1d_linearity", float(np.abs(lin - combo).max()), 1e-12))
+    return _check("numerics/conv1d_linearity", float(np.abs(lin - combo).max()), 1e-12)
 
+
+def _conv1d_hand_case(rng) -> Check:
     slide = num.conv1d_im2col(np.array([[1.0], [2.0], [3.0]]),
                               np.array([[[1.0, 0.0, -1.0]]]), np.zeros(1))[0]
-    checks.append(_check("numerics/conv1d_hand_case",
-                         float(np.abs(slide - np.array([[-2.0], [-2.0], [2.0]])).max()), 0.0))
+    return _check("numerics/conv1d_hand_case",
+                  float(np.abs(slide - np.array([[-2.0], [-2.0], [2.0]])).max()), 0.0)
 
+
+def _conv1d_identity_kernel(rng) -> Check:
+    x = rng.standard_normal((9, 2))
     centre_tap = np.stack([np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]),
                            np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])])
-    ident = num.conv1d_im2col(x1, centre_tap, np.zeros(2))[0]
-    checks.append(_check("numerics/conv1d_identity_kernel", float(np.abs(ident - x1).max()), 0.0))
+    ident = num.conv1d_im2col(x, centre_tap, np.zeros(2))[0]
+    return _check("numerics/conv1d_identity_kernel", float(np.abs(ident - x).max()), 0.0)
 
+
+def _sym_sqrt_reconstruction(rng) -> Check:
     base = rng.standard_normal((6, 6))
     spd = base @ base.T + 0.5 * np.eye(6)
     root = num.sym_sqrt(spd)
-    checks.append(_check("numerics/sym_sqrt_reconstruction",
-                         float(np.abs(root @ root - spd).max()), 1e-8))
-    diag = num.sym_sqrt(np.diag([4.0, 9.0]))
-    checks.append(_check("numerics/sym_sqrt_closed_form",
-                         float(np.abs(diag - np.diag([2.0, 3.0])).max()), 1e-12))
+    return _check("numerics/sym_sqrt_reconstruction",
+                  float(np.abs(root @ root - spd).max()), 1e-8)
 
+
+def _sym_sqrt_closed_form(rng) -> Check:
+    diag = num.sym_sqrt(np.diag([4.0, 9.0]))
+    return _check("numerics/sym_sqrt_closed_form",
+                  float(np.abs(diag - np.diag([2.0, 3.0])).max()), 1e-12)
+
+
+def _pi_tanh_strict_bound(rng) -> Check:
     val = float(num.pi_tanh(np.array(20.0)))
-    checks.append(_flag("numerics/pi_tanh_strict_bound", 3.141592 < val < math.pi))
-    return checks
+    return _flag("numerics/pi_tanh_strict_bound", 3.141592 < val < math.pi)
+
+
+# Each check with the key k of its own generator, default_rng([17, k]),
+# so adding, removing or moving a check leaves every other check's
+# inputs as they were. A key stays with its check and is never reused.
+_NUMERICS = (
+    (0, _softmax_rows_sum), (1, _softmax_shift_invariance), (2, _softmax_closed_form),
+    (3, _conv1d_linearity), (4, _conv1d_hand_case), (5, _conv1d_identity_kernel),
+    (6, _sym_sqrt_reconstruction), (7, _sym_sqrt_closed_form), (8, _pi_tanh_strict_bound),
+)
+
+
+def numerics_checks() -> list:
+    return [check(np.random.default_rng([17, key])) for key, check in _NUMERICS]
 
 
 # ------------------------------------------------------------------ model
@@ -660,17 +691,25 @@ def model_checks() -> list:
     checks.append(_flag("model/spe_toggle_changes_encoding",
                         float(np.abs(spe_on - spe_off).max()) > 1e-8))
 
+    # a rollout long enough to encode its music in a forked worker where
+    # the process allows one; frame s must be what predict_future makes of
+    # the window rebuilt from the seed and frames 0 .. s-1
+    steps = max(12, mod._FORK_MIN_STEPS)
     gen0 = mod.autoregressive_generate(motion, audio, 0, weights, config)
     gen1 = mod.autoregressive_generate(motion, audio, 1, weights, config)
-    first = mod.predict_future(weights, config, motion, audio[:config.audio_frames])[0]
-    gen_long = mod.autoregressive_generate(
-        motion, rng.standard_normal((9 + 11, feat.AUDIO_DIMS)), 12, weights, config)
-    ok = (gen0.shape == (0, feat.MOTION_DIMS)
-          and gen1.shape == (1, feat.MOTION_DIMS)
-          and float(np.abs(gen1[0] - first).max()) == 0.0
-          and gen_long.shape == (12, feat.MOTION_DIMS)
-          and bool(np.all(np.isfinite(gen_long))))
-    checks.append(_flag("model/autoregressive_keep_first", ok))
+    long_audio = rng.standard_normal((config.audio_frames + steps - 1, feat.AUDIO_DIMS))
+    gen_long = mod.autoregressive_generate(motion, long_audio, steps, weights, config)
+    worst = math.inf
+    if (gen0.shape == (0, feat.MOTION_DIMS) and gen1.shape == (1, feat.MOTION_DIMS)
+            and gen_long.shape == (steps, feat.MOTION_DIMS)):
+        frames = np.vstack([motion, gen_long])
+        replay = [mod.predict_future(weights, config, frames[s:s + config.seed_motion_frames],
+                                     long_audio[s:s + config.audio_frames])[0]
+                  for s in range(steps)]
+        first = mod.predict_future(weights, config, motion, audio[:config.audio_frames])[0]
+        worst = max(float(np.abs(gen1[0] - first).max()),
+                    float(np.abs(gen_long - np.array(replay)).max()))
+    checks.append(_check("model/autoregressive_keep_first", worst, 0.0))
 
     report = _model_grad_report()
     checks.append(_check("model/end_to_end_gradients", report.max_error, report.tol))

@@ -13,14 +13,18 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatmotion import autograd, cli, numerics, spe
+from quatmotion import autograd, cli, forked, numerics, spe
 from quatmotion import features as feat
 from quatmotion import metrics as met
 from quatmotion import model as mod
@@ -126,6 +130,32 @@ class TestVerify:
         conv = [c for c in verification.numerics_checks() if c.name.startswith("numerics/conv1d")]
         assert len(conv) == 3 and all(c.passed for c in conv)
         assert calls["conv1d_im2col"] > 0
+
+    def test_a_numerics_check_reads_the_same_whichever_ran_before(self, monkeypatch):
+        # each check draws from its own generator, so dropping or
+        # reordering the others leaves its inputs and its figure as they are
+        full = {c.name: c.measured for c in verification.numerics_checks()}
+        assert len(full) == verification.EXPECTED_COUNTS["numerics"]
+        checks = verification._NUMERICS
+        for kept in (checks[::-1], checks[1::2], checks[::2]):
+            monkeypatch.setattr(verification, "_NUMERICS", kept)
+            for c in verification.numerics_checks():
+                assert c.measured == full[c.name], c.name
+
+    def test_the_rollout_check_replays_every_frame(self, monkeypatch):
+        # a last frame moved by one ulp fails the check
+        real = mod.autoregressive_generate
+
+        def nudged(seed_motion, audio, steps, weights, config):
+            out = real(seed_motion, audio, steps, weights, config)
+            if steps > 1:
+                out[-1] = np.nextafter(out[-1], np.inf)
+            return out
+
+        monkeypatch.setattr(mod, "autoregressive_generate", nudged)
+        check, = [c for c in verification.model_checks()
+                  if c.name == "model/autoregressive_keep_first"]
+        assert not check.passed and check.measured > 0
 
 
 # the files `synth` writes with every flag at its default
@@ -546,6 +576,71 @@ class TestGenerate:
             "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
             "--frames", "2", "--out", str(tmp_path / "g")])
         assert rc == 2
+
+
+# runs `quatmotion <argv[3:]>` from the sources at argv[1], with a second
+# Python thread alive if argv[2] is "thread", then prints the largest RSS
+# of the processes it reaped, 0 if it reaped none
+_COUNTING_CHILDREN = """
+import resource, sys, threading
+sys.path.insert(0, sys.argv[1])
+from quatmotion import cli
+if sys.argv[2] == "thread":
+    threading.Thread(target=threading.Event().wait, daemon=True).start()
+code = cli.entry(sys.argv[3:])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+sys.exit(code)
+"""
+
+
+class TestGenerateWorker:
+    """A rollout of at least model._FORK_MIN_STEPS frames encodes its music
+    in a forked worker where the process allows one."""
+
+    def _argv(self, workspace, out, frames):
+        return ["generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
+                "--music", str(workspace / "data" / "p0" / "audio.csv"),
+                "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+                "--frames", str(frames), "--out", str(out)]
+
+    def test_the_command_forks_and_writes_what_it_writes_alone(self, workspace, tmp_path):
+        src = pathlib.Path(mod.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        written = {}
+        for threads in ("one", "thread"):
+            out = tmp_path / threads
+            argv = self._argv(workspace, out, mod._FORK_MIN_STEPS + 2)
+            done = subprocess.run([sys.executable, "-c", _COUNTING_CHILDREN, str(src),
+                                   threads, *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            reaped_rss = int(done.stdout.split()[-1])
+            written[threads] = reaped_rss, [(out / name).read_bytes() for name in
+                                            ("motion.csv", "motion.csv" + feat.PAYLOAD_SUFFIX)]
+        # one OS thread: the worker ran and was reaped; a second thread
+        # closes the gate, so nothing was forked
+        assert written["one"][0] > 0 and written["thread"][0] == 0
+        assert written["one"][1] == written["thread"][1]
+
+    def test_a_killed_worker_exits_three(self, workspace, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+        real = mod._InProcessAudio.window
+
+        def dying(source, s):
+            if os.getpid() != parent and s == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(source, s)
+
+        monkeypatch.setattr(forked, "may_fork", lambda: True)
+        monkeypatch.setattr(mod._InProcessAudio, "window", dying)
+        out = tmp_path / "g"
+        assert cli.entry(self._argv(workspace, out, mod._FORK_MIN_STEPS + 2)) == 3
+        err = capsys.readouterr().err
+        assert "rollout worker" in err and "killed by signal 9" in err
+        assert "Traceback" not in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 _JUNK = st.one_of(st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2))

@@ -12,6 +12,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
+import os
+import signal
 import struct
 
 import numpy as np
@@ -20,10 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quatmotion import autograd as ag
-from quatmotion import model, oracle, spe
+from quatmotion import forked, model, oracle, spe
 from quatmotion.autograd import Tensor
 from quatmotion.errors import (AudioTooShort, ChannelMismatch, DimensionMismatch,
-                               HeadDimNotQuaternion, MalformedFile)
+                               HeadDimNotQuaternion, MalformedFile, QuatMotionError)
 from quatmotion.model import ModelConfig
 from quatmotion.qra import KERNEL_NAMES, PROJECTIONS
 
@@ -417,6 +420,109 @@ class TestAutoregressive:
             model.autoregressive_generate(motion[:-1], audio, 1, weights, config)
         with pytest.raises(ChannelMismatch):
             model.autoregressive_generate(motion, audio[:, :-1], 1, weights, config)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rollout_inputs(config, steps):
+    rng = np.random.default_rng(7)
+    motion = rng.standard_normal((config.seed_motion_frames, 219)) * 0.1
+    audio = rng.standard_normal((config.audio_frames + steps - 1, 35)) * 0.1
+    return motion, audio
+
+
+@pytest.mark.usefixtures("deadline")
+class TestForkedRollout:
+    """From _FORK_MIN_STEPS frames on, where forked.may_fork allows it, a
+    rollout encodes its music in a forked worker; the frames stay the same."""
+
+    @pytest.mark.parametrize("use_qra", [True, False])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, model._RING_SLOTS + 2])
+    def test_forked_and_in_process_rollouts_agree(self, tiny_model_config, monkeypatch,
+                                                  fork_spy, use_qra, extra):
+        # threshold - 1 frames stay in-process; from the threshold on, the
+        # worker forks, and past _RING_SLOTS frames it refills the ring
+        config = dataclasses.replace(tiny_model_config, use_qra=use_qra)
+        steps = model._FORK_MIN_STEPS + extra
+        weights = model.init_weights(config, np.random.default_rng(3))
+        motion, audio = _rollout_inputs(config, steps)
+        runs = []
+        for may in (True, False):
+            monkeypatch.setattr(forked, "may_fork", lambda: may)
+            runs.append(model.autoregressive_generate(motion, audio, steps, weights, config))
+            assert len(fork_spy) == (0 if extra < 0 else 1)
+        assert runs[0].shape == (steps, 219)
+        assert runs[0].tobytes() == runs[1].tobytes()
+        _assert_no_children()
+
+    def test_the_ring_does_not_grow_with_the_rollout(self, tiny_model_config, monkeypatch,
+                                                     fork_spy):
+        config = tiny_model_config
+        steps = 1000
+        weights = model.init_weights(config, np.random.default_rng(3))
+        motion, audio = _rollout_inputs(config, steps)
+        sizes = []
+        real = mmap.mmap
+
+        def sized(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(forked, "may_fork", lambda: True)
+        monkeypatch.setattr(mmap, "mmap", sized)
+        out = model.autoregressive_generate(motion, audio, steps, weights, config)
+        assert out.shape == (steps, 219) and np.isfinite(out).all()
+        assert len(fork_spy) == 1
+        window = 8 * config.audio_frames * config.d_model
+        assert sizes == [model._RING_SLOTS * window]
+        _assert_no_children()
+
+    def test_no_worker_left_after_the_parent_raises(self, tiny_model_config, monkeypatch,
+                                                    fork_spy):
+        config = tiny_model_config
+        steps = model._FORK_MIN_STEPS + model._RING_SLOTS
+        weights = model.init_weights(config, np.random.default_rng(3))
+        motion, audio = _rollout_inputs(config, steps)
+        real = model._decode
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("the parent fails at frame 2")
+            return real(*args)
+
+        monkeypatch.setattr(forked, "may_fork", lambda: True)
+        monkeypatch.setattr(model, "_decode", failing)
+        with pytest.raises(RuntimeError, match="frame 2"):
+            model.autoregressive_generate(motion, audio, steps, weights, config)
+        assert len(fork_spy) == 1
+        _assert_no_children()
+
+    def test_a_killed_worker_is_a_named_error(self, tiny_model_config, monkeypatch,
+                                              fork_spy, capfd):
+        config = tiny_model_config
+        steps = model._FORK_MIN_STEPS + model._RING_SLOTS
+        weights = model.init_weights(config, np.random.default_rng(3))
+        motion, audio = _rollout_inputs(config, steps)
+        parent = os.getpid()
+        real = model._InProcessAudio.window
+
+        def dying(source, s):
+            if os.getpid() != parent and s == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(source, s)
+
+        monkeypatch.setattr(forked, "may_fork", lambda: True)
+        monkeypatch.setattr(model._InProcessAudio, "window", dying)
+        with pytest.raises(QuatMotionError, match="rollout worker .* killed by signal 9"):
+            model.autoregressive_generate(motion, audio, steps, weights, config)
+        assert len(fork_spy) == 1
+        _assert_no_children()
+        assert "Traceback" not in capfd.readouterr().err
 
 
 def _packed(values) -> bytes:

@@ -76,6 +76,18 @@ class TestRotarySchedule:
         with pytest.raises(DimensionMismatch):
             spe.angle_tables(3, 5)
 
+    @pytest.mark.parametrize("rows, cos, sin", [
+        ((3, 4), (3, 1), (3, 1)),   # one angle for every pair of a row
+        ((3, 4), (1, 2), (1, 2)),   # one angle row for every position
+        ((3, 4), (3, 2), (3, 1)),   # the tables disagree
+        ((2, 3, 4), (2, 2), (2, 2)),  # a table row short of the positions
+        ((3, 5), (3, 2), (3, 2)),   # an odd width has no pairs
+        ((4,), (1, 2), (1, 2)),     # no position axis
+    ])
+    def test_tables_must_be_positions_by_pairs(self, rows, cos, sin):
+        with pytest.raises(DimensionMismatch, match=rf"rows \({rows[0]},.*cos \({cos[0]},"):
+            rope_apply(Tensor(np.ones(rows)), np.ones(cos), np.zeros(sin))
+
 
 def _spun(rows, offset=0.0):
     """Rows (T, dim) spun from position `offset` on by the model's kernel."""

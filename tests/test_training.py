@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quatmotion import model, training
+from quatmotion import forked, model, training
 from quatmotion.autograd import Tensor
 from quatmotion.errors import (DimensionMismatch, NonFiniteGradient, NonFiniteLoss,
                                QuatMotionError)
@@ -442,22 +442,6 @@ def _assert_no_children():
 
 
 @pytest.fixture
-def fork_spy(monkeypatch):
-    """The pids of the workers forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def spy():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", spy)
-    return pids
-
-
-@pytest.fixture
 def workers(monkeypatch):
     """The training workers made while the test runs."""
     made = []
@@ -585,7 +569,7 @@ class TestShardedStep:
         # the second run's worker inherits the first's pipe, so the first
         # worker sees no EOF and is killed once the grace period is over
         _force_worker(monkeypatch, True)
-        monkeypatch.setattr(training, "_WORKER_GRACE_S", 0.2)
+        monkeypatch.setattr(forked, "GRACE_S", 0.2)
         runs = []
         with _deadline(60):
             for _ in range(2):
