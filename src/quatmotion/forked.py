@@ -1,20 +1,27 @@
-"""A forked worker on the idle core, and the two pipes that pace it.
+"""A forked worker on the idle core, the region it shares with its
+parent, and the two pipes that pace it.
 
 Training runs shard 1 of each step in one (training._ShardWorker), and a
 long rollout encodes its music in one (model._ForkedAudio). Both fork
-only where may_fork allows it, share what they compute through an
-anonymous mmap made before the fork, and mark each hand-over with a
-one-byte message on a Link; nothing is pickled.
+only where may_fork allows it, through a Link: it maps the float64
+arrays parent and worker share before it forks, marks each hand-over
+with a one-byte message, and unmaps the arrays once it has reaped the
+worker; nothing is pickled.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import mmap
 import os
 import select
 import signal
 import sys
 import time
 import traceback
+
+import numpy as np
 
 from .errors import QuatMotionError
 
@@ -45,25 +52,39 @@ def may_fork() -> bool:
 
 
 class Link:
-    """Forks a worker and joins it to its parent by two pipes of one-byte
-    messages, one pipe each way.
+    """Forks a worker and joins it to its parent by one shared region of
+    float64 arrays and two pipes of one-byte messages, one pipe each way.
 
-    After the constructor returns, `worker` tells the two processes apart.
-    The worker runs `serve` and never returns from it; the parent calls
-    `close` once it is done, which reaps the worker. `who` names the
-    worker in the error that reports its death.
+    `shared` holds one zeroed array per shape in `shapes`, in one
+    anonymous shared mapping made before the fork, so a write by either
+    process is read by the other. After the constructor returns, `worker`
+    tells the two processes apart. The worker runs `serve` and never
+    returns from it; the parent calls `close` once it is done, which
+    reaps the worker and unmaps the region. `who` names the worker in the
+    error that reports its death. An OSError from mapping, piping or
+    forking reaches the caller with nothing left open.
     """
 
-    def __init__(self, who: str):
+    def __init__(self, who: str, shapes):
         self.who = who
-        worker_reads, parent_writes = os.pipe()
-        parent_reads, worker_writes = os.pipe()
+        sizes = [math.prod(shape) for shape in shapes]
+        self._region = mmap.mmap(-1, 8 * sum(sizes))
+        floats = np.frombuffer(self._region, dtype=np.float64)
+        offsets = itertools.accumulate(sizes, initial=0)
+        self.shared = [floats[lo:lo + size].reshape(shape)
+                       for lo, size, shape in zip(offsets, sizes, shapes)]
+        del floats  # `shared` holds the only views, which _unmap drops
+        fds = []
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            for fd in (worker_reads, parent_writes, parent_reads, worker_writes):
+            for fd in fds:
                 os.close(fd)
+            self._unmap()
             raise
+        worker_reads, parent_writes, parent_reads, worker_writes = fds
         self.worker = self.pid == 0
         if self.worker:
             os.close(parent_writes)
@@ -111,9 +132,11 @@ class Link:
         raise QuatMotionError(f"{self.who} {how}")
 
     def close(self):
-        """EOF to the worker and reap it. A message still in the pipe is
-        dropped; a worker that has not left within GRACE_S (a process
-        forked since holds a copy of the pipe's write end) is killed."""
+        """EOF to the worker, reap it, then unmap the shared region. A
+        message still in the pipe is dropped; a worker that has not left
+        within GRACE_S (a process forked since holds a copy of the pipe's
+        write end) is killed. A view of `shared` the caller still holds
+        keeps the region mapped until the last such view dies."""
         os.close(self._send)
         if self.pid is not None:
             deadline = time.monotonic() + GRACE_S
@@ -128,3 +151,14 @@ class Link:
             os.waitpid(self.pid, 0)
             self.pid = None
         os.close(self._recv)
+        self._unmap()
+
+    def _unmap(self):
+        self.shared = None
+        region, self._region = self._region, None
+        try:
+            region.close()
+        except BufferError:
+            # the views still held export the buffer; the mapping goes
+            # when the last of them dies
+            pass

@@ -23,7 +23,6 @@ import hashlib
 import itertools
 import json
 import math
-import mmap
 import re
 from dataclasses import asdict, dataclass, fields
 
@@ -217,18 +216,31 @@ def _rotary_tables(steps: int, dim: int, base: float):
     return tables
 
 
-def _self_attention(h: Tensor, prefix: str, weights: dict, config: ModelConfig) -> Tensor:
-    dh = config.d_head
-    q = _heads_split(ag.matmul(h, weights[prefix + ".wq"]), config.heads)
-    k = _heads_split(ag.matmul(h, weights[prefix + ".wk"]), config.heads)
-    v = _heads_split(ag.matmul(h, weights[prefix + ".wv"]), config.heads)
-    if config.use_spe:
-        co, si = _rotary_tables(h.shape[-2], dh, config.rotary_base)
-        q = ag.rope_apply(q, co, si)
-        k = ag.rope_apply(k, co, si)
-    logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    mixed = _heads_merge(ag.matmul(ag.softmax_rows(logits), v))
+def _scaled_dot(q: Tensor, k: Tensor) -> Tensor:
+    """Canonical attention logits q k^T / sqrt(d_head), per head."""
+    return ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(q.shape[-1]))
+
+
+def _attention(x: Tensor, memory: Tensor, prefix: str, weights: dict, config: ModelConfig,
+               logits=_scaled_dot) -> Tensor:
+    """Multi-head attention of x's rows over the memory rows: project,
+    split into heads, softmax the logits(q, k) rows over v, merge the
+    heads and project by wo."""
+    q = _heads_split(ag.matmul(x, weights[prefix + ".wq"]), config.heads)
+    k = _heads_split(ag.matmul(memory, weights[prefix + ".wk"]), config.heads)
+    v = _heads_split(ag.matmul(memory, weights[prefix + ".wv"]), config.heads)
+    mixed = _heads_merge(ag.matmul(ag.softmax_rows(logits(q, k)), v))
     return ag.matmul(mixed, weights[prefix + ".wo"])
+
+
+def _self_attention(h: Tensor, prefix: str, weights: dict, config: ModelConfig) -> Tensor:
+    """Encoder attention of h over itself; RoPE spins the queries and keys
+    at their row positions unless use_spe is off."""
+    if not config.use_spe:
+        return _attention(h, h, prefix, weights, config)
+    co, si = _rotary_tables(h.shape[-2], config.d_head, config.rotary_base)
+    return _attention(h, h, prefix, weights, config,
+                      lambda q, k: _scaled_dot(ag.rope_apply(q, co, si), ag.rope_apply(k, co, si)))
 
 
 def _encode(h: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
@@ -255,20 +267,12 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
     qra.rotary_logits describes the halo rows before them. Without QRA
     there is no halo, so every row comes out.
     """
-    heads, dh = config.heads, config.d_head
-    q = _heads_split(ag.matmul(m_norm, weights[prefix + ".wq"]), heads)
-    k = _heads_split(ag.matmul(memory, weights[prefix + ".wk"]), heads)
-    v = _heads_split(ag.matmul(memory, weights[prefix + ".wv"]), heads)
-
-    if config.use_qra:
-        kernels = {name: weights[f"{prefix}.{name}"] for name in qra.KERNEL_NAMES}
-        key_axis = "i" if config.qra_keys_use_axis_i else "j"
-        logits = qra.rotary_logits(q, k, kernels, key_axis, keep, window)
-    else:
-        logits = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-
-    mixed = _heads_merge(ag.matmul(ag.softmax_rows(logits), v))
-    return ag.matmul(mixed, weights[prefix + ".wo"])
+    if not config.use_qra:
+        return _attention(m_norm, memory, prefix, weights, config)
+    kernels = {name: weights[f"{prefix}.{name}"] for name in qra.KERNEL_NAMES}
+    key_axis = "i" if config.qra_keys_use_axis_i else "j"
+    return _attention(m_norm, memory, prefix, weights, config,
+                      lambda q, k: qra.rotary_logits(q, k, kernels, key_axis, keep, window))
 
 
 def _last_rows(t: Tensor, rows: int) -> Tensor:
@@ -366,49 +370,37 @@ class _ForkedAudio:
     The audio side of a frame never reads the generated motion, so the
     worker runs source.window(s) for s = 0 .. steps-1 in order while the
     parent runs the motion side and the decoder. The windows pass through
-    a ring of _RING_SLOTS slots in an anonymous shared mmap made before
-    the fork; window s lives in slot s % _RING_SLOTS. Each hand-over is a
-    one-byte message on a forked.Link: the worker tells when a slot is
-    filled, and the parent tells when it has copied a slot out and the
-    worker will fill it again. The ring's size does not grow with steps.
+    a ring of _RING_SLOTS slots, the one array the forked.Link shares;
+    window s lives in slot s % _RING_SLOTS. Each hand-over is a one-byte
+    message on the Link: the worker tells when a slot is filled, and the
+    parent tells when it has copied a slot out and the worker will fill
+    it again. The ring's size does not grow with steps.
     """
 
     def __init__(self, source: _InProcessAudio, steps: int):
         shape = (_RING_SLOTS, 1, source.config.audio_frames, source.config.d_model)
-        self._ring = mmap.mmap(-1, 8 * math.prod(shape))
-        self._slots = np.frombuffer(self._ring, dtype=np.float64).reshape(shape)
         self._steps = steps
-        try:
-            self._link = forked.Link("the rollout worker encoding the music")
-        except OSError:
-            self._release()
-            raise
+        self._link = forked.Link("the rollout worker encoding the music", [shape])
         if self._link.worker:
             self._link.serve(lambda: self._fill(source))
 
     def _fill(self, source: _InProcessAudio):
+        ring = self._link.shared[0]
         for s in range(self._steps):
             if s >= _RING_SLOTS:
                 self._link.hear()  # window s - _RING_SLOTS has been copied out
-            self._slots[s % _RING_SLOTS] = source.window(s).data
+            ring[s % _RING_SLOTS] = source.window(s).data
             self._link.tell()
 
     def window(self, s: int) -> Tensor:
         self._link.hear()
-        out = Tensor(self._slots[s % _RING_SLOTS].copy())
+        out = Tensor(self._link.shared[0][s % _RING_SLOTS].copy())
         if s + _RING_SLOTS < self._steps:
             self._link.tell()
         return out
 
     def close(self):
-        try:
-            self._link.close()
-        finally:
-            self._release()
-
-    def _release(self):
-        del self._slots
-        self._ring.close()
+        self._link.close()
 
 
 def autoregressive_generate(seed_motion, audio_features, steps: int,
@@ -419,8 +411,9 @@ def autoregressive_generate(seed_motion, audio_features, steps: int,
     window s: it keeps the first predicted frame and slides both windows
     by one. A rollout of at least _FORK_MIN_STEPS frames, where
     forked.may_fork allows it, encodes its audio windows in a forked
-    worker beside the motion side (_ForkedAudio); otherwise one process
-    encodes them (_InProcessAudio). The frames are the same either way.
+    worker beside the motion side (_ForkedAudio); otherwise, or when the
+    fork fails, one process encodes them (_InProcessAudio). The frames are
+    the same either way.
     """
     seed_motion = np.asarray(seed_motion, dtype=np.float64)
     audio_features = np.asarray(audio_features, dtype=np.float64)
@@ -443,7 +436,10 @@ def autoregressive_generate(seed_motion, audio_features, steps: int,
     frozen = _untracked(weights)
     audio = _InProcessAudio(frozen, config, audio_features)
     if steps >= _FORK_MIN_STEPS and forked.may_fork():
-        audio = _ForkedAudio(audio, steps)
+        try:
+            audio = _ForkedAudio(audio, steps)
+        except OSError:
+            pass  # no worker could be forked: this process encodes the music
     try:
         window = seed_motion.copy()
         produced = []

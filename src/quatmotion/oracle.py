@@ -7,12 +7,14 @@ to explicit positions: the one reference for the model's rotary kernel.
 reference_qra is quaternion rotary attention of one head in plain Python
 floats and index loops (hamilton4, padded convolution and softmax); it
 reads a head as the dict qra documents, "wq", "wk", "wv" and the eight
-omega/theta kernel arrays. reference_forward is the whole model, with or
-without QRA, in plain numpy: einsum heads spun by rope in the encoders,
-and a decoder run on every motion row whose attention is reference_qra
-per head (or einsum heads without QRA). The module imports only math and
-numpy, never the package, so agreement with it pins the package to a
-separate derivation rather than to itself.
+omega/theta kernel arrays. canonical_attention is softmax attention of
+einsum heads in plain numpy, spun by rope where asked; QRA with zero
+kernels must reduce to it. reference_forward is the whole model, with
+or without QRA, in plain numpy: canonical_attention spun by rope in the
+encoders, and a decoder run on every motion row whose attention is
+reference_qra per head (or canonical_attention without QRA). The module
+imports only math and numpy, never the package, so agreement with it
+pins the package to a separate derivation rather than to itself.
 """
 
 import math
@@ -168,17 +170,25 @@ def _softmax(a):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _attention(x_q, x_kv, w, prefix, heads, rope_base=None):
-    steps, d = x_q.shape
-    q = (x_q @ w[prefix + ".wq"]).reshape(steps, heads, d // heads)
-    k = (x_kv @ w[prefix + ".wk"]).reshape(x_kv.shape[0], heads, d // heads)
-    v = (x_kv @ w[prefix + ".wv"]).reshape(x_kv.shape[0], heads, d // heads)
+def canonical_attention(x_q, x_kv, head, heads=1, rope_base=None):
+    """Softmax attention of x_q's rows over x_kv's, before any output
+    projection. head maps "wq", "wk" and "wv" to (d_model, d_attn)
+    projections, whose d_attn columns split into `heads` equal heads;
+    with a rope_base, each head's queries and keys are first spun by rope
+    at their row positions. Returns the (N, d_attn) rows, heads side by
+    side."""
+    q, k, v = ((x @ head[name]).reshape(len(x), heads, -1)
+               for x, name in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
     if rope_base is not None:
-        q = rope(q, np.arange(steps), rope_base)
-        k = rope(k, np.arange(x_kv.shape[0]), rope_base)
-    logits = np.einsum("thd,shd->hts", q, k) / math.sqrt(d // heads)
-    mix = np.einsum("hts,shd->thd", _softmax(logits), v)
-    return mix.reshape(steps, d) @ w[prefix + ".wo"]
+        q = rope(q, np.arange(len(q)), rope_base)
+        k = rope(k, np.arange(len(k)), rope_base)
+    logits = np.einsum("thd,shd->hts", q, k) / math.sqrt(q.shape[-1])
+    return np.einsum("hts,shd->thd", _softmax(logits), v).reshape(len(x_q), -1)
+
+
+def _attention(x_q, x_kv, w, prefix, heads, rope_base=None):
+    head = {name: w[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")}
+    return canonical_attention(x_q, x_kv, head, heads, rope_base) @ w[prefix + ".wo"]
 
 
 def _qra_attention(x_q, x_kv, w, prefix, heads, key_axis):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -304,8 +303,8 @@ class _Alone:
     """The peer of an in-process run: the one process runs both shards
     and owns every name, so no exchange has anything to move."""
 
-    def __init__(self, weights: dict, names: list, shards: list):
-        self.shards, self.names, self.state = shards, names, init_adam(weights)
+    def __init__(self, names: list, shards: list):
+        self.shards, self.names = shards, names
 
     def begin(self):
         pass
@@ -328,17 +327,19 @@ class _ShardWorker:
     step on the idle core, and each process sums and updates half of the
     weights.
 
-    One anonymous shared mmap, made before the fork, is the run's
-    parameter arena: the weights, both Adam moments and one gradient slot
-    per leaf; per leaf the square sum of its summed gradient; both shard
-    losses; and per leaf the shards' reached flags and a finiteness flag.
-    For the run, the leaves hold views of the arena's weights in both
-    processes. The sorted names split into two halves of about equal
-    element count (see _split_point). Rank 0, the parent, runs shard 0
-    and owns the prefix; rank 1, the worker, runs shard 1 and owns the
-    rest. Both run _steps from the same state of the seeded generator,
-    so each draws the whole batch and keeps its own shard's rows. A step
-    is four one-byte exchanges over two pipes; nothing is pickled:
+    The run's arena is the region of a forked.Link, and it holds only
+    what the two processes trade: the weights and one gradient slot per
+    leaf; per leaf the square sum of its summed gradient; per leaf the
+    shards' reached flags and a finiteness flag, as 1.0 or 0.0; and both
+    shard losses. For the run, the leaves hold views of the arena's
+    weights in both processes. The sorted names split into two halves of
+    about equal element count (see _split_point). Rank 0, the parent,
+    runs shard 0 and owns the prefix; rank 1, the worker, runs shard 1
+    and owns the rest. Each rank keeps the Adam moments of its own half
+    in its own memory, as ZeRO keeps a rank's optimizer state. Both run
+    _steps from the same state of the seeded generator, so each draws
+    the whole batch and keeps its own shard's rows. A step is four
+    one-byte exchanges over two pipes; nothing is pickled:
 
     1. begin (parent to worker), sent once the caller has resumed the
        parent, so the worker's shard reads the weights the caller left.
@@ -358,41 +359,31 @@ class _ShardWorker:
 
     def __init__(self, weights: dict, names: list, shards: list, steps):
         count = len(names)
-        shapes = [weights[name].data.shape for name in names] * 4 + [(count,), (2,)]
-        sizes = [math.prod(shape) for shape in shapes]
-        self._arena = mmap.mmap(-1, 8 * sum(sizes) + 3 * count)
-        floats = np.frombuffer(self._arena, dtype=np.float64, count=sum(sizes))
-        views, offset = [], 0
-        for shape, size in zip(shapes, sizes):
-            views.append(floats[offset:offset + size].reshape(shape))
-            offset += size
-        self._names = names
-        self._weights, self._m, self._v, self._grads = (
-            dict(zip(names, views[i * count:(i + 1) * count])) for i in range(4))
-        self._squares, self._losses = views[4 * count:]
-        flags = np.frombuffer(self._arena, dtype=np.uint8, count=3 * count,
-                              offset=8 * offset).reshape(3, count)
+        shapes = [weights[name].data.shape for name in names]
+        self._link = forked.Link("the training worker for shard 1",
+                                 shapes * 2 + [(count,), (3, count), (2,)])
+        shared = self._link.shared
+        self._weights, self._grads = (
+            dict(zip(names, shared[i * count:(i + 1) * count])) for i in range(2))
+        self._squares, flags, self._losses = shared[2 * count:]
         # [shard] whether that shard's tape reached the leaf; [2] whether
         # the leaf's summed gradient is finite
         self._reached, self._finite = flags[:2], flags[2]
-        cut = _split_point(sizes[:count])
+        self._names = names
+        cut = _split_point([math.prod(shape) for shape in shapes])
         # the names each rank owns, as indices into `names`
         self._halves = (range(cut), range(cut, count))
-        for name, view in self._weights.items():
-            view[...] = weights[name].data
-        try:
-            self._link = forked.Link("the training worker for shard 1")
-        except OSError:
-            self._release()
-            raise
         self.rank = int(self._link.worker)
         half = self._halves[self.rank]
         self.shards = shards[self.rank:self.rank + 1]
         self.names = names[half.start:half.stop]
-        self.state = AdamState({name: self._m[name] for name in self.names},
-                               {name: self._v[name] for name in self.names})
         self._originals = {name: weights[name].data for name in names}
         for name, view in self._weights.items():
+            if not self.rank:
+                # the parent fills the arena after the fork: the worker
+                # reads no weight before its first begin, which the parent
+                # sends only once this constructor has returned
+                view[...] = weights[name].data
             weights[name].data = view
         if self.rank:
             def run():
@@ -449,7 +440,7 @@ class _ShardWorker:
         self._finite[half.start:half.stop] = finite
         self._link.tell()
         self._link.hear()
-        # plain lists: a view held in a frame would keep the arena open
+        # plain lists: a view held in a frame would keep the arena mapped
         return self._squares.tolist(), self._finite.tolist()
 
     def end(self):
@@ -462,37 +453,29 @@ class _ShardWorker:
     def close(self, weights: dict):
         """Stop the worker, then give the caller's leaves back their own
         arrays, holding the arena's values, and private copies of the
-        gradients the arena holds."""
+        gradients the arena holds. This peer drops its views first, so
+        the arena is unmapped once the caller keeps none."""
+        arena, slots = self._weights, self._grads
+        del self._weights, self._grads, self._squares, self._reached, self._finite, self._losses
         try:
             self._link.close()
         finally:
             for name, original in self._originals.items():
                 leaf = weights[name]
-                original[...] = self._weights[name]
+                original[...] = arena[name]
                 leaf.data = original
-                if leaf.grad is self._grads[name]:
+                if leaf.grad is slots[name]:
                     leaf.grad = leaf.grad.copy()
-            self._release()
-
-    def _release(self):
-        # the arena cannot close while numpy views export its buffer
-        del self._weights, self._m, self._v, self._grads, self._squares, self._losses
-        del self._reached, self._finite
-        self.state = None
-        try:
-            self._arena.close()
-        except BufferError:
-            # a caller kept a view it read at a yield: the mapping then
-            # lives until that view dies
-            pass
 
 
 def _steps(peer, weights: dict, names: list, dataset, rng, train_config: TrainConfig,
            model_config: ModelConfig):
     """The step body both processes of a worker run, and an in-process
     run, execute; yields (step, lr, loss) after each update. The peer
-    (_Alone or _ShardWorker) holds this process's shards, names and Adam
-    state, and moves between the processes what each lacks."""
+    (_Alone or _ShardWorker) holds this process's shards and names, and
+    moves between the processes what each lacks; the Adam state of those
+    names is this process's own."""
+    state = init_adam({name: weights[name] for name in peer.names})
     for step in range(train_config.total_steps):
         peer.begin()
         # the previous step's gradients are spent: free them before this
@@ -508,7 +491,7 @@ def _steps(peer, weights: dict, names: list, dataset, rng, train_config: TrainCo
         _check(step, loss, names, finite)
         scale = _clip_scale(squares, train_config)
         lr = lr_at(step, train_config)
-        _update(weights, peer.names, scale, peer.state, lr, train_config)
+        _update(weights, peer.names, scale, state, lr, train_config)
         peer.end()
         yield step, lr, loss
 
@@ -524,8 +507,9 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
     _clip_scale and _update. When _worker_may_run allows it, the parent
     and a forked worker that this generator owns both run it, each with
     one shard and half of the names (see _ShardWorker); the worker is
-    closed when the generator ends, is closed or raises. Otherwise the
-    parent runs it alone. The numbers are the same either way. At each
+    closed when the generator ends, is closed or raises. Otherwise, or
+    when the fork fails, the parent runs it alone. The numbers are the
+    same either way. At each
     yield the leaves' data hold the current weights; after the run each
     leaf's data is the array it held before the call, and its grad holds
     the last step's raw gradient.
@@ -540,10 +524,12 @@ def train_steps(weights: dict, dataset, train_config: TrainConfig, model_config:
     def steps(peer):
         return _steps(peer, weights, names, dataset, rng, train_config, model_config)
 
+    peer = _Alone(names, shards)
     if len(shards) == 2 and _worker_may_run(train_config.total_steps):
-        peer = _ShardWorker(weights, names, shards, steps)
-    else:
-        peer = _Alone(weights, names, shards)
+        try:
+            peer = _ShardWorker(weights, names, shards, steps)
+        except OSError:
+            pass  # no worker could be forked: this process runs alone
     try:
         yield from steps(peer)
     finally:

@@ -164,14 +164,6 @@ def spe_checks() -> list:
 
 # -------------------------------------------------------------------- qra
 
-def _canonical_attention(x, y, head: dict):
-    q = x @ head["wq"]
-    k = y @ head["wk"]
-    v = y @ head["wv"]
-    s = num.softmax_rows(q @ k.T / np.sqrt(q.shape[1]))
-    return s @ v
-
-
 def _logits(x, y, head: dict) -> np.ndarray:
     """QRA logits of x's queries over y's keys under one head, off the tape."""
     return qra.rotary_logits(Tensor(x @ head["wq"]), Tensor(y @ head["wk"]), head).data
@@ -187,7 +179,7 @@ def qra_checks() -> list:
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((5, 6))
         worst = max(worst, float(np.abs(qra.qra_attention(x, y, p)
-                                        - _canonical_attention(x, y, p)).max()))
+                                        - oracle.canonical_attention(x, y, p)).max()))
     checks.append(_check("qra/degeneracy_to_canonical", worst, 1e-10))
 
     p = qra.random_head(rng, 6, 8, 2)

@@ -593,15 +593,16 @@ sys.exit(code)
 """
 
 
+def _generate_args(workspace, out, frames):
+    return ["generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
+            "--music", str(workspace / "data" / "p0" / "audio.csv"),
+            "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
+            "--frames", str(frames), "--out", str(out)]
+
+
 class TestGenerateWorker:
     """A rollout of at least model._FORK_MIN_STEPS frames encodes its music
     in a forked worker where the process allows one."""
-
-    def _argv(self, workspace, out, frames):
-        return ["generate", "--ckpt", str(workspace / "run" / "checkpoint.json"),
-                "--music", str(workspace / "data" / "p0" / "audio.csv"),
-                "--seed-motion", str(workspace / "data" / "p0" / "motion.csv"),
-                "--frames", str(frames), "--out", str(out)]
 
     def test_the_command_forks_and_writes_what_it_writes_alone(self, workspace, tmp_path):
         src = pathlib.Path(mod.__file__).resolve().parents[1]
@@ -610,7 +611,7 @@ class TestGenerateWorker:
         written = {}
         for threads in ("one", "thread"):
             out = tmp_path / threads
-            argv = self._argv(workspace, out, mod._FORK_MIN_STEPS + 2)
+            argv = _generate_args(workspace, out, mod._FORK_MIN_STEPS + 2)
             done = subprocess.run([sys.executable, "-c", _COUNTING_CHILDREN, str(src),
                                    threads, *argv],
                                   env=env, capture_output=True, text=True, timeout=60)
@@ -635,12 +636,59 @@ class TestGenerateWorker:
         monkeypatch.setattr(forked, "may_fork", lambda: True)
         monkeypatch.setattr(mod._InProcessAudio, "window", dying)
         out = tmp_path / "g"
-        assert cli.entry(self._argv(workspace, out, mod._FORK_MIN_STEPS + 2)) == 3
+        assert cli.entry(_generate_args(workspace, out, mod._FORK_MIN_STEPS + 2)) == 3
         err = capsys.readouterr().err
         assert "rollout worker" in err and "killed by signal 9" in err
         assert "Traceback" not in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestFailedFork:
+    """Where the gate allows a worker but os.fork fails (EAGAIN), a command
+    runs in one process and writes what it writes there."""
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        tries = []
+
+        def refuse():
+            tries.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        return tries
+
+    def _both(self, monkeypatch, capsys, tmp_path, argv, refused):
+        """The files a command writes with the gate shut, then with it open
+        and the fork refused."""
+        written = []
+        for may in (False, True):
+            monkeypatch.setattr(forked, "may_fork", lambda: may)
+            out = tmp_path / str(may)
+            fds = len(os.listdir("/proc/self/fd"))
+            assert cli.entry(argv(out)) == 0
+            assert "Traceback" not in capsys.readouterr().err
+            assert len(os.listdir("/proc/self/fd")) == fds
+            written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert refused == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return written
+
+    def test_train(self, workspace, tmp_path, monkeypatch, capsys, refused):
+        def argv(out):
+            return _train_args(workspace / "data", out, extra=("total_steps=3",))
+
+        alone, refused_run = self._both(monkeypatch, capsys, tmp_path, argv, refused)
+        assert "loss.csv" in alone and refused_run == alone
+
+    def test_generate(self, workspace, tmp_path, monkeypatch, capsys, refused):
+        def argv(out):
+            return _generate_args(workspace, out, mod._FORK_MIN_STEPS + 2)
+
+        alone, refused_run = self._both(monkeypatch, capsys, tmp_path, argv, refused)
+        assert "motion.csv" in alone and refused_run == alone
 
 
 _JUNK = st.one_of(st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2))

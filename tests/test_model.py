@@ -480,6 +480,29 @@ class TestForkedRollout:
         assert sizes == [model._RING_SLOTS * window]
         _assert_no_children()
 
+    def test_a_failed_fork_encodes_in_process_with_the_same_bits(self, tiny_model_config,
+                                                                 monkeypatch):
+        config = tiny_model_config
+        steps = model._FORK_MIN_STEPS + model._RING_SLOTS
+        weights = model.init_weights(config, np.random.default_rng(3))
+        motion, audio = _rollout_inputs(config, steps)
+        tries = []
+
+        def refused():
+            tries.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(forked, "may_fork", lambda: False)
+        alone = model.autoregressive_generate(motion, audio, steps, weights, config)
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(forked, "may_fork", lambda: True)
+        monkeypatch.setattr(os, "fork", refused)
+        out = model.autoregressive_generate(motion, audio, steps, weights, config)
+        assert tries == [1]
+        assert out.tobytes() == alone.tobytes()
+        assert len(os.listdir("/proc/self/fd")) == fds
+        _assert_no_children()
+
     def test_no_worker_left_after_the_parent_raises(self, tiny_model_config, monkeypatch,
                                                     fork_spy):
         config = tiny_model_config

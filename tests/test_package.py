@@ -104,6 +104,32 @@ def test_features_owns_text_reading():
     assert found == []
 
 
+def test_forked_owns_what_crosses_the_fork():
+    # forked.Link maps the shared region, forks, pipes, and reaps or
+    # kills the worker, so no other module imports mmap or calls those
+    package = pathlib.Path(quatmotion.__file__).resolve().parent
+    owned = {"fork", "pipe", "waitpid", "kill"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "forked.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                bad = any(alias.name == "mmap" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                bad = node.module == "mmap" or (
+                    node.module == "os" and any(a.name in owned for a in node.names))
+            elif isinstance(node, ast.Attribute):
+                bad = (node.attr in owned and isinstance(node.value, ast.Name)
+                       and node.value.id == "os")
+            else:
+                continue
+            if bad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(package.glob("*.py"))) > 10
+    assert found == []
+
+
 def test_readme_verify_counts_match_the_suites():
     # the README's "Verification checklist" gives each suite's check count
     # and the `--suite all` total; every group then adds one check_count

@@ -7,6 +7,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -449,6 +450,9 @@ def workers(monkeypatch):
     class Spy(training._ShardWorker):
         def __init__(self, *args):
             super().__init__(*args)
+            # the arena's mapping, weakly: it is unmapped once nothing
+            # holds it, and then this reads None
+            self.arena = weakref.ref(self._link._region)
             made.append(self)
 
     monkeypatch.setattr(training, "_ShardWorker", Spy)
@@ -464,8 +468,9 @@ def _owner(array):
 
 def _assert_arena_released(weights, arrays, workers):
     """The leaves hold their own arrays again, nothing they hold lives in
-    the arena, and the arena closed, which a view left anywhere prevents."""
-    assert len(workers) == 1 and workers[0]._arena.closed
+    the arena, and the arena is unmapped, which a view left anywhere
+    prevents."""
+    assert len(workers) == 1 and workers[0].arena() is None
     for name, leaf in weights.items():
         assert leaf.data is arrays[name]
         for array in (leaf.data, leaf.grad):
@@ -767,6 +772,49 @@ class TestShardedStep:
             with _deadline(60):
                 results.append(_run(tiny_model_config, train_config))
         assert results[0] == results[1]
+        _assert_no_children()
+
+    def test_a_failed_fork_runs_alone_with_the_same_bits(self, tiny_model_config,
+                                                          quick_train_config, monkeypatch):
+        tries = []
+
+        def refused():
+            tries.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        _force_worker(monkeypatch, False)
+        alone = _run(tiny_model_config, quick_train_config)
+        fds = len(os.listdir("/proc/self/fd"))
+        _force_worker(monkeypatch, True)
+        monkeypatch.setattr(os, "fork", refused)
+        with _deadline(60):
+            refused_run = _run(tiny_model_config, quick_train_config)
+        assert tries == [1]
+        assert refused_run == alone
+        assert len(os.listdir("/proc/self/fd")) == fds
+        _assert_no_children()
+
+    def test_the_arena_holds_only_what_the_ranks_trade(self, tiny_model_config,
+                                                       quick_train_config, monkeypatch,
+                                                       fork_spy):
+        # the weights and the gradient slots, two leaf-sized blocks, plus
+        # per leaf a square sum and three flags, plus the two shard
+        # losses; the Adam moments stay private to each rank
+        sizes = []
+        real = mmap.mmap
+
+        def sized(fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return real(fileno, length, *args, **kwargs)
+
+        _force_worker(monkeypatch, True)
+        monkeypatch.setattr(mmap, "mmap", sized)
+        with _deadline(60):
+            _run(tiny_model_config, quick_train_config)
+        weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+        block = sum(w.data.nbytes for w in weights.values())
+        assert len(fork_spy) == 1
+        assert sizes == [2 * block + 8 * (4 * len(weights) + 2)]
         _assert_no_children()
 
     def test_the_split_point_halves_the_element_count(self):
