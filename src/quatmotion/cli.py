@@ -4,6 +4,13 @@ Subcommands: verify, synth, train, generate, eval. Every command is
 deterministic given its flags; the QEAN_SEED environment variable, when
 set, overrides any seed a command would otherwise use.
 
+Importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before it loads numpy, so BLAS starts no thread
+pool, the process runs one OS thread, and forked.may_fork lets `train`
+and `generate` fork a worker onto the second core. A value the user set
+wins; a caller that loaded numpy first keeps its pool and runs every
+command in one process.
+
 Exit codes:
     0  success
     1  a verification check failed
@@ -20,13 +27,17 @@ import json
 import os
 import sys
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
-from . import features as feat
-from . import metrics as met
-from . import model as mod
-from . import training as trn
-from .errors import (
+import numpy as np  # noqa: E402
+
+from . import features as feat  # noqa: E402
+from . import metrics as met  # noqa: E402
+from . import model as mod  # noqa: E402
+from . import training as trn  # noqa: E402
+from .errors import (  # noqa: E402
     AudioTooShort,
     DimensionMismatch,
     EmptyMotionBeats,

@@ -38,8 +38,9 @@ def may_fork() -> bool:
     because it only happens while the process runs a single OS thread,
     which also rules out a BLAS thread pool: unpinned OpenBLAS threads
     spin on the core the worker needs (desk batch 8, raw: 144 and 215
-    ms/step with the worker against 109 and 59 ms in-process). Set
-    OPENBLAS_NUM_THREADS=1, as the tests and perfbench do, to get it.
+    ms/step with the worker against 109 and 59 ms in-process). The
+    `quatmotion` command pins BLAS to one thread at the top of cli.py,
+    before numpy loads; a BLAS thread count the user set wins.
     """
     if not (sys.platform.startswith("linux") and hasattr(os, "fork")
             and len(os.sched_getaffinity(0)) >= 2):

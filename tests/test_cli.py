@@ -579,18 +579,21 @@ class TestGenerate:
 
 
 # runs `quatmotion <argv[3:]>` from the sources at argv[1], with a second
-# Python thread alive if argv[2] is "thread", then prints the largest RSS
-# of the processes it reaped, 0 if it reaped none
+# Python thread alive if argv[2] is "thread", then prints
+# OPENBLAS_NUM_THREADS as the command left it and, on the last line, the
+# largest RSS of the processes it reaped, 0 if it reaped none
 _COUNTING_CHILDREN = """
-import resource, sys, threading
+import os, resource, sys, threading
 sys.path.insert(0, sys.argv[1])
 from quatmotion import cli
 if sys.argv[2] == "thread":
     threading.Thread(target=threading.Event().wait, daemon=True).start()
 code = cli.entry(sys.argv[3:])
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
 """
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _generate_args(workspace, out, frames):
@@ -642,6 +645,50 @@ class TestGenerateWorker:
         assert "Traceback" not in err
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestBlasPin:
+    """The command pins BLAS to one thread before numpy loads, so with no
+    BLAS variable set `train` and `generate` fork their workers and write
+    what a pinned run writes; a value the caller set is left as it is."""
+
+    def _assert_pinned_unless_set(self, tmp_path, argv, names):
+        """Runs the command with no BLAS variable set, with all three set to
+        1, and with OPENBLAS_NUM_THREADS alone set to 2, and compares
+        OPENBLAS_NUM_THREADS as the command left it, whether it reaped a
+        worker, and the files named."""
+        src = pathlib.Path(mod.__file__).resolve().parents[1]
+        bare = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+        runs = {}
+        for label, blas in (("unset", {}), ("pinned", dict.fromkeys(_BLAS_THREADS, "1")),
+                            ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / label
+            done = subprocess.run([sys.executable, "-c", _COUNTING_CHILDREN, str(src),
+                                   "one", *argv(out)],
+                                  env={**bare, **blas}, capture_output=True, text=True,
+                                  timeout=60)
+            assert done.returncode == 0, done.stderr
+            left, reaped_rss = done.stdout.splitlines()[-2:]
+            runs[label] = left, int(reaped_rss) > 0, [(out / n).read_bytes() for n in names]
+        assert runs["unset"][:2] == ("1", True)
+        assert runs["pinned"][:2] == ("1", True)
+        # the caller's two BLAS threads stand, so the gate stays shut
+        assert runs["two"][:2] == ("2", False)
+        assert runs["unset"][2] == runs["pinned"][2] == runs["two"][2]
+
+    def test_train(self, workspace, tmp_path):
+        def argv(out):
+            return _train_args(workspace / "data", out, extra=("total_steps=3",))
+
+        names = ("loss.csv", "checkpoint.json", "checkpoint.json" + feat.PAYLOAD_SUFFIX)
+        self._assert_pinned_unless_set(tmp_path, argv, names)
+
+    def test_generate(self, workspace, tmp_path):
+        def argv(out):
+            return _generate_args(workspace, out, mod._FORK_MIN_STEPS + 2)
+
+        names = ("motion.csv", "motion.csv" + feat.PAYLOAD_SUFFIX)
+        self._assert_pinned_unless_set(tmp_path, argv, names)
 
 
 class TestFailedFork:

@@ -1,4 +1,4 @@
-"""Package surface: exported names and the oracle's independence."""
+"""Package surface: what importing loads, and the oracle's independence."""
 
 import ast
 import importlib
@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import quatmotion
-from quatmotion import oracle, verification
+from quatmotion import cli, oracle, verification
 
 
 def test_oracle_imports_only_math_and_numpy():
@@ -46,9 +46,45 @@ def test_no_test_module_imports_another():
     assert found == []
 
 
-def test_every_export_resolves():
-    missing = [name for name in quatmotion.__all__ if not hasattr(quatmotion, name)]
-    assert missing == []
+def test_package_import_loads_no_submodule_and_no_numpy():
+    # callers import the submodules, so the package itself imports nothing
+    # and the command can pin BLAS before numpy loads
+    src = pathlib.Path(quatmotion.__file__).resolve().parents[1]
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import quatmotion; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'numpy' or m.startswith(('numpy.', 'quatmotion.'))))")
+    out = subprocess.run([sys.executable, "-c", probe, str(src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_cli_pins_blas_before_numpy_loads():
+    # the pins hold only if they run before numpy loads, so in cli.py the
+    # three module-level setdefaults precede every import of numpy or of a
+    # package module, those inside functions included
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    pins = {}
+    for node in tree.body:
+        call = node.value if isinstance(node, ast.Expr) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "setdefault"
+                and ast.unparse(call.func.value) == "os.environ"):
+            pins[ast.literal_eval(call.args[0])] = (node.lineno, ast.literal_eval(call.args[1]))
+    assert {var: value for var, (_, value) in pins.items()} == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    last_pin = max(line for line, _ in pins.values())
+    loads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["quatmotion" if node.level else node.module]
+        else:
+            continue
+        if {name.split(".")[0] for name in names} & {"numpy", "quatmotion"}:
+            loads.append(node.lineno)
+    assert len(loads) > 5
+    assert min(loads) > last_pin
 
 
 def test_benchmark_tracer_hooks_resolve():
