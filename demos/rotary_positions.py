@@ -49,7 +49,7 @@ def main():
     worst = 0.0
     for pos in (0.5, 3.0, 250.0):
         worst = max(worst, np.abs(spin(v[None], pos)
-                                  - oracle.rope(v[None], [pos], spe.DEFAULT_BASE)).max())
+                                  - oracle.rope(v[None], [pos])).max())
     print(f"  worst disagreement {worst:.3e}")
 
 

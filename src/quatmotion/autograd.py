@@ -536,8 +536,9 @@ def qra_angles(z, w_omega, b_omega, w_theta, b_theta, positions, drop: int = 0) 
     return Tensor(out, _parents=(z, w_omega, b_omega, w_theta, b_theta), _vjp=vjp)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean and unit variance, then affine.
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalise the last axis to zero mean and unit variance (1e-5 added
+    to the variance), then affine.
 
     The VJP keeps the normalised input and the inverse deviations, not x.
     """
@@ -549,7 +550,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xhat = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
     out = np.multiply(xhat, xhat)
     inv = np.add.reduce(out, axis=-1, keepdims=True) / n
-    inv += eps
+    inv += 1e-5
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv

@@ -144,8 +144,8 @@ def _smooth_noise(rng: np.random.Generator, frames: int, channels: int) -> np.nd
     return out
 
 
-def synth_pair(rng_seed: int, seconds: float, fps: int = FPS, beat_period_frames: int = 30):
-    """Deterministic beat-locked (audio, motion) pair.
+def synth_pair(rng_seed: int, seconds: float, beat_period_frames: int = 30):
+    """Deterministic beat-locked (audio, motion) pair of seconds * FPS frames.
 
     Audio: beat channel is 1 exactly at multiples of beat_period_frames,
     envelope decays after each beat, peaks sit halfway between beats,
@@ -160,16 +160,16 @@ def synth_pair(rng_seed: int, seconds: float, fps: int = FPS, beat_period_frames
     # nan fails both comparisons; a count rounding to 0 frames has no
     # clip, and the cap turns a huge or infinite one away before any
     # allocation
-    if not 0.5 < seconds * fps < SYNTH_MAX_FRAMES + 0.5:
+    if not 0.5 < seconds * FPS < SYNTH_MAX_FRAMES + 0.5:
         raise ValueError(f"seconds must span 1 to {SYNTH_MAX_FRAMES} frames (one hour at "
-                         f"{FPS} fps) at {fps} fps, got {seconds}")
+                         f"{FPS} fps), got {seconds}")
     if not 2 <= beat_period_frames <= _INT64_MAX:
         raise ValueError(f"beat_period_frames must be between 2 and {_INT64_MAX}, "
                          f"got {beat_period_frames}")
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be nonnegative, got {rng_seed}")
     rng = np.random.default_rng(rng_seed)
-    frames = int(round(seconds * fps))
+    frames = int(round(seconds * FPS))
     period = int(beat_period_frames)
     t = np.arange(frames)
 

@@ -19,7 +19,10 @@ from .errors import (ChannelMismatch, DimensionMismatch, EmptyMotionBeats,
 from .features import AUDIO_DIMS, BEAT_CHANNEL, MOTION_DIMS
 from .numerics import sym_sqrt
 
+# beat_align's kernel width in frames
 DEFAULT_ALPHA = 3.0
+# ridge added to each fitted covariance before fid's matrix square roots
+FID_EPS = 1e-6
 
 # Channel subsample for the dynamic extractor: 16 indices spread evenly
 # over the 219 channels, frozen so features are comparable across runs.
@@ -134,20 +137,21 @@ def geometric_features(motion) -> np.ndarray:
     return out
 
 
-def _mean_cov(vectors: np.ndarray, eps: float):
+def _mean_cov(vectors: np.ndarray):
     mu = vectors.mean(axis=0)
     cov = np.atleast_2d(np.cov(vectors, rowvar=False))
-    return mu, cov + eps * np.eye(cov.shape[0])
+    return mu, cov + FID_EPS * np.eye(cov.shape[0])
 
 
-def fid(a: FeatureSet, b: FeatureSet, eps: float = 1e-6) -> float:
-    """Frechet distance between Gaussians fitted to the two sets."""
+def fid(a: FeatureSet, b: FeatureSet) -> float:
+    """Frechet distance between Gaussians fitted to the two sets, each
+    covariance regularised by FID_EPS * I."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"feature dims differ: {a.dim} vs {b.dim}")
     if a.items < 2 or b.items < 2:
         raise TooFewItems("fid needs at least 2 items per set")
-    mu_a, cov_a = _mean_cov(a.vectors, eps)
-    mu_b, cov_b = _mean_cov(b.vectors, eps)
+    mu_a, cov_a = _mean_cov(a.vectors)
+    mu_b, cov_b = _mean_cov(b.vectors)
     root_a = sym_sqrt(cov_a)
     inner = root_a @ cov_b @ root_a
     inner = 0.5 * (inner + inner.T)  # exact symmetry can be lost to roundoff
@@ -194,9 +198,10 @@ def music_beats(audio) -> BeatTimeline:
     return BeatTimeline(frames=np.where(audio[:, BEAT_CHANNEL] > 0.5)[0])
 
 
-def beat_align(motion_b: BeatTimeline, music_b: BeatTimeline, alpha: float = DEFAULT_ALPHA) -> float:
+def beat_align(motion_b: BeatTimeline, music_b: BeatTimeline) -> float:
     """Mean Gaussian kernel of each motion beat's distance to the nearest
-    music beat: (1/|Bm|) sum_i exp(-min_j (ti - tj)^2 / (2 alpha^2)).
+    music beat: (1/|Bm|) sum_i exp(-min_j (ti - tj)^2 / (2 alpha^2)), with
+    alpha = DEFAULT_ALPHA frames.
 
     Unidirectional: music beats with no nearby motion beat cost nothing,
     but at least one beat is required on each side.
@@ -208,4 +213,4 @@ def beat_align(motion_b: BeatTimeline, music_b: BeatTimeline, alpha: float = DEF
     mo = motion_b.frames.astype(np.float64)
     mu = music_b.frames.astype(np.float64)
     nearest_sq = np.min((mo[:, None] - mu[None, :]) ** 2, axis=1)
-    return float(np.exp(-nearest_sq / (2.0 * alpha * alpha)).mean())
+    return float(np.exp(-nearest_sq / (2.0 * DEFAULT_ALPHA * DEFAULT_ALPHA)).mean())

@@ -37,15 +37,15 @@ from .features import (AUDIO_DIMS, MOTION_DIMS, PAYLOAD_DTYPE, PAYLOAD_SUFFIX, S
                        atomic_write, read_text, write_payload)
 from .spe import angle_tables
 
-CHECKPOINT_FORMAT = "qean-ckpt-v3"
+CHECKPOINT_FORMAT = "qean-ckpt-v4"
 
-# width of QRA's frequency/phase convolutions over time
-QRA_KERNEL_WIDTH = 3
+# width of each feed-forward block's hidden layer, in multiples of d_model
+FF_MULT = 4
 
 
 # smallest value of each count field; a zero-depth encoder is allowed
 _COUNT_FLOORS = {"encoder_layers": 0, "decoder_layers": 1, "periods": 1, "future_frames": 1,
-                 "seed_motion_frames": 1, "fps": 1, "ff_mult": 1}
+                 "seed_motion_frames": 1, "fps": 1}
 
 
 @dataclass
@@ -61,27 +61,20 @@ class ModelConfig:
     audio_frames: int = 60
     future_frames: int = 5
     fps: int = 60
-    ff_mult: int = 4
-    use_learned_abs_pos: bool = True
     use_spe: bool = True
     use_qra: bool = True
-    qra_keys_use_axis_i: bool = False
-    rotary_base: float = 10000.0
 
     def __post_init__(self):
         # field types are checked first, so a checkpoint's config cannot
-        # smuggle in a float count, a truthy int or a NaN rotary base
+        # smuggle in a float count or a truthy int
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "bool":
                 ok = isinstance(value, bool)
             else:
-                allowed = int if f.type == "int" else (int, float)
-                ok = isinstance(value, allowed) and not isinstance(value, bool)
+                ok = isinstance(value, int) and not isinstance(value, bool)
             if not ok:
                 raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
-        if not (math.isfinite(self.rotary_base) and self.rotary_base > 0):
-            raise ValueError(f"rotary_base must be finite and > 0, got {self.rotary_base!r}")
         if self.d_model < 1 or self.heads < 1 or self.d_model % self.heads != 0:
             raise DimensionMismatch(
                 f"d_model {self.d_model} must be a positive multiple of heads {self.heads}")
@@ -117,7 +110,7 @@ def _weight_layout(config: ModelConfig):
     from a standard normal draw of the shape to the initial value.
     """
     d = config.d_model
-    ff = config.ff_mult * d
+    ff = FF_MULT * d
 
     def linear(name, fan_in, fan_out):
         yield name + ".w", (fan_in, fan_out), lambda z: z / np.sqrt(fan_in)
@@ -133,9 +126,8 @@ def _weight_layout(config: ModelConfig):
 
     yield from linear("embed.audio", AUDIO_DIMS, d)
     yield from linear("embed.motion", MOTION_DIMS, d)
-    if config.use_learned_abs_pos:
-        yield "pos.motion", (config.seed_motion_frames, d), lambda z: 0.02 * z
-        yield "pos.audio", (config.audio_frames, d), lambda z: 0.02 * z
+    yield "pos.motion", (config.seed_motion_frames, d), lambda z: 0.02 * z
+    yield "pos.audio", (config.audio_frames, d), lambda z: 0.02 * z
 
     for stream in ("motion", "audio"):
         for layer in range(config.encoder_layers):
@@ -148,7 +140,7 @@ def _weight_layout(config: ModelConfig):
         if config.encoder_layers > 0:
             yield from norm(f"enc.{stream}.norm")
 
-    kernel = (config.heads, config.periods, config.d_head, QRA_KERNEL_WIDTH)
+    kernel = (config.heads, config.periods, config.d_head, qra.KERNEL_WIDTH)
     for layer in range(config.decoder_layers):
         prefix = f"dec.{layer}"
         yield from norm(prefix + ".ln1")
@@ -192,25 +184,23 @@ def _feed_forward(x: Tensor, prefix: str, weights: dict) -> Tensor:
     return ag.matmul(h, weights[prefix + ".fc2.w"], weights[prefix + ".fc2.b"])
 
 
-def _embed(x: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
+def _embed(x: Tensor, which: str, weights: dict) -> Tensor:
     if x.shape[-1] != STREAM_DIMS[which]:
         raise ChannelMismatch(
             f"{which} stream must have {STREAM_DIMS[which]} channels, got {x.shape[-1]}")
     h = ag.matmul(x, weights[f"embed.{which}.w"], weights[f"embed.{which}.b"])
-    if config.use_learned_abs_pos:
-        table = weights[f"pos.{which}"]
-        steps = h.shape[-2]
-        if steps > table.shape[0]:
-            raise DimensionMismatch(
-                f"{which} window of {steps} frames exceeds the {table.shape[0]}-entry position table")
-        h = h + table[:steps]
-    return h
+    table = weights[f"pos.{which}"]
+    steps = h.shape[-2]
+    if steps > table.shape[0]:
+        raise DimensionMismatch(
+            f"{which} window of {steps} frames exceeds the {table.shape[0]}-entry position table")
+    return h + table[:steps]
 
 
 @functools.lru_cache(maxsize=64)
-def _rotary_tables(steps: int, dim: int, base: float):
+def _rotary_tables(steps: int, dim: int):
     """Read-only (cos, sin) rotary tables, built once per window geometry."""
-    tables = angle_tables(steps, dim, base)
+    tables = angle_tables(steps, dim)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -238,7 +228,7 @@ def _self_attention(h: Tensor, prefix: str, weights: dict, config: ModelConfig) 
     at their row positions unless use_spe is off."""
     if not config.use_spe:
         return _attention(h, h, prefix, weights, config)
-    co, si = _rotary_tables(h.shape[-2], config.d_head, config.rotary_base)
+    co, si = _rotary_tables(h.shape[-2], config.d_head)
     return _attention(h, h, prefix, weights, config,
                       lambda q, k: _scaled_dot(ag.rope_apply(q, co, si), ag.rope_apply(k, co, si)))
 
@@ -270,9 +260,8 @@ def _cross_attention(m_norm: Tensor, memory: Tensor, prefix: str,
     if not config.use_qra:
         return _attention(m_norm, memory, prefix, weights, config)
     kernels = {name: weights[f"{prefix}.{name}"] for name in qra.KERNEL_NAMES}
-    key_axis = "i" if config.qra_keys_use_axis_i else "j"
     return _attention(m_norm, memory, prefix, weights, config,
-                      lambda q, k: qra.rotary_logits(q, k, kernels, key_axis, keep, window))
+                      lambda q, k: qra.rotary_logits(q, k, kernels, keep=keep, window=window))
 
 
 def _last_rows(t: Tensor, rows: int) -> Tensor:
@@ -292,7 +281,7 @@ def _decode(h_motion: Tensor, h_audio: Tensor, weights: dict, config: ModelConfi
     """
     memory = ag.concat([h_motion, h_audio], axis=1)
     n = h_motion.shape[1]
-    halo = QRA_KERNEL_WIDTH // 2 if config.use_qra else 0
+    halo = qra.KERNEL_WIDTH // 2 if config.use_qra else 0
     layers = config.decoder_layers
     state = _last_rows(h_motion, min(n, 1 + halo * layers))
     for layer in range(layers):
@@ -310,7 +299,7 @@ def _decode(h_motion: Tensor, h_audio: Tensor, weights: dict, config: ModelConfi
 
 def _encoded(x: Tensor, which: str, weights: dict, config: ModelConfig) -> Tensor:
     """One stream embedded and encoded."""
-    return _encode(_embed(x, which, weights, config), which, weights, config)
+    return _encode(_embed(x, which, weights), which, weights, config)
 
 
 def forward(weights: dict, config: ModelConfig, motion, audio) -> Tensor:
@@ -504,16 +493,14 @@ def _read_header(path: str):
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise MalformedFile(f"{path} has checkpoint format {doc.get('format')!r}; "
                             f"only {CHECKPOINT_FORMAT} can be read")
-    config_doc = doc.get("config", {})
-    if not isinstance(config_doc, dict):
-        raise MalformedFile(f"{path}: 'config' is not an object")
+    for key in ("config", "tensors"):
+        if not isinstance(doc.get(key), dict):
+            raise MalformedFile(f"{path}: '{key}' is missing or not an object")
     try:
-        config = config_from_dict(config_doc)
+        config = config_from_dict(doc["config"])
     except (TypeError, ValueError, QuatMotionError) as exc:
         raise MalformedFile(f"{path}: bad config: {exc}") from exc
-    tensors = doc.get("tensors", {})
-    if not isinstance(tensors, dict):
-        raise MalformedFile(f"{path}: 'tensors' is not an object")
+    tensors = doc["tensors"]
     # the layout is enumerated to at most twice the stored table's length,
     # so a config with a huge layer count is rejected as cheaply as any other
     limit = 2 * len(tensors) + 2

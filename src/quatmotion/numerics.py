@@ -81,8 +81,8 @@ def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
     return out, cols
 
 
-def sym_sqrt(s: Array, eps: float = 0.0) -> Array:
-    """Principal square root of the symmetric matrix S + eps*I.
+def sym_sqrt(s: Array) -> Array:
+    """Principal square root of the symmetric matrix S.
 
     Eigendecomposition-based; negative eigenvalues (numerical noise in
     nearly-PSD inputs) are clamped to zero. Result is symmetric PSD.
@@ -95,7 +95,7 @@ def sym_sqrt(s: Array, eps: float = 0.0) -> Array:
     asym = np.abs(s - s.T).max() if s.size else 0.0
     if asym > 1e-9:
         raise NotSymmetric(f"sym_sqrt: |S - S^T| reaches {asym:.3e} > 1e-9")
-    m = (s + s.T) / 2.0 + eps * np.eye(s.shape[0])
+    m = (s + s.T) / 2.0
     evals, evecs = np.linalg.eigh(m)
     root = np.sqrt(np.maximum(evals, 0.0))
     out = (evecs * root) @ evecs.T
@@ -141,6 +141,8 @@ class Objective(NamedTuple):
 # the least), so no objective is handed 2n copies of an n-element
 # parameter at once.
 PROBE_STACK_ELEMENTS = 1 << 16
+# grad_check's central-difference step h
+GRAD_CHECK_STEP = 1e-5
 
 
 def _probes(objective: Objective, params: list, idx: int, coords, h: float):
@@ -179,23 +181,22 @@ def _probes(objective: Objective, params: list, idx: int, coords, h: float):
 def grad_check(
     objective: Objective,
     params: list[Array],
-    h: float = 1e-5,
     tol: float = 1e-4,
     names: list[str] | None = None,
     max_probes_per_param: int | None = None,
-    probe_seed: int = 0,
 ) -> GradReport:
     """Compare an objective's analytic gradients against central differences.
 
     Probe contract: objective.value_and_grad is called exactly once, at
     the unperturbed params, and supplies the analytic gradient and the
     reference loss. The probes then evaluate the loss alone: per
-    parameter, the +h and -h copies of every probed coordinate are
-    stacked on a leading probe axis, +h rows first, and evaluated by one
-    objective.losses call, while the other parameters are passed as
-    read-only broadcast views of the same length. Stacks are cut into
-    chunks of at most PROBE_STACK_ELEMENTS elements (two rows at the
-    least), so an n-element parameter never costs 2n*n floats at once.
+    parameter, the +h and -h copies of every probed coordinate, with
+    h = GRAD_CHECK_STEP, are stacked on a leading probe axis, +h rows
+    first, and evaluated by one objective.losses call, while the other
+    parameters are passed as read-only broadcast views of the same
+    length. Stacks are cut into chunks of at most PROBE_STACK_ELEMENTS
+    elements (two rows at the least), so an n-element parameter never
+    costs 2n*n floats at once.
 
     The numeric derivative (f(x+h) - f(x-h)) / 2h is compared to the
     analytic one with relative error |a - n| / max(|a|, |n|, 1e-8); a
@@ -214,7 +215,7 @@ def grad_check(
         raise NonFiniteLoss(f"objective returned {loss0!r}")
     grads = [np.asarray(g, dtype=np.float64) for g in grads]
 
-    rng = np.random.default_rng(probe_seed)
+    rng = np.random.default_rng(0)
     errors: list[float] = []
     probe_counts: list[int] = []
     for idx, (p, g) in enumerate(zip(params, grads)):
@@ -227,8 +228,8 @@ def grad_check(
             coords = np.sort(rng.choice(n, size=max_probes_per_param, replace=False))
         else:
             coords = np.arange(n)
-        plus, minus = _probes(objective, params, idx, coords, h)
-        numeric = (plus - minus) / (2.0 * h)
+        plus, minus = _probes(objective, params, idx, coords, GRAD_CHECK_STEP)
+        numeric = (plus - minus) / (2.0 * GRAD_CHECK_STEP)
         analytic = g.reshape(-1)[coords]
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         errors.append(float(np.max(np.abs(analytic - numeric) / denom, initial=0.0)))

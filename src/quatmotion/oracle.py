@@ -3,7 +3,9 @@
 hamilton4 is the written-out Hamilton product of two quaternions given
 as 4-tuples, the reference for quaternion.hamilton and the slot turns
 the model runs. rope spins rows' feature pairs, read as complex numbers,
-to explicit positions: the one reference for the model's rotary kernel.
+to explicit positions at RoFormer's base ROPE_BASE: the one reference for
+the model's rotary kernel, with its own copy of the base, so a change to
+the package's spe.DEFAULT_BASE shows as a disagreement.
 reference_qra is quaternion rotary attention of one head in plain Python
 floats and index loops (hamilton4, padded convolution and softmax); it
 reads a head as the dict qra documents, "wq", "wk", "wv" and the eight
@@ -20,6 +22,9 @@ pins the package to a separate derivation rather than to itself.
 import math
 
 import numpy as np
+
+# RoFormer's base (arXiv 2104.09864) of the per-pair frequency ladder
+ROPE_BASE = 10000.0
 
 
 # ------------------------------------------------ quaternion rotary attention
@@ -146,17 +151,17 @@ def reference_qra(x, y, head, key_axis="j"):
 
 # ------------------------------------------------------ canonical transformer
 
-def _layer_norm(x, gamma, beta, eps=1e-5):
+def _layer_norm(x, gamma, beta):
     xc = x - x.mean(axis=-1, keepdims=True)
-    return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps) * gamma + beta
+    return xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5) * gamma + beta
 
 
-def rope(x, positions, base):
+def rope(x, positions):
     """Rows x (T, ..., d) with row t's pairs (x[2i], x[2i+1]) read as complex
-    numbers and spun by positions[t] * base**(-2i/d)."""
+    numbers and spun by positions[t] * ROPE_BASE**(-2i/d)."""
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
-    freqs = base ** (-2.0 * np.arange(d // 2) / d)
+    freqs = ROPE_BASE ** (-2.0 * np.arange(d // 2) / d)
     pos = np.asarray(positions, dtype=np.float64).reshape((-1,) + (1,) * (x.ndim - 1))
     z = (x[..., 0::2] + 1j * x[..., 1::2]) * np.exp(1j * pos * freqs)
     out = np.empty_like(x)
@@ -170,28 +175,28 @@ def _softmax(a):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def canonical_attention(x_q, x_kv, head, heads=1, rope_base=None):
+def canonical_attention(x_q, x_kv, head, heads=1, spin=False):
     """Softmax attention of x_q's rows over x_kv's, before any output
     projection. head maps "wq", "wk" and "wv" to (d_model, d_attn)
     projections, whose d_attn columns split into `heads` equal heads;
-    with a rope_base, each head's queries and keys are first spun by rope
-    at their row positions. Returns the (N, d_attn) rows, heads side by
+    with spin, each head's queries and keys are first spun by rope at
+    their row positions. Returns the (N, d_attn) rows, heads side by
     side."""
     q, k, v = ((x @ head[name]).reshape(len(x), heads, -1)
                for x, name in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
-    if rope_base is not None:
-        q = rope(q, np.arange(len(q)), rope_base)
-        k = rope(k, np.arange(len(k)), rope_base)
+    if spin:
+        q = rope(q, np.arange(len(q)))
+        k = rope(k, np.arange(len(k)))
     logits = np.einsum("thd,shd->hts", q, k) / math.sqrt(q.shape[-1])
     return np.einsum("hts,shd->thd", _softmax(logits), v).reshape(len(x_q), -1)
 
 
-def _attention(x_q, x_kv, w, prefix, heads, rope_base=None):
+def _attention(x_q, x_kv, w, prefix, heads, spin=False):
     head = {name: w[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")}
-    return canonical_attention(x_q, x_kv, head, heads, rope_base) @ w[prefix + ".wo"]
+    return canonical_attention(x_q, x_kv, head, heads, spin) @ w[prefix + ".wo"]
 
 
-def _qra_attention(x_q, x_kv, w, prefix, heads, key_axis):
+def _qra_attention(x_q, x_kv, w, prefix, heads):
     """reference_qra on each head's slice of the layer, concatenated and
     projected by wo."""
     dh = x_q.shape[1] // heads
@@ -201,7 +206,7 @@ def _qra_attention(x_q, x_kv, w, prefix, heads, key_axis):
         head = {name: w[f"{prefix}.{name}"][:, cols] for name in ("wq", "wk", "wv")}
         head.update({f"{kern}.{part}": w[f"{prefix}.{kern}.{part}"][h]
                      for kern in ("omega_q", "theta_q", "omega_k", "theta_k") for part in "wb"})
-        outs.append(reference_qra(x_q, x_kv, head, key_axis))
+        outs.append(reference_qra(x_q, x_kv, head))
     return np.concatenate(outs, axis=1) @ w[prefix + ".wo"]
 
 
@@ -214,8 +219,6 @@ def reference_forward(weights, config, motion, audio):
     einsum heads without.
     """
     w = {name: t.data for name, t in weights.items()}
-    key_axis = "i" if config.qra_keys_use_axis_i else "j"
-    rope_base = config.rotary_base if config.use_spe else None
 
     def norm(x, name):
         return _layer_norm(x, w[name + ".gamma"], w[name + ".beta"])
@@ -226,13 +229,11 @@ def reference_forward(weights, config, motion, audio):
 
     streams = {}
     for name, x in (("motion", motion), ("audio", audio)):
-        h = x @ w[f"embed.{name}.w"] + w[f"embed.{name}.b"]
-        if config.use_learned_abs_pos:
-            h = h + w[f"pos.{name}"][:h.shape[0]]
+        h = x @ w[f"embed.{name}.w"] + w[f"embed.{name}.b"] + w[f"pos.{name}"][:len(x)]
         for layer in range(config.encoder_layers):
             p = f"enc.{name}.{layer}"
             hn = norm(h, p + ".ln1")
-            h = h + _attention(hn, hn, w, p + ".attn", config.heads, rope_base=rope_base)
+            h = h + _attention(hn, hn, w, p + ".attn", config.heads, spin=config.use_spe)
             h = h + ff(norm(h, p + ".ln2"), p + ".ff")
         if config.encoder_layers > 0:
             h = norm(h, f"enc.{name}.norm")
@@ -243,7 +244,7 @@ def reference_forward(weights, config, motion, audio):
         p = f"dec.{layer}"
         x_q = norm(state, p + ".ln1")
         if config.use_qra:
-            state = state + _qra_attention(x_q, memory, w, p + ".attn", config.heads, key_axis)
+            state = state + _qra_attention(x_q, memory, w, p + ".attn", config.heads)
         else:
             state = state + _attention(x_q, memory, w, p + ".attn", config.heads)
         state = state + ff(norm(state, p + ".ln2"), p + ".ff")

@@ -11,9 +11,12 @@ With one period and zero angles this is exactly canonical scaled
 dot-product attention.
 
 rotary_logits is the one implementation, on the autodiff tape: the
-model's decoder calls it with all heads at once, and qra_attention runs
-it on untracked single-head tensors. quatmotion.oracle re-derives the
-whole pipeline in scalar loops.
+model's decoder calls it with all heads at once and its keys spun about
+j, and qra_attention runs it on untracked single-head tensors.
+quatmotion.oracle re-derives the whole pipeline in scalar loops. Keys
+spun about i (key_axis "i") are the same-axis variant that acceptance
+criteria 3 and 4 hold to the oracle beside the model's; the model never
+runs it.
 
 A head is a dict of arrays, the one form of a QRA head everywhere: the
 projections "wq", "wk" and "wv", each (d_model, d_attn), and the eight
@@ -43,6 +46,8 @@ KERNEL_NAMES = ("omega_q.w", "omega_q.b", "theta_q.w", "theta_q.b",
                 "omega_k.w", "omega_k.b", "theta_k.w", "theta_k.b")
 # a head's query, key and value projections, each (d_model, d_attn)
 PROJECTIONS = ("wq", "wk", "wv")
+# width of the frequency/phase convolutions over time in the model's heads
+KERNEL_WIDTH = 3
 
 
 def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, key_axis: str = "j",
@@ -82,15 +87,13 @@ def rotary_logits(q_all: Tensor, k: Tensor, kernels: dict, key_axis: str = "j",
     return ag.mul(total, 1.0 / (periods * math.sqrt(dh)))
 
 
-
-
 def random_head(rng: np.random.Generator, d_model: int, d_attn: int, periods: int,
-                width: int = 3, scale: float = 0.5) -> dict:
+                scale: float = 0.5) -> dict:
     """A random head, drawn in the order wq, wk, wv, then KERNEL_NAMES."""
     head = {name: rng.standard_normal((d_model, d_attn)) / np.sqrt(d_model)
             for name in PROJECTIONS}
     for name in KERNEL_NAMES:
-        shape = (periods, d_attn, width) if name.endswith(".w") else (periods,)
+        shape = (periods, d_attn, KERNEL_WIDTH) if name.endswith(".w") else (periods,)
         head[name] = scale * rng.standard_normal(shape)
     return head
 
@@ -122,8 +125,9 @@ def qra_attention(x, y, head: dict, key_axis: str = "j") -> np.ndarray:
     """Single-head quaternion rotary attention from x (N rows) onto y (M rows).
 
     head maps PROJECTIONS and KERNEL_NAMES to arrays; see the module
-    docstring. Queries rotate about axis i, keys about key_axis (j unless
-    the same-axis variant is requested). Runs rotary_logits off the tape.
+    docstring. Queries rotate about axis i, keys about key_axis (j, as in
+    the model, unless the same-axis variant is requested). Runs
+    rotary_logits off the tape.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

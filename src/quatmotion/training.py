@@ -51,7 +51,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be int, got {type(value).__name__} {value!r}")
-        self.decay_steps = tuple((int(s), float(lr)) for s, lr in self.decay_steps)
+        for s, _ in self.decay_steps:
+            if not isinstance(s, int) or isinstance(s, bool):
+                raise TypeError(f"decay_steps steps must be int, got {type(s).__name__} {s!r}")
+        self.decay_steps = tuple((s, float(lr)) for s, lr in self.decay_steps)
         bounds = [s for s, _ in self.decay_steps]
         rates = [lr for _, lr in self.decay_steps]
         if bounds != sorted(set(bounds)):

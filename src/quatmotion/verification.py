@@ -145,7 +145,7 @@ def spe_checks() -> list:
         x = rng.standard_normal((1, 16))
         pos = int(rng.integers(0, 500))
         worst = max(worst, float(np.abs(_spun(x, pos)
-                                        - oracle.rope(x, [pos], spe.DEFAULT_BASE)).max()))
+                                        - oracle.rope(x, [pos])).max()))
     checks.append(_check("spe/formulation_agreement", worst, 1e-14))
 
     # zero angles: tables of cos 1 and sin 0 leave every row as it is
@@ -617,9 +617,9 @@ def _tiny_config(**kw) -> mod.ModelConfig:
     return mod.ModelConfig(**base)
 
 
-def _embedded(frames, which: str, weights: dict, config: mod.ModelConfig) -> np.ndarray:
+def _embedded(frames, which: str, weights: dict) -> np.ndarray:
     """One (T, channels) stream through the model's embedding, off the tape."""
-    return mod._embed(Tensor(frames[None]), which, mod._untracked(weights), config).data[0]
+    return mod._embed(Tensor(frames[None]), which, mod._untracked(weights)).data[0]
 
 
 def _encoded(hidden, which: str, weights: dict, config: mod.ModelConfig) -> np.ndarray:
@@ -645,7 +645,7 @@ def model_checks() -> list:
     desk_w = mod.init_weights(desk, np.random.default_rng(1))
     dm = rng.standard_normal((desk.seed_motion_frames, feat.MOTION_DIMS))
     da = rng.standard_normal((desk.audio_frames, feat.AUDIO_DIMS))
-    emb = _embedded(dm, "motion", desk_w, desk)
+    emb = _embedded(dm, "motion", desk_w)
     enc = _encoded(emb, "motion", desk_w, desk)
     dec = mod.predict_future(desk_w, desk, dm, da)
     ok_shapes = (ok_shapes and emb.shape == (30, 64) and enc.shape == (30, 64)
@@ -658,7 +658,7 @@ def model_checks() -> list:
     full_w = mod.init_weights(full, np.random.default_rng(2))
     pm = rng.standard_normal((120, feat.MOTION_DIMS))
     pa = rng.standard_normal((240, feat.AUDIO_DIMS))
-    p_emb = _embedded(pa, "audio", full_w, full)
+    p_emb = _embedded(pa, "audio", full_w)
     p_out = mod.predict_future(full_w, full, pm, pa)
     checks.append(_flag("model/full_scale_shape_contract",
                         p_emb.shape == (240, 800) and p_out.shape == (20, feat.MOTION_DIMS)))
@@ -676,9 +676,9 @@ def model_checks() -> list:
                          float(np.abs(_encoded(hidden, "motion", zd_w, zero_depth) - hidden).max()),
                          0.0))
 
-    spe_on = _encoded(_embedded(motion, "motion", weights, config), "motion", weights, config)
+    spe_on = _encoded(_embedded(motion, "motion", weights), "motion", weights, config)
     config_off = _tiny_config(use_spe=False)
-    spe_off = _encoded(_embedded(motion, "motion", weights, config_off), "motion",
+    spe_off = _encoded(_embedded(motion, "motion", weights), "motion",
                        weights, config_off)
     checks.append(_flag("model/spe_toggle_changes_encoding",
                         float(np.abs(spe_on - spe_off).max()) > 1e-8))

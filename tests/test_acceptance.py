@@ -115,7 +115,7 @@ def test_criterion_02_relative_position_invariance():
     for pos in (0.0, 1.0, 7.0, 1000.0):
         for vec in rng.standard_normal((5, 32)):
             gap = np.abs(_spun(vec[None], pos)
-                         - oracle.rope(vec[None], [pos], spe.DEFAULT_BASE)).max()
+                         - oracle.rope(vec[None], [pos])).max()
             worst_route = max(worst_route, float(gap))
 
     dt = time.perf_counter() - t0

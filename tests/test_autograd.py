@@ -14,7 +14,7 @@ import pytest
 
 from quatmotion import autograd as ag
 from quatmotion import numerics as num
-from quatmotion import features, model, oracle, spe, training, verification
+from quatmotion import features, model, oracle, qra, spe, training, verification
 
 CASES = verification._grad_cases()
 CASE_IDS = [c[0] for c in CASES]
@@ -182,7 +182,7 @@ class TestForwardAgainstReference:
         via_tape = ag.rope_apply(ag.Tensor(x), cos, sin).data
         for t in range(6):
             np.testing.assert_allclose(via_tape[t],
-                                       oracle.rope(x[t][None], [t], spe.DEFAULT_BASE)[0],
+                                       oracle.rope(x[t][None], [t])[0],
                                        rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("axis", ["i", "j", "k"])
@@ -392,7 +392,7 @@ class TestTapeMemory:
         # the QRA convolutions keep their input rows and rebuild the im2col
         # windows (width times the rows' size) inside the VJP
         _, loss_of = self._desk_loss(rng)
-        width = model.QRA_KERNEL_WIDTH * model.ModelConfig().d_head
+        width = qra.KERNEL_WIDTH * model.ModelConfig().d_head
         saved = [a for node in self._tape(loss_of()) if node.vjp is not None
                  for a in self._saved_arrays(node.vjp)]
         assert len(saved) > 100

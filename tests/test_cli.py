@@ -109,6 +109,14 @@ class TestVerify:
         assert failed
         assert any("algebra/basis_table" in ln for ln in failed)
 
+    def test_edited_rope_base_is_caught(self, capsys, monkeypatch):
+        # the oracle keeps its own RoPE base, so the package's cannot drift
+        monkeypatch.setattr(spe, "DEFAULT_BASE", 1000.0)
+        assert cli.entry(["verify", "--suite", "spe"]) == 1
+        out = capsys.readouterr().out
+        failed = [ln for ln in out.splitlines() if ln.startswith("[FAIL]")]
+        assert any("spe/formulation_agreement" in ln for ln in failed)
+
     def test_checks_reach_the_shipping_kernels(self, monkeypatch):
         # the rotary and conv properties are checked on the code the model
         # runs, not on a wrapper beside it
@@ -545,7 +553,7 @@ class TestGenerate:
         ckpt.write_text(json.dumps(doc))
         assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "qean-ckpt-v1" in err and "qean-ckpt-v3" in err
+        assert str(ckpt) in err and "qean-ckpt-v1" in err and mod.CHECKPOINT_FORMAT in err
 
     def test_v2_checkpoint_exits_two(self, workspace, tmp_path, capsys):
         # the previous format: one JSON file, each tensor's bytes in base64
@@ -558,8 +566,43 @@ class TestGenerate:
         ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "qean-ckpt-v2" in err and "qean-ckpt-v3" in err
+        assert str(ckpt) in err and "qean-ckpt-v2" in err and mod.CHECKPOINT_FORMAT in err
         assert "Traceback" not in err
+
+    def test_v3_checkpoint_exits_two(self, workspace, tmp_path, capsys):
+        # the previous format: this header and payload, with four more config keys
+        doc = json.loads((workspace / "run" / "checkpoint.json").read_text())
+        doc["format"] = "qean-ckpt-v3"
+        doc["config"].update(ff_mult=4, use_learned_abs_pos=True, qra_keys_use_axis_i=False,
+                             rotary_base=10000.0)
+        ckpt = tmp_path / "old.json"
+        ckpt.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        pathlib.Path(str(ckpt) + feat.PAYLOAD_SUFFIX).write_bytes(
+            (workspace / "run" / "checkpoint.json.f64").read_bytes())
+        assert self._generate_from(workspace, ckpt, tmp_path / "g") == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "qean-ckpt-v3" in err and mod.CHECKPOINT_FORMAT in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_without_config_exits_two(self, tmp_path, capsys):
+        # a desk checkpoint's tensors fit the desk defaults, so a header
+        # that lost its config must not load as them (use_spe=True here)
+        config = mod.ModelConfig(use_spe=False)
+        ckpt = tmp_path / "bare.json"
+        mod.save_checkpoint(str(ckpt), mod.init_weights(config, np.random.default_rng(0)), config)
+        doc = json.loads(ckpt.read_text())
+        del doc["config"]
+        ckpt.write_text(json.dumps(doc))
+        data = tmp_path / "data"
+        assert cli.entry(["synth", "--out", str(data), "--seconds", "1", "--seed", "0"]) == 0
+        capsys.readouterr()
+        rc = cli.entry(["generate", "--ckpt", str(ckpt), "--music", str(data / "audio.csv"),
+                        "--seed-motion", str(data / "motion.csv"), "--frames", "1",
+                        "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(ckpt) in err and "'config'" in err and "Traceback" not in err
+        assert not (tmp_path / "g").exists()
 
     def test_missing_payload_exits_two(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "header_only.json"
@@ -742,7 +785,7 @@ _JUNK = st.one_of(st.none(), st.text(max_size=4), st.lists(st.integers(), max_si
 # config fields for which every other integer changes a weight's shape or
 # the tensor set, so no integer edit leaves a loadable checkpoint
 _SHAPED = ("d_model", "heads", "encoder_layers", "decoder_layers", "periods",
-           "seed_motion_frames", "audio_frames", "future_frames", "ff_mult")
+           "seed_motion_frames", "audio_frames", "future_frames")
 
 
 def _bad_config_value(field, stored):
@@ -752,11 +795,8 @@ def _bad_config_value(field, stored):
         return st.one_of(typo, st.integers().filter(lambda v: v != stored))
     if field == "fps":
         return st.one_of(typo, st.integers(max_value=0))
-    if field == "rotary_base":
-        return st.one_of(_JUNK, st.booleans(), st.floats(max_value=0.0),
-                         st.sampled_from([math.nan, math.inf]), st.integers(max_value=0))
-    # a boolean; dropping QRA or the position tables changes the tensor set
-    flip = st.just(not stored) if field in ("use_qra", "use_learned_abs_pos") else st.nothing()
+    # a boolean; dropping QRA changes the tensor set
+    flip = st.just(not stored) if field == "use_qra" else st.nothing()
     return st.one_of(_JUNK, st.integers(), st.floats(), flip)
 
 
@@ -768,7 +808,8 @@ def _malformed(data, header, payload):
          "drop_key", "junk_key", "cut_header", "truncate", "extend", "flip"]))
     if kind == "format":
         doc["format"] = data.draw(st.one_of(
-            _JUNK, st.sampled_from(["qean-ckpt-v1", "qean-ckpt-v2", "qean-ckpt-v4"]))
+            _JUNK, st.sampled_from(["qean-ckpt-v1", "qean-ckpt-v2", "qean-ckpt-v3",
+                                    "qean-ckpt-v4"]))
             .filter(lambda v: v != mod.CHECKPOINT_FORMAT))
     elif kind == "config":
         field = data.draw(st.sampled_from(sorted(doc["config"])))

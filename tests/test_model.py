@@ -33,9 +33,7 @@ from quatmotion.qra import KERNEL_NAMES, PROJECTIONS
 
 def _expected_names(config):
     names = {"embed.audio.w", "embed.audio.b", "embed.motion.w", "embed.motion.b",
-             "out.w", "out.b"}
-    if config.use_learned_abs_pos:
-        names |= {"pos.motion", "pos.audio"}
+             "pos.motion", "pos.audio", "out.w", "out.b"}
     block = (".ln1.gamma", ".ln1.beta", ".ln2.gamma", ".ln2.beta",
              ".attn.wq", ".attn.wk", ".attn.wv", ".attn.wo",
              ".ff.fc1.w", ".ff.fc1.b", ".ff.fc2.w", ".ff.fc2.b")
@@ -58,8 +56,7 @@ class TestModelConfig:
         assert (c.d_model, c.heads, c.d_head) == (64, 4, 16)
         assert (c.encoder_layers, c.decoder_layers, c.periods) == (2, 2, 2)
         assert (c.seed_motion_frames, c.audio_frames, c.future_frames) == (30, 60, 5)
-        assert c.use_qra and c.use_spe and c.use_learned_abs_pos
-        assert not c.qra_keys_use_axis_i
+        assert c.use_qra and c.use_spe
 
     def test_full_scale(self):
         c = ModelConfig.full_scale()
@@ -87,7 +84,7 @@ class TestModelConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("decoder_layers", 0), ("periods", 0), ("future_frames", 0),
-        ("seed_motion_frames", 0), ("ff_mult", 0), ("fps", 0), ("encoder_layers", -1),
+        ("seed_motion_frames", 0), ("fps", 0), ("encoder_layers", -1),
     ])
     def test_count_gates(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -102,12 +99,11 @@ class TestInitWeights:
         w = model.init_weights(tiny_model_config, np.random.default_rng(0))
         assert set(w) == _expected_names(tiny_model_config)
 
-    def test_inventory_without_qra_or_pos(self, tiny_model_config):
-        config = dataclasses.replace(tiny_model_config, use_qra=False,
-                                     use_learned_abs_pos=False)
+    def test_inventory_without_qra(self, tiny_model_config):
+        config = dataclasses.replace(tiny_model_config, use_qra=False)
         w = model.init_weights(config, np.random.default_rng(0))
         assert set(w) == _expected_names(config)
-        assert not any("omega" in k or "pos." in k for k in w)
+        assert not any("omega" in k or "theta" in k for k in w)
 
     def test_shapes(self, tiny_model_config):
         c = tiny_model_config
@@ -164,9 +160,9 @@ class TestForward:
             model.forward(weights, config, motion[None, :, :218], audio[None])
 
     def test_rotary_tables_are_cached_read_only(self):
-        co, si = model._rotary_tables(5, 8, 10000.0)
-        assert model._rotary_tables(5, 8, 10000.0)[0] is co
-        want_co, want_si = spe.angle_tables(5, 8, 10000.0)
+        co, si = model._rotary_tables(5, 8)
+        assert model._rotary_tables(5, 8)[0] is co
+        want_co, want_si = spe.angle_tables(5, 8)
         np.testing.assert_array_equal(co, want_co)
         np.testing.assert_array_equal(si, want_si)
         assert not (co.flags.writeable or si.flags.writeable)
@@ -192,8 +188,7 @@ def _small_configs(draw):
         periods=draw(st.integers(1, 3)), seed_motion_frames=seed_frames,
         audio_frames=seed_frames + draw(st.integers(0, 4)),
         future_frames=draw(st.integers(1, 2)), use_qra=draw(st.booleans()),
-        qra_keys_use_axis_i=draw(st.booleans()), use_spe=draw(st.booleans()),
-        use_learned_abs_pos=draw(st.booleans()))
+        use_spe=draw(st.booleans()))
 
 
 class TestReferenceForward:
@@ -257,13 +252,12 @@ class TestCanonicalEquivalence:
 
 
 class TestCrossAttentionVsArrayPath:
-    @pytest.mark.parametrize("key_axis_i", [False, True])
-    def test_matches_multi_head_qra(self, rng, key_axis_i):
+    def test_matches_multi_head_qra(self, rng):
         # one decoder layer's cross-attention against the scalar oracle run
-        # one head at a time, concatenated and projected by wo
+        # one head at a time, keys spun about j, concatenated and projected by wo
         config = ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
                              periods=2, seed_motion_frames=5, audio_frames=7,
-                             future_frames=1, qra_keys_use_axis_i=key_axis_i)
+                             future_frames=1)
         weights = model.init_weights(config, np.random.default_rng(8))
         w = {name[len("dec.0.attn."):]: t.data for name, t in weights.items()
              if name.startswith("dec.0.attn.")}
@@ -277,8 +271,7 @@ class TestCrossAttentionVsArrayPath:
             cols = slice(h * dh, (h + 1) * dh)
             head = {name: w[name][:, cols] for name in PROJECTIONS}
             head.update({name: w[name][h] for name in KERNEL_NAMES})
-            heads.append(oracle.reference_qra(m_norm, memory, head,
-                                              key_axis="i" if key_axis_i else "j"))
+            heads.append(oracle.reference_qra(m_norm, memory, head, key_axis="j"))
         want = np.concatenate(heads, axis=1) @ w["wo"]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -307,10 +300,9 @@ class TestPrunedDecoder:
         {"decoder_layers": 1},
         {"decoder_layers": 3},
         {"use_qra": False},
-        {"qra_keys_use_axis_i": True},
         # a cone of 1 + 3 rows is clamped to the 2-row window
         {"seed_motion_frames": 2, "decoder_layers": 3},
-    ], ids=["desk", "layers1", "layers3", "no_qra", "keys_axis_i", "clamped"])
+    ], ids=["desk", "layers1", "layers3", "no_qra", "clamped"])
     def test_matches_full_row_decoder(self, rng, changes):
         config = dataclasses.replace(ModelConfig(), **changes)
         weights = model.init_weights(config, np.random.default_rng(3))
@@ -353,8 +345,8 @@ class TestPrunedDecoder:
 
 class TestWrappers:
     def test_embed_adds_position_table(self, tiny_setup):
-        weights, config, motion, _ = tiny_setup
-        got = model._embed(Tensor(motion[None]), "motion", weights, config).data[0]
+        weights, _, motion, _ = tiny_setup
+        got = model._embed(Tensor(motion[None]), "motion", weights).data[0]
         want = (motion @ weights["embed.motion.w"].data
                 + weights["embed.motion.b"].data
                 + weights["pos.motion"].data[:motion.shape[0]])
@@ -594,7 +586,7 @@ class TestCheckpoint:
         # sorted-name order, and a header holding their sha256
         names = sorted(weights)
         payload = _packed([v for name in names for v in weights[name].data.reshape(-1)])
-        doc = {"format": "qean-ckpt-v3",
+        doc = {"format": model.CHECKPOINT_FORMAT,
                "config": model.config_to_dict(config),
                "tensors": {name: list(weights[name].data.shape) for name in names},
                "payload": {"bytes": len(payload),
@@ -627,8 +619,9 @@ class TestCheckpoint:
 
     def test_rejects_wrong_format_tag(self, tmp_path):
         path = tmp_path / "other.json"
-        path.write_text(json.dumps({"format": "qean-ckpt-v4", "config": {}, "tensors": {}}))
-        with pytest.raises(MalformedFile, match=r"other\.json.*qean-ckpt-v4.*qean-ckpt-v3"):
+        path.write_text(json.dumps({"format": "qean-ckpt-v99", "config": {}, "tensors": {}}))
+        with pytest.raises(MalformedFile,
+                           match=rf"other\.json.*qean-ckpt-v99.*{model.CHECKPOINT_FORMAT}"):
             model.load_checkpoint(str(path))
 
     def test_rejects_v1_checkpoint(self, tiny_setup, tmp_path):
@@ -640,7 +633,8 @@ class TestCheckpoint:
                            for name, t in weights.items()}}
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc, sort_keys=True))
-        with pytest.raises(MalformedFile, match=r"old\.json.*qean-ckpt-v1.*qean-ckpt-v3"):
+        with pytest.raises(MalformedFile,
+                           match=rf"old\.json.*qean-ckpt-v1.*{model.CHECKPOINT_FORMAT}"):
             model.load_checkpoint(str(path))
 
     def test_rejects_v2_checkpoint(self, tiny_setup, tmp_path):
@@ -653,7 +647,8 @@ class TestCheckpoint:
                            for name, t in weights.items()}}
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        with pytest.raises(MalformedFile, match=r"old\.json.*qean-ckpt-v2.*qean-ckpt-v3"):
+        with pytest.raises(MalformedFile,
+                           match=rf"old\.json.*qean-ckpt-v2.*{model.CHECKPOINT_FORMAT}"):
             model.load_checkpoint(str(path))
 
     def test_rejects_unknown_config_key(self, tmp_path):
@@ -667,7 +662,6 @@ class TestCheckpoint:
     @pytest.mark.parametrize("config", [
         {"d_model": "x"}, {"d_model": 6, "heads": 4}, [],
         {"d_model": 8.0}, {"heads": True}, {"fps": 2.5}, {"use_qra": 1},
-        {"rotary_base": math.nan}, {"rotary_base": -1.0}, {"rotary_base": math.inf},
     ])
     def test_rejects_bad_config(self, tmp_path, config):
         # the message names the offending field (or 'config' itself), not

@@ -154,10 +154,6 @@ class TestSymSqrt:
         root = num.sym_sqrt(v)
         np.testing.assert_allclose(root @ root, v, atol=1e-9)
 
-    def test_eps_ridge(self):
-        root = num.sym_sqrt(np.zeros((3, 3)), eps=4.0)
-        np.testing.assert_allclose(root, 2.0 * np.eye(3), atol=1e-12)
-
     def test_rejects_asymmetric(self, rng):
         m = rng.standard_normal((4, 4))
         with pytest.raises(NotSymmetric):
@@ -266,10 +262,10 @@ class TestGradCheck:
             return _sq_losses(params)
 
         report = num.grad_check(self._quadratic._replace(losses=losses), [big.copy()],
-                                max_probes_per_param=5, probe_seed=3)
+                                max_probes_per_param=5)
         assert report.probes == [5]
         # the seeded subsample, +h rows first, then -h rows
-        coords = np.sort(np.random.default_rng(3).choice(200, size=5, replace=False)).tolist()
+        coords = np.sort(np.random.default_rng(0).choice(200, size=5, replace=False)).tolist()
         assert moved == [(c, True) for c in coords] + [(c, False) for c in coords]
 
     def test_batched_chunks_under_element_bound(self, monkeypatch):

@@ -7,14 +7,13 @@ as a mismatch here rather than cancelling out. The pieces it is built
 from are checked against scalar Hamilton products.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from quatmotion import autograd as ag
-from quatmotion import model, numerics, oracle, qra, quaternion
+from quatmotion import numerics, oracle, qra, quaternion
 from quatmotion.autograd import Tensor
 from quatmotion.errors import DimensionMismatch, HeadDimNotQuaternion
 
@@ -51,8 +50,10 @@ class TestHeadGates:
             self._run(rng, {**head, "theta_k.b": np.zeros(3)})
 
     def test_even_width_rejected(self, rng):
+        head = qra.random_head(rng, d_model=8, d_attn=4, periods=1)
+        wide = {name: np.zeros((1, 4, 4)) for name in qra.KERNEL_NAMES if name.endswith(".w")}
         with pytest.raises(DimensionMismatch):
-            self._run(rng, qra.random_head(rng, d_model=8, d_attn=4, periods=1, width=4))
+            self._run(rng, {**head, **wide})
 
     def test_row_width_gate(self, rng):
         head = qra.random_head(rng, d_model=8, d_attn=4, periods=1)
@@ -79,7 +80,7 @@ class TestHeadGates:
 
     def test_random_head_draw_order(self):
         # wq, wk, wv, then each kernel's weights and bias in KERNEL_NAMES order
-        head = qra.random_head(np.random.default_rng(9), 5, 4, 3, width=3, scale=0.5)
+        head = qra.random_head(np.random.default_rng(9), 5, 4, 3, scale=0.5)
         rng = np.random.default_rng(9)
         for name in qra.PROJECTIONS:
             np.testing.assert_array_equal(head[name], rng.standard_normal((5, 4)) / np.sqrt(5))
@@ -237,21 +238,6 @@ class TestAgainstOracle:
 
     def test_oracle_hamilton_self_check(self):
         assert oracle.hamilton4((1, 2, 3, 4), (5, 6, 7, 8)) == (-60, 12, 30, 24)
-
-
-class TestMultiHead:
-    def test_key_axis_forwarded(self, rng):
-        # the model's multi-head QRA passes the configured key axis through
-        config = model.ModelConfig(d_model=8, heads=2, encoder_layers=0, decoder_layers=1,
-                                   periods=1, seed_motion_frames=3, audio_frames=3,
-                                   future_frames=1)
-        weights = model.init_weights(config, np.random.default_rng(6))
-        x = Tensor(rng.standard_normal((1, 3, 8)))
-        y = Tensor(rng.standard_normal((1, 6, 8)))
-        same, cross = (model._cross_attention(
-            x, y, "dec.0.attn", weights,
-            dataclasses.replace(config, qra_keys_use_axis_i=flag)).data for flag in (True, False))
-        assert not np.allclose(same, cross)
 
 
 class TestHullBound:

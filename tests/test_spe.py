@@ -28,7 +28,7 @@ vecs6 = st.builds(np.array, st.lists(finite, min_size=6, max_size=6))
 
 class TestThetaSchedule:
     def test_closed_form(self):
-        got = spe.theta_schedule(8, base=10000.0)
+        got = spe.theta_schedule(8)
         want = [10000.0 ** (-2.0 * i / 8.0) for i in range(4)]
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
@@ -46,8 +46,10 @@ class TestThetaSchedule:
         with pytest.raises(DimensionMismatch):
             spe.theta_schedule(dim)
 
-    def test_base_two_halves_each_step(self):
-        t = spe.theta_schedule(4, base=2.0)
+    def test_base_two_halves_each_step(self, monkeypatch):
+        # the base is read when the ladder is built
+        monkeypatch.setattr(spe, "DEFAULT_BASE", 2.0)
+        t = spe.theta_schedule(4)
         np.testing.assert_allclose(t, [1.0, 2.0 ** -0.5], rtol=1e-15)
 
 
@@ -102,7 +104,7 @@ def _rotate(x, pos):
 
 def _reference(x, pos):
     """One vector spun to position pos by the oracle's complex numbers."""
-    return oracle.rope(np.asarray(x)[None], [pos], spe.DEFAULT_BASE)[0]
+    return oracle.rope(np.asarray(x)[None], [pos])[0]
 
 
 class TestRopeRotate:

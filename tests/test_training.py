@@ -81,6 +81,9 @@ class TestTrainConfig:
         ({"batch_size": True}, "batch_size"),
         ({"total_steps": 10.0}, "total_steps"),
         ({"total_steps": False}, "total_steps"),
+        ({"decay_steps": ((1.5, 1e-5),)}, "decay_steps"),
+        ({"decay_steps": ((True, 1e-5),)}, "decay_steps"),
+        ({"decay_steps": ((float("inf"), 1e-5),)}, "decay_steps"),
     ])
     def test_rejects_naming_the_field(self, kwargs, field):
         with pytest.raises((ValueError, TypeError), match=field):
