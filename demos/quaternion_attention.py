@@ -27,8 +27,8 @@ def main():
     # one head: the wq, wk, wv projections and the omega/theta kernels
     head = qra.random_head(rng, d_model, d_attn, periods)
     q = x @ head["wq"]
-    omega = num.relu(num.conv1d_im2col(q, head["omega_q.w"], head["omega_q.b"])[0])
-    theta = num.pi_tanh(num.conv1d_im2col(q, head["theta_q.w"], head["theta_q.b"])[0])
+    omega = num.relu(num.conv1d_im2col(q, head["omega_q.w"], head["omega_q.b"]))
+    theta = num.pi_tanh(num.conv1d_im2col(q, head["theta_q.w"], head["theta_q.b"]))
     print(f"latent frequencies (step x period), all >= 0:\n{np.round(omega, 3)}")
     print(f"latent phases, all inside (-pi, pi):\n{np.round(theta, 3)}")
 

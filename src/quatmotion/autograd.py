@@ -448,7 +448,7 @@ def _conv(x, w, b, x_grad: bool, w_grad: bool, b_grad: bool):
         raise ValueError("kernel width must be odd to preserve length")
     pad = width // 2
     steps, chans = x.shape[-2:]
-    out, _ = numerics.conv1d_im2col(x, w, b)
+    out = numerics.conv1d_im2col(x, w, b)
     sx, sw, sb = x.shape, w.shape, b.shape
     kern = w if x_grad else None
     xd = x if w_grad else None

@@ -95,15 +95,14 @@ def _parse_value(key: str, raw: str, origin: str):
     hint = _MODEL_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
     if hint is None:
         raise MalformedFile(f"{origin}: unknown config key {key!r}")
-    hint = str(hint)
-    if "bool" in hint:
+    if hint == "bool":
         lowered = raw.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
         raise MalformedFile(f"{origin}: {key} expects a boolean, got {raw!r}")
-    kind, convert = ("an integer", int) if "int" in hint else ("a number", float)
+    kind, convert = ("an integer", int) if hint == "int" else ("a number", float)
     try:
         return convert(raw)
     except ValueError:

@@ -47,6 +47,27 @@ FF_MULT = 4
 _COUNT_FLOORS = {"encoder_layers": 0, "decoder_layers": 1, "periods": 1, "future_frames": 1,
                  "seed_motion_frames": 1, "fps": 1}
 
+# the values a config field of each annotated type takes; a bool is an
+# int to Python, so it is refused wherever a number is wanted
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float)}
+
+
+def is_field_type(value, kind: str) -> bool:
+    """Whether value may be held by a config field annotated `kind`
+    ("bool", "int" or "float")."""
+    return isinstance(value, _FIELD_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
+def check_field_types(config):
+    """Raise a TypeError naming the first bool, int or float field of the
+    config dataclass whose value is not of its annotated type. Types are
+    checked before ranges, so a file cannot smuggle in a float count, a
+    truthy int or a numeric string."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type in _FIELD_TYPES and not is_field_type(value, f.type):
+            raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+
 
 @dataclass
 class ModelConfig:
@@ -65,16 +86,7 @@ class ModelConfig:
     use_qra: bool = True
 
     def __post_init__(self):
-        # field types are checked first, so a checkpoint's config cannot
-        # smuggle in a float count or a truthy int
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "bool":
-                ok = isinstance(value, bool)
-            else:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            if not ok:
-                raise TypeError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+        check_field_types(self)
         if self.d_model < 1 or self.heads < 1 or self.d_model % self.heads != 0:
             raise DimensionMismatch(
                 f"d_model {self.d_model} must be a positive multiple of heads {self.heads}")
@@ -444,18 +456,6 @@ def autoregressive_generate(seed_motion, audio_features, steps: int,
 
 # checkpoint I/O
 
-def config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
-
-
-def config_from_dict(doc: dict) -> ModelConfig:
-    known = {f.name for f in fields(ModelConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise MalformedFile(f"unknown config keys: {sorted(unknown)}")
-    return ModelConfig(**doc)
-
-
 def save_checkpoint(path: str, weights: dict, config: ModelConfig):
     """Write the weights and config as a JSON header plus a payload file.
 
@@ -470,7 +470,7 @@ def save_checkpoint(path: str, weights: dict, config: ModelConfig):
     names = sorted(weights)
     size, digest = write_payload(path, [weights[name].data for name in names])
     doc = {"format": CHECKPOINT_FORMAT,
-           "config": config_to_dict(config),
+           "config": asdict(config),
            "tensors": {name: list(weights[name].data.shape) for name in names},
            "payload": {"bytes": size, "sha256": digest}}
     atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -496,8 +496,11 @@ def _read_header(path: str):
     for key in ("config", "tensors"):
         if not isinstance(doc.get(key), dict):
             raise MalformedFile(f"{path}: '{key}' is missing or not an object")
+    unknown = set(doc["config"]) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise MalformedFile(f"{path}: bad config: unknown config keys: {sorted(unknown)}")
     try:
-        config = config_from_dict(doc["config"])
+        config = ModelConfig(**doc["config"])
     except (TypeError, ValueError, QuatMotionError) as exc:
         raise MalformedFile(f"{path}: bad config: {exc}") from exc
     tensors = doc["tensors"]

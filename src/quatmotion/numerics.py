@@ -67,18 +67,16 @@ def conv_windows(x: Array, width: int) -> Array:
     return cols.reshape(x.shape[:-1] + (c * width,))
 
 
-def conv1d_im2col(x: Array, weights: Array, bias: Array) -> tuple:
+def conv1d_im2col(x: Array, weights: Array, bias: Array) -> Array:
     """Same-padded conv1d on (..., T, C) inputs; weights (..., O, C, W) broadcast-compatible.
 
     The convolution is one matmul of the conv_windows against the kernel
-    viewed as (..., O, C*W). Returns the output (..., T, O) and the
-    windows (..., T, C*W).
+    viewed as (..., O, C*W). Returns the output (..., T, O).
     """
-    cols = conv_windows(x, weights.shape[-1])
     kmat = weights.reshape(weights.shape[:-2] + (-1,))
-    out = np.matmul(cols, np.swapaxes(kmat, -1, -2))
+    out = np.matmul(conv_windows(x, weights.shape[-1]), np.swapaxes(kmat, -1, -2))
     out += bias[..., None, :]
-    return out, cols
+    return out
 
 
 def sym_sqrt(s: Array) -> Array:

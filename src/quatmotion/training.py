@@ -29,7 +29,15 @@ from . import forked
 from .autograd import Tensor, mean_, mul, sub
 from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteLoss
 from .features import AUDIO_DIMS, MOTION_DIMS, atomic_write
-from .model import ModelConfig, forward, save_checkpoint
+from .model import ModelConfig, check_field_types, forward, is_field_type, save_checkpoint
+
+
+# Adam's moment decays and denominator floor: Kingma and Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# the global gradient norm a step's update is clipped to
+CLIP_NORM = 1.0
 
 
 @dataclass
@@ -40,39 +48,27 @@ class TrainConfig:
     lr_init: float = 1e-4
     decay_steps: tuple = ((2000, 1e-5), (4000, 1e-6))
     total_steps: int = 5000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0  # global gradient norm; 0 disables clipping
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "total_steps", "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be int, got {type(value).__name__} {value!r}")
-        for s, _ in self.decay_steps:
-            if not isinstance(s, int) or isinstance(s, bool):
-                raise TypeError(f"decay_steps steps must be int, got {type(s).__name__} {s!r}")
-        self.decay_steps = tuple((s, float(lr)) for s, lr in self.decay_steps)
+        check_field_types(self)
+        pairs = self.decay_steps
+        if (not isinstance(pairs, (tuple, list))
+                or not all(isinstance(p, (tuple, list)) and len(p) == 2
+                           and is_field_type(p[0], "int") and is_field_type(p[1], "float")
+                           for p in pairs)):
+            raise TypeError(f"decay_steps must be (int, float) pairs, got {pairs!r}")
+        self.decay_steps = tuple((s, float(lr)) for s, lr in pairs)
         bounds = [s for s, _ in self.decay_steps]
         rates = [lr for _, lr in self.decay_steps]
         if bounds != sorted(set(bounds)):
-            raise ValueError("decay boundaries must be strictly increasing")
+            raise ValueError("decay_steps boundaries must be strictly increasing")
         if not (math.isfinite(self.lr_init) and self.lr_init > 0):
             raise ValueError(f"lr_init must be finite and > 0, got {self.lr_init!r}")
         if not all(math.isfinite(lr) and lr > 0 for lr in rates):
             raise ValueError(f"decay_steps rates must be finite and > 0, got {rates!r}")
         if any(b >= a for a, b in zip([self.lr_init] + rates, rates)):
-            raise ValueError("decayed learning rates must be strictly decreasing")
-        for name in ("beta1", "beta2"):
-            # NaN fails every comparison, so the negated range rejects it
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
-        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
-            raise ValueError(f"clip_norm must be finite and >= 0, got {self.clip_norm!r}")
+            raise ValueError("decay_steps rates must fall strictly, from lr_init on")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.total_steps < 0:
@@ -132,10 +128,11 @@ def init_adam(weights: dict) -> AdamState:
     return state
 
 
-def adam_step(weights: dict, grads: dict, state: AdamState, lr: float, config: TrainConfig):
+def adam_step(weights: dict, grads: dict, state: AdamState, lr: float):
     """Standard bias-corrected Adam update, in place and in sorted name order.
 
-    The moments, the step and the weights are updated in place with the
+    With b1 = ADAM_BETA1, b2 = ADAM_BETA2 and eps = ADAM_EPS, the
+    moments, the step and the weights are updated in place with the
     operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     w -= lr*(m/c1) / (sqrt(v/c2) + eps) in their written order, so the
     result is bit-identical to evaluating those expressions. The
@@ -143,24 +140,24 @@ def adam_step(weights: dict, grads: dict, state: AdamState, lr: float, config: T
     update (see _check).
     """
     state.step += 1
-    c1 = 1.0 - config.beta1 ** state.step
-    c2 = 1.0 - config.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name in sorted(weights):
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(weights[name].data)
         m, v = state.m[name], state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
         sq = g * g
-        sq *= 1.0 - config.beta2
+        sq *= 1.0 - ADAM_BETA2
         v += sq
         step = m / c1
         step *= lr
         np.divide(v, c2, out=sq)
         np.sqrt(sq, out=sq)
-        sq += config.eps
+        sq += ADAM_EPS
         step /= sq
         weights[name].data -= step
     return state
@@ -274,25 +271,22 @@ def _check(step: int, loss: float, names, finite):
             raise NonFiniteGradient(f"gradient of {name} is not finite")
 
 
-def _clip_scale(squares: list, config: TrainConfig):
-    """The factor that brings the global norm down to clip_norm, or None
+def _clip_scale(squares: list):
+    """The factor that brings the global norm down to CLIP_NORM, or None
     when the norm is within it. The per-name squares are summed in sorted
     name order, whichever process computed them."""
-    if config.clip_norm > 0:
-        total = np.sqrt(sum(squares))
-        if total > config.clip_norm:
-            return config.clip_norm / total
-    return None
+    total = np.sqrt(sum(squares))
+    return CLIP_NORM / total if total > CLIP_NORM else None
 
 
-def _update(leaves: dict, names, scale, state: AdamState, lr: float, config: TrainConfig):
+def _update(leaves: dict, names, scale, state: AdamState, lr: float):
     """Adam over `names` on the leaves' gradients, times `scale` unless it
     is None. Adam is elementwise, so an update split over name subsets
     gives the bits of one over all names; a clipped copy dies on return,
     and the leaves keep the raw gradient until the next step starts."""
     grads = {name: leaves[name].grad if scale is None else leaves[name].grad * scale
              for name in names if leaves[name].grad is not None}
-    adam_step({name: leaves[name] for name in names}, grads, state, lr, config)
+    adam_step({name: leaves[name] for name in names}, grads, state, lr)
 
 
 def _split_point(sizes: list) -> int:
@@ -492,9 +486,9 @@ def _steps(peer, weights: dict, names: list, dataset, rng, train_config: TrainCo
         loss = sum(peer.trade(weights, losses))
         squares, finite = peer.gather(*_reduce(weights, peer.names))
         _check(step, loss, names, finite)
-        scale = _clip_scale(squares, train_config)
+        scale = _clip_scale(squares)
         lr = lr_at(step, train_config)
-        _update(weights, peer.names, scale, state, lr, train_config)
+        _update(weights, peer.names, scale, state, lr)
         peer.end()
         yield step, lr, loss
 

@@ -9,6 +9,7 @@ gets its own directory.
 import base64
 import collections
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -375,8 +376,8 @@ class TestTrain:
         err = capsys.readouterr().err
         assert str(cfg) in err and "batch_size" in err and "'abc'" in err
 
-    @pytest.mark.parametrize("bad", ["beta2=1.5", "lr_init=nan", "clip_norm=-1", "eps=0",
-                                     "periods=0", "rng_seed=-1"])
+    @pytest.mark.parametrize("bad", ["batch_size=0", "lr_init=nan", "total_steps=-1",
+                                     "decay_steps=5:1e-3", "periods=0", "rng_seed=-1"])
     def test_out_of_range_train_setting_exits_two(self, workspace, tmp_path, bad, capsys):
         rc = cli.entry(_train_args(workspace / "data", tmp_path / "out", extra=(bad,)))
         assert rc == 2
@@ -384,6 +385,23 @@ class TestTrain:
         assert bad.split("=")[0] in err and f"--set {bad}" in err
         assert not (tmp_path / "out" / "checkpoint.json").exists()
         assert not (tmp_path / "out" / "checkpoint.json.f64").exists()
+
+    @pytest.mark.parametrize("key", ["beta1", "beta2", "eps", "clip_norm"])
+    def test_removed_key_exits_two(self, workspace, tmp_path, key, capsys):
+        # Adam's constants and the clip norm are no longer settable: a
+        # --set or a config file naming one is an unknown key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        for argv, origin in (
+                (_train_args(workspace / "data", tmp_path / "a", extra=(f"{key}=0.5",)),
+                 f"--set {key}=0.5"),
+                (_train_args(workspace / "data", tmp_path / "b") + ["--config", str(cfg)],
+                 f"config {cfg}")):
+            assert cli.entry(argv) == 2
+            err = capsys.readouterr().err
+            assert f"unknown config key {key!r}" in err and origin in err
+        for out in ("a", "b"):
+            assert not (tmp_path / out / "checkpoint.json").exists()
 
     def test_missing_data_dir_exits_two(self, tmp_path, capsys):
         rc = cli.entry(["train", "--data", str(tmp_path / "nowhere"),
@@ -558,7 +576,7 @@ class TestGenerate:
     def test_v2_checkpoint_exits_two(self, workspace, tmp_path, capsys):
         # the previous format: one JSON file, each tensor's bytes in base64
         weights, config = mod.load_checkpoint(str(workspace / "run" / "checkpoint.json"))
-        doc = {"format": "qean-ckpt-v2", "config": mod.config_to_dict(config),
+        doc = {"format": "qean-ckpt-v2", "config": dataclasses.asdict(config),
                "tensors": {name: {"shape": list(t.data.shape),
                                   "data": base64.b64encode(t.data.tobytes()).decode()}
                            for name, t in sorted(weights.items())}}

@@ -587,7 +587,7 @@ class TestCheckpoint:
         names = sorted(weights)
         payload = _packed([v for name in names for v in weights[name].data.reshape(-1)])
         doc = {"format": model.CHECKPOINT_FORMAT,
-               "config": model.config_to_dict(config),
+               "config": dataclasses.asdict(config),
                "tensors": {name: list(weights[name].data.shape) for name in names},
                "payload": {"bytes": len(payload),
                            "sha256": hashlib.sha256(payload).hexdigest()}}
@@ -628,7 +628,7 @@ class TestCheckpoint:
         # the first format: one JSON file with a float list per tensor
         weights, config, _, _ = tiny_setup
         doc = {"format": "qean-ckpt-v1",
-               "config": model.config_to_dict(config),
+               "config": dataclasses.asdict(config),
                "tensors": {name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
                            for name, t in weights.items()}}
         path = tmp_path / "old.json"
@@ -641,7 +641,7 @@ class TestCheckpoint:
         # the previous format: one JSON file with base64 float64 bytes per tensor
         weights, config, _, _ = tiny_setup
         doc = {"format": "qean-ckpt-v2",
-               "config": model.config_to_dict(config),
+               "config": dataclasses.asdict(config),
                "tensors": {name: {"shape": list(t.shape),
                                   "data": base64.b64encode(_packed(t.data.reshape(-1))).decode()}
                            for name, t in weights.items()}}

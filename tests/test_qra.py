@@ -115,8 +115,8 @@ class TestGenFreqPhase:
                    for name in ("omega_k.w", "omega_k.b", "theta_k.w", "theta_k.b")}
         pos = rng.standard_normal(6)
         angles = _angles(Tensor(z), kernels, "k", pos)
-        omega = numerics.conv1d_im2col(z, kernels["omega_k.w"], kernels["omega_k.b"])[0]
-        theta = numerics.conv1d_im2col(z, kernels["theta_k.w"], kernels["theta_k.b"])[0]
+        omega = numerics.conv1d_im2col(z, kernels["omega_k.w"], kernels["omega_k.b"])
+        theta = numerics.conv1d_im2col(z, kernels["theta_k.w"], kernels["theta_k.b"])
         np.testing.assert_array_equal(
             angles.data, numerics.relu(omega) * pos[:, None] + numerics.pi_tanh(theta))
 

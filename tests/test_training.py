@@ -1,6 +1,8 @@
 """Optimizer math, window sampling, the training loop, trace files."""
 
 import contextlib
+import dataclasses
+import math
 import mmap
 import os
 import signal
@@ -39,8 +41,10 @@ class TestTrainConfig:
         assert c.lr_init == 1e-4
         assert c.decay_steps == ((2000, 1e-5), (4000, 1e-6))
         assert c.total_steps == 5000
-        assert (c.beta1, c.beta2, c.eps) == (0.9, 0.999, 1e-8)
-        assert c.clip_norm == 1.0
+        assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (0.9, 0.999, 1e-8)
+        assert training.CLIP_NORM == 1.0
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "batch_size", "lr_init", "decay_steps", "total_steps", "rng_seed"]
 
     def test_full_scale_schedule(self):
         c = TrainConfig.full_scale()
@@ -62,37 +66,37 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
-    @pytest.mark.parametrize("kwargs,field", [
-        ({"lr_init": float("nan")}, "lr_init"),
-        ({"lr_init": float("inf")}, "lr_init"),
-        ({"decay_steps": ((2000, float("nan")),)}, "decay_steps"),
-        ({"decay_steps": ((2000, 1e-5), (4000, float("-inf")))}, "decay_steps"),
-        ({"beta1": 1.0}, "beta1"),
-        ({"beta1": -0.1}, "beta1"),
-        ({"beta1": float("nan")}, "beta1"),
-        ({"beta2": 1.5}, "beta2"),
-        ({"eps": 0.0}, "eps"),
-        ({"eps": -1.0}, "eps"),
-        ({"eps": float("inf")}, "eps"),
-        ({"clip_norm": -1.0}, "clip_norm"),
-        ({"clip_norm": float("nan")}, "clip_norm"),
-        ({"clip_norm": float("inf")}, "clip_norm"),
-        ({"batch_size": 8.0}, "batch_size"),
-        ({"batch_size": True}, "batch_size"),
-        ({"total_steps": 10.0}, "total_steps"),
-        ({"total_steps": False}, "total_steps"),
-        ({"decay_steps": ((1.5, 1e-5),)}, "decay_steps"),
-        ({"decay_steps": ((True, 1e-5),)}, "decay_steps"),
-        ({"decay_steps": ((float("inf"), 1e-5),)}, "decay_steps"),
-    ])
-    def test_rejects_naming_the_field(self, kwargs, field):
-        with pytest.raises((ValueError, TypeError), match=field):
-            TrainConfig(**kwargs)
+    # a value out of range is a ValueError, one of the wrong type a TypeError;
+    # both name the field. The ids keep the kwargs<i>-<field> form.
+    _REJECTED = [
+        ({"lr_init": float("nan")}, "lr_init", ValueError),
+        ({"lr_init": float("inf")}, "lr_init", ValueError),
+        ({"decay_steps": ((2000, float("nan")),)}, "decay_steps", ValueError),
+        ({"decay_steps": ((2000, 1e-5), (4000, float("-inf")))}, "decay_steps", ValueError),
+        ({"lr_init": True}, "lr_init", TypeError),
+        ({"lr_init": "1e-4"}, "lr_init", TypeError),
+        ({"lr_init": None}, "lr_init", TypeError),
+        ({"decay_steps": 5}, "decay_steps", TypeError),
+        ({"decay_steps": (5, 1e-5)}, "decay_steps", TypeError),    # one pair, not a tuple of them
+        ({"decay_steps": "2000:1e-5"}, "decay_steps", TypeError),
+        ({"decay_steps": ((5, "1e-5"),)}, "decay_steps", TypeError),
+        ({"decay_steps": ((5, True),)}, "decay_steps", TypeError),
+        ({"decay_steps": ((5, None),)}, "decay_steps", TypeError),
+        ({"decay_steps": ((5, 1e-5, 7),)}, "decay_steps", TypeError),
+        ({"batch_size": 8.0}, "batch_size", TypeError),
+        ({"batch_size": True}, "batch_size", TypeError),
+        ({"total_steps": 10.0}, "total_steps", TypeError),
+        ({"total_steps": False}, "total_steps", TypeError),
+        ({"decay_steps": ((1.5, 1e-5),)}, "decay_steps", TypeError),
+        ({"decay_steps": ((True, 1e-5),)}, "decay_steps", TypeError),
+        ({"decay_steps": ((float("inf"), 1e-5),)}, "decay_steps", TypeError),
+    ]
 
-    def test_accepts_edge_values(self):
-        # the closed ends: betas of 0 keep no history, clip_norm 0 disables clipping
-        c = TrainConfig(beta1=0.0, beta2=0.0, clip_norm=0.0, total_steps=0)
-        assert (c.beta1, c.beta2, c.clip_norm, c.total_steps) == (0.0, 0.0, 0.0, 0)
+    @pytest.mark.parametrize("kwargs,field,error", _REJECTED,
+                             ids=[f"kwargs{i}-{case[1]}" for i, case in enumerate(_REJECTED)])
+    def test_rejects_naming_the_field(self, kwargs, field, error):
+        with pytest.raises(error, match=field):
+            TrainConfig(**kwargs)
 
 
 class TestL2Loss:
@@ -140,7 +144,7 @@ class TestAdam:
         # unit gradient: m/c1 = v/c2 = 1 exactly, so the move is lr/(1+eps)
         weights = {"p": Tensor(np.array([0.0]), requires_grad=True)}
         state = training.init_adam(weights)
-        training.adam_step(weights, {"p": np.array([1.0])}, state, 0.1, TrainConfig())
+        training.adam_step(weights, {"p": np.array([1.0])}, state, 0.1)
         assert weights["p"].data[0] == -(0.1 / (1.0 + 1e-8))
         assert state.step == 1
 
@@ -148,21 +152,20 @@ class TestAdam:
         weights = {"p": Tensor(np.array([0.0]), requires_grad=True)}
         state = training.init_adam(weights)
         for _ in range(5):
-            training.adam_step(weights, {"p": np.array([1.0])}, state, 0.01, TrainConfig())
+            training.adam_step(weights, {"p": np.array([1.0])}, state, 0.01)
         assert weights["p"].data[0] == pytest.approx(-5 * 0.01 / (1.0 + 1e-8), rel=1e-12)
 
     def test_sign_follows_gradient(self, rng):
         g = rng.standard_normal(6)
         weights = {"p": Tensor(np.zeros(6), requires_grad=True)}
-        training.adam_step(weights, {"p": g}, training.init_adam(weights), 0.1,
-                           TrainConfig())
+        training.adam_step(weights, {"p": g}, training.init_adam(weights), 0.1)
         assert np.all(np.sign(weights["p"].data) == -np.sign(g))
 
     def test_missing_gradient_leaves_weight_alone(self):
         weights = {"a": Tensor(np.array([1.0]), requires_grad=True),
                    "b": Tensor(np.array([2.0]), requires_grad=True)}
         state = training.init_adam(weights)
-        training.adam_step(weights, {"a": np.array([1.0])}, state, 0.1, TrainConfig())
+        training.adam_step(weights, {"a": np.array([1.0])}, state, 0.1)
         assert weights["a"].data[0] != 1.0
         assert weights["b"].data[0] == 2.0
 
@@ -170,12 +173,12 @@ class TestAdam:
         t = Tensor(np.array([0.0]), requires_grad=True)
         weights = {"p": t}
         training.adam_step(weights, {"p": np.array([1.0])},
-                           training.init_adam(weights), 0.1, TrainConfig())
+                           training.init_adam(weights), 0.1)
         assert weights["p"] is t
 
     def test_matches_written_out_formula_bit_for_bit(self, rng):
         # the in-place update must round exactly like the plain expressions
-        config = TrainConfig()
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
         shapes = {"a": (3, 4), "b": (5,), "c": (2, 2, 3)}
         weights = {n: Tensor(rng.standard_normal(s), requires_grad=True)
                    for n, s in shapes.items()}
@@ -186,14 +189,13 @@ class TestAdam:
         for step in range(1, 5):
             grads = {n: rng.standard_normal(s) * 10.0 ** step for n, s in shapes.items()}
             lr = 1e-3 / step
-            training.adam_step(weights, grads, state, lr, config)
-            c1 = 1.0 - config.beta1 ** step
-            c2 = 1.0 - config.beta2 ** step
+            training.adam_step(weights, grads, state, lr)
+            c1 = 1.0 - b1 ** step
+            c2 = 1.0 - b2 ** step
             for n, g in grads.items():
-                want_m[n] = config.beta1 * want_m[n] + (1.0 - config.beta1) * g
-                want_v[n] = config.beta2 * want_v[n] + (1.0 - config.beta2) * (g * g)
-                want_w[n] = want_w[n] - lr * (want_m[n] / c1) / (
-                    np.sqrt(want_v[n] / c2) + config.eps)
+                want_m[n] = b1 * want_m[n] + (1.0 - b1) * g
+                want_v[n] = b2 * want_v[n] + (1.0 - b2) * (g * g)
+                want_w[n] = want_w[n] - lr * (want_m[n] / c1) / (np.sqrt(want_v[n] / c2) + eps)
                 np.testing.assert_array_equal(state.m[n], want_m[n])
                 np.testing.assert_array_equal(state.v[n], want_v[n])
                 np.testing.assert_array_equal(weights[n].data, want_w[n])
@@ -326,17 +328,24 @@ class TestTrainLoop:
             blobs.append((csv.read_bytes(), ckpt.read_bytes(), payload.read_bytes()))
         assert blobs[0] == blobs[1]
 
-    def test_clip_gate_semantics(self, tiny_model_config):
-        # clip_norm 0 disables; an enormous bound is never hit; both must
-        # land on identical weights, while a tiny bound changes the path
-        results = {}
-        for label, clip in (("off", 0.0), ("huge", 1e12), ("tiny", 1e-6)):
-            weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
-            config = TrainConfig(batch_size=2, total_steps=2, rng_seed=3, clip_norm=clip)
-            training.train(weights, _tiny_dataset(), config, tiny_model_config)
-            results[label] = weights["out.w"].data.copy()
-        np.testing.assert_array_equal(results["off"], results["huge"])
-        assert not np.array_equal(results["off"], results["tiny"])
+    def test_clip_gate_semantics(self, tiny_model_config, monkeypatch, fork_spy):
+        # an enormous bound is never hit, so it lands on the weights of an
+        # infinite one, while a tiny bound changes the path; the worker
+        # reads the bound the parent set before the fork, so both paths
+        # agree
+        for may in (True, False):
+            _force_worker(monkeypatch, may)
+            results = {}
+            for label, clip in (("off", math.inf), ("huge", 1e12), ("tiny", 1e-6)):
+                monkeypatch.setattr(training, "CLIP_NORM", clip)
+                weights = model.init_weights(tiny_model_config, np.random.default_rng(1))
+                config = TrainConfig(batch_size=2, total_steps=2, rng_seed=3)
+                training.train(weights, _tiny_dataset(), config, tiny_model_config)
+                results[label] = weights["out.w"].data.copy()
+            np.testing.assert_array_equal(results["off"], results["huge"])
+            assert not np.array_equal(results["off"], results["tiny"])
+            assert len(fork_spy) == 3
+        _assert_no_children()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_loss_raises(self, tiny_model_config, quick_train_config):
@@ -397,7 +406,7 @@ class TestTrainLoop:
         one, three = peak(1), peak(3)
         assert three <= 1.3 * one, (one, three)
 
-    def test_paused_step_holds_one_gradient(self):
+    def test_paused_step_holds_one_gradient(self, monkeypatch):
         # between steps the loop holds Adam's two moments and the leaves'
         # raw gradient; the clipped copy dies with its step
         config = ModelConfig(d_model=32, heads=2, encoder_layers=1, decoder_layers=1,
@@ -407,7 +416,8 @@ class TestTrainLoop:
         size = sum(w.data.nbytes for w in weights.values())
         dataset = _tiny_dataset()
         # a norm this small clips every step
-        train_config = TrainConfig(batch_size=2, total_steps=2, clip_norm=1e-6)
+        monkeypatch.setattr(training, "CLIP_NORM", 1e-6)
+        train_config = TrainConfig(batch_size=2, total_steps=2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
